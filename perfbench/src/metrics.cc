@@ -40,6 +40,17 @@ double SmallMedian(std::vector<double> samples) {
                                  : (samples[mid - 1] + samples[mid]) / 2;
 }
 
+std::string JoinSeconds(const std::vector<double>& seconds) {
+  std::string joined;
+  for (const double s : seconds) {
+    char buffer[24];
+    std::snprintf(buffer, sizeof(buffer), "%s%.3f", joined.empty() ? "" : " ",
+                  s);
+    joined += buffer;
+  }
+  return joined;
+}
+
 void Report::Add(const std::string& name, double value,
                  const std::string& unit, std::size_t samples) {
   for (Metric& m : metrics_) {

@@ -23,6 +23,9 @@ std::optional<double> Percentile(std::vector<double> samples, double q);
 /// does not apply because no tail is reported.
 double SmallMedian(std::vector<double> samples);
 
+/// Seconds to three decimals, space-separated, for a run's stamps.
+std::string JoinSeconds(const std::vector<double>& seconds);
+
 /// One reported number. `samples` is the count behind a percentile or
 /// average (0 for counts and ratios of counts).
 struct Metric {

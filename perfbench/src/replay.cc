@@ -34,23 +34,24 @@ void Algorithm1Replay::Process(const Graph& g, std::uint32_t k,
   static const std::vector<kvcc::SideVertexHint> kNoHints;
   const kvcc::KvccOptions options;  // VCCE*, as the timed ops run
   kvcc::KvccStats unused_stats;
+  SpanRecorder* const spans = traced_ ? &spans_ : nullptr;
 
   std::vector<VertexId> survivors;
   {
-    ScopedSpan span(&spans_, "graph.kcore", op);
+    ScopedSpan span(spans, "graph.kcore", op);
     survivors = kvcc::KCoreVertices(g, k);
   }
   if (survivors.size() <= k) return;
   Graph core_owned;
   const Graph* core = &g;
   if (survivors.size() != g.NumVertices()) {
-    ScopedSpan span(&spans_, "graph.subgraph", op);
+    ScopedSpan span(spans, "graph.subgraph", op);
     core_owned = g.InducedSubgraph(survivors);
     core = &core_owned;
   }
   ComponentList components;
   {
-    ScopedSpan span(&spans_, "graph.components", op);
+    ScopedSpan span(spans, "graph.components", op);
     components = kvcc::ConnectedComponents(*core);
   }
   for (const std::vector<VertexId>& component : components) {
@@ -58,35 +59,40 @@ void Algorithm1Replay::Process(const Graph& g, std::uint32_t k,
     Graph sub_owned;
     const Graph* sub = core;
     if (component.size() != core->NumVertices()) {
-      ScopedSpan span(&spans_, "graph.subgraph", op);
+      ScopedSpan span(spans, "graph.subgraph", op);
       sub_owned = core->InducedSubgraph(component);
       sub = &sub_owned;
     }
 
-    const Clock::time_point certificate_start = Clock::now();
-    kvcc::BuildSparseCertificate(*sub, k, certificate_,
-                                 certificate_scratch_);
-    const Clock::time_point side_start = Clock::now();
-    kvcc::ComputeStrongSideVerticesInto(*sub, k, kNoHints,
-                                        options.side_vertex_degree_cap,
-                                        side_scratch_);
-    const Clock::time_point side_end = Clock::now();
-    certificate_edges_in_ += sub->NumEdges();
-    certificate_edges_kept_ += certificate_.certificate.NumEdges();
-
+    // Both steps also run inside GlobalCut. The traced replay re-runs them
+    // out of line on the same input and attributes them to the call, which
+    // leaves the call's self time to probes and sweeps.
+    Clock::time_point certificate_start;
+    Clock::time_point side_start;
+    Clock::time_point side_end;
+    if (traced_) {
+      certificate_start = Clock::now();
+      kvcc::BuildSparseCertificate(*sub, k, certificate_,
+                                   certificate_scratch_);
+      side_start = Clock::now();
+      kvcc::ComputeStrongSideVerticesInto(*sub, k, kNoHints,
+                                          options.side_vertex_degree_cap,
+                                          side_scratch_);
+      side_end = Clock::now();
+    }
     kvcc::GlobalCutResult cut;
     int cut_span = -1;
     {
-      ScopedSpan span(&spans_, "kvcc.global_cut", op);
+      ScopedSpan span(spans, "kvcc.global_cut", op);
       cut_span = span.id();
       cut = kvcc::GlobalCut(*sub, k, kNoHints, options, &unused_stats,
                             &cut_scratch_);
     }
-    // Both steps also run inside GlobalCut; attributing the out-of-line
-    // runs to the call leaves its self time to probes and sweeps.
-    spans_.Record("kvcc.certificate", op, cut_span, certificate_start,
-                  side_start);
-    spans_.Record("kvcc.side_vertex", op, cut_span, side_start, side_end);
+    if (traced_) {
+      spans_.Record("kvcc.certificate", op, cut_span, certificate_start,
+                    side_start);
+      spans_.Record("kvcc.side_vertex", op, cut_span, side_start, side_end);
+    }
 
     if (cut.cut.empty()) {
       std::vector<VertexId> ids;
@@ -100,7 +106,7 @@ void Algorithm1Replay::Process(const Graph& g, std::uint32_t k,
     }
     std::vector<kvcc::PartitionPiece> pieces;
     {
-      ScopedSpan span(&spans_, "kvcc.partition", op);
+      ScopedSpan span(spans, "kvcc.partition", op);
       pieces = kvcc::OverlapPartition(*sub, cut.cut);
     }
     for (kvcc::PartitionPiece& piece : pieces) {
@@ -127,12 +133,6 @@ void Algorithm1Replay::AddLayerMetrics(Report& report) const {
   AddSelfMillis(spans_, "kvcc.certificate", "kvcc.certificate.ms", report);
   AddSelfMillis(spans_, "kvcc.side_vertex", "kvcc.side_vertex.ms", report);
   AddSelfMillis(spans_, "kvcc.partition", "kvcc.partition.ms", report);
-  report.Add("kvcc.certificate.keep_ratio",
-             certificate_edges_in_ == 0
-                 ? 0.0
-                 : static_cast<double>(certificate_edges_kept_) /
-                       static_cast<double>(certificate_edges_in_),
-             "ratio");
 }
 
 void AddKvccStatsMetrics(const kvcc::KvccStats& t, std::uint64_t serial_edges,
@@ -158,6 +158,9 @@ void AddKvccStatsMetrics(const kvcc::KvccStats& t, std::uint64_t serial_edges,
              "count");
   report.Add("kvcc.probe.localvc_share",
              share(t.probes_localvc, t.loc_cut_flow_calls), "ratio");
+  report.Add("kvcc.certificate.keep_ratio",
+             share(t.certificate_edges_kept, t.certificate_edges_input),
+             "ratio");
   report.Add("kvcc.side_vertex.checks", count(t.strong_side_checks_run),
              "count");
   report.Add("kvcc.side_vertex.reuse_share",

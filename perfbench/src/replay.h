@@ -27,13 +27,17 @@ using ComponentList = std::vector<std::vector<kvcc::VertexId>>;
 
 class Algorithm1Replay {
  public:
+  /// An untraced replay records no spans and skips the out-of-line
+  /// certificate and side-vertex runs: it is the baseline trace.overhead
+  /// divides by.
+  explicit Algorithm1Replay(bool traced) : traced_(traced) {}
+
   /// Decomposes `root` (which carries no labels) at `k`; returns the
   /// canonically sorted k-VCCs. `op` tags the spans.
   ComponentList Run(const kvcc::Graph& root, std::uint32_t k, std::uint32_t op);
 
   /// Adds graph.kcore/subgraph/components.ms, kvcc.global_cut.self_ms,
-  /// kvcc.certificate.ms and keep_ratio, kvcc.side_vertex.ms and
-  /// kvcc.partition.ms.
+  /// kvcc.certificate.ms, kvcc.side_vertex.ms and kvcc.partition.ms.
   void AddLayerMetrics(Report& report) const;
 
   const SpanRecorder& spans() const { return spans_; }
@@ -42,13 +46,12 @@ class Algorithm1Replay {
   void Process(const kvcc::Graph& g, std::uint32_t k, std::uint32_t op,
                std::vector<kvcc::Graph>& pending, ComponentList& found);
 
+  const bool traced_;
   SpanRecorder spans_;
   kvcc::GlobalCutScratch cut_scratch_;
   kvcc::SparseCertificate certificate_;
   kvcc::CertificateScratch certificate_scratch_;
   kvcc::SideVertexScratch side_scratch_;
-  std::uint64_t certificate_edges_in_ = 0;
-  std::uint64_t certificate_edges_kept_ = 0;
 };
 
 /// Adds `metric` as the summed self time of the spans named `span`, with
@@ -57,8 +60,9 @@ void AddSelfMillis(const SpanRecorder& spans, const char* span,
                    const char* metric, Report& report);
 
 /// Adds the work counts of the end-to-end ops (flow calls, edges touched,
-/// sweep and skip shares, probes launched and wasted) and the edge
-/// inflation against `serial_edges`, the serial run's edges touched.
+/// the certificate's keep ratio, sweep and skip shares, probes launched
+/// and wasted) and the edge inflation against `serial_edges`, the serial
+/// run's edges touched.
 void AddKvccStatsMetrics(const kvcc::KvccStats& stats,
                          std::uint64_t serial_edges, Report& report);
 

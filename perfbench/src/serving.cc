@@ -25,10 +25,10 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -63,12 +63,23 @@ constexpr int kSetupRepeats = 3;
 constexpr std::uint32_t kInlineK = 8;
 constexpr std::uint32_t kPathK = 40;
 constexpr std::uint32_t kDynamicK = 8;
-constexpr int kWarmPerRoundA = 7;
-constexpr int kWarmPerRoundB = 5;
-constexpr int kPathsPerRoundB = 2;
-// One round takes ~0.4 s per connection at today's latencies; the script
-// size depends only on --seconds, so every count repeats for a given seed.
-constexpr double kRoundsPerSecond = 2.4;
+
+// The traffic mix is an assumption, not observed traffic. Its basis is
+// equal time per request class: at the class medians measured when this
+// benchmark was defined (cold inline 48 ms, warm inline 44 ms, path 84 ms,
+// a write and its dynamic read 48 ms, on a 4-vCPU guest), a round gives
+// each of cold, warm, path and write + read 0.44-0.50 s -- one path read
+// of each of the six stand-ins, 10 cold, 10 warm and 10 writes -- so a
+// gain in any one class moves wall_s by about the same share. Connection
+// A's writes balance connection B's path reads; each connection takes
+// about 1 s a round.
+constexpr int kColdPerRound = 5;     // on each connection
+constexpr int kWarmPerRound = 5;     // on each connection
+constexpr int kWritesPerRound = 10;  // connection A, each with its read
+// The script's size depends only on --seconds, so every count repeats for
+// a given seed. 1.1 rounds per second keeps a 10 s script above the warm
+// p90's floor of 101 samples.
+constexpr double kRoundsPerSecond = 1.1;
 
 enum class Kind : std::uint8_t { kSetup, kCold, kWarm, kPath, kWrite, kRead };
 
@@ -268,11 +279,10 @@ class Client {
 
 class Workload {
  public:
-  explicit Workload(const RunConfig& config) : config_(config) {
-    const double rounds_per_six =
-        std::max(1.0, std::round(config.seconds * kRoundsPerSecond / 6));
-    rounds_ = 6 * static_cast<int>(rounds_per_six);
-  }
+  explicit Workload(const RunConfig& config)
+      : config_(config),
+        rounds_(std::max(1, static_cast<int>(std::lround(
+                                config.seconds * kRoundsPerSecond)))) {}
 
   /// Writes the stand-in files and builds every request line. Part of the
   /// timed set-up.
@@ -299,14 +309,14 @@ class Workload {
       setup_a_.push_back(PathRequest(p));
     }
 
-    // The dynamic graph: seeded with one planted graph whose blocks hang
-    // together by single bridge edges (so an edit dirties its own block's
-    // regions, the locality incremental updates rely on), then
-    // single-edge writes that delete a base edge and later re-insert it,
-    // so the graph stays near its base and every write costs about the
-    // same.
+    // The dynamic graph: seeded with one planted graph of equal-sized
+    // blocks that hang together by single bridge edges, so an edit dirties
+    // its own block's regions (the locality incremental updates rely on)
+    // and every block costs the same to re-run.
     kvcc::PlantedVccConfig base_config = InlineConfig(NextGraphSeed(2, 0));
     base_config.num_blocks = 8;
+    base_config.block_size_min = 32;
+    base_config.block_size_max = 32;
     base_config.overlap = 0;
     const std::vector<Edge> dynamic_base =
         kvcc::GeneratePlantedVcc(base_config).graph.Edges();
@@ -315,8 +325,9 @@ class Workload {
     setup_a_.push_back({"{\"op\":\"insert_edges\",\"edges\":" +
                             EdgesJson(dynamic_base) + "}",
                         Kind::kSetup, mutations_.back().updated_expected});
-    std::vector<Edge> victims = dynamic_base;
-    Shuffle(victims, rng);
+    victims_ = dynamic_base;
+    Shuffle(victims_, rng);
+    writes_ = 0;
 
     // Warm-up: one cold and one warm inline decompose per connection and a
     // dynamic read, so lazily grown state exists before timing.
@@ -328,56 +339,41 @@ class Workload {
     setup_b_.push_back(InlineRequest(warm_b, Kind::kSetup));
     setup_b_.push_back(InlineRequest(warm_b, Kind::kSetup));
 
-    // Path reads go to connection B only, so no two edge-list loads ever
-    // overlap in the daemon and its peak RSS does not depend on timing.
-    std::vector<std::size_t> path_order;
-    for (int i = 0; i < rounds_ * kPathsPerRoundB; ++i) {
-      path_order.push_back(static_cast<std::size_t>(i) % paths_.size());
-    }
-    Shuffle(path_order, rng);
-
-    std::vector<std::size_t> owned_a;
-    std::vector<std::size_t> owned_b;
+    // The warm-up graphs are cached, so warm requests may draw them too.
+    std::vector<std::size_t> owned_a = {warm_a};
+    std::vector<std::size_t> owned_b = {warm_b};
+    std::vector<std::size_t> stand_ins(paths_.size());
+    std::iota(stand_ins.begin(), stand_ins.end(), std::size_t{0});
     for (int r = 0; r < rounds_; ++r) {
-      // Connection A: cold, 7 warm, write + dynamic read.
-      owned_a.push_back(AddInlineGraph(NextGraphSeed(0, r)));
-      cold_graphs_.push_back(owned_a.back());
-      timed_a_.push_back(InlineRequest(owned_a.back(), Kind::kCold));
-      std::vector<std::vector<ScriptedRequest>> units;
-      for (int w = 0; w < kWarmPerRoundA; ++w) {
-        units.push_back({InlineRequest(
-            owned_a[rng.NextBounded(owned_a.size())], Kind::kWarm)});
+      // Connection A: cold, warm, and writes each followed by a dynamic
+      // read.
+      std::vector<Kind> kinds(kColdPerRound, Kind::kCold);
+      kinds.insert(kinds.end(), kWarmPerRound, Kind::kWarm);
+      kinds.insert(kinds.end(), kWritesPerRound, Kind::kWrite);
+      Shuffle(kinds, rng);
+      for (const Kind kind : kinds) {
+        if (kind == Kind::kWrite) {
+          AddWrite();
+        } else {
+          AddInline(kind, 0, owned_a, timed_a_, rng);
+        }
       }
-      const Edge victim = victims[static_cast<std::size_t>(r / 2) %
-                                  victims.size()];
-      const bool insert = r % 2 == 1;
-      mutations_.push_back({insert, {victim}, Expect(), 0});
-      ScriptedRequest write{std::string("{\"op\":\"") +
-                                (insert ? "insert_edges" : "delete_edges") +
-                                "\",\"edges\":" + EdgesJson({victim}) + "}",
-                            Kind::kWrite, mutations_.back().updated_expected};
-      units.push_back({std::move(write), DynamicRead(Kind::kRead)});
-      Shuffle(units, rng);
-      for (auto& unit : units) {
-        for (auto& request : unit) timed_a_.push_back(std::move(request));
+      // Connection B: cold, warm, and one path read of every stand-in.
+      // Path reads stay on one connection, so no two edge-list loads ever
+      // overlap in the daemon and its peak RSS does not depend on timing.
+      kinds.assign(kColdPerRound, Kind::kCold);
+      kinds.insert(kinds.end(), kWarmPerRound, Kind::kWarm);
+      kinds.insert(kinds.end(), paths_.size(), Kind::kPath);
+      Shuffle(kinds, rng);
+      Shuffle(stand_ins, rng);
+      std::size_t next_path = 0;
+      for (const Kind kind : kinds) {
+        if (kind == Kind::kPath) {
+          timed_b_.push_back(PathRequest(stand_ins[next_path++], Kind::kPath));
+        } else {
+          AddInline(kind, 1, owned_b, timed_b_, rng);
+        }
       }
-
-      // Connection B: cold, 5 warm, 2 path reads.
-      owned_b.push_back(AddInlineGraph(NextGraphSeed(1, r)));
-      cold_graphs_.push_back(owned_b.back());
-      timed_b_.push_back(InlineRequest(owned_b.back(), Kind::kCold));
-      std::vector<ScriptedRequest> rest;
-      for (int w = 0; w < kWarmPerRoundB; ++w) {
-        rest.push_back(InlineRequest(
-            owned_b[rng.NextBounded(owned_b.size())], Kind::kWarm));
-      }
-      for (int p = 0; p < kPathsPerRoundB; ++p) {
-        rest.push_back(PathRequest(
-            path_order[static_cast<std::size_t>(r * kPathsPerRoundB + p)],
-            Kind::kPath));
-      }
-      Shuffle(rest, rng);
-      for (auto& request : rest) timed_b_.push_back(std::move(request));
     }
   }
 
@@ -472,10 +468,9 @@ class Workload {
 
   // Distinct per (run seed, connection, index), so the connections' graph
   // sets are disjoint and every run draws fresh ones.
-  std::uint64_t NextGraphSeed(int connection, int index) const {
+  std::uint64_t NextGraphSeed(int connection, std::uint64_t index) const {
     return config_.seed * 0x100000001b3ULL +
-           static_cast<std::uint64_t>(connection) * 1000003ULL +
-           static_cast<std::uint64_t>(index) + 1;
+           static_cast<std::uint64_t>(connection) * 1000003ULL + index + 1;
   }
 
   std::size_t Expect() {
@@ -491,6 +486,36 @@ class Workload {
     entry.expected = Expect();
     inline_graphs_.push_back(std::move(entry));
     return inline_graphs_.size() - 1;
+  }
+
+  /// Appends a cold request for a new graph `connection` owns, or a warm
+  /// request for one it has already sent.
+  void AddInline(Kind kind, int connection, std::vector<std::size_t>& owned,
+                 std::vector<ScriptedRequest>& script, kvcc::Rng& rng) {
+    if (kind == Kind::kCold) {
+      owned.push_back(AddInlineGraph(NextGraphSeed(connection, owned.size())));
+      cold_graphs_.push_back(owned.back());
+      script.push_back(InlineRequest(owned.back(), kind));
+    } else {
+      script.push_back(
+          InlineRequest(owned[rng.NextBounded(owned.size())], kind));
+    }
+  }
+
+  /// Appends to connection A a single-edge write and the dynamic read
+  /// after it. A write deletes a base edge and the next write re-inserts
+  /// it, so the graph stays near its base and every write costs about the
+  /// same.
+  void AddWrite() {
+    const Edge victim = victims_[(writes_ / 2) % victims_.size()];
+    const bool insert = writes_ % 2 == 1;
+    ++writes_;
+    mutations_.push_back({insert, {victim}, Expect(), 0});
+    timed_a_.push_back({std::string("{\"op\":\"") +
+                            (insert ? "insert_edges" : "delete_edges") +
+                            "\",\"edges\":" + EdgesJson({victim}) + "}",
+                        Kind::kWrite, mutations_.back().updated_expected});
+    timed_a_.push_back(DynamicRead(Kind::kRead));
   }
 
   ScriptedRequest InlineRequest(std::size_t graph, Kind kind) const {
@@ -512,12 +537,14 @@ class Workload {
   }
 
   const RunConfig& config_;
-  int rounds_ = 0;
+  const int rounds_;
   std::vector<std::string> paths_;
   std::vector<std::size_t> path_expected_;
   std::vector<InlineEntry> inline_graphs_;
   std::vector<std::size_t> cold_graphs_;  // inline_graphs_ indices
   std::vector<Mutation> mutations_;
+  std::vector<Edge> victims_;  // base edges, in the order writes take them
+  std::size_t writes_ = 0;
   std::vector<std::vector<std::string>> expected_;
   std::vector<ScriptedRequest> setup_a_;
   std::vector<ScriptedRequest> setup_b_;
@@ -695,22 +722,13 @@ struct ScriptRun {
 /// connection's thread is always joined. A lost connection marks the rest
 /// of the script lost.
 std::vector<Exchange> Play(Client& client,
-                           const std::vector<ScriptedRequest>& script,
-                           SpanRecorder* spans) {
+                           const std::vector<ScriptedRequest>& script) {
   std::vector<Exchange> out;
   out.reserve(script.size());
   try {
-    for (std::uint32_t i = 0; i < script.size(); ++i) {
-      out.push_back(client.Send(script[i].line));
-      const Exchange& e = out.back();
-      if (e.lost) break;
-      if (spans != nullptr) {
-        const int request = spans->Record("server.request", i, -1, e.sent,
-                                          e.last);
-        spans->Record("server.transport.first_line", i, request, e.sent,
-                      e.first);
-        spans->Record("server.transport.tail", i, request, e.first, e.last);
-      }
+    for (const ScriptedRequest& request : script) {
+      out.push_back(client.Send(request.line));
+      if (out.back().lost) break;
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perfbench: client failed: %s\n", e.what());
@@ -743,13 +761,16 @@ class Serving {
         daemon = SetUp(run, a, b);
         setup_samples.push_back(run.setup_s);
       }
-      RunScript(*daemon, *a, *b, run, nullptr, nullptr);
+      RunScript(*daemon, *a, *b, run);
     }
     Check(run);
+    report_.Stamp("setup_s samples", JoinSeconds(setup_samples));
     report_.Add("setup_s", SmallMedian(setup_samples), "s", kSetupRepeats);
     report_.Add("wall_s", run.wall_s, "s");
     std::map<Kind, std::vector<double>> latency = Latencies(run);
-    report_.AddPercentile("op_p50_ms", latency[Kind::kWarm], 0.5, "ms");
+    // A write answers with one line, so the multi-line stall, which sets
+    // every other class's latency, does not set this one.
+    report_.AddPercentile("op_p50_ms", latency[Kind::kWrite], 0.5, "ms");
     report_.Add("peak_rss_mb", static_cast<double>(run.peak_rss_bytes) / 1e6,
                 "MB");
     report_.AddPercentile("cold_p50_ms", latency[Kind::kCold], 0.5, "ms");
@@ -762,49 +783,37 @@ class Serving {
                   std::to_string(run.daemon_cpu_s));
   }
 
-  /// Traced run: the script once untraced and once traced, each on a fresh
-  /// daemon, then the traced script replayed in process.
+  /// Traced run: the script once over real TCP on a fresh daemon, then
+  /// replayed in process twice, untraced and traced. The TCP run records
+  /// no spans; its transport times come from the timestamps every exchange
+  /// carries.
   void Trace() {
-    ScriptRun untraced;
-    ScriptRun traced;
-    SpanRecorder transport_a;
-    SpanRecorder transport_b;
-    for (ScriptRun* run : {&untraced, &traced}) {
+    ScriptRun run;
+    {
       std::unique_ptr<Client> a;
       std::unique_ptr<Client> b;
-      const std::unique_ptr<Daemon> daemon = SetUp(*run, a, b);
-      const bool with_spans = run == &traced;
-      RunScript(*daemon, *a, *b, *run, with_spans ? &transport_a : nullptr,
-                with_spans ? &transport_b : nullptr);
+      const std::unique_ptr<Daemon> daemon = SetUp(run, a, b);
+      RunScript(*daemon, *a, *b, run);
     }
-    Check(untraced);
-    Check(traced);
-    report_.Add("trace.overhead", traced.wall_s / untraced.wall_s, "ratio");
-    AddTransportMetrics(transport_a, transport_b);
+    Check(run);
+    AddTransportMetrics(run);
+    report_.Add("exec.busy_share",
+                run.daemon_cpu_s / (run.wall_s * OnlineCpus()), "ratio");
 
+    double untraced_ms = 0;
+    {
+      ServerReplay untraced;
+      untraced_ms = Replay(untraced, nullptr);
+    }
     ServerReplay replay;
     SpanRecorder layers;
-    for (const auto* script : {&workload_.setup_a(), &workload_.setup_b()}) {
-      for (const ScriptedRequest& request : *script) {
-        replay.Serve(request.line, nullptr, 0);
-      }
-    }
-    std::uint32_t op = 0;
-    for (const auto* script : {&workload_.timed_a(), &workload_.timed_b()}) {
-      for (const ScriptedRequest& request : *script) {
-        if (replay.Serve(request.line, &layers, op++) !=
-            workload_.Expected(request.expected)) {
-          std::fprintf(stderr, "perfbench: in-process replay rendered a "
-                       "different response for request %u\n", op - 1);
-          report_.check_failed = true;
-        }
-      }
-    }
-    CompareCounters(replay, traced.stats_line);
-    AddServerLayerMetrics(replay, layers, traced);
+    const double traced_ms = Replay(replay, &layers);
+    report_.Add("trace.overhead", traced_ms / untraced_ms, "ratio");
+    CompareCounters(replay, run.stats_line);
+    AddServerLayerMetrics(replay, layers, run);
 
     // The engine layers, split on the same cold graphs.
-    Algorithm1Replay algorithm;
+    Algorithm1Replay algorithm(/*traced=*/true);
     std::uint64_t serial_edges = 0;
     const std::vector<Graph> cold = workload_.ColdGraphs();
     for (std::uint32_t i = 0; i < cold.size(); ++i) {
@@ -818,9 +827,6 @@ class Serving {
     }
     algorithm.AddLayerMetrics(report_);
     AddKvccStatsMetrics(replay.engine_stats(), serial_edges, report_);
-    report_.Add("exec.busy_share",
-                traced.daemon_cpu_s / (traced.wall_s * OnlineCpus()),
-                "ratio");
     layers.WriteTsv(config_.work_dir + "/spans.tsv");
   }
 
@@ -844,13 +850,11 @@ class Serving {
     return daemon;
   }
 
-  void RunScript(const Daemon& daemon, Client& a, Client& b, ScriptRun& run,
-                 SpanRecorder* spans_a, SpanRecorder* spans_b) {
+  void RunScript(const Daemon& daemon, Client& a, Client& b, ScriptRun& run) {
     const double cpu_start = daemon.CpuSeconds();
     const Clock::time_point start = Clock::now();
-    std::thread other(
-        [&] { run.timed_b = Play(b, workload_.timed_b(), spans_b); });
-    run.timed_a = Play(a, workload_.timed_a(), spans_a);
+    std::thread other([&] { run.timed_b = Play(b, workload_.timed_b()); });
+    run.timed_a = Play(a, workload_.timed_a());
     other.join();
     run.wall_s = MillisBetween(start, Clock::now()) / 1e3;
     run.daemon_cpu_s = daemon.CpuSeconds() - cpu_start;
@@ -861,6 +865,31 @@ class Serving {
     run.stats_line = stats.lines.back();
     run.peak_rss_bytes = daemon.PeakRssBytes();
     report_.Stamp("daemon stats", run.stats_line);
+  }
+
+  /// Serves the set-up script, then the timed script, through `replay`,
+  /// checking every rendered response. Returns the timed script's
+  /// milliseconds.
+  double Replay(ServerReplay& replay, SpanRecorder* spans) {
+    for (const auto* script : {&workload_.setup_a(), &workload_.setup_b()}) {
+      for (const ScriptedRequest& request : *script) {
+        replay.Serve(request.line, nullptr, 0);
+      }
+    }
+    std::uint32_t op = 0;
+    const Clock::time_point start = Clock::now();
+    for (const auto* script : {&workload_.timed_a(), &workload_.timed_b()}) {
+      for (const ScriptedRequest& request : *script) {
+        if (replay.Serve(request.line, spans, op) !=
+            workload_.Expected(request.expected)) {
+          std::fprintf(stderr, "perfbench: in-process replay rendered a "
+                       "different response for request %u\n", op);
+          report_.check_failed = true;
+        }
+        ++op;
+      }
+    }
+    return MillisBetween(start, Clock::now());
   }
 
   void Check(ScriptRun& run) {
@@ -935,27 +964,22 @@ class Serving {
     return latency;
   }
 
-  void AddTransportMetrics(const SpanRecorder& a, const SpanRecorder& b) {
-    // Over multi-line responses only: the tail is where the stall lives,
-    // and single-line writes would pool a second shape into the median.
+  /// Send -> first line and first line -> terminal line, over the warm
+  /// requests only: one request shape, whose first line is the server's
+  /// own work and whose tail is where the stall lives.
+  void AddTransportMetrics(const ScriptRun& run) {
     std::vector<double> first_line;
     std::vector<double> tail;
-    for (const SpanRecorder* spans : {&a, &b}) {
-      std::map<int, double> first_line_of;  // request span -> first line ms
-      for (const Span& span : spans->spans()) {
-        if (std::string_view(span.name) == "server.transport.first_line") {
-          first_line_of[span.parent] = MillisBetween(span.start, span.end);
-        }
+    const auto collect = [&](const std::vector<Exchange>& got,
+                             const std::vector<ScriptedRequest>& script) {
+      for (std::size_t i = 0; i < script.size(); ++i) {
+        if (got[i].lost || script[i].kind != Kind::kWarm) continue;
+        first_line.push_back(MillisBetween(got[i].sent, got[i].first));
+        tail.push_back(MillisBetween(got[i].first, got[i].last));
       }
-      for (const Span& span : spans->spans()) {
-        if (std::string_view(span.name) != "server.transport.tail" ||
-            span.start == span.end) {
-          continue;
-        }
-        first_line.push_back(first_line_of.at(span.parent));
-        tail.push_back(MillisBetween(span.start, span.end));
-      }
-    }
+    };
+    collect(run.timed_a, workload_.timed_a());
+    collect(run.timed_b, workload_.timed_b());
     report_.AddPercentile("server.transport.first_line_ms", first_line, 0.5,
                           "ms");
     report_.AddPercentile("server.transport.tail_gap_ms", tail, 0.5, "ms");
@@ -983,7 +1007,7 @@ class Serving {
 
   void AddServerLayerMetrics(const ServerReplay& replay,
                              const SpanRecorder& layers,
-                             const ScriptRun& traced) {
+                             const ScriptRun& run) {
     const std::pair<const char*, const char*> layer_spans[] = {
         {"server.parse", "server.parse.ms"},
         {"server.resolve", "server.resolve.ms"},
@@ -1008,17 +1032,17 @@ class Serving {
                                   1e6 / load_s,
                 "MB/s");
     const double hits =
-        static_cast<double>(StatField(traced.stats_line, "cache_hits"));
+        static_cast<double>(StatField(run.stats_line, "cache_hits"));
     const double misses =
-        static_cast<double>(StatField(traced.stats_line, "cache_misses"));
+        static_cast<double>(StatField(run.stats_line, "cache_misses"));
     report_.Add("server.cache.hit_ratio",
                 hits + misses == 0 ? 0.0 : hits / (hits + misses), "ratio");
     report_.Add("server.cache.evictions",
                 static_cast<double>(
-                    StatField(traced.stats_line, "cache_evictions")),
+                    StatField(run.stats_line, "cache_evictions")),
                 "count");
     report_.Add("server.admission.shed",
-                static_cast<double>(StatField(traced.stats_line, "jobs_shed")),
+                static_cast<double>(StatField(run.stats_line, "jobs_shed")),
                 "count");
     report_.Add("kvcc.incremental.dirty_share",
                 replay.script_old_components() == 0

@@ -156,37 +156,27 @@ class Sweep {
         digests_(LoadDigests(config.bench_dir + "/expected_digests.tsv")),
         order_rng_(config.seed ^ 0x5bd1e995u) {}
 
-  /// Builds the inputs and the runner kSetupRepeats times, then warms up
-  /// once. Returns the median build plus the warm-up, in seconds.
+  /// Sets up kSetupRepeats times -- inputs, runner, and a warm-up running
+  /// the largest op of every stand-in, so allocator arenas and the
+  /// engine's per-worker scratch reach their working size -- and returns
+  /// the median, in seconds. The timed phase uses the last set-up.
   double SetUp() {
     std::vector<double> samples;
     for (int r = 0; r < kSetupRepeats; ++r) {
       stand_ins_.clear();
       runner_.reset();
       const Clock::time_point start = Clock::now();
-      std::vector<StandIn> fresh;
       for (std::size_t d = 0; d < StandInNames().size(); ++d) {
-        fresh.push_back(MakeStandIn(d, config_.seed));
+        stand_ins_.push_back(MakeStandIn(d, config_.seed));
       }
-      auto runner = std::make_unique<SweepRunner>(threads_);
+      runner_ = std::make_unique<SweepRunner>(threads_);
+      for (std::size_t d = 0; d < stand_ins_.size(); ++d) {
+        RunChecked({d, kvcc::EfficiencyKs().front()});
+      }
       samples.push_back(MillisBetween(start, Clock::now()) / 1e3);
-      stand_ins_ = std::move(fresh);
-      runner_ = std::move(runner);
     }
-    // Warm-up: the largest op of every stand-in, so allocator arenas and
-    // the engine's per-worker scratch reach their working size.
-    const Clock::time_point warm_start = Clock::now();
-    for (std::size_t d = 0; d < stand_ins_.size(); ++d) {
-      RunChecked({d, kvcc::EfficiencyKs().front()});
-    }
-    const double warm_s = MillisBetween(warm_start, Clock::now()) / 1e3;
-    const double build_s = SmallMedian(samples);
-    char detail[96];
-    std::snprintf(detail, sizeof(detail),
-                  "median of %d input builds %.4f s + warm-up %.4f s",
-                  kSetupRepeats, build_s, warm_s);
-    report_.Stamp("setup", detail);
-    return build_s + warm_s;
+    report_.Stamp("setup_s samples", JoinSeconds(samples));
+    return SmallMedian(samples);
   }
 
   std::vector<SweepOp> NextPassOrder() {
@@ -243,34 +233,21 @@ class Sweep {
     report_.AddPercentile("op_p50_ms", op_ms, 0.5, "ms");
     report_.Add("peak_rss_mb",
                 static_cast<double>(kvcc::PeakRssBytes()) / 1e6, "MB");
-    std::string passes;
-    for (const double s : pass_s) {
-      char buffer[16];
-      std::snprintf(buffer, sizeof(buffer), "%s%.3f", passes.empty() ? "" : " ",
-                    s);
-      passes += buffer;
-    }
-    report_.Stamp("pass_s", passes);
+    report_.Stamp("pass_s", JoinSeconds(pass_s));
     report_.Stamp("cpu_s (timed phase)",
                   std::to_string(ProcessCpuSeconds() - cpu_start));
   }
 
+  /// One pass of the end-to-end ops, whose KvccStats give the counts; for
+  /// t4 a serial pass for the edge baseline; then Algorithm 1 replayed on
+  /// every op, untraced and traced.
   void Trace() {
     const std::vector<SweepOp> order = NextPassOrder();
-
-    const Clock::time_point untraced_start = Clock::now();
-    for (const SweepOp& op : order) RunChecked(op);
-    const double untraced_ms = MillisBetween(untraced_start, Clock::now());
-
-    SpanRecorder op_spans;
     std::vector<kvcc::KvccResult> results;
     const double cpu_start = ProcessCpuSeconds();
-    const Clock::time_point traced_start = Clock::now();
-    for (std::uint32_t i = 0; i < order.size(); ++i) {
-      ScopedSpan span(&op_spans, "sweep.op", i);
-      results.push_back(RunChecked(order[i]));
-    }
-    const double traced_ms = MillisBetween(traced_start, Clock::now());
+    const Clock::time_point pass_start = Clock::now();
+    for (const SweepOp& op : order) results.push_back(RunChecked(op));
+    const double pass_s = MillisBetween(pass_start, Clock::now()) / 1e3;
     const double cpu_s = ProcessCpuSeconds() - cpu_start;
 
     KvccStats total;
@@ -284,21 +261,30 @@ class Sweep {
       }
     }
 
-    Algorithm1Replay replay;
-    for (std::uint32_t i = 0; i < order.size(); ++i) {
-      const ComponentList replayed =
-          replay.Run(stand_ins_[order[i].dataset].graph, order[i].k, i);
-      if (replayed != results[i].components) {
-        std::fprintf(stderr, "perfbench: replay of %s k=%u differs from the "
-                     "op's output\n",
-                     stand_ins_[order[i].dataset].name.c_str(), order[i].k);
-        report_.check_failed = true;
+    // Both replays' components must equal each op's output.
+    const auto replay_all = [&](Algorithm1Replay& replay) {
+      const Clock::time_point start = Clock::now();
+      for (std::uint32_t i = 0; i < order.size(); ++i) {
+        const StandIn& s = stand_ins_[order[i].dataset];
+        if (replay.Run(s.graph, order[i].k, i) != results[i].components) {
+          std::fprintf(stderr, "perfbench: replay of %s k=%u differs from "
+                       "the op's output\n", s.name.c_str(), order[i].k);
+          report_.check_failed = true;
+        }
       }
+      return MillisBetween(start, Clock::now());
+    };
+    double untraced_ms = 0;
+    {
+      Algorithm1Replay untraced(/*traced=*/false);
+      untraced_ms = replay_all(untraced);
     }
+    Algorithm1Replay replay(/*traced=*/true);
+    const double traced_ms = replay_all(replay);
+
     replay.AddLayerMetrics(report_);
     AddKvccStatsMetrics(total, serial_edges, report_);
-    report_.Add("exec.busy_share", cpu_s / (traced_ms / 1e3 * OnlineCpus()),
-                "ratio");
+    report_.Add("exec.busy_share", cpu_s / (pass_s * OnlineCpus()), "ratio");
     report_.Add("trace.overhead", traced_ms / untraced_ms, "ratio");
     replay.spans().WriteTsv(config_.work_dir + "/spans.tsv");
   }
