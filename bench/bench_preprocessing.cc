@@ -1,7 +1,8 @@
 // Bytes-on-disk to first GLOBAL-CUT: the flat-parallel preprocessing
-// pipeline (parallel edge-list loader + fused k-core/component prune)
-// against the staged baseline (serial istream loader, whole-core
-// InducedSubgraph, BFS component labeling, per-component InducedSubgraph).
+// pipeline (the edge-list loader on every thread + fused k-core/component
+// prune) against the staged baseline (the same loader on one thread,
+// whole-core InducedSubgraph, BFS component labeling, per-component
+// InducedSubgraph).
 //
 // Two workloads, both far beyond the correctness corpus:
 //   1. rmat — R-MAT web-graph stand-in (skewed degrees, community blocks);
@@ -12,15 +13,17 @@
 // Each workload is written to a temp edge-list file first, so both
 // pipelines start from the same bytes on disk. The staged pipeline is the
 // serial reference; the fused pipeline runs at each requested thread count
-// and must produce identical survivors, identical component splits (in
-// label space — the two loaders number vertices differently), an identical
-// first-component subgraph, the identical first GLOBAL-CUT answer, and
-// identical replay counters at every thread count. Any divergence
-// hard-fails the binary.
+// and must produce identical survivors, identical component splits, an
+// identical first-component subgraph, the identical first GLOBAL-CUT
+// answer, and identical replay counters at every thread count. Any
+// divergence hard-fails the binary. Both legs load with ReadEdgeListFile,
+// whose numbering does not depend on the thread count, so both cut the
+// same numbering and speedup_vs_staged measures preprocessing rather
+// than the ~2x that the vertex numbering alone moves a first cut.
 //
 // Flags:
 //   --scale=<double>   workload size multiplier (default 1.0)
-//   --threads=1,2,8    fused-pipeline thread counts (default 1,2,8)
+//   --threads=1,2,4    fused-pipeline thread counts (default 1,2,4)
 //   --quick            shrink the workload for smoke runs
 //   --json=<path>      append a machine-readable perf snapshot to <path>
 //   --build-type=<s>   stamp the snapshot with the CMake build type
@@ -63,7 +66,7 @@ using namespace kvcc::bench;
 struct PreprocBenchArgs {
   double scale = 1.0;
   bool quick = false;
-  std::vector<std::uint32_t> threads = {1, 2, 8};
+  std::vector<std::uint32_t> threads = {1, 2, 4};
   std::string json_path;
   std::string build_type = "unknown";
   std::string commit = "unknown";
@@ -87,7 +90,7 @@ PreprocBenchArgs ParsePreprocBenchArgs(int argc, char** argv) {
       args.quick = true;
     } else {
       std::cerr << "unknown flag: " << arg << "\n"
-                << "usage: bench_preprocessing [--scale=S] [--threads=1,2,8]"
+                << "usage: bench_preprocessing [--scale=S] [--threads=1,2,4]"
                    " [--quick] [--json=path] [--build-type=s] [--commit=s]\n";
       std::exit(2);
     }
@@ -95,8 +98,7 @@ PreprocBenchArgs ParsePreprocBenchArgs(int argc, char** argv) {
   return args;
 }
 
-/// Everything one pipeline run produces, reported in label space so the
-/// two loaders' different vertex numberings compare equal.
+/// Everything one pipeline run produces, reported in label space.
 struct PipelineOutput {
   double load_ms = 0.0;
   double prune_ms = 0.0;
@@ -145,7 +147,7 @@ void RecordCut(const Graph& sub, const std::vector<VertexId>& cut,
   std::sort(out.cut_labels.begin(), out.cut_labels.end());
 }
 
-/// Staged reference: serial loader, KCoreVertices + whole-core
+/// Staged reference: the loader on one thread, KCoreVertices + whole-core
 /// InducedSubgraph + BFS components + per-component InducedSubgraph, then
 /// one GlobalCut on the qualifying component with the smallest label.
 PipelineOutput RunStaged(const std::string& path, std::uint32_t k) {
@@ -158,8 +160,8 @@ PipelineOutput RunStaged(const std::string& path, std::uint32_t k) {
   const std::vector<VertexId> survivors = KCoreVertices(g, k);
   const Graph core = g.InducedSubgraph(survivors);
   const std::vector<std::vector<VertexId>> comps = ConnectedComponents(core);
-  // The qualifying (|comp| > k) component with the smallest member label;
-  // min-label selection is loader-independent, unlike component order.
+  // The qualifying (|comp| > k) component with the smallest member label,
+  // the component the fused pipeline picks first.
   std::size_t pick = comps.size();
   VertexId pick_label = 0;
   for (std::size_t c = 0; c < comps.size(); ++c) {
@@ -205,9 +207,9 @@ PipelineOutput RunStaged(const std::string& path, std::uint32_t k) {
   return out;
 }
 
-/// Fused pipeline: parallel loader, FusedPrune (peel + Afforest + counting
-/// sort, no intermediate core graph), direct builder materialization of
-/// the picked component, one GlobalCut.
+/// Fused pipeline: the loader on `threads`, FusedPrune (peel + Afforest +
+/// counting sort, no intermediate core graph), direct builder
+/// materialization of the picked component, one GlobalCut.
 PipelineOutput RunFused(const std::string& path, std::uint32_t k,
                         std::uint32_t threads) {
   PipelineOutput out;
@@ -222,7 +224,7 @@ PipelineOutput RunFused(const std::string& path, std::uint32_t k,
   }
 
   Timer load_timer;
-  const Graph g = ReadEdgeListFileParallel(path, threads);
+  const Graph g = ReadEdgeListFile(path, threads);
   out.load_ms = load_timer.ElapsedMillis();
 
   Timer prune_timer;
@@ -231,8 +233,8 @@ PipelineOutput RunFused(const std::string& path, std::uint32_t k,
       FusedPrune(g, k, scheduler, exec::TaskPriority::kNormal, scratch);
   const PeelMask mask = scratch.kcore.Mask();
   // Components come out ordered by smallest contained vertex, and the
-  // parallel loader's labels ascend with vertex ids, so the first
-  // qualifying component is the min-label pick of the staged reference.
+  // loader's labels ascend with vertex ids, so the first qualifying
+  // component is the min-label pick of the staged reference.
   std::size_t pick = scratch.labeling.count;
   for (std::size_t c = 0; c < scratch.labeling.count; ++c) {
     if (scratch.comp_offsets[c + 1] - scratch.comp_offsets[c] > k) {
@@ -431,10 +433,11 @@ int main(int argc, char** argv) {
     out << stamped(rmat_body.str()) << "\n" << stamped(ba_body.str()) << "\n";
     std::cout << "\nwrote perf snapshot to " << args.json_path << "\n";
   }
-  std::cout << "\nExpected shape: the fused pipeline beats the staged "
-               "baseline even at t=1 (from_chars parsing + counting-sort "
-               "CSR beat the istream loader, and the fused prune never "
-               "materializes the whole-core subgraph); survivors, "
+  std::cout << "\nExpected shape: both legs load through one loader and "
+               "cut the same numbering, so at t=1 the load and first-cut "
+               "columns agree and the speedup is about 1x (the fused "
+               "prune is no faster than the staged one); at t>1 the gain "
+               "comes from the first cut's probe wavefronts. Survivors, "
                "component splits, the first-cut subgraph, and the cut "
                "itself are identical everywhere, and the replay counters "
                "are byte-identical at every thread count.\n";

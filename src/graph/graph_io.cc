@@ -5,63 +5,16 @@
 #include <charconv>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "exec/task_scheduler.h"
-#include "graph/graph_builder.h"
 
 namespace kvcc {
-
-Graph ReadEdgeList(std::istream& in) {
-  GraphBuilder builder;
-  std::unordered_map<std::uint64_t, VertexId> compact;
-  std::vector<VertexId> labels;
-  auto intern = [&](std::uint64_t raw) -> VertexId {
-    auto [it, inserted] =
-        compact.try_emplace(raw, static_cast<VertexId>(labels.size()));
-    if (inserted) labels.push_back(static_cast<VertexId>(raw));
-    return it->second;
-  };
-
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream fields(line);
-    std::uint64_t u = 0, v = 0;
-    if (!(fields >> u >> v)) {
-      throw std::runtime_error("ReadEdgeList: malformed line " +
-                               std::to_string(line_number) + ": '" + line +
-                               "'");
-    }
-    // Sequence the interning explicitly: argument evaluation order is
-    // unspecified, and label order must follow first appearance in the file.
-    const VertexId cu = intern(u);
-    const VertexId cv = intern(v);
-    builder.AddEdge(cu, cv);
-  }
-  builder.EnsureVertex(labels.empty()
-                           ? 0
-                           : static_cast<VertexId>(labels.size() - 1));
-  builder.SetLabels(std::move(labels));
-  return builder.Build();
-}
-
-Graph ReadEdgeListFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("ReadEdgeListFile: cannot open " + path);
-  }
-  return ReadEdgeList(in);
-}
 
 namespace {
 
@@ -114,7 +67,7 @@ void ParseChunk(std::string_view text, std::size_t begin, std::size_t end,
 
 }  // namespace
 
-Graph ReadEdgeListParallel(std::string_view text, unsigned num_threads) {
+Graph ReadEdgeList(std::string_view text, unsigned num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -165,9 +118,8 @@ Graph ReadEdgeListParallel(std::string_view text, unsigned num_threads) {
   std::size_t line_prefix = 0;
   for (const ChunkParse& chunk : chunks) {
     if (chunk.error_line != 0) {
-      if (scheduler != nullptr) pool.Stop();
       throw std::runtime_error(
-          "ReadEdgeListParallel: malformed line " +
+          "ReadEdgeList: malformed line " +
           std::to_string(line_prefix + chunk.error_line) + ": '" +
           chunk.error_text + "'");
     }
@@ -180,19 +132,16 @@ Graph ReadEdgeListParallel(std::string_view text, unsigned num_threads) {
     total_pairs += chunk.edges.size();
     max_id = std::max(max_id, chunk.max_id);
   }
-  if (total_pairs == 0) {
-    if (scheduler != nullptr) pool.Stop();
-    return Graph();
-  }
+  if (total_pairs == 0) return Graph();
 
-  // Compact raw ids to [0, n) in sorted order. Dense id spaces take a
-  // present-bitmap + prefix scan; wildly sparse ones (raw ids far beyond
-  // the edge count) fall back to sort + unique over the endpoints. Both
-  // yield the same ascending label list.
+  // Compact raw ids to [0, n) in sorted order. Dense id spaces (at most 16
+  // ids per parsed pair) take a present-bitmap + prefix scan, whose tables
+  // stay within a constant factor of the edge buffers; sparser ones (raw
+  // ids far beyond the edge count) fall back to sort + unique over the
+  // endpoints, so a tiny file naming a huge id stays tiny. Both yield the
+  // same ascending label list.
   const std::uint64_t id_space = static_cast<std::uint64_t>(max_id) + 1;
-  const bool dense =
-      id_space <= std::max<std::uint64_t>(std::uint64_t{1} << 26,
-                                          16 * total_pairs);
+  const bool dense = id_space <= 16 * total_pairs;
   std::vector<VertexId> labels;
   std::vector<VertexId> rank;  // dense path: raw id -> compact id
   if (dense) {
@@ -283,7 +232,6 @@ Graph ReadEdgeListParallel(std::string_view text, unsigned num_threads) {
   }
   offsets[n] = write;
   adjacency.resize(write);
-  if (scheduler != nullptr) pool.Stop();
 
   // Identity labels stay implicit when the raw ids were already compact.
   const bool identity = [&] {
@@ -297,16 +245,15 @@ Graph ReadEdgeListParallel(std::string_view text, unsigned num_threads) {
                                  : std::move(labels));
 }
 
-Graph ReadEdgeListFileParallel(const std::string& path,
-                               unsigned num_threads) {
+Graph ReadEdgeListFile(const std::string& path, unsigned num_threads) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    throw std::runtime_error("ReadEdgeListFileParallel: cannot open " + path);
+    throw std::runtime_error("ReadEdgeListFile: cannot open " + path);
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string text = std::move(buffer).str();
-  return ReadEdgeListParallel(text, num_threads);
+  return ReadEdgeList(text, num_threads);
 }
 
 void WriteEdgeList(const Graph& g, std::ostream& out) {

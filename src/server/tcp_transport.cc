@@ -1,6 +1,7 @@
 #include "server/tcp_transport.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -124,7 +125,13 @@ TcpListener::~TcpListener() { Close(); }
 std::unique_ptr<Transport> TcpListener::Accept() {
   for (;;) {
     const int fd = ::accept(fd_ < 0 ? -1 : fd_, nullptr, nullptr);
-    if (fd >= 0) return std::make_unique<TcpTransport>(fd);
+    if (fd >= 0) {
+      // Every WriteLine leaves at once. With Nagle on, the tail of a
+      // multi-line response waits for the client's delayed ACK (~40 ms).
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      return std::make_unique<TcpTransport>(fd);
+    }
     if (errno == EINTR) continue;
     return nullptr;  // Close()d or unrecoverable
   }

@@ -65,7 +65,8 @@ class TcpListener {
   /// \return The port number.
   std::uint16_t BoundPort() const { return port_; }
 
-  /// \brief Blocks for the next connection.
+  /// \brief Blocks for the next connection. The accepted socket has
+  /// TCP_NODELAY set, so each response line is sent as it is written.
   /// \return A connected transport, or null once Close() was called (or
   ///   on an unrecoverable accept error).
   std::unique_ptr<Transport> Accept();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "graph/graph.h"
 
@@ -10,32 +11,30 @@ namespace kvcc {
 namespace {
 
 TEST(GraphIoTest, ParsesEdgeListWithComments) {
-  std::istringstream in(
+  const Graph g = ReadEdgeList(
       "# a SNAP-style header\n"
       "% another comment style\n"
       "0 1\n"
       "1 2\n"
       "\n"
-      "2 0\n");
-  const Graph g = ReadEdgeList(in);
+      "2 0\n",
+      1);
   EXPECT_EQ(g.NumVertices(), 3u);
   EXPECT_EQ(g.NumEdges(), 3u);
 }
 
 TEST(GraphIoTest, CompactsSparseIdsAndKeepsLabels) {
-  std::istringstream in("100 205\n205 4000000\n");
-  const Graph g = ReadEdgeList(in);
+  const Graph g = ReadEdgeList("4000000 205\n205 100\n", 1);
   EXPECT_EQ(g.NumVertices(), 3u);
   EXPECT_EQ(g.NumEdges(), 2u);
-  // Labels preserve the original ids in first-seen order.
+  // Labels preserve the original ids, numbered in ascending order.
   EXPECT_EQ(g.LabelOf(0), 100u);
   EXPECT_EQ(g.LabelOf(1), 205u);
   EXPECT_EQ(g.LabelOf(2), 4000000u);
 }
 
 TEST(GraphIoTest, ThrowsOnMalformedLine) {
-  std::istringstream in("0 1\nbogus line\n");
-  EXPECT_THROW(ReadEdgeList(in), std::runtime_error);
+  EXPECT_THROW(ReadEdgeList("0 1\nbogus line\n", 1), std::runtime_error);
 }
 
 TEST(GraphIoTest, ThrowsOnMissingFile) {
@@ -44,12 +43,10 @@ TEST(GraphIoTest, ThrowsOnMissingFile) {
 }
 
 TEST(GraphIoTest, RoundTripPreservesStructure) {
-  std::istringstream in("5 7\n7 9\n9 5\n9 11\n");
-  const Graph g = ReadEdgeList(in);
+  const Graph g = ReadEdgeList("5 7\n7 9\n9 5\n9 11\n", 1);
   std::ostringstream out;
   WriteEdgeList(g, out);
-  std::istringstream back(out.str());
-  const Graph g2 = ReadEdgeList(back);
+  const Graph g2 = ReadEdgeList(out.str(), 1);
   EXPECT_EQ(g2.NumVertices(), g.NumVertices());
   EXPECT_EQ(g2.NumEdges(), g.NumEdges());
   // Same label universe.
@@ -65,8 +62,7 @@ TEST(GraphIoTest, RoundTripPreservesStructure) {
 }
 
 TEST(GraphIoTest, FileRoundTrip) {
-  std::istringstream in("0 1\n1 2\n2 3\n3 0\n");
-  const Graph g = ReadEdgeList(in);
+  const Graph g = ReadEdgeList("0 1\n1 2\n2 3\n3 0\n", 1);
   const std::string path = ::testing::TempDir() + "/kvcc_io_test.txt";
   WriteEdgeListFile(g, path);
   const Graph g2 = ReadEdgeListFile(path);

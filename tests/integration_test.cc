@@ -69,10 +69,10 @@ TEST(DeterminismTest, RepeatedRunsProduceIdenticalOutput) {
 TEST(LabeledInputTest, ResultsAreInInputIdSpace) {
   // Read a graph whose raw ids are sparse; EnumerateKVccs must report ids
   // of the *compacted* input graph, mappable back via LabelsOf.
-  std::istringstream in(
+  const Graph g = ReadEdgeList(
       "100 101\n100 102\n100 103\n101 102\n101 103\n102 103\n"  // K4
-      "103 200\n200 201\n");
-  const Graph g = ReadEdgeList(in);
+      "103 200\n200 201\n",
+      1);
   const auto result = EnumerateKVccs(g, 3);
   ASSERT_EQ(result.components.size(), 1u);
   const auto raw = g.LabelsOf(result.components[0]);

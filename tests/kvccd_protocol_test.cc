@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,6 +17,7 @@
 
 #include "gen/fixtures.h"
 #include "graph/graph.h"
+#include "graph/graph_io.h"
 #include "kvcc/hierarchy.h"
 #include "kvcc/kvcc_enum.h"
 #include "server/protocol.h"
@@ -116,6 +119,19 @@ std::vector<std::string> ExpectedDecomposeLines(const Graph& g,
   return lines;
 }
 
+/// Writes `text` to `name` under the test temp dir; returns the path.
+std::string WriteTempFile(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+/// A decompose request naming a server-side edge-list file.
+std::string PathDecompose(const std::string& path, std::uint32_t k) {
+  return "{\"op\":\"decompose\",\"k\":" + std::to_string(k) +
+         ",\"graph\":\"" + path + "\"}";
+}
+
 TEST(KvccdProtocolTest, PingPongAndStats) {
   KvccdServer daemon;
   Connection conn(daemon);
@@ -157,6 +173,55 @@ TEST(KvccdProtocolTest, DecomposeMatchesDirectEnumeration) {
   const std::string request =
       "{\"op\":\"decompose\",\"k\":3,\"edges\":" + EdgesJson(g) + "}";
   EXPECT_EQ(conn.Roundtrip(request), ExpectedDecomposeLines(g, 3));
+}
+
+TEST(KvccdProtocolTest, PathReadMatchesLibraryAndReplaysFromCache) {
+  // Two K4s sharing raw id 500, with sparse raw ids listed out of order.
+  const std::string path = WriteTempFile(
+      "kvccd_path_read.el",
+      "# two K4s sharing one vertex\n"
+      "900000 12\n500 77\n12 500\n77 900000\n900000 500\n12 77\n"
+      "500 31\n4100000000 500\n31 65\n65 4100000000\n31 4100000000\n"
+      "65 500\n");
+  const std::vector<std::string> expected =
+      ExpectedDecomposeLines(ReadEdgeListFile(path), 3);
+  ASSERT_EQ(expected.size(), 3u);
+  // Vertices are numbered by ascending raw id: 12 31 65 77 500 900000
+  // 4100000000 become 0..6.
+  EXPECT_EQ(expected[0], server::ComponentLine(0, {0, 3, 4, 5}));
+  EXPECT_EQ(expected[1], server::ComponentLine(1, {1, 2, 4, 6}));
+
+  KvccdServer daemon;
+  Connection conn(daemon);
+  const std::string request = PathDecompose(path, 3);
+  EXPECT_EQ(conn.Roundtrip(request), expected);
+  const std::uint64_t hits = daemon.Cache().Hits();
+  EXPECT_EQ(conn.Roundtrip(request), expected);
+  EXPECT_EQ(daemon.Cache().Hits(), hits + 1);
+  std::remove(path.c_str());
+}
+
+TEST(KvccdProtocolTest, PathReadErrorsKeepConnectionAlive) {
+  const std::string missing = ::testing::TempDir() + "/kvccd_missing.el";
+  std::remove(missing.c_str());
+  const std::vector<std::string> paths = {
+      WriteTempFile("kvccd_malformed.el", "1 2\nnot an edge\n"),
+      WriteTempFile("kvccd_wide_id.el", "1 2\n1 4294967296\n"),  // > 32 bits
+      missing,
+  };
+  KvccdServer daemon;
+  Connection conn(daemon);
+  for (const std::string& path : paths) {
+    const std::vector<std::string> response =
+        conn.Roundtrip(PathDecompose(path, 2));
+    ASSERT_EQ(response.size(), 1u) << path;
+    EXPECT_EQ(response[0].rfind("{\"type\":\"error\",\"code\":\"graph\"", 0),
+              0u)
+        << path << " -> " << response[0];
+    EXPECT_EQ(conn.Roundtrip("{\"op\":\"ping\"}"),
+              std::vector<std::string>{"{\"type\":\"pong\"}"});
+  }
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 TEST(KvccdProtocolTest, CachedReplayIsByteIdentical) {

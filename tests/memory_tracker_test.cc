@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gen/fixtures.h"
 #include "gen/harary.h"
 #include "graph/connected_components.h"
 #include "graph/delta_store.h"
+#include "graph/graph_io.h"
 #include "graph/k_core.h"
 #include "graph/preprocess.h"
 #include "kvcc/cut_oracle.h"
@@ -275,6 +279,23 @@ TEST(MemoryTrackerTest, WarmVersionedGraphMutationAllocatesNothing) {
   }
   EXPECT_EQ(MemoryTracker::PeakBytes(), baseline)
       << "steady-state VersionedGraph mutation touched the allocator";
+}
+
+// The edge-list loader sizes its dense raw-id table by the input, not by
+// the largest raw id: an 11-byte file naming id 2^26 - 1 must not allocate
+// a 2^26-entry table. kvccd loads files like this one on request.
+TEST(MemoryTrackerTest, LoaderIdTableIsBoundedByInput) {
+  ASSERT_TRUE(MemoryTracker::Enabled());
+  const std::string path = ::testing::TempDir() + "/kvcc_wide_id.el";
+  std::ofstream(path) << "0 67108863\n";
+  MemoryTracker::ResetPeak();
+  const std::uint64_t baseline = MemoryTracker::CurrentBytes();
+  const Graph g = ReadEdgeListFile(path);
+  EXPECT_LT(MemoryTracker::PeakBytes() - baseline, std::uint64_t{1} << 20)
+      << "loading two vertices allocated an id table sized by the raw id";
+  ASSERT_EQ(g.NumVertices(), 2u);
+  EXPECT_EQ(g.LabelOf(1), 67108863u);
+  std::remove(path.c_str());
 }
 
 TEST(ProcessMemoryTest, RssReadable) {

@@ -1,8 +1,8 @@
 // The flat-parallel preprocessing kernels against their serial references:
 // Afforest labeling vs BFS labeling, the bucket peel vs a naive
 // queue-based peel, the fused prune vs the staged pipeline, full
-// enumeration fused-vs-staged, and the parallel edge-list loader vs the
-// serial reader — all demanding *exact* equality at every thread count.
+// enumeration fused-vs-staged, and the edge-list loader vs the graph it
+// was written from — all demanding *exact* equality at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -305,7 +305,7 @@ TEST(FusedPruneTest, EnumerationIdenticalFusedVsStaged) {
   }
 }
 
-// ---- parallel loader --------------------------------------------------------
+// ---- edge-list loader -------------------------------------------------------
 
 /// Full structural fingerprint: vertex numbering, labels, and adjacency
 /// order all included. Equal fingerprints mean byte-identical graphs.
@@ -321,9 +321,8 @@ std::string GraphFingerprint(const Graph& g) {
 }
 
 /// Numbering-independent fingerprint: rows keyed and sorted by label,
-/// neighbor labels sorted. The serial reader numbers vertices by first
-/// appearance and keeps insertion-order adjacency, so comparing it to the
-/// parallel loader's sorted numbering needs this canonical form.
+/// neighbor labels sorted, so a loaded graph compares equal to the graph
+/// that was written however either numbers its vertices.
 std::string CanonicalFingerprint(const Graph& g) {
   std::vector<std::pair<VertexId, std::vector<VertexId>>> rows;
   rows.reserve(g.NumVertices());
@@ -345,17 +344,15 @@ std::string CanonicalFingerprint(const Graph& g) {
   return out.str();
 }
 
-TEST(ParallelLoaderTest, RoundTripMatchesSerialReader) {
+TEST(ParallelLoaderTest, RoundTripMatchesWrittenGraph) {
   for (const Graph& g :
        {RandomConnectedGraph(50, 80, 1), BarabasiAlbert(3000, 3, 4),
         GridGraph(20, 20)}) {
     std::ostringstream text;
     WriteEdgeList(g, text);
-    std::istringstream serial_in(text.str());
-    const Graph serial = ReadEdgeList(serial_in);
     for (const unsigned threads : kThreadCounts) {
-      const Graph parallel = ReadEdgeListParallel(text.str(), threads);
-      EXPECT_EQ(CanonicalFingerprint(parallel), CanonicalFingerprint(serial))
+      EXPECT_EQ(CanonicalFingerprint(ReadEdgeList(text.str(), threads)),
+                CanonicalFingerprint(g))
           << "threads=" << threads;
     }
   }
@@ -365,10 +362,28 @@ TEST(ParallelLoaderTest, ThreadCountInvariant) {
   std::ostringstream text;
   WriteEdgeList(BarabasiAlbert(5000, 4, 13), text);
   const std::string reference =
-      GraphFingerprint(ReadEdgeListParallel(text.str(), 1));
+      GraphFingerprint(ReadEdgeList(text.str(), 1));
   for (const unsigned threads : {2u, 3u, 8u, 16u}) {
-    EXPECT_EQ(GraphFingerprint(ReadEdgeListParallel(text.str(), threads)),
+    EXPECT_EQ(GraphFingerprint(ReadEdgeList(text.str(), threads)),
               reference)
+        << "threads=" << threads;
+  }
+}
+
+// Repeating every line leaves the graph unchanged but multiplies the
+// parsed pairs, which moves the input from the sparse id table (sort +
+// unique) to the dense one (present bitmap). Both must number alike.
+TEST(ParallelLoaderTest, DenseAndSparseIdTablesAgree) {
+  const std::string lines = "4999 3\n70 1000\n3 70\n2500 4999\n1000 2500\n";
+  std::string repeated;
+  for (int copy = 0; copy < 63; ++copy) repeated += lines;  // 16*315 >= 5000
+  for (const unsigned threads : kThreadCounts) {
+    const Graph sparse = ReadEdgeList(lines, threads);
+    const Graph dense = ReadEdgeList(repeated, threads);
+    ASSERT_EQ(sparse.NumVertices(), 5u);
+    EXPECT_EQ(sparse.LabelsOf(std::vector<VertexId>{0, 1, 2, 3, 4}),
+              (std::vector<VertexId>{3, 70, 1000, 2500, 4999}));
+    EXPECT_EQ(GraphFingerprint(dense), GraphFingerprint(sparse))
         << "threads=" << threads;
   }
 }
@@ -382,13 +397,13 @@ TEST(ParallelLoaderTest, CommentsBlanksAndTrailingTokens) {
       "1 2 weight=7 extra tokens\n"
       "\t2  3\n"
       "3 1\r\n";
-  const Graph g = ReadEdgeListParallel(text, 2);
+  const Graph g = ReadEdgeList(text, 2);
   EXPECT_EQ(g.NumVertices(), 3u);
   EXPECT_EQ(g.NumEdges(), 3u);
 }
 
 TEST(ParallelLoaderTest, LabelsSortedByRawId) {
-  const Graph g = ReadEdgeListParallel("100 7\n7 3\n", 2);
+  const Graph g = ReadEdgeList("100 7\n7 3\n", 2);
   ASSERT_EQ(g.NumVertices(), 3u);
   EXPECT_EQ(g.LabelOf(0), 3u);
   EXPECT_EQ(g.LabelOf(1), 7u);
@@ -400,8 +415,8 @@ TEST(ParallelLoaderTest, LabelsSortedByRawId) {
 
 TEST(ParallelLoaderTest, DuplicatesAndSelfLoops) {
   // Duplicate edges collapse (in either direction); a self-loop keeps the
-  // vertex but contributes no edge — same as the serial reader.
-  const Graph g = ReadEdgeListParallel("1 2\n2 1\n1 2\n5 5\n", 2);
+  // vertex but contributes no edge.
+  const Graph g = ReadEdgeList("1 2\n2 1\n1 2\n5 5\n", 2);
   ASSERT_EQ(g.NumVertices(), 3u);
   EXPECT_EQ(g.NumEdges(), 1u);
   EXPECT_EQ(g.LabelOf(2), 5u);
@@ -413,7 +428,7 @@ TEST(ParallelLoaderTest, MalformedInputNamesFirstBadLineInFileOrder) {
                                      const std::string& needle) {
     for (const unsigned threads : kThreadCounts) {
       try {
-        ReadEdgeListParallel(text, threads);
+        ReadEdgeList(text, threads);
         FAIL() << "expected malformed-input throw for: " << text;
       } catch (const std::runtime_error& error) {
         EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
@@ -435,15 +450,15 @@ TEST(ParallelLoaderTest, MalformedInputNamesFirstBadLineInFileOrder) {
 }
 
 TEST(ParallelLoaderTest, EmptyInputYieldsEmptyGraph) {
-  const Graph g = ReadEdgeListParallel("", 4);
+  const Graph g = ReadEdgeList("", 4);
   EXPECT_EQ(g.NumVertices(), 0u);
   EXPECT_EQ(g.NumEdges(), 0u);
-  const Graph comments_only = ReadEdgeListParallel("# nothing\n\n", 4);
+  const Graph comments_only = ReadEdgeList("# nothing\n\n", 4);
   EXPECT_EQ(comments_only.NumVertices(), 0u);
 }
 
 TEST(ParallelLoaderTest, MissingFileThrows) {
-  EXPECT_THROW(ReadEdgeListFileParallel("/nonexistent/kvcc.el", 2),
+  EXPECT_THROW(ReadEdgeListFile("/nonexistent/kvcc.el", 2),
                std::runtime_error);
 }
 

@@ -13,7 +13,8 @@
 //   generate    write a synthetic dataset stand-in as an edge list
 //
 // Graphs are plain SNAP-style edge lists ('#'/'%' comments, "u v" lines).
-// Output components are printed one per line in original-id space.
+// Vertices are numbered by ascending original id, so each output component
+// is printed on one line as its original ids in ascending order.
 
 #include <cstdlib>
 #include <fstream>
@@ -49,12 +50,9 @@ int Usage() {
       "  decompose <graph> <k> [--variant=VCCE*|VCCE|VCCE-N|VCCE-G]\n"
       "            [--threads=N] [--probe-batch=B] [--no-intra-cut]\n"
       "            [--cut-oracle=dinic|localvc|hybrid]\n"
-      "            [--format=snap|internal]\n"
       "            [--deadline-ms=D] [--validate] [--stats] [--quiet]\n"
       "            (--threads: 1 = serial, 0 = all hardware threads;\n"
-      "             --format: snap = parallel whitespace edge-list loader\n"
-      "             (labels sorted by raw id, uses --threads), internal =\n"
-      "             serial loader with first-seen labels (default);\n"
+      "             the edge-list loader runs on --threads too;\n"
       "             --probe-batch: probes per intra-cut wavefront, 0 =\n"
       "             adaptive; --no-intra-cut: disable intra-GLOBAL-CUT\n"
       "             probe parallelism; --cut-oracle: per-probe flow engine\n"
@@ -64,7 +62,6 @@ int Usage() {
       "  stream <graph> <k> [--variant=VCCE*|VCCE|VCCE-N|VCCE-G]\n"
       "         [--threads=N] [--stable-order] [--probe-batch=B]\n"
       "         [--no-intra-cut] [--cut-oracle=dinic|localvc|hybrid]\n"
-      "         [--format=snap|internal]\n"
       "         [--deadline-ms=D] [--stream-buffer=L]\n"
       "         [--priority=interactive|normal|bulk] [--stats]\n"
       "         (NDJSON: one {\"type\": \"component\", ...} line per k-VCC\n"
@@ -76,7 +73,7 @@ int Usage() {
       "          --threads defaults to 0 = all hardware threads)\n"
       "  batch <jobs-file> [--variant=...] [--threads=N] [--probe-batch=B]\n"
       "        [--no-intra-cut] [--cut-oracle=dinic|localvc|hybrid]\n"
-      "        [--format=snap|internal] [--deadline-ms=D]\n"
+      "        [--deadline-ms=D]\n"
       "        [--priority=interactive|normal|bulk] [--stats] [--quiet]\n"
       "        (jobs-file lines: \"<graph> <k> [variant]\"; '#' comments.\n"
       "         All jobs run concurrently on one shared engine; output\n"
@@ -165,15 +162,8 @@ bool ParsePriority(const std::string& value, JobPriority& priority) {
   return true;
 }
 
-/// Input-file loader selection (--format=).
-enum class GraphFormat {
-  kInternal,  ///< serial reader, labels in first-seen order (default)
-  kSnap,      ///< parallel whitespace reader, labels sorted by raw id
-};
-
 /// Flags shared by the decompose and stream subcommands: --variant=,
-/// --threads=, --probe-batch=, --format=, --no-intra-cut, --stats. Parsed
-/// into state
+/// --threads=, --probe-batch=, --no-intra-cut, --stats. Parsed into state
 /// that Options() applies *after* the whole command line is consumed, so a
 /// later --variant= cannot clobber the effect of an earlier flag (each
 /// subcommand likewise applies its own extra flags post-loop).
@@ -209,18 +199,6 @@ struct CommonEnumFlags {
       return ParsePriority(arg.substr(11), priority) ? Parse::kHandled
                                                      : Parse::kError;
     }
-    if (arg.rfind("--format=", 0) == 0) {
-      const std::string name = arg.substr(9);
-      if (name == "snap") {
-        format = GraphFormat::kSnap;
-      } else if (name == "internal") {
-        format = GraphFormat::kInternal;
-      } else {
-        std::cerr << "error: --format expects snap or internal\n";
-        return Parse::kError;
-      }
-      return Parse::kHandled;
-    }
     if (arg == "--no-intra-cut") {
       intra_cut = false;
       return Parse::kHandled;
@@ -250,16 +228,7 @@ struct CommonEnumFlags {
     return options;
   }
 
-  /// Loads a graph per --format. The snap path reuses --threads, so one
-  /// flag scales both loading and enumeration.
-  Graph LoadGraph(const std::string& path) const {
-    return format == GraphFormat::kSnap
-               ? ReadEdgeListFileParallel(path, threads)
-               : ReadEdgeListFile(path);
-  }
-
   KvccOptions variant = KvccOptions::VcceStar();
-  GraphFormat format = GraphFormat::kInternal;
   std::uint32_t threads;
   std::uint32_t probe_batch = 0;
   CutOracleKind cut_oracle = CutOracleKind::kHybrid;
@@ -295,7 +264,7 @@ int CmdDecompose(const std::vector<std::string>& args) {
     }
   }
   const bool stats = flags.stats;
-  const Graph g = flags.LoadGraph(args[0]);
+  const Graph g = ReadEdgeListFile(args[0], flags.threads);
   const auto k = static_cast<std::uint32_t>(std::stoul(args[1]));
   KvccOptions options = flags.Options();
   options.num_threads = flags.threads;
@@ -355,7 +324,7 @@ int CmdStream(const std::vector<std::string>& args) {
     }
   }
   const bool stats = flags.stats;
-  const Graph g = flags.LoadGraph(args[0]);
+  const Graph g = ReadEdgeListFile(args[0], flags.threads);
   std::uint32_t k = 0;
   if (!ParseUint(args[1], 0xffffffffUL, k) || k == 0) {
     std::cerr << "error: stream expects an integer k >= 1\n";
@@ -478,7 +447,8 @@ int CmdBatch(const std::vector<std::string>& args) {
   std::map<std::string, Graph> graphs;
   for (const BatchJobLine& job : jobs) {
     if (!graphs.count(job.graph_path)) {
-      graphs.emplace(job.graph_path, flags.LoadGraph(job.graph_path));
+      graphs.emplace(job.graph_path,
+                     ReadEdgeListFile(job.graph_path, flags.threads));
     }
   }
 
@@ -535,7 +505,7 @@ int CmdHierarchy(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  const Graph g = ReadEdgeListFile(args[0]);
+  const Graph g = ReadEdgeListFile(args[0], threads);
   KvccOptions options;
   options.num_threads = threads;
   const KvccHierarchy hierarchy = BuildKvccHierarchy(g, max_k, options);
@@ -610,7 +580,7 @@ int CmdUpdate(const std::vector<std::string>& args) {
 
   // The delta store works in root-id space; keep the file's original ids
   // as a label table of our own so output matches the other subcommands.
-  const Graph loaded = ReadEdgeListFile(args[0]);
+  const Graph loaded = ReadEdgeListFile(args[0], threads);
   std::vector<VertexId> labels(loaded.NumVertices());
   std::map<VertexId, VertexId> label_to_root;
   for (VertexId v = 0; v < loaded.NumVertices(); ++v) {

@@ -76,10 +76,10 @@ rm -f "$OUT_FILE"
   --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
 
 # Preprocessing pipeline: bytes-on-disk to first GLOBAL-CUT for the fused
-# flat-parallel prune (parallel loader + Afforest + bucket peel) vs the
-# staged serial baseline (hard-fails on any output or counter divergence
-# across pipelines or thread counts).
-"$BUILD_DIR/bench_preprocessing" --threads=1,2,8 --json="$OUT_FILE" \
+# flat-parallel prune (multi-threaded load + Afforest + bucket peel) vs the
+# staged serial baseline on the same loader (hard-fails on any output or
+# counter divergence across pipelines or thread counts).
+"$BUILD_DIR/bench_preprocessing" --threads=1,2,4 --json="$OUT_FILE" \
   --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
 
 # kvccd serving: cold decompose vs cache-served repeat through the full
