@@ -1,10 +1,7 @@
-// Connected components of an undirected graph.
-//
-// Two labelings are provided: the serial BFS reference here (allocating
-// wrapper + a pooled-scratch variant for hot callers) and the flat-parallel
-// Afforest kernel in graph/preprocess.h. Both assign the same canonical
-// labels — component ids in increasing order of each component's smallest
-// vertex — so callers can swap them freely.
+// Connected components of an undirected graph by BFS labelling (an
+// allocating wrapper plus a pooled-scratch variant for hot callers).
+// Component ids are canonical: they increase with each component's
+// smallest vertex.
 #ifndef KVCC_GRAPH_CONNECTED_COMPONENTS_H_
 #define KVCC_GRAPH_CONNECTED_COMPONENTS_H_
 

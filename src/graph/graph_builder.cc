@@ -26,15 +26,6 @@ void GraphBuilder::SetLabelsFrom(const Graph& g) {
   for (VertexId v = 0; v < g.NumVertices(); ++v) labels_[v] = g.LabelOf(v);
 }
 
-void GraphBuilder::SetLabelsFromSubset(const Graph& g,
-                                       std::span<const VertexId> subset,
-                                       bool as_root) {
-  labels_.resize(subset.size());
-  for (std::size_t i = 0; i < subset.size(); ++i) {
-    labels_[i] = as_root ? subset[i] : g.LabelOf(subset[i]);
-  }
-}
-
 Graph GraphBuilder::Build() {
   Graph g;
   BuildInto(g);
@@ -45,9 +36,9 @@ void GraphBuilder::BuildInto(Graph& g) {
   if (!labels_.empty() && labels_.size() != num_vertices_) {
     throw std::invalid_argument("GraphBuilder: label count != vertex count");
   }
-  // Producers that emit edges in lexicographic order with u < v (e.g. the
-  // fused prune pass, which walks component vertices in ascending local id
-  // and keeps only upper-triangle neighbors) skip the O(m log m) sort.
+  // Producers that already emit edges in lexicographic order with u < v
+  // (e.g. Graph::FromEdges on an edge list written by Graph::Edges) skip
+  // the O(m log m) sort.
   if (!std::is_sorted(edges_.begin(), edges_.end())) {
     std::sort(edges_.begin(), edges_.end());
   }

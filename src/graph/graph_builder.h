@@ -2,7 +2,6 @@
 #ifndef KVCC_GRAPH_GRAPH_BUILDER_H_
 #define KVCC_GRAPH_GRAPH_BUILDER_H_
 
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,15 +30,6 @@ class GraphBuilder {
   /// Copies `g`'s labels as this builder's labels, reusing the builder's
   /// label buffer (no allocation in steady state).
   void SetLabelsFrom(const Graph& g);
-
-  /// Labels the built graph so vertex i names subset[i]: with as_root the
-  /// label is subset[i] itself (seeding a chain that bottoms out at g),
-  /// otherwise g's label of subset[i] (composing through g's chain). Reuses
-  /// the builder's label buffer. Exactly the label rule of
-  /// Graph::InducedSubgraph[AsRoot] — the fused prune pass uses this to
-  /// build component subgraphs without the intermediate whole-core Graph.
-  void SetLabelsFromSubset(const Graph& g, std::span<const VertexId> subset,
-                           bool as_root);
 
   VertexId NumVertices() const { return num_vertices_; }
   std::size_t NumEdgeEntries() const { return edges_.size(); }

@@ -1,9 +1,6 @@
 #include "graph/k_core.h"
 
 #include <algorithm>
-#include <atomic>
-
-#include "graph/parallel_blocks.h"
 
 namespace kvcc {
 namespace {
@@ -46,74 +43,9 @@ std::uint64_t PeelSerial(const Graph& g, std::uint32_t k, KCoreScratch& s) {
   return rounds;
 }
 
-// Flat-parallel peel: same rounds, atomic degree decrements, per-slot next-
-// frontier bins. Round membership is the set of vertices whose cumulative
-// decrement count crosses k this round — a function of the previous rounds
-// only — so marks, survivors, and the round count match PeelSerial exactly;
-// only the (never observed) frontier order differs.
-std::uint64_t PeelParallel(const Graph& g, std::uint32_t k,
-                           exec::TaskScheduler& scheduler,
-                           exec::TaskPriority priority, KCoreScratch& s) {
-  const VertexId n = g.NumVertices();
-  const std::uint64_t epoch = s.epoch;
-  const std::size_t slots = scheduler.num_workers() + 1;
-  if (s.slot_next.size() < slots) s.slot_next.resize(slots);
-  for (auto& bin : s.slot_next) bin.clear();
-  detail::ForBlocks(scheduler, n, priority,
-                    [&](std::size_t begin, std::size_t end, unsigned slot) {
-                      for (std::size_t v = begin; v < end; ++v) {
-                        const std::uint32_t d =
-                            g.Degree(static_cast<VertexId>(v));
-                        s.degree[v] = d;
-                        if (d < k) {
-                          s.removed_stamp[v] = epoch;
-                          s.slot_next[slot].push_back(
-                              static_cast<VertexId>(v));
-                        }
-                      }
-                    });
-  s.frontier.clear();
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    s.frontier.insert(s.frontier.end(), s.slot_next[slot].begin(),
-                      s.slot_next[slot].end());
-  }
-  std::uint64_t rounds = 0;
-  while (!s.frontier.empty()) {
-    ++rounds;
-    for (auto& bin : s.slot_next) bin.clear();
-    detail::ForBlocks(
-        scheduler, s.frontier.size(), priority,
-        [&](std::size_t begin, std::size_t end, unsigned slot) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const VertexId u = s.frontier[i];
-            for (const VertexId w : g.Neighbors(u)) {
-              // The fetch_sub claims are exactly-once (old == k fires for
-              // one decrementer); the claimant's plain mark store becomes
-              // visible through the ParallelFor join barrier.
-              const std::uint32_t old =
-                  std::atomic_ref<std::uint32_t>(s.degree[w])
-                      .fetch_sub(1, std::memory_order_relaxed);
-              if (old == k) {
-                s.removed_stamp[w] = epoch;
-                s.slot_next[slot].push_back(w);
-              }
-            }
-          }
-        });
-    s.frontier.clear();
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-      s.frontier.insert(s.frontier.end(), s.slot_next[slot].begin(),
-                        s.slot_next[slot].end());
-    }
-  }
-  return rounds;
-}
-
 }  // namespace
 
 std::uint64_t KCoreVerticesInto(const Graph& g, std::uint32_t k,
-                                exec::TaskScheduler* scheduler,
-                                exec::TaskPriority priority,
                                 KCoreScratch& scratch,
                                 std::vector<VertexId>& survivors) {
   const VertexId n = g.NumVertices();
@@ -123,10 +55,7 @@ std::uint64_t KCoreVerticesInto(const Graph& g, std::uint32_t k,
   if (scratch.next.capacity() < n) scratch.next.reserve(n);
   if (survivors.capacity() < n) survivors.reserve(n);
   ++scratch.epoch;
-  const std::uint64_t rounds =
-      detail::UsePreprocessParallel(scheduler, n)
-          ? PeelParallel(g, k, *scheduler, priority, scratch)
-          : PeelSerial(g, k, scratch);
+  const std::uint64_t rounds = PeelSerial(g, k, scratch);
   survivors.clear();
   const std::uint64_t epoch = scratch.epoch;
   for (VertexId v = 0; v < n; ++v) {
@@ -138,8 +67,7 @@ std::uint64_t KCoreVerticesInto(const Graph& g, std::uint32_t k,
 std::vector<VertexId> KCoreVertices(const Graph& g, std::uint32_t k) {
   KCoreScratch scratch;
   std::vector<VertexId> survivors;
-  KCoreVerticesInto(g, k, nullptr, exec::TaskPriority::kNormal, scratch,
-                    survivors);
+  KCoreVerticesInto(g, k, scratch, survivors);
   return survivors;
 }
 

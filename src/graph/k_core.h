@@ -8,23 +8,20 @@
 // The peel is a level-synchronous bucket kernel: each round removes every
 // vertex whose degree fell below k in the previous round, decrementing
 // neighbor degrees unconditionally and claiming a vertex exactly when its
-// degree counter crosses k (old value == k). Round membership depends only
-// on previous rounds' membership — never on traversal order — so the
-// survivor set and the round count are byte-identical across thread counts.
+// degree counter crosses k (old value == k). The round count is the peel
+// depth of the graph.
 #ifndef KVCC_GRAPH_K_CORE_H_
 #define KVCC_GRAPH_K_CORE_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "exec/task_scheduler.h"
 #include "graph/graph.h"
 
 namespace kvcc {
 
 /// Read-only view of a finished peel's removal marks (valid until the
-/// owning KCoreScratch is rebound to another peel). Lets downstream kernels
-/// skip peeled vertices without materializing a survivor subgraph.
+/// owning KCoreScratch is rebound to another peel).
 struct PeelMask {
   const std::uint64_t* stamp = nullptr;  ///< removed_stamp of the scratch
   std::uint64_t epoch = 0;               ///< epoch of the peel
@@ -38,14 +35,13 @@ struct PeelMask {
 /// Reusable scratch for KCoreVerticesInto (epoch-stamped removal marks,
 /// SweepContext shape: stamps start at 0, epochs at 1, payload arrays only
 /// ever grow). One instance serves every peel without per-call clearing or
-/// allocation once warm; slot_next is touched only by the parallel path.
+/// allocation once warm.
 struct KCoreScratch {
   std::uint64_t epoch = 0;
   std::vector<std::uint64_t> removed_stamp;  // == epoch ? removed : alive
   std::vector<std::uint32_t> degree;         // live residual degrees
   std::vector<VertexId> frontier;            // current peel round
-  std::vector<VertexId> next;                // next peel round (serial path)
-  std::vector<std::vector<VertexId>> slot_next;  // per-slot round bins
+  std::vector<VertexId> next;                // next peel round
 
   /// Removal marks of the most recent peel.
   PeelMask Mask() const { return {removed_stamp.data(), epoch}; }
@@ -53,15 +49,10 @@ struct KCoreScratch {
 
 /// Bucket k-core peel into caller-owned storage: `survivors` receives the
 /// sorted vertices of the k-core and `scratch` keeps the removal marks
-/// (query via scratch.Mask()). Runs the flat-parallel kernel when
-/// `scheduler` has more than one worker and the graph is large enough,
-/// the exact serial loop otherwise — the survivor set, the marks, and the
-/// returned round count are byte-identical either way. Allocation-free
-/// once scratch and survivors have grown to the largest graph seen.
+/// (query via scratch.Mask()). Allocation-free once scratch and survivors
+/// have grown to the largest graph seen.
 /// \return Number of level-synchronous peel rounds (the peel depth).
 std::uint64_t KCoreVerticesInto(const Graph& g, std::uint32_t k,
-                                exec::TaskScheduler* scheduler,
-                                exec::TaskPriority priority,
                                 KCoreScratch& scratch,
                                 std::vector<VertexId>& survivors);
 

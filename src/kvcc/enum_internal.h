@@ -12,16 +12,14 @@
 // what makes any parallel interleaving's merged-and-sorted output identical
 // to the serial run's.
 //
-// Preprocessing inside the step (peel + component split) runs the flat
-// kernels of graph/k_core.h and graph/preprocess.h. With
-// KvccOptions::fused_prune (the default) the step never materializes the
-// whole k-core as an intermediate Graph: the peel's removal marks mask the
-// Afforest component kernel, and each component's induced subgraph is built
-// directly from the working graph through the pooled GraphBuilder —
-// emitting upper-triangle edges in lexicographic order so BuildInto takes
-// its sorted fast path. The staged reference path (fused_prune off)
-// materializes core-then-components exactly like the pre-fusion code and
-// must stay byte-identical; preprocessing_test pins the equivalence.
+// Preprocessing inside the step (Alg. 1 lines 2-3) is one staged path: a
+// serial bucket peel into pooled scratch (graph/k_core.h), the k-core as
+// an induced subgraph, BFS component labelling (graph/
+// connected_components.h), and one induced subgraph per component. When
+// the core is the whole working graph, or a single component spans the
+// core, the step reuses that graph instead of copying it. The peel and the
+// split take < 1% of enumeration time, and a fused single-pass variant
+// measured no faster, so this is the only path.
 //
 // The emit callback is also the streaming-delivery tap (kvcc/stream.h):
 // the drivers either buffer emitted components for a sorted KvccResult
@@ -39,15 +37,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/connected_components.h"
 #include "graph/graph.h"
-#include "graph/graph_builder.h"
 #include "graph/k_core.h"
-#include "graph/preprocess.h"
 #include "kvcc/global_cut.h"
 #include "kvcc/job_control.h"
 #include "kvcc/kvcc_enum.h"
@@ -66,21 +61,16 @@ struct WorkItem {
 /// Per-worker mutable scratch. Workers never share an EnumScratch, so the
 /// hot path runs without atomics or locks, and a long-lived engine keeps
 /// the probe oracle (CutOracle, including its flow-network topology),
-/// certificate, sweep buffers, and the prune-pipeline scratch warm across
-/// every job it serves. A default-constructed scratch is always valid.
+/// certificate, sweep buffers, and the peel scratch warm across every job
+/// it serves. A default-constructed scratch is always valid.
 struct EnumScratch {
   GlobalCutScratch cut_scratch;
   // NeighborsOfSet working set.
   std::vector<bool> nbr_in_set;
   std::vector<bool> nbr_touched;
-  // Fused prune pipeline: peel marks + Afforest labels + component
-  // grouping, the direct component-subgraph builder, and its output pool
-  // (cycled through BuildInto, so the warm path stays off the allocator).
-  FusedPruneScratch prune;
-  GraphBuilder sub_builder;
-  Graph sub_pool;
-  std::vector<VertexId> local_id;  // cur vertex -> component-local id
-  std::vector<VertexId> removed;   // peel casualties (hint invalidation)
+  KCoreScratch kcore;               // peel marks, degrees, frontiers
+  std::vector<VertexId> survivors;  // sorted k-core of the working graph
+  std::vector<VertexId> removed;    // peel casualties (hint invalidation)
 };
 
 /// Vertices of g with at least one neighbor in `sources` (the 1-hop
@@ -114,15 +104,14 @@ inline const std::vector<bool>& NeighborsOfSet(
 /// non-null only for the initial item: the step then reads the caller's
 /// graph in place (no identity-label copy) and derived subgraphs seed their
 /// label chain at the root via subset labeling. `scheduler` (may be null:
-/// fully serial) is handed down into the preprocessing kernels and into
-/// GLOBAL-CUT so a single hard subproblem can fan out to idle workers —
-/// the missing parallelism level when the recursion tree is too shallow to
-/// feed the pool on its own. `cancel` (may be null: uncancellable) is
-/// handed down too; GLOBAL-CUT polls it at its probe and wavefront
-/// boundaries and unwinds this step by throwing JobCancelled — the driver
-/// is responsible for the whole-item boundary check *before* calling in,
-/// and for catching JobCancelled and reporting the outcome with the job's
-/// partial stats attached.
+/// fully serial) is handed down into GLOBAL-CUT so a single hard subproblem
+/// can fan out to idle workers — the missing parallelism level when the
+/// recursion tree is too shallow to feed the pool on its own. `cancel` (may
+/// be null: uncancellable) is handed down too; GLOBAL-CUT polls it at its
+/// probe and wavefront boundaries and unwinds this step by throwing
+/// JobCancelled — the driver is responsible for the whole-item boundary
+/// check *before* calling in, and for catching JobCancelled and reporting
+/// the outcome with the job's partial stats attached.
 template <typename Emit, typename Spawn>
 void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
                  const KvccOptions& options, bool maintain,
@@ -131,13 +120,11 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
                  Emit&& emit, Spawn&& spawn) {
   const bool as_root = root != nullptr;
   const Graph* cur = as_root ? root : &item.graph;
-  const exec::TaskPriority task_priority = ToTaskPriority(options.priority);
-  FusedPruneScratch& prune = scratch.prune;
 
   // --- k-core peel (Alg. 1 line 2), bucket kernel ---
-  stats.kcore_bucket_rounds += KCoreVerticesInto(
-      *cur, k, scheduler, task_priority, prune.kcore, prune.survivors);
-  const std::vector<VertexId>& survivors = prune.survivors;
+  stats.kcore_bucket_rounds +=
+      KCoreVerticesInto(*cur, k, scratch.kcore, scratch.survivors);
+  const std::vector<VertexId>& survivors = scratch.survivors;
   ++stats.kcore_rounds;
   stats.kcore_removed_vertices += cur->NumVertices() - survivors.size();
   if (survivors.size() <= k) return;  // A k-VCC needs > k vertices.
@@ -148,7 +135,7 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
   std::vector<bool> peel_touched;
   const bool have_hints = maintain && !item.hints.empty();
   if (have_hints && !full_core) {
-    const PeelMask mask = prune.kcore.Mask();
+    const PeelMask mask = scratch.kcore.Mask();
     std::vector<VertexId>& removed = scratch.removed;
     if (removed.capacity() < cur->NumVertices()) {
       removed.reserve(cur->NumVertices());
@@ -177,7 +164,7 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
     }
   };
 
-  // Shared recursion tail (Alg. 1 lines 5-9): GLOBAL-CUT on one component
+  // Recursion tail (Alg. 1 lines 5-9): GLOBAL-CUT on one component
   // subgraph, then emit it as a k-VCC or partition along the cut.
   const auto run_cut = [&](const Graph& sub, bool sub_is_root,
                            const std::vector<SideVertexHint>& sub_hints) {
@@ -227,75 +214,9 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
     }
   };
 
-  if (options.fused_prune) {
-    // --- fused component split (Alg. 1 line 3) ---
-    // The peel marks mask the Afforest kernel, and each component's
-    // subgraph is built straight from `cur` — no whole-core intermediate.
-    const PeelMask mask = prune.kcore.Mask();
-    stats.cc_hooks += AfforestComponentsInto(
-        *cur, &mask, scheduler, task_priority, prune.cc, prune.labeling);
-    GroupSurvivorsByComponent(prune);
-    const std::uint32_t ncomp = prune.labeling.count;
-    const bool single_component = ncomp == 1;
-    if (!full_core && ncomp > 1) {
-      // Only this shape would have materialized a whole-core Graph that no
-      // component reuses on the staged path.
-      ++stats.prune_fused_passes;
-    }
-    for (std::uint32_t c = 0; c < ncomp; ++c) {
-      const std::span<const VertexId> comp{
-          prune.comp_vertices.data() + prune.comp_offsets[c],
-          static_cast<std::size_t>(prune.comp_offsets[c + 1] -
-                                   prune.comp_offsets[c])};
-      if (comp.size() <= k) continue;  // Cannot contain a k-VCC (Def. 2).
-      std::vector<SideVertexHint> sub_hints;
-      build_hints([&](VertexId i) { return comp[i]; },
-                  static_cast<VertexId>(comp.size()), sub_hints);
-      if (full_core && single_component) {
-        // The working graph already is the single component: reuse it
-        // (read the root in place / adopt the owned graph) — the same
-        // zero-copy fast path the staged code takes.
-        if (as_root) {
-          run_cut(*root, /*sub_is_root=*/true, sub_hints);
-        } else {
-          const Graph sub_owned = std::move(item.graph);  // `cur` dies.
-          run_cut(sub_owned, /*sub_is_root=*/false, sub_hints);
-        }
-        continue;
-      }
-      // Direct induced-subgraph build: component members get local ids in
-      // ascending cur order, and only upper-triangle (lw > i) alive
-      // neighbors are emitted — lexicographically sorted, so BuildInto
-      // skips its edge sort. An alive neighbor of a component member is in
-      // the same component by definition, so local_id[w] is always bound.
-      std::vector<VertexId>& local = scratch.local_id;
-      if (local.size() < cur->NumVertices()) local.resize(cur->NumVertices());
-      for (std::size_t i = 0; i < comp.size(); ++i) {
-        local[comp[i]] = static_cast<VertexId>(i);
-      }
-      GraphBuilder& builder = scratch.sub_builder;
-      builder.EnsureVertex(static_cast<VertexId>(comp.size()) - 1);
-      for (std::size_t i = 0; i < comp.size(); ++i) {
-        const VertexId li = static_cast<VertexId>(i);
-        for (const VertexId w : cur->Neighbors(comp[i])) {
-          if (mask.Removed(w)) continue;
-          const VertexId lw = local[w];
-          if (lw > li) builder.AddEdge(li, lw);
-        }
-      }
-      builder.SetLabelsFromSubset(*cur, comp, as_root);
-      builder.BuildInto(scratch.sub_pool);
-      run_cut(scratch.sub_pool, /*sub_is_root=*/false, sub_hints);
-    }
-    return;
-  }
-
-  // --- staged reference path (fused_prune off) ---
-  // Materialize the whole k-core, BFS-label its components, then induce
-  // each component from the core. Kept as the ablation baseline the fused
-  // path is tested against; cc_hooks is booked in closed form (each hook
-  // of the union kernel retires exactly one root, so the total is always
-  // survivors - components).
+  // --- component split (Alg. 1 line 3) ---
+  // Materialize the k-core, BFS-label its components, then induce each
+  // component from the core.
   Graph core_owned;
   const Graph* core = nullptr;
   bool core_as_root = false;
@@ -313,7 +234,6 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
 
   const std::vector<std::vector<VertexId>> components =
       ConnectedComponents(*core);
-  stats.cc_hooks += survivors.size() - components.size();
   const bool single_component = components.size() == 1;
   for (const std::vector<VertexId>& comp : components) {
     if (comp.size() <= k) continue;  // Cannot contain a k-VCC (Def. 2).

@@ -116,17 +116,6 @@ struct KvccOptions {
   /// leave it untouched.
   CutOracleKind cut_oracle = CutOracleKind::kHybrid;
 
-  /// \brief Runs each recursion step's preprocessing (k-core peel +
-  /// component split) as one fused pass that builds every component's
-  /// induced subgraph directly from the parent graph, instead of
-  /// materializing the whole k-core as an intermediate Graph first. The
-  /// enumerated components, cuts, and every stats counter except
-  /// KvccStats::prune_fused_passes are byte-identical either way (the
-  /// fused pass uses the Afforest component kernel, whose canonical
-  /// relabel reproduces the BFS labeling exactly); off is the
-  /// staged-reference ablation.
-  bool fused_prune = true;
-
   /// \brief Defensive verification that every cut found on the sparse
   /// certificate actually disconnects the working graph (it must, by the
   /// certificate theorem). Costs O(n + m) per cut; keep on in production.

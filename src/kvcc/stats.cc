@@ -1,10 +1,87 @@
 #include "kvcc/stats.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 namespace kvcc {
 namespace {
+
+// The one list of KvccStats counters, in ToJson key order. ToString starts
+// a new line whenever `group` changes.
+struct Field {
+  std::string_view group;
+  std::string_view name;
+  std::uint64_t KvccStats::*member;
+};
+
+constexpr Field kFields[] = {
+    {"phase1", "phase1_pruned_ns1", &KvccStats::phase1_pruned_ns1},
+    {"phase1", "phase1_pruned_ns2", &KvccStats::phase1_pruned_ns2},
+    {"phase1", "phase1_pruned_gs", &KvccStats::phase1_pruned_gs},
+    {"phase1", "phase1_tested_flow", &KvccStats::phase1_tested_flow},
+    {"phase1", "phase1_tested_trivial", &KvccStats::phase1_tested_trivial},
+    {"phase2", "phase2_pairs_tested", &KvccStats::phase2_pairs_tested},
+    {"phase2", "phase2_pairs_skipped_group",
+     &KvccStats::phase2_pairs_skipped_group},
+    {"phase2", "phase2_pairs_skipped_adjacent",
+     &KvccStats::phase2_pairs_skipped_adjacent},
+    {"phase2", "phase2_pairs_skipped_common",
+     &KvccStats::phase2_pairs_skipped_common},
+    {"framework", "global_cut_calls", &KvccStats::global_cut_calls},
+    {"framework", "loc_cut_flow_calls", &KvccStats::loc_cut_flow_calls},
+    {"framework", "overlap_partitions", &KvccStats::overlap_partitions},
+    {"framework", "kvccs_found", &KvccStats::kvccs_found},
+    {"kcore", "kcore_rounds", &KvccStats::kcore_rounds},
+    {"kcore", "kcore_removed_vertices", &KvccStats::kcore_removed_vertices},
+    {"kcore", "kcore_bucket_rounds", &KvccStats::kcore_bucket_rounds},
+    {"certificate", "certificate_edges_input",
+     &KvccStats::certificate_edges_input},
+    {"certificate", "certificate_edges_kept",
+     &KvccStats::certificate_edges_kept},
+    {"certificate", "side_groups_found", &KvccStats::side_groups_found},
+    {"certificate", "strong_side_vertices_found",
+     &KvccStats::strong_side_vertices_found},
+    {"certificate", "strong_side_checks_run",
+     &KvccStats::strong_side_checks_run},
+    {"certificate", "strong_side_verdicts_reused",
+     &KvccStats::strong_side_verdicts_reused},
+    {"certificate", "certificate_cut_fallbacks",
+     &KvccStats::certificate_cut_fallbacks},
+    {"wavefronts", "probe_wavefronts", &KvccStats::probe_wavefronts},
+    {"wavefronts", "probes_launched", &KvccStats::probes_launched},
+    {"wavefronts", "probes_wasted_swept", &KvccStats::probes_wasted_swept},
+    {"wavefronts", "probes_wasted_after_cut",
+     &KvccStats::probes_wasted_after_cut},
+    {"cut oracle", "probes_localvc", &KvccStats::probes_localvc},
+    {"cut oracle", "probes_localvc_fallback",
+     &KvccStats::probes_localvc_fallback},
+    {"cut oracle", "probe_edges_touched", &KvccStats::probe_edges_touched},
+    {"incremental", "delta_edges_applied", &KvccStats::delta_edges_applied},
+    {"incremental", "dirty_components", &KvccStats::dirty_components},
+    {"incremental", "incremental_reruns", &KvccStats::incremental_reruns},
+    {"job control", "tasks_cancelled", &KvccStats::tasks_cancelled},
+    {"job control", "cuts_cancelled", &KvccStats::cuts_cancelled},
+    {"job control", "stream_backpressure_blocks",
+     &KvccStats::stream_backpressure_blocks},
+    {"job control", "stream_peak_buffered", &KvccStats::stream_peak_buffered},
+};
+
+constexpr bool MembersDistinct() {
+  for (std::size_t i = 0; i < std::size(kFields); ++i) {
+    for (std::size_t j = i + 1; j < std::size(kFields); ++j) {
+      if (kFields[i].member == kFields[j].member) return false;
+    }
+  }
+  return true;
+}
+
+// Every KvccStats data member is a std::uint64_t counter, so distinct
+// entries whose count fills sizeof(KvccStats) name every member once.
+static_assert(MembersDistinct(), "kFields lists a KvccStats field twice");
+static_assert(std::size(kFields) * sizeof(std::uint64_t) == sizeof(KvccStats),
+              "a KvccStats field is missing from kFields");
 
 double Share(std::uint64_t part, std::uint64_t total) {
   return total == 0 ? 0.0 : static_cast<double>(part) / static_cast<double>(total);
@@ -29,130 +106,39 @@ double KvccStats::NonPrunedShare() const {
 }
 
 void KvccStats::Add(const KvccStats& other) {
-  phase1_pruned_ns1 += other.phase1_pruned_ns1;
-  phase1_pruned_ns2 += other.phase1_pruned_ns2;
-  phase1_pruned_gs += other.phase1_pruned_gs;
-  phase1_tested_flow += other.phase1_tested_flow;
-  phase1_tested_trivial += other.phase1_tested_trivial;
-  phase2_pairs_tested += other.phase2_pairs_tested;
-  phase2_pairs_skipped_group += other.phase2_pairs_skipped_group;
-  phase2_pairs_skipped_adjacent += other.phase2_pairs_skipped_adjacent;
-  phase2_pairs_skipped_common += other.phase2_pairs_skipped_common;
-  global_cut_calls += other.global_cut_calls;
-  loc_cut_flow_calls += other.loc_cut_flow_calls;
-  overlap_partitions += other.overlap_partitions;
-  kvccs_found += other.kvccs_found;
-  kcore_rounds += other.kcore_rounds;
-  kcore_removed_vertices += other.kcore_removed_vertices;
-  kcore_bucket_rounds += other.kcore_bucket_rounds;
-  cc_hooks += other.cc_hooks;
-  prune_fused_passes += other.prune_fused_passes;
-  certificate_edges_input += other.certificate_edges_input;
-  certificate_edges_kept += other.certificate_edges_kept;
-  side_groups_found += other.side_groups_found;
-  strong_side_vertices_found += other.strong_side_vertices_found;
-  strong_side_checks_run += other.strong_side_checks_run;
-  strong_side_verdicts_reused += other.strong_side_verdicts_reused;
-  certificate_cut_fallbacks += other.certificate_cut_fallbacks;
-  probe_wavefronts += other.probe_wavefronts;
-  probes_launched += other.probes_launched;
-  probes_wasted_swept += other.probes_wasted_swept;
-  probes_wasted_after_cut += other.probes_wasted_after_cut;
-  probes_localvc += other.probes_localvc;
-  probes_localvc_fallback += other.probes_localvc_fallback;
-  probe_edges_touched += other.probe_edges_touched;
-  delta_edges_applied += other.delta_edges_applied;
-  dirty_components += other.dirty_components;
-  incremental_reruns += other.incremental_reruns;
-  tasks_cancelled += other.tasks_cancelled;
-  cuts_cancelled += other.cuts_cancelled;
-  stream_backpressure_blocks += other.stream_backpressure_blocks;
-  // A watermark, not a flow: the merged peak is the largest observed.
-  stream_peak_buffered = std::max(stream_peak_buffered,
-                                  other.stream_peak_buffered);
+  for (const Field& field : kFields) {
+    std::uint64_t& mine = this->*field.member;
+    const std::uint64_t theirs = other.*field.member;
+    // A watermark, not a flow: the merged peak is the largest observed.
+    mine = field.member == &KvccStats::stream_peak_buffered
+               ? std::max(mine, theirs)
+               : mine + theirs;
+  }
 }
 
 std::string KvccStats::ToJson() const {
   std::ostringstream out;
-  out << "{\"phase1_pruned_ns1\": " << phase1_pruned_ns1
-      << ", \"phase1_pruned_ns2\": " << phase1_pruned_ns2
-      << ", \"phase1_pruned_gs\": " << phase1_pruned_gs
-      << ", \"phase1_tested_flow\": " << phase1_tested_flow
-      << ", \"phase1_tested_trivial\": " << phase1_tested_trivial
-      << ", \"phase2_pairs_tested\": " << phase2_pairs_tested
-      << ", \"phase2_pairs_skipped_group\": " << phase2_pairs_skipped_group
-      << ", \"phase2_pairs_skipped_adjacent\": "
-      << phase2_pairs_skipped_adjacent
-      << ", \"phase2_pairs_skipped_common\": " << phase2_pairs_skipped_common
-      << ", \"global_cut_calls\": " << global_cut_calls
-      << ", \"loc_cut_flow_calls\": " << loc_cut_flow_calls
-      << ", \"overlap_partitions\": " << overlap_partitions
-      << ", \"kvccs_found\": " << kvccs_found
-      << ", \"kcore_rounds\": " << kcore_rounds
-      << ", \"kcore_removed_vertices\": " << kcore_removed_vertices
-      << ", \"kcore_bucket_rounds\": " << kcore_bucket_rounds
-      << ", \"cc_hooks\": " << cc_hooks
-      << ", \"prune_fused_passes\": " << prune_fused_passes
-      << ", \"certificate_edges_input\": " << certificate_edges_input
-      << ", \"certificate_edges_kept\": " << certificate_edges_kept
-      << ", \"side_groups_found\": " << side_groups_found
-      << ", \"strong_side_vertices_found\": " << strong_side_vertices_found
-      << ", \"strong_side_checks_run\": " << strong_side_checks_run
-      << ", \"strong_side_verdicts_reused\": " << strong_side_verdicts_reused
-      << ", \"certificate_cut_fallbacks\": " << certificate_cut_fallbacks
-      << ", \"probe_wavefronts\": " << probe_wavefronts
-      << ", \"probes_launched\": " << probes_launched
-      << ", \"probes_wasted_swept\": " << probes_wasted_swept
-      << ", \"probes_wasted_after_cut\": " << probes_wasted_after_cut
-      << ", \"probes_localvc\": " << probes_localvc
-      << ", \"probes_localvc_fallback\": " << probes_localvc_fallback
-      << ", \"probe_edges_touched\": " << probe_edges_touched
-      << ", \"delta_edges_applied\": " << delta_edges_applied
-      << ", \"dirty_components\": " << dirty_components
-      << ", \"incremental_reruns\": " << incremental_reruns
-      << ", \"tasks_cancelled\": " << tasks_cancelled
-      << ", \"cuts_cancelled\": " << cuts_cancelled
-      << ", \"stream_backpressure_blocks\": " << stream_backpressure_blocks
-      << ", \"stream_peak_buffered\": " << stream_peak_buffered << "}";
+  const char* separator = "{";
+  for (const Field& field : kFields) {
+    out << separator << '"' << field.name << "\": " << this->*field.member;
+    separator = ", ";
+  }
+  out << "}";
   return out.str();
 }
 
 std::string KvccStats::ToString() const {
   std::ostringstream out;
-  out << "phase1: ns1=" << phase1_pruned_ns1 << " ns2=" << phase1_pruned_ns2
-      << " gs=" << phase1_pruned_gs << " flow=" << phase1_tested_flow
-      << " trivial=" << phase1_tested_trivial << "\n"
-      << "phase2: tested=" << phase2_pairs_tested
-      << " skip_group=" << phase2_pairs_skipped_group
-      << " skip_adj=" << phase2_pairs_skipped_adjacent
-      << " skip_common=" << phase2_pairs_skipped_common << "\n"
-      << "framework: global_cut=" << global_cut_calls
-      << " flow_calls=" << loc_cut_flow_calls
-      << " partitions=" << overlap_partitions << " kvccs=" << kvccs_found
-      << " kcore_removed=" << kcore_removed_vertices << "\n"
-      << "preprocess: bucket_rounds=" << kcore_bucket_rounds
-      << " cc_hooks=" << cc_hooks
-      << " fused_passes=" << prune_fused_passes << "\n"
-      << "certificate: edges " << certificate_edges_input << " -> "
-      << certificate_edges_kept << ", side_groups=" << side_groups_found
-      << ", strong_side=" << strong_side_vertices_found
-      << " (checks=" << strong_side_checks_run
-      << ", reused=" << strong_side_verdicts_reused
-      << "), fallbacks=" << certificate_cut_fallbacks << "\n"
-      << "wavefronts: " << probe_wavefronts
-      << " probes_launched=" << probes_launched
-      << " wasted_swept=" << probes_wasted_swept
-      << " wasted_after_cut=" << probes_wasted_after_cut << "\n"
-      << "cut oracle: localvc=" << probes_localvc
-      << " fallbacks=" << probes_localvc_fallback
-      << " edges_touched=" << probe_edges_touched << "\n"
-      << "incremental: delta_edges=" << delta_edges_applied
-      << " dirty_components=" << dirty_components
-      << " reruns=" << incremental_reruns << "\n"
-      << "job control: tasks_cancelled=" << tasks_cancelled
-      << " cuts_cancelled=" << cuts_cancelled
-      << " backpressure_blocks=" << stream_backpressure_blocks
-      << " peak_buffered=" << stream_peak_buffered << "\n";
+  std::string_view group;
+  for (const Field& field : kFields) {
+    if (field.group != group) {
+      if (!group.empty()) out << "\n";
+      group = field.group;
+      out << group << ":";
+    }
+    out << " " << field.name << "=" << this->*field.member;
+  }
+  out << "\n";
   return out.str();
 }
 

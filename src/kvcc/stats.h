@@ -23,6 +23,9 @@ namespace kvcc {
 /// Every field except the probe-waste diagnostics is byte-identical across
 /// thread counts for the same (graph, k, options) — the parallel paths
 /// replay the serial decision sequence exactly.
+///
+/// Add, ToJson and ToString all iterate one field table in stats.cc, so a
+/// counter added here but not there fails to compile.
 struct KvccStats {
   // --- phase-1 vertex outcomes (the paper's Table 2 categories) ---
 
@@ -67,29 +70,9 @@ struct KvccStats {
   std::uint64_t kcore_rounds = 0;
   /// \brief Vertices deleted by k-core peeling, summed over all rounds.
   std::uint64_t kcore_removed_vertices = 0;
-
-  // --- preprocessing-kernel counters (flat-parallel prune pipeline) ---
-  // All three are replay-identical across thread counts.
-  // kcore_bucket_rounds and cc_hooks are also identical between the fused
-  // and staged prune paths: the bucket peel's round count is the peel
-  // depth of the graph, and the hook count of the min-wins Afforest
-  // union equals (survivors - components) — an identity the staged path
-  // computes in closed form and tests assert against the fused kernel's
-  // live count. prune_fused_passes is a fused-path diagnostic: it stays 0
-  // when KvccOptions::fused_prune is off (like the probe-waste counters
-  // on serial runs, it is the one documented fused-vs-staged difference).
-
   /// \brief Level-synchronous rounds of the bucket k-core peel, summed
   /// over all work items (the peel depth of each processed subgraph).
   std::uint64_t kcore_bucket_rounds = 0;
-  /// \brief Successful CAS hooks of the Afforest component kernel. Each
-  /// hook retires exactly one union-find root, so per work item this is
-  /// survivors - components regardless of interleaving; the staged path
-  /// books the same closed form.
-  std::uint64_t cc_hooks = 0;
-  /// \brief Fused prune passes that actually elided an intermediate
-  /// whole-core materialization (0 when fused_prune is off).
-  std::uint64_t prune_fused_passes = 0;
 
   // --- certificate / side-vertex instrumentation ---
 

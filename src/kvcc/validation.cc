@@ -33,6 +33,11 @@ ValidationReport ValidateKvccResult(
   const auto core = KCoreVertices(g, k);
   const std::set<VertexId> core_set(core.begin(), core.end());
   std::vector<bool> covered(g.NumVertices(), false);
+  // Maximality scratch: membership of the current component, and each
+  // outside vertex's neighbour count in it (reset through `touched`).
+  std::vector<bool> member(g.NumVertices(), false);
+  std::vector<std::uint32_t> neighbors_in(g.NumVertices(), 0);
+  std::vector<VertexId> touched;
 
   for (std::size_t i = 0; i < components.size(); ++i) {
     const auto& component = components[i];
@@ -65,6 +70,26 @@ ValidationReport ValidateKvccResult(
     if (!IsKVertexConnected(sub, k)) {
       report.Fail(Describe(i, component) + ": not k-vertex-connected");
     }
+    // 8. maximality: by the expansion lemma, an outside vertex with >= k
+    // neighbours in the component extends it to a larger k-connected
+    // subgraph.
+    for (VertexId v : component) member[v] = true;
+    for (VertexId v : component) {
+      for (VertexId w : g.Neighbors(v)) {
+        if (member[w]) continue;
+        if (neighbors_in[w]++ == 0) touched.push_back(w);
+      }
+    }
+    for (VertexId w : touched) {
+      if (neighbors_in[w] >= k) {
+        report.Fail(Describe(i, component) + ": not maximal, vertex " +
+                    std::to_string(w) + " has >= k neighbours in it");
+        break;
+      }
+    }
+    for (VertexId w : touched) neighbors_in[w] = 0;
+    for (VertexId v : component) member[v] = false;
+    touched.clear();
   }
 
   // 3 + 4. pairwise overlap / containment.

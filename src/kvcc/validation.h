@@ -35,7 +35,10 @@ struct ValidationReport {
 ///   7. every vertex of the k-core whose component is k-connected is
 ///      covered — spot-checked via: no k-connected "leftover" among the
 ///      k-core vertices missing from all components (completeness is spot
-///      checked by re-running the cut search on uncovered regions).
+///      checked by re-running the cut search on uncovered regions),
+///   8. each component is maximal: no outside vertex has k or more
+///      neighbours in it (by the expansion lemma such a vertex would
+///      extend the component to a larger k-connected subgraph).
 ValidationReport ValidateKvccResult(
     const Graph& g, std::uint32_t k,
     const std::vector<std::vector<VertexId>>& components);

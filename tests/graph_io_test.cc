@@ -2,13 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "gen/barabasi_albert.h"
+#include "gen/fixtures.h"
 #include "graph/graph.h"
+#include "support/brute_force.h"
 
 namespace kvcc {
 namespace {
+
+using kvcc::testing::RandomConnectedGraph;
+
+/// Loader thread counts the ParallelLoaderTest cases sweep.
+const std::vector<unsigned> kThreadCounts = {1, 2, 8};
 
 TEST(GraphIoTest, ParsesEdgeListWithComments) {
   const Graph g = ReadEdgeList(
@@ -68,6 +80,163 @@ TEST(GraphIoTest, FileRoundTrip) {
   const Graph g2 = ReadEdgeListFile(path);
   EXPECT_EQ(g2.NumVertices(), 4u);
   EXPECT_EQ(g2.NumEdges(), 4u);
+}
+
+// ---- the loader at several thread counts ------------------------------------
+
+/// Full structural fingerprint: vertex numbering, labels, and adjacency
+/// order all included. Equal fingerprints mean byte-identical graphs.
+std::string GraphFingerprint(const Graph& g) {
+  std::ostringstream out;
+  out << g.NumVertices() << "/" << g.NumEdges() << ";";
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    out << g.LabelOf(v) << ":";
+    for (const VertexId w : g.Neighbors(v)) out << g.LabelOf(w) << ",";
+    out << ";";
+  }
+  return out.str();
+}
+
+/// Numbering-independent fingerprint: rows keyed and sorted by label,
+/// neighbor labels sorted, so a loaded graph compares equal to the graph
+/// that was written however either numbers its vertices.
+std::string CanonicalFingerprint(const Graph& g) {
+  std::vector<std::pair<VertexId, std::vector<VertexId>>> rows;
+  rows.reserve(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    std::vector<VertexId> nbrs;
+    nbrs.reserve(g.Neighbors(v).size());
+    for (const VertexId w : g.Neighbors(v)) nbrs.push_back(g.LabelOf(w));
+    std::sort(nbrs.begin(), nbrs.end());
+    rows.emplace_back(g.LabelOf(v), std::move(nbrs));
+  }
+  std::sort(rows.begin(), rows.end());
+  std::ostringstream out;
+  out << g.NumVertices() << "/" << g.NumEdges() << ";";
+  for (const auto& [label, nbrs] : rows) {
+    out << label << ":";
+    for (const VertexId w : nbrs) out << w << ",";
+    out << ";";
+  }
+  return out.str();
+}
+
+TEST(ParallelLoaderTest, RoundTripMatchesWrittenGraph) {
+  for (const Graph& g :
+       {RandomConnectedGraph(50, 80, 1), BarabasiAlbert(3000, 3, 4),
+        GridGraph(20, 20)}) {
+    std::ostringstream text;
+    WriteEdgeList(g, text);
+    for (const unsigned threads : kThreadCounts) {
+      EXPECT_EQ(CanonicalFingerprint(ReadEdgeList(text.str(), threads)),
+                CanonicalFingerprint(g))
+          << "threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelLoaderTest, ThreadCountInvariant) {
+  std::ostringstream text;
+  WriteEdgeList(BarabasiAlbert(5000, 4, 13), text);
+  const std::string reference =
+      GraphFingerprint(ReadEdgeList(text.str(), 1));
+  for (const unsigned threads : {2u, 3u, 8u, 16u}) {
+    EXPECT_EQ(GraphFingerprint(ReadEdgeList(text.str(), threads)),
+              reference)
+        << "threads=" << threads;
+  }
+}
+
+// Repeating every line leaves the graph unchanged but multiplies the
+// parsed pairs, which moves the input from the sparse id table (sort +
+// unique) to the dense one (present bitmap). Both must number alike.
+TEST(ParallelLoaderTest, DenseAndSparseIdTablesAgree) {
+  const std::string lines = "4999 3\n70 1000\n3 70\n2500 4999\n1000 2500\n";
+  std::string repeated;
+  for (int copy = 0; copy < 63; ++copy) repeated += lines;  // 16*315 >= 5000
+  for (const unsigned threads : kThreadCounts) {
+    const Graph sparse = ReadEdgeList(lines, threads);
+    const Graph dense = ReadEdgeList(repeated, threads);
+    ASSERT_EQ(sparse.NumVertices(), 5u);
+    EXPECT_EQ(sparse.LabelsOf(std::vector<VertexId>{0, 1, 2, 3, 4}),
+              (std::vector<VertexId>{3, 70, 1000, 2500, 4999}));
+    EXPECT_EQ(GraphFingerprint(dense), GraphFingerprint(sparse))
+        << "threads=" << threads;
+  }
+}
+
+TEST(ParallelLoaderTest, CommentsBlanksAndTrailingTokens) {
+  const std::string text =
+      "# header comment\n"
+      "% percent comment\n"
+      "\n"
+      "   \t \n"
+      "1 2 weight=7 extra tokens\n"
+      "\t2  3\n"
+      "3 1\r\n";
+  const Graph g = ReadEdgeList(text, 2);
+  EXPECT_EQ(g.NumVertices(), 3u);
+  EXPECT_EQ(g.NumEdges(), 3u);
+}
+
+TEST(ParallelLoaderTest, LabelsSortedByRawId) {
+  const Graph g = ReadEdgeList("100 7\n7 3\n", 2);
+  ASSERT_EQ(g.NumVertices(), 3u);
+  EXPECT_EQ(g.LabelOf(0), 3u);
+  EXPECT_EQ(g.LabelOf(1), 7u);
+  EXPECT_EQ(g.LabelOf(2), 100u);
+  // Vertex 1 (raw 7) neighbors raw 3 and raw 100.
+  EXPECT_EQ(g.Neighbors(1).size(), 2u);
+  EXPECT_EQ(g.Neighbors(0).size(), 1u);
+}
+
+TEST(ParallelLoaderTest, DuplicatesAndSelfLoops) {
+  // Duplicate edges collapse (in either direction); a self-loop keeps the
+  // vertex but contributes no edge.
+  const Graph g = ReadEdgeList("1 2\n2 1\n1 2\n5 5\n", 2);
+  ASSERT_EQ(g.NumVertices(), 3u);
+  EXPECT_EQ(g.NumEdges(), 1u);
+  EXPECT_EQ(g.LabelOf(2), 5u);
+  EXPECT_TRUE(g.Neighbors(2).empty());
+}
+
+TEST(ParallelLoaderTest, MalformedInputNamesFirstBadLineInFileOrder) {
+  const auto expect_throws_line = [](const std::string& text,
+                                     const std::string& needle) {
+    for (const unsigned threads : kThreadCounts) {
+      try {
+        ReadEdgeList(text, threads);
+        FAIL() << "expected malformed-input throw for: " << text;
+      } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+            << "threads=" << threads << " what=" << error.what();
+      }
+    }
+  };
+  expect_throws_line("1 2\nbad line\n3 4\n", "line 2");
+  expect_throws_line("1 2\n3\n", "line 2");            // missing endpoint
+  expect_throws_line("1 -2\n", "line 1");              // negative id
+  expect_throws_line("99999999999 1\n", "line 1");     // > 32-bit id
+  // Two bad lines in different chunks: the *first in file order* wins
+  // regardless of which chunk parses first.
+  std::string text;
+  text += "nope\n";
+  for (int i = 0; i < 5000; ++i) text += "1 2\n";
+  text += "also bad\n";
+  expect_throws_line(text, "line 1");
+}
+
+TEST(ParallelLoaderTest, EmptyInputYieldsEmptyGraph) {
+  const Graph g = ReadEdgeList("", 4);
+  EXPECT_EQ(g.NumVertices(), 0u);
+  EXPECT_EQ(g.NumEdges(), 0u);
+  const Graph comments_only = ReadEdgeList("# nothing\n\n", 4);
+  EXPECT_EQ(comments_only.NumVertices(), 0u);
+}
+
+TEST(ParallelLoaderTest, MissingFileThrows) {
+  EXPECT_THROW(ReadEdgeListFile("/nonexistent/kvcc.el", 2),
+               std::runtime_error);
 }
 
 }  // namespace

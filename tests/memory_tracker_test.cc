@@ -17,7 +17,6 @@
 #include "graph/delta_store.h"
 #include "graph/graph_io.h"
 #include "graph/k_core.h"
-#include "graph/preprocess.h"
 #include "kvcc/cut_oracle.h"
 #include "kvcc/global_cut.h"
 #include "util/process_memory.h"
@@ -159,11 +158,10 @@ TEST(MemoryTrackerTest, WarmCutDisconnectsAllocatesNothing) {
       << "steady-state cut verification touched the allocator";
 }
 
-// Warm-path preprocessing kernels (serial path, scheduler == nullptr):
-// once the pooled scratch has grown to a graph's high-water mark, repeat
-// calls on that graph must not touch the allocator. These are the per-
-// work-item kernels of the enumeration recursion, so a single decompose
-// run calls them thousands of times.
+// Warm-path preprocessing kernels: once the pooled scratch has grown to a
+// graph's high-water mark, repeat calls on that graph must not touch the
+// allocator. The enumeration peels once per work item, so a single
+// decompose run calls KCoreVerticesInto thousands of times.
 TEST(MemoryTrackerTest, WarmLabelComponentsIntoAllocatesNothing) {
   ASSERT_TRUE(MemoryTracker::Enabled());
   const Graph g = TwoCliquesSharing(10, 2);
@@ -188,38 +186,16 @@ TEST(MemoryTrackerTest, WarmKCoreVerticesIntoAllocatesNothing) {
   KCoreScratch scratch;
   std::vector<VertexId> survivors;
   for (int warm = 0; warm < 2; ++warm) {
-    KCoreVerticesInto(g, 4, nullptr, exec::TaskPriority::kNormal, scratch,
-                      survivors);
+    KCoreVerticesInto(g, 4, scratch, survivors);
   }
   ASSERT_FALSE(survivors.empty());
   MemoryTracker::ResetPeak();
   const std::uint64_t baseline = MemoryTracker::CurrentBytes();
   for (int round = 0; round < 10; ++round) {
-    KCoreVerticesInto(g, 4, nullptr, exec::TaskPriority::kNormal, scratch,
-                      survivors);
+    KCoreVerticesInto(g, 4, scratch, survivors);
   }
   EXPECT_EQ(MemoryTracker::PeakBytes(), baseline)
       << "steady-state k-core peel touched the allocator";
-}
-
-// The whole fused prune — peel, masked Afforest, component grouping — on a
-// warm FusedPruneScratch. This is the kernel EnumScratch pools, so zero
-// steady-state allocation here is what makes the per-work-item prune free.
-TEST(MemoryTrackerTest, WarmFusedPruneAllocatesNothing) {
-  ASSERT_TRUE(MemoryTracker::Enabled());
-  const Graph g = TwoCliquesSharing(10, 2);
-  FusedPruneScratch scratch;
-  for (int warm = 0; warm < 2; ++warm) {
-    FusedPrune(g, 4, nullptr, exec::TaskPriority::kNormal, scratch);
-  }
-  ASSERT_FALSE(scratch.survivors.empty());
-  MemoryTracker::ResetPeak();
-  const std::uint64_t baseline = MemoryTracker::CurrentBytes();
-  for (int round = 0; round < 10; ++round) {
-    FusedPrune(g, 4, nullptr, exec::TaskPriority::kNormal, scratch);
-  }
-  EXPECT_EQ(MemoryTracker::PeakBytes(), baseline)
-      << "steady-state fused prune touched the allocator";
 }
 
 // The dynamic-graph merge kernel (docs/DYNAMIC.md): once DeltaApplier's

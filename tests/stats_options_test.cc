@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
 #include "kvcc/options.h"
 #include "kvcc/stats.h"
 
@@ -69,8 +75,43 @@ TEST(KvccStatsTest, ToStringMentionsKeyCounters) {
   KvccStats stats;
   stats.kvccs_found = 3;
   const std::string s = stats.ToString();
-  EXPECT_NE(s.find("kvccs=3"), std::string::npos);
+  EXPECT_NE(s.find("kvccs_found=3"), std::string::npos);
   EXPECT_NE(s.find("phase1"), std::string::npos);
+}
+
+// Every KvccStats member is a std::uint64_t counter, so the struct can be
+// viewed as an array; the test then needs no field list of its own.
+constexpr std::size_t kNumFields = sizeof(KvccStats) / sizeof(std::uint64_t);
+using FieldArray = std::array<std::uint64_t, kNumFields>;
+
+TEST(KvccStatsTest, EveryFieldReachesJsonToStringAndAdd) {
+  FieldArray values;
+  for (std::size_t i = 0; i < kNumFields; ++i) {
+    values[i] = 100001 + i;  // distinct, all six digits wide
+  }
+  const KvccStats stats = std::bit_cast<KvccStats>(values);
+  const std::string json = stats.ToJson();
+  const std::string text = stats.ToString();
+  for (const std::uint64_t value : values) {
+    const std::string digits = std::to_string(value);
+    EXPECT_NE(json.find("\": " + digits), std::string::npos) << digits;
+    EXPECT_NE(text.find("=" + digits), std::string::npos) << digits;
+  }
+  EXPECT_NE(json.find("\"kcore_rounds\": "), std::string::npos);
+  EXPECT_NE(text.find("kcore_rounds="), std::string::npos);
+
+  // Adding to zero copies every field; adding again doubles every counter
+  // but the watermark stream_peak_buffered, which merges by max.
+  KvccStats sum;
+  sum.Add(stats);
+  EXPECT_EQ(std::bit_cast<FieldArray>(sum), values);
+  sum.Add(stats);
+  const FieldArray twice = std::bit_cast<FieldArray>(sum);
+  const std::size_t peak =
+      offsetof(KvccStats, stream_peak_buffered) / sizeof(std::uint64_t);
+  for (std::size_t i = 0; i < kNumFields; ++i) {
+    EXPECT_EQ(twice[i], i == peak ? values[i] : 2 * values[i]) << i;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "graph/connected_components.h"
 #include "graph/graph_builder.h"
@@ -175,6 +177,18 @@ Graph RandomConnectedGraph(VertexId n, std::uint64_t extra_edges,
     builder.AddEdge(u, v);  // Self-loops / duplicates dropped by builder.
   }
   return builder.Build();
+}
+
+Graph DisconnectedFixture() {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId i = 0; i < 5; ++i) {  // clique on {2..6}
+    for (VertexId j = i + 1; j < 5; ++j) edges.emplace_back(2 + i, 2 + j);
+  }
+  for (VertexId i = 0; i < 4; ++i) {  // clique on {10..13}
+    for (VertexId j = i + 1; j < 4; ++j) edges.emplace_back(10 + i, 10 + j);
+  }
+  edges.emplace_back(15, 16);
+  return Graph::FromEdges(17, edges);
 }
 
 }  // namespace kvcc::testing

@@ -38,6 +38,11 @@ std::uint64_t BruteMinEdgeCutWeight(const Graph& g);
 Graph RandomConnectedGraph(VertexId n, std::uint64_t extra_edges,
                            std::uint64_t seed);
 
+/// 17 vertices: a 5-clique on {2..6}, a 4-clique on {10..13}, the edge
+/// (15, 16), and isolated vertices 0, 1, 7, 8, 9 and 14 — a graph whose
+/// components are numbered with gaps.
+Graph DisconnectedFixture();
+
 }  // namespace kvcc::testing
 
 #endif  // KVCC_TESTS_SUPPORT_BRUTE_FORCE_H_

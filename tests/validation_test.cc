@@ -2,13 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "gen/barabasi_albert.h"
 #include "gen/fixtures.h"
 #include "graph/graph.h"
 #include "kvcc/kvcc_enum.h"
+#include "kvcc/options.h"
 #include "support/brute_force.h"
 
 namespace kvcc {
 namespace {
+
+using kvcc::testing::DisconnectedFixture;
+using kvcc::testing::RandomConnectedGraph;
 
 TEST(ValidationTest, AcceptsCorrectDecomposition) {
   const Figure1Fixture f = MakeFigure1Graph();
@@ -71,9 +79,44 @@ TEST(ValidationTest, RejectsOutOfRangeVertex) {
   EXPECT_FALSE(report.ok);
 }
 
+TEST(ValidationTest, RejectsNonMaximalComponent) {
+  // K4 inside K5 is 3-connected, but vertex 4 has 4 >= 3 neighbours in
+  // it: the 3-VCC set of K5 is all five vertices.
+  const Graph g = CompleteGraph(5);
+  const ValidationReport report = ValidateKvccResult(g, 3, {{0, 1, 2, 3}});
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(ValidateKvccResult(g, 3, {{0, 1, 2, 3, 4}}).ok);
+}
+
+// Shapes whose k-core splits into several components, or peels down to a
+// proper subgraph, enumerated at several thread counts: every run must
+// agree and pass the validator.
+TEST(ValidationTest, SplitCoreShapesValidateAtEveryThreadCount) {
+  for (const Graph& g :
+       {TwoCliquesSharing(8, 2), RandomConnectedGraph(60, 120, 5),
+        DisconnectedFixture(), BarabasiAlbert(300, 4, 7)}) {
+    for (std::uint32_t k = 2; k <= 4; ++k) {
+      KvccOptions options = KvccOptions::VcceStar();
+      const KvccResult serial = EnumerateKVccs(g, k, options);
+      const ValidationReport report =
+          ValidateKvccResult(g, k, serial.components);
+      EXPECT_TRUE(report.ok)
+          << "n=" << g.NumVertices() << " k=" << k << ": "
+          << (report.violations.empty() ? "" : report.violations.front());
+      for (const unsigned threads : {2u, 8u}) {
+        options.num_threads = threads;
+        EXPECT_EQ(EnumerateKVccs(g, k, options).components,
+                  serial.components)
+            << "n=" << g.NumVertices() << " k=" << k
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(ValidationTest, RandomDecompositionsAlwaysValidate) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const Graph g = kvcc::testing::RandomConnectedGraph(40, 110, seed);
+    const Graph g = RandomConnectedGraph(40, 110, seed);
     for (std::uint32_t k = 2; k <= 5; ++k) {
       const auto result = EnumerateKVccs(g, k);
       const ValidationReport report =

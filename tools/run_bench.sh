@@ -33,8 +33,7 @@ fi
 cmake --build "$BUILD_DIR" -j \
   --target bench_scalability_threads bench_batch_throughput \
            bench_stream_latency bench_cancellation bench_cut_oracle \
-           bench_preprocessing bench_serving bench_incremental \
-           bench_micro_kvcc 2>/dev/null ||
+           bench_serving bench_incremental bench_micro_kvcc 2>/dev/null ||
   cmake --build "$BUILD_DIR" -j
 
 BUILD_TYPE="$(build_type)"
@@ -75,13 +74,6 @@ rm -f "$OUT_FILE"
 "$BUILD_DIR/bench_cut_oracle" --json="$OUT_FILE" \
   --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
 
-# Preprocessing pipeline: bytes-on-disk to first GLOBAL-CUT for the fused
-# flat-parallel prune (multi-threaded load + Afforest + bucket peel) vs the
-# staged serial baseline on the same loader (hard-fails on any output or
-# counter divergence across pipelines or thread counts).
-"$BUILD_DIR/bench_preprocessing" --threads=1,2,4 --json="$OUT_FILE" \
-  --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
-
 # kvccd serving: cold decompose vs cache-served repeat through the full
 # protocol loop (hard-fails if a cached response is not byte-identical to
 # the cold run or the cached path is under the 10x serving gate).
@@ -115,6 +107,10 @@ if ! grep -q '"build_type": "Release"' "$OUT_FILE"; then
   echo "run_bench.sh: snapshot is missing the Release stamp" >&2
   exit 1
 fi
+if ! grep -q '"bench": "batch_throughput"' "$OUT_FILE"; then
+  echo "run_bench.sh: snapshot is missing the batch-throughput entry" >&2
+  exit 1
+fi
 if ! grep -q '"bench": "scalability_threads_shallow"' "$OUT_FILE" ||
    ! grep -q '"probes_launched"' "$OUT_FILE"; then
   echo "run_bench.sh: snapshot is missing the shallow-recursion wavefront entry" >&2
@@ -133,14 +129,9 @@ if ! grep -q '"bench": "cancellation"' "$OUT_FILE" ||
 fi
 if ! grep -q '"bench": "cut_oracle"' "$OUT_FILE" ||
    ! grep -q '"scenario": "hub_heavy"' "$OUT_FILE" ||
-   ! grep -q '"probe_edges_touched"' "$OUT_FILE"; then
+   ! grep -q '"probe_edges_touched"' "$OUT_FILE" ||
+   ! grep -q '"edges_touched_ratio_vs_dinic"' "$OUT_FILE"; then
   echo "run_bench.sh: snapshot is missing the cut-oracle entry" >&2
-  exit 1
-fi
-if ! grep -q '"bench": "preprocessing"' "$OUT_FILE" ||
-   ! grep -q '"first_cut_ms"' "$OUT_FILE" ||
-   ! grep -q '"speedup_vs_staged"' "$OUT_FILE"; then
-  echo "run_bench.sh: snapshot is missing the preprocessing-pipeline entry" >&2
   exit 1
 fi
 if ! grep -q '"bench": "serving"' "$OUT_FILE" ||
