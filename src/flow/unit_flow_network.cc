@@ -183,87 +183,6 @@ std::int32_t UnitFlowNetwork::MaxFlow(std::uint32_t s, std::uint32_t t,
   return flow;
 }
 
-// Warm-path: the LocalVC greedy probe engine; stamps, cursors, and the
-// path stack are all pooled members.
-// kvcc-lint: no-alloc
-UnitFlowNetwork::LocalFlowResult UnitFlowNetwork::MaxFlowLocal(
-    std::uint32_t s, std::uint32_t t, std::int32_t limit,
-    std::uint64_t arc_budget) {
-  const Topology& topo = *topo_;
-  LocalFlowResult result;
-  while (result.flow < limit) {
-    // One greedy DFS pass over the residual graph. Visit stamps and the
-    // per-node arc cursors persist across every augmentation found within
-    // the pass, so growing several short disjoint paths costs one
-    // exploration instead of one restart per path (the restart-per-path
-    // variant lost to Dinic on exactly the certify-heavy probes this mode
-    // targets). The price: a stamp left by an earlier augmentation of the
-    // same pass can hide a residual path that only opened up behind it —
-    // so a pass that found flow proves nothing, and only a pass that
-    // augments NOTHING is a complete residual reachability search from s
-    // (all stamps fresh, search exhausted) proving the flow maximum,
-    // having inspected only arcs incident to the residual-reachable set.
-    NextPhase();
-    path_.clear();
-    Visit(s, 0);
-    std::uint32_t u = s;
-    std::int32_t pass_flow = 0;
-    while (true) {
-      if (u == t) {
-        std::int32_t bottleneck = limit - result.flow;
-        for (std::uint32_t arc : path_) {
-          bottleneck = std::min(bottleneck, arc_cap_[arc]);
-        }
-        for (std::uint32_t arc : path_) {
-          MarkDirty(arc);
-          arc_cap_[arc] -= bottleneck;
-          arc_cap_[arc ^ 1] += bottleneck;
-        }
-        result.flow += bottleneck;
-        pass_flow += bottleneck;
-        if (result.flow >= limit) {
-          result.exact = true;  // Hit the limit: kappa certified.
-          return result;
-        }
-        // Same pass, next path: restart from s keeping stamps and
-        // cursors. The just-saturated arcs fail the capacity check, and
-        // the used intermediate nodes stay stamped — in a unit
-        // vertex-capacity network the remaining disjoint paths avoid them
-        // anyway (rerouting *through* them is the next pass's job).
-        path_.clear();
-        u = s;
-        continue;
-      }
-      std::uint32_t& arc = iter_[u];
-      while (arc != kNone) {
-        if (arc_budget == 0) return result;  // Budget spent: inexact.
-        --arc_budget;
-        ++work_arcs_;
-        const std::uint32_t w = topo.arc_to[arc];
-        if (arc_cap_[arc] > 0 && node_epoch_[w] != phase_epoch_) break;
-        arc = topo.next[arc];
-      }
-      if (arc == kNone) {
-        if (path_.empty()) break;  // s exhausted: pass over.
-        u = topo.arc_to[path_.back() ^ 1];  // Retreat.
-        path_.pop_back();
-      } else {
-        path_.push_back(arc);  // kvcc-lint: reserved
-        u = topo.arc_to[arc];
-        // Seed the cursor; never stamp t, so later paths of this pass may
-        // reach it again.
-        if (u != t) Visit(u, 0);  // Level is unused in this mode.
-      }
-    }
-    if (pass_flow == 0) {
-      result.exact = true;  // t unreachable: flow is a true max flow.
-      return result;
-    }
-  }
-  result.exact = true;  // Hit the limit.
-  return result;
-}
-
 // Warm-path: O(touched) undo of the last probe's flow.
 // kvcc-lint: no-alloc
 void UnitFlowNetwork::ResetFlow() {

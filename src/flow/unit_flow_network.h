@@ -20,14 +20,6 @@
 //     pool of networks probing one graph pays the O(m) build exactly once
 //     ("incremental rebind"); only per-instance capacity/epoch state stays
 //     private.
-//
-// Two flow-growth modes share the residual state and compose freely:
-//   * MaxFlow — Dinic phases (level BFS + blocking DFS), globally efficient.
-//   * MaxFlowLocal — plain DFS augmentation capped by an arc-inspection
-//     budget; touches only the residual volume around the source, so a
-//     probe whose answer is "a small cut near s" finishes without ever
-//     scanning the whole network. On budget exhaustion the partial flow is
-//     kept and the caller may continue with either mode.
 #ifndef KVCC_FLOW_UNIT_FLOW_NETWORK_H_
 #define KVCC_FLOW_UNIT_FLOW_NETWORK_H_
 
@@ -41,17 +33,6 @@ namespace kvcc {
 /// Arcs are stored in (forward, reverse) pairs: arc i's reverse is i ^ 1.
 class UnitFlowNetwork {
  public:
-  /// Outcome of a budget-capped MaxFlowLocal call.
-  struct LocalFlowResult {
-    /// Flow units pushed by this call (on top of any pre-existing flow).
-    std::int32_t flow = 0;
-    /// True when the search ran to completion: either `flow` hit the limit
-    /// or no augmenting path exists (the total flow is a true max flow and
-    /// the residual state supports cut extraction). False means the arc
-    /// budget ran out first; the partial flow is retained.
-    bool exact = false;
-  };
-
   explicit UnitFlowNetwork(std::uint32_t num_nodes);
 
   /// Clears all arcs and resets the node count, reusing the allocated
@@ -87,23 +68,8 @@ class UnitFlowNetwork {
 
   /// Max flow from s to t, stopping early once the value reaches `limit`.
   /// Returns the achieved flow value (== true max flow when < limit).
-  /// Composes with prior MaxFlowLocal growth: the value returned is the
-  /// *additional* flow pushed on the current residual state.
   std::int32_t MaxFlow(std::uint32_t s, std::uint32_t t,
                        std::int32_t limit = kNoLimit);
-
-  /// Grows the flow from s to t by greedy DFS augmentation (no level
-  /// phases): each pass keeps its visit stamps and arc cursors across the
-  /// augmentations it finds, so several short disjoint paths cost one
-  /// exploration, and a pass that augments nothing is a complete residual
-  /// reachability search proving the flow maximum. Inspects at most
-  /// `arc_budget` arcs; stops as soon as the pushed amount reaches
-  /// `limit`. Unlike MaxFlow, proving t unreachable touches only the
-  /// residual-reachable volume around s — sublinear when a small cut sits
-  /// near s — at the cost of weaker worst-case bounds; see LocalFlowResult
-  /// for the exactness signal.
-  LocalFlowResult MaxFlowLocal(std::uint32_t s, std::uint32_t t,
-                               std::int32_t limit, std::uint64_t arc_budget);
 
   /// Restores all capacities to their construction-time values so the
   /// network can be reused for another (s, t) query. O(arcs dirtied since
@@ -119,8 +85,8 @@ class UnitFlowNetwork {
   /// Flow currently on forward arc `arc` (= residual of its reverse).
   std::int32_t ArcFlow(std::uint32_t arc) const { return arc_cap_[arc ^ 1]; }
 
-  /// Monotone count of arc inspections performed by MaxFlow and
-  /// MaxFlowLocal since construction — the per-probe work measure behind
+  /// Monotone count of arc inspections performed by MaxFlow since
+  /// construction — the per-probe work measure behind
   /// KvccStats::probe_edges_touched. Callers snapshot-and-diff.
   std::uint64_t work_arcs() const { return work_arcs_; }
 

@@ -8,7 +8,6 @@ DirectedFlowGraph::DirectedFlowGraph(const Graph& g) { Rebuild(g); }
 
 void DirectedFlowGraph::Rebuild(const Graph& g) {
   graph_ = &g;
-  flow_calls_ = 0;  // flow_calls() counts queries against the *current* graph.
   network_.Reinit(2 * g.NumVertices());
   // Vertex arcs first: arc index of v's arc is 2v (its reverse 2v+1), which
   // makes vertex-arc lookups in ExtractVertexCut index-free.
@@ -29,7 +28,6 @@ void DirectedFlowGraph::Rebuild(const Graph& g) {
 void DirectedFlowGraph::RebindShared(const DirectedFlowGraph& owner) {
   assert(owner.graph_ != nullptr && "RebindShared from an unbound owner");
   graph_ = owner.graph_;
-  flow_calls_ = 0;  // flow_calls() counts queries against the *current* graph.
   network_.AdoptTopology(owner.network_);
 }
 
@@ -40,7 +38,6 @@ std::int32_t DirectedFlowGraph::LocalConnectivity(VertexId u, VertexId v,
   assert(graph_ != nullptr);
   assert(u != v);
   network_.ResetFlow();
-  ++flow_calls_;
   return network_.MaxFlow(OutNode(u), InNode(v), limit);
 }
 
@@ -51,34 +48,6 @@ std::vector<VertexId> DirectedFlowGraph::LocCut(VertexId u, VertexId v,
       LocalConnectivity(u, v, static_cast<std::int32_t>(k));
   if (flow >= static_cast<std::int32_t>(k)) return {};
   return ExtractVertexCut(u, v);
-}
-
-DirectedFlowGraph::LocalProbeResult DirectedFlowGraph::LocCutLocal(
-    VertexId u, VertexId v, std::uint32_t k, std::uint64_t arc_budget,
-    int doublings) {
-  LocalProbeResult result;
-  if (u == v || graph_->HasEdge(u, v)) return result;  // Lemma 5.
-  network_.ResetFlow();
-  ++flow_calls_;
-  const auto limit = static_cast<std::int32_t>(k);
-  const std::uint32_t s = OutNode(u);
-  const std::uint32_t t = InNode(v);
-  std::int32_t flow = 0;
-  for (int round = 0; round <= doublings; ++round, arc_budget *= 2) {
-    const UnitFlowNetwork::LocalFlowResult local =
-        network_.MaxFlowLocal(s, t, limit - flow, arc_budget);
-    flow += local.flow;
-    if (!local.exact) continue;  // Budget spent; retry doubled.
-    if (flow < limit) result.cut = ExtractVertexCut(u, v);
-    return result;
-  }
-  // Every local budget ran out: let Dinic finish from the partial flow —
-  // max flow (and the minimal source-side cut) is independent of how the
-  // flow so far was grown, so nothing local is wasted or re-derived.
-  result.fell_back = true;
-  flow += network_.MaxFlow(s, t, limit - flow);
-  if (flow < limit) result.cut = ExtractVertexCut(u, v);
-  return result;
 }
 
 std::vector<VertexId> DirectedFlowGraph::ExtractVertexCut(VertexId u,

@@ -7,18 +7,10 @@
 // kappa(u, v) for non-adjacent u, v (Menger), and every node of the network
 // has in-degree 1 or out-degree 1, so Dinic runs in O(sqrt(n) m).
 //
-// Two probe styles are offered over the same network:
-//   * LocCut — Dinic from scratch: the baseline, O(min(sqrt(n), k) * m).
-//   * LocCutLocal — budget-capped DFS flow growth (local search in the
-//     style of Nanongkai–Saranurak–Yingchareonthawornchai 2019): when a
-//     < k cut sits near u, the probe touches only the volume on u's side
-//     of it. Budgets double a fixed number of times; if they run out the
-//     probe falls back to Dinic *on the accumulated partial flow*, so no
-//     augmentation work is ever discarded.
-// Both styles are exact and return the identical cut: whenever
-// kappa(u, v) < k, the extracted cut is derived from the residual-reachable
-// set of a true max flow, which (for the minimal source-side min cut) is
-// independent of which max flow was computed.
+// LocCut is the one LOC-CUT probe: Dinic from scratch with early stop at
+// k, O(min(sqrt(n), k) * m). Whenever kappa(u, v) < k, the cut is derived
+// from the residual-reachable set of a true max flow — the minimal
+// source-side min cut, which does not depend on the augmenting-path order.
 #ifndef KVCC_KVCC_FLOW_GRAPH_H_
 #define KVCC_KVCC_FLOW_GRAPH_H_
 
@@ -48,17 +40,6 @@ namespace kvcc {
 /// mutable state over one immutable topology and Graph, which is safe.
 class DirectedFlowGraph {
  public:
-  /// Result of a budget-capped local LOC-CUT probe (LocCutLocal).
-  struct LocalProbeResult {
-    /// Same contract as LocCut's return value: empty when u == v, the
-    /// endpoints are adjacent, or kappa(u, v) >= k; otherwise a u-v vertex
-    /// cut with fewer than k vertices — byte-identical to LocCut's.
-    std::vector<VertexId> cut;
-    /// True when every local budget ran out and Dinic completed the probe
-    /// from the partial flow.
-    bool fell_back = false;
-  };
-
   /// Unbound oracle; call Rebuild() before querying.
   DirectedFlowGraph() = default;
   explicit DirectedFlowGraph(const Graph& g);
@@ -89,17 +70,6 @@ class DirectedFlowGraph {
   /// fewer than k vertices (excluding u and v themselves).
   std::vector<VertexId> LocCut(VertexId u, VertexId v, std::uint32_t k);
 
-  /// LOC-CUT by local search: grows the flow with DFS augmentation capped
-  /// at `arc_budget` inspected arcs, doubling the budget `doublings` times
-  /// before falling back to Dinic on the partial flow. The cut (or its
-  /// absence) is byte-identical to LocCut's; only the work profile differs.
-  /// Track the work via work_arcs() deltas.
-  LocalProbeResult LocCutLocal(VertexId u, VertexId v, std::uint32_t k,
-                               std::uint64_t arc_budget, int doublings);
-
-  /// Number of flow computations run so far (for KvccStats).
-  std::uint64_t flow_calls() const { return flow_calls_; }
-
   /// Monotone count of arcs inspected by all flow work on this oracle
   /// (KvccStats::probe_edges_touched is accumulated from deltas of this).
   std::uint64_t work_arcs() const { return network_.work_arcs(); }
@@ -117,7 +87,6 @@ class DirectedFlowGraph {
 
   const Graph* graph_ = nullptr;
   UnitFlowNetwork network_{0};
-  std::uint64_t flow_calls_ = 0;
 };
 
 }  // namespace kvcc

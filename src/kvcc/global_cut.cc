@@ -6,18 +6,21 @@
 #include <string>
 #include <utility>
 
-#include "kvcc/cut_oracle.h"
 #include "kvcc/sparse_certificate.h"
 #include "kvcc/sweep_context.h"
 
 namespace kvcc {
 namespace {
 
-/// Rolls one probe's work trace into the run-wide stats counters.
-void AccumulateProbe(const ProbeCounters& trace, KvccStats* stats) {
-  stats->probes_localvc += trace.probes_localvc;
-  stats->probes_localvc_fallback += trace.probes_localvc_fallback;
-  stats->probe_edges_touched += trace.probe_edges_touched;
+/// One LOC-CUT probe on `flow`; adds the arcs its flow inspected to
+/// `edges_touched`.
+std::vector<VertexId> CountedLocCut(DirectedFlowGraph& flow, VertexId u,
+                                    VertexId v, std::uint32_t k,
+                                    std::uint64_t& edges_touched) {
+  const std::uint64_t before = flow.work_arcs();
+  std::vector<VertexId> cut = flow.LocCut(u, v, k);
+  edges_touched += flow.work_arcs() - before;
+  return cut;
 }
 
 /// Grow-only sizing of the epoch-stamped visit marks. New entries carry
@@ -271,16 +274,11 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
                           options.intra_cut_parallelism &&
                           (options.intra_cut_min_vertices == 0 ||
                            n >= options.intra_cut_min_vertices);
-  // Probe engine (KvccOptions::cut_oracle): created lazily, replaced only
-  // when the option changes between jobs sharing this scratch. Bound in
-  // both modes — serial probes run on it directly, and in wavefront mode
-  // it is the topology owner every pool slot incrementally rebinds to
-  // (one O(m) build per invocation instead of one per slot).
-  if (!scratch->oracle || scratch->oracle->kind() != options.cut_oracle) {
-    scratch->oracle = MakeCutOracle(options.cut_oracle);
-  }
-  CutOracle& oracle = *scratch->oracle;
-  oracle.BindGraph(test_graph);
+  // Bound in both modes — serial probes run on it directly, and in
+  // wavefront mode it is the topology owner every pool slot incrementally
+  // rebinds to (one O(m) build per invocation instead of one per slot).
+  DirectedFlowGraph& flow = scratch->flow;
+  flow.Rebuild(test_graph);
   // Epoch rebind: O(1) reset of the sweep arrays, no reallocation.
   SweepContext& sweep = scratch->sweep;
   sweep.Bind(g, k, strong, groups, group_of, options.neighbor_sweep,
@@ -292,7 +290,7 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
         !detail::CutDisconnects(g, cut, *scratch)) {
       // By the certificate theorem this cannot happen; if it ever does,
       // fall back to an exact search on the full graph. The recursive call
-      // rebinds the scratch's oracle/sweep/order/wavefront state; none of
+      // rebinds the scratch's flow/sweep/order/wavefront state; none of
       // it is used here afterwards.
       ++stats->certificate_cut_fallbacks;
       KvccOptions fallback = options;
@@ -340,13 +338,14 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
 
   // Runs the current wavefront's probe list concurrently and returns how
   // many *flow* probes actually ran (deferred-common entries settled by
-  // the Lemma-13 test never touch an oracle). Each executor slot owns one
-  // pool oracle, incrementally rebound (CutOracle::BindShared — adopt the
-  // owner's arc arrays, restamp capacities by epoch) to this invocation's
-  // topology owner the first time the slot participates; a probe writes
-  // only its own wave_cuts / wave_common_skip / wave_traces entries, and
-  // the commit loop below reads the results only after ParallelFor
-  // returned, so probes race with nothing. The sweep state is
+  // the Lemma-13 test never touch a flow graph). Each executor slot owns
+  // one pool oracle, incrementally rebound (DirectedFlowGraph::
+  // RebindShared — adopt the owner's arc arrays, restamp capacities by
+  // epoch) to this invocation's topology owner the first time the slot
+  // participates; a probe writes only its own wave_cuts /
+  // wave_common_skip / wave_edges entries, and the commit loop below
+  // reads the results only after ParallelFor returned, so probes race
+  // with nothing. The sweep state is
   // snapshot-immutable during the wavefront: formation read it serially,
   // and commits mutate it serially afterwards.
   auto run_probes = [&]() -> std::uint32_t {
@@ -359,37 +358,32 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     if (scratch->wave_common_skip.size() < launched) {
       scratch->wave_common_skip.resize(launched);
     }
-    if (scratch->wave_traces.size() < launched) {
-      scratch->wave_traces.resize(launched);
+    if (scratch->wave_edges.size() < launched) {
+      scratch->wave_edges.resize(launched);
     }
     ++stats->probe_wavefronts;
     auto& pool = scratch->probe_pool;
     auto& cuts = scratch->wave_cuts;
     auto& common_skip = scratch->wave_common_skip;
-    auto& traces = scratch->wave_traces;
+    auto& edges = scratch->wave_edges;
     const auto& deferred = scratch->wave_probe_common;
     const std::uint64_t epoch = scratch->probe_epoch;
-    const CutOracle& owner = oracle;
-    const CutOracleKind oracle_kind = options.cut_oracle;
+    const DirectedFlowGraph& owner = flow;
     const Graph& host = g;
     // Helper stubs carry the owning job's latency class, so an
     // interactive job's wavefront competes for idle workers at its own
     // priority instead of degrading to kNormal on its hardest subproblem.
     scheduler->ParallelFor(
         launched,
-        [&pool, &cuts, &common_skip, &traces, &args, &deferred, &owner,
-         &host, epoch, oracle_kind, k](std::size_t i, unsigned slot) {
+        [&pool, &cuts, &common_skip, &edges, &args, &deferred, &owner,
+         &host, epoch, k](std::size_t i, unsigned slot) {
           if (!pool[slot]) pool[slot] = std::make_unique<ProbeOracle>();
           ProbeOracle& po = *pool[slot];
-          if (!po.oracle || po.oracle->kind() != oracle_kind) {
-            po.oracle = MakeCutOracle(oracle_kind);
-            po.bound_epoch = 0;
-          }
           if (po.bound_epoch != epoch) {
-            po.oracle->BindShared(owner);
+            po.flow.RebindShared(owner);
             po.bound_epoch = epoch;
           }
-          traces[i] = ProbeCounters{};
+          edges[i] = 0;
           // Lemma-13 pre-test, hoisted out of the serial formation loop: a
           // pure function of the working graph, so evaluating it here is
           // replay-equivalent while parallelizing the Theta(d) merges that
@@ -401,18 +395,18 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
             cuts[i].clear();
           } else {
             common_skip[i] = 0;
-            cuts[i] =
-                po.oracle->Probe(args[i].first, args[i].second, k, traces[i]);
+            cuts[i] = CountedLocCut(po.flow, args[i].first, args[i].second,
+                                    k, edges[i]);
           }
         },
         ToTaskPriority(options.priority));
     // Serial roll-up over every launched probe — speculative ones
-    // included, their flow work is real — keeps the oracle counters
+    // included, their flow work is real — keeps probe_edges_touched
     // deterministic for a fixed (input, options, thread count).
     std::uint32_t flow_probes = 0;
     for (std::uint32_t i = 0; i < launched; ++i) {
       if (common_skip[i] == 0) ++flow_probes;
-      AccumulateProbe(traces[i], stats);
+      stats->probe_edges_touched += edges[i];
     }
     stats->probes_launched += flow_probes;
     return flow_probes;
@@ -434,9 +428,8 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
       check_cancelled();
       ++stats->phase1_tested_flow;
       ++stats->loc_cut_flow_calls;
-      ProbeCounters trace;
-      std::vector<VertexId> cut = oracle.Probe(source, v, k, trace);
-      AccumulateProbe(trace, stats);
+      std::vector<VertexId> cut =
+          CountedLocCut(flow, source, v, k, stats->probe_edges_touched);
       if (!cut.empty()) return finish_with_cut(std::move(cut));
       sweep.Sweep(v, SweepCause::kTested);
     }
@@ -546,9 +539,8 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
           check_cancelled();
           ++stats->phase2_pairs_tested;
           ++stats->loc_cut_flow_calls;
-          ProbeCounters trace;
-          std::vector<VertexId> cut = oracle.Probe(va, vb, k, trace);
-          AccumulateProbe(trace, stats);
+          std::vector<VertexId> cut =
+              CountedLocCut(flow, va, vb, k, stats->probe_edges_touched);
           if (!cut.empty()) return finish_with_cut(std::move(cut));
         }
       }

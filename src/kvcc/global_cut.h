@@ -8,17 +8,15 @@
 // pairs of u's neighbors (covers cuts containing u, Lemma 4). All flow
 // tests run on a sparse certificate; sweeps (KvccOptions) skip most tests.
 //
-// Probes run on a pluggable CutOracle (KvccOptions::cut_oracle): Dinic
-// baseline, NSY-style local search, or a degree-routed hybrid. Every
-// engine is exact, so the cut (and all replay-identical stats) are
-// byte-identical across engines; see cut_oracle.h.
+// Every probe is DirectedFlowGraph::LocCut (Dinic on the vertex-split
+// flow graph, flow_graph.h).
 //
 // Intra-cut parallelism: when a multi-worker TaskScheduler is passed in,
 // both phases run as *deterministic probe wavefronts* — the next batch of
 // flow probes executes concurrently on the pool (each participant on its
-// own oracle, incrementally rebound to the invocation's shared topology
-// owner), then the batch is committed serially in the exact order the
-// serial loop would have used. The phase-2 common-neighbor test (Lemma 13,
+// own flow graph, incrementally rebound to the invocation's shared
+// topology owner), then the batch is committed serially in the exact order
+// the serial loop would have used. The phase-2 common-neighbor test (Lemma 13,
 // a pure function) also runs inside the wavefront instead of the serial
 // formation loop, so hub-heavy pair formation no longer serializes on it.
 // Sweeps, all pre-existing stats, and the returned cut are byte-identical
@@ -35,7 +33,6 @@
 
 #include "exec/task_scheduler.h"
 #include "graph/graph.h"
-#include "kvcc/cut_oracle.h"
 #include "kvcc/flow_graph.h"
 #include "kvcc/job_control.h"
 #include "kvcc/options.h"
@@ -46,17 +43,16 @@
 
 namespace kvcc {
 
-/// One wavefront probe oracle: a CutOracle owned by one executor slot,
+/// One wavefront probe oracle: a flow graph owned by one executor slot,
 /// lazily rebound ("epoch rebind") to the GLOBAL-CUT invocation's topology
 /// owner the first time that slot participates in the invocation. The
-/// rebind is incremental (CutOracle::BindShared): the slot adopts the
-/// owner's already-built arc arrays and restamps its private capacity
-/// state by epoch, so steady-state entry into a wavefront costs O(1) and
-/// allocates nothing instead of an O(m) per-slot rebuild.
+/// rebind is incremental (DirectedFlowGraph::RebindShared): the slot
+/// adopts the owner's already-built arc arrays and restamps its private
+/// capacity state by epoch, so steady-state entry into a wavefront costs
+/// O(1) and allocates nothing instead of an O(m) per-slot rebuild.
 struct ProbeOracle {
-  /// The slot's probe engine; created on first use, recreated only when
-  /// KvccOptions::cut_oracle changes between jobs sharing the scratch.
-  std::unique_ptr<CutOracle> oracle;
+  /// The slot's flow graph, borrowing the owner's topology.
+  DirectedFlowGraph flow;
   /// GlobalCutScratch::probe_epoch value this slot last bound to.
   std::uint64_t bound_epoch = 0;
 };
@@ -92,12 +88,11 @@ struct ProbeCandidate {
 /// documented exception: `side.strong` holds the last call's strong
 /// side-vertex verdicts until the next call (see GlobalCutResult).
 struct GlobalCutScratch {
-  /// Probe engine (KvccOptions::cut_oracle); created lazily, recreated
-  /// only when the option changes, rebound (buffers recycled) per
-  /// invocation. Serial probes run here; in wavefront mode this instance
-  /// is the *topology owner* the pool below incrementally rebinds to, and
-  /// is never probed while a wavefront is in flight.
-  std::unique_ptr<CutOracle> oracle;
+  /// LOC-CUT flow graph, rebuilt (buffers recycled) per invocation.
+  /// Serial probes run here; in wavefront mode this instance is the
+  /// *topology owner* the pool below incrementally rebinds to, and is
+  /// never probed while a wavefront is in flight.
+  DirectedFlowGraph flow;
 
   /// Sparse-certificate output storage plus build buffers (mate/offset/
   /// used/builder); rebuilt in place per invocation when the certificate
@@ -137,13 +132,14 @@ struct GlobalCutScratch {
   /// Current wavefront: candidates in serial order, probe argument list
   /// (indexed by ProbeCandidate::probe_index), and per launched probe one
   /// deferred-common flag (input), one cut slot, one common-skip verdict,
-  /// and one work trace (outputs; disjoint writes across the wavefront).
+  /// and one count of arcs the probe's flow inspected (outputs; disjoint
+  /// writes across the wavefront).
   std::vector<ProbeCandidate> wave;
   std::vector<std::pair<VertexId, VertexId>> wave_probe_args;
   std::vector<std::uint8_t> wave_probe_common;
   std::vector<std::vector<VertexId>> wave_cuts;
   std::vector<std::uint8_t> wave_common_skip;
-  std::vector<ProbeCounters> wave_traces;
+  std::vector<std::uint64_t> wave_edges;
 };
 
 struct GlobalCutResult {

@@ -4,26 +4,6 @@
 
 namespace kvcc {
 
-const char* CutOracleKindName(CutOracleKind kind) {
-  switch (kind) {
-    case CutOracleKind::kDinic:
-      return "dinic";
-    case CutOracleKind::kLocalVC:
-      return "localvc";
-    case CutOracleKind::kHybrid:
-      return "hybrid";
-  }
-  return "hybrid";  // Unreachable for valid enum values.
-}
-
-CutOracleKind CutOracleKindFromName(const std::string& name) {
-  if (name == "dinic") return CutOracleKind::kDinic;
-  if (name == "localvc") return CutOracleKind::kLocalVC;
-  if (name == "hybrid") return CutOracleKind::kHybrid;
-  throw std::invalid_argument("unknown cut oracle: " + name +
-                              " (expected dinic, localvc, or hybrid)");
-}
-
 KvccOptions KvccOptions::FromVariantName(const std::string& name) {
   if (name == "VCCE") return Vcce();
   if (name == "VCCE-N") return VcceN();

@@ -34,40 +34,6 @@ enum class JobPriority : std::uint8_t {
   kBulk = 2,
 };
 
-/// \brief Probe engine behind every LOC-CUT connectivity test
-/// (KvccOptions::cut_oracle).
-///
-/// Every oracle is exact — the enumerated components, cuts, and hierarchy
-/// are byte-identical across all three settings at every thread count —
-/// so this is purely a work-profile knob. See docs/ARCHITECTURE.md
-/// ("The CutOracle seam").
-enum class CutOracleKind : std::uint8_t {
-  /// \brief Dinic (Even–Tarjan) max-flow from scratch per probe: the
-  /// paper-faithful baseline, O(min(sqrt(n), k) * m) per probe.
-  kDinic = 0,
-  /// \brief Local-search probe (NSY 2019 style): budget-capped DFS flow
-  /// growth with doubling budgets, touching O(poly(k) * vol) edges when a
-  /// small cut sits near the source, falling back to Dinic on the partial
-  /// flow when budgets run out.
-  kLocalVC = 1,
-  /// \brief Routes each probe between the two engines by degree/volume
-  /// heuristics; routing decisions surface in KvccStats::probes_localvc
-  /// and probes_localvc_fallback.
-  kHybrid = 2,
-};
-
-/// \brief Lower-case name of a CutOracleKind ("dinic" / "localvc" /
-/// "hybrid"), as accepted by the CLI `--cut-oracle` flag.
-/// \param kind The oracle kind.
-/// \return A static string; never null.
-const char* CutOracleKindName(CutOracleKind kind);
-
-/// \brief Parses a CutOracleKind from its lower-case name.
-/// \param name One of "dinic", "localvc", "hybrid".
-/// \return The matching kind.
-/// \throws std::invalid_argument for unknown names.
-CutOracleKind CutOracleKindFromName(const std::string& name);
-
 /// \brief Algorithm-variant and execution knobs for the k-VCC
 /// enumeration family (EnumerateKVccs, KvccEngine, BuildKvccHierarchy).
 struct KvccOptions {
@@ -107,14 +73,6 @@ struct KvccOptions {
   /// default keeps detection cheap on hub-heavy graphs where the pair
   /// work would exceed the flow tests it saves. 0 = no cap.
   std::uint32_t side_vertex_degree_cap = 128;
-
-  /// \brief Probe engine behind every LOC-CUT test (see CutOracleKind).
-  /// All three settings produce byte-identical output; the default hybrid
-  /// keeps Dinic's worst-case profile on hub sources and large probes
-  /// while letting local search answer the rest in time bounded by the
-  /// local volume. Not a variant axis of the paper — the four presets
-  /// leave it untouched.
-  CutOracleKind cut_oracle = CutOracleKind::kHybrid;
 
   /// \brief Defensive verification that every cut found on the sparse
   /// certificate actually disconnects the working graph (it must, by the

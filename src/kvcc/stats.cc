@@ -54,10 +54,8 @@ constexpr Field kFields[] = {
     {"wavefronts", "probes_wasted_swept", &KvccStats::probes_wasted_swept},
     {"wavefronts", "probes_wasted_after_cut",
      &KvccStats::probes_wasted_after_cut},
-    {"cut oracle", "probes_localvc", &KvccStats::probes_localvc},
-    {"cut oracle", "probes_localvc_fallback",
-     &KvccStats::probes_localvc_fallback},
-    {"cut oracle", "probe_edges_touched", &KvccStats::probe_edges_touched},
+    {"probes", "probes_localvc", &KvccStats::probes_localvc},
+    {"probes", "probe_edges_touched", &KvccStats::probe_edges_touched},
     {"incremental", "delta_edges_applied", &KvccStats::delta_edges_applied},
     {"incremental", "dirty_components", &KvccStats::dirty_components},
     {"incremental", "incremental_reruns", &KvccStats::incremental_reruns},

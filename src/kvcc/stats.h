@@ -116,24 +116,19 @@ struct KvccStats {
   /// search.
   std::uint64_t probes_wasted_after_cut = 0;
 
-  // --- cut-oracle routing / work profile ---
-  // Per-probe accounting from the pluggable probe engine (see
-  // KvccOptions::cut_oracle and docs/ARCHITECTURE.md, "The CutOracle
-  // seam"). Serial runs are replay-identical; wavefront runs add the work
-  // of speculative probes, so — like the waste counters above — these are
-  // deterministic per (input, options, thread count) but not across
-  // thread counts.
+  // --- probe work profile ---
+  // Per-probe accounting of the LOC-CUT flow work (see docs/ARCHITECTURE.md,
+  // "The LOC-CUT probe"). Serial runs are replay-identical; wavefront runs
+  // add the work of speculative probes, so — like the waste counters
+  // above — these are deterministic per (input, options, thread count)
+  // but not across thread counts.
 
-  /// \brief Probes answered by the local-search (LocalVC) engine,
-  /// including those that fell back. 0 under the Dinic oracle; under
-  /// Hybrid this counts the probes routed to local search.
+  /// \brief Always 0: Dinic is the only probe engine. Kept only because
+  /// perfbench/src/replay.cc reads it for kvcc.probe.localvc_share;
+  /// delete both at the next change to the benchmark.
   std::uint64_t probes_localvc = 0;
-  /// \brief Local-search probes whose doubling budgets all ran out and
-  /// that Dinic completed from the partial flow.
-  std::uint64_t probes_localvc_fallback = 0;
-  /// \brief Flow-network arcs inspected across all probes (every oracle
-  /// reports it). The LocalVC speedup is visible here before it is
-  /// visible in wall-clock.
+  /// \brief Flow-network arcs inspected across all probes: the
+  /// per-probe cost measure.
   std::uint64_t probe_edges_touched = 0;
 
   // --- dynamic-graph maintenance counters (kvcc/incremental.h) ---

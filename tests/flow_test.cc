@@ -1,14 +1,38 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "flow/stoer_wagner.h"
 #include "flow/unit_flow_network.h"
 #include "gen/fixtures.h"
+#include "graph/bfs.h"
 #include "graph/graph.h"
 #include "kvcc/flow_graph.h"
 #include "support/brute_force.h"
 
 namespace kvcc {
 namespace {
+
+/// True iff removing `cut` (which must avoid u and v) leaves u and v in
+/// different components of g.
+bool CutSeparates(const Graph& g, const std::vector<VertexId>& cut,
+                  VertexId u, VertexId v) {
+  if (std::find(cut.begin(), cut.end(), u) != cut.end()) return false;
+  if (std::find(cut.begin(), cut.end(), v) != cut.end()) return false;
+  std::vector<VertexId> keep;
+  std::vector<VertexId> relabel(g.NumVertices(), 0);
+  for (VertexId w = 0; w < g.NumVertices(); ++w) {
+    if (std::find(cut.begin(), cut.end(), w) == cut.end()) {
+      relabel[w] = static_cast<VertexId>(keep.size());
+      keep.push_back(w);
+    }
+  }
+  const Graph remainder = g.InducedSubgraph(keep);
+  std::vector<std::uint32_t> dist;
+  BfsDistances(remainder, relabel[u], dist);
+  return dist[relabel[v]] == kUnreachable;
+}
 
 TEST(UnitFlowNetworkTest, SingleArc) {
   UnitFlowNetwork net(2);
@@ -159,6 +183,101 @@ TEST(DirectedFlowGraphTest, RebuildReusesOracleAcrossGraphs) {
   oracle.Rebuild(bip);
   // kappa between two left-side vertices of K_{3,3} is 3: no cut below 3.
   EXPECT_TRUE(oracle.LocCut(0, 1, 3).empty());
+}
+
+// Probe by probe on random graphs: LocCut answers empty iff the
+// brute-force kappa(u, v) >= k, and otherwise a separating cut of exactly
+// kappa vertices (a minimum cut has the max-flow size).
+TEST(DirectedFlowGraphTest, LocCutMatchesBruteForceConnectivity) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Graph g = kvcc::testing::RandomConnectedGraph(11, 28, seed);
+    DirectedFlowGraph flow(g);
+    for (VertexId u = 0; u < g.NumVertices(); ++u) {
+      for (VertexId v = u + 1; v < g.NumVertices(); ++v) {
+        if (g.HasEdge(u, v)) continue;
+        const std::uint32_t kappa =
+            kvcc::testing::BruteLocalVertexConnectivity(g, u, v);
+        for (std::uint32_t k = 2; k <= 5; ++k) {
+          const std::vector<VertexId> cut = flow.LocCut(u, v, k);
+          if (kappa >= k) {
+            EXPECT_TRUE(cut.empty())
+                << "seed=" << seed << " u=" << u << " v=" << v << " k=" << k;
+          } else {
+            EXPECT_EQ(cut.size(), kappa)
+                << "seed=" << seed << " u=" << u << " v=" << v << " k=" << k;
+            EXPECT_TRUE(CutSeparates(g, cut, u, v))
+                << "seed=" << seed << " u=" << u << " v=" << v << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Adjacent pairs and self-probes are locally k-connected for free (Lemma
+// 5): LocCut answers empty without running any flow.
+TEST(DirectedFlowGraphTest, AdjacentAndSelfProbesRunNoFlow) {
+  const Graph g = PetersenGraph();
+  DirectedFlowGraph flow(g);
+  const std::uint64_t before = flow.work_arcs();
+  EXPECT_TRUE(flow.LocCut(0, 0, 3).empty());
+  // Petersen vertex 0 is adjacent to 1.
+  EXPECT_TRUE(flow.LocCut(0, 1, 3).empty());
+  EXPECT_EQ(flow.work_arcs(), before);
+}
+
+// A probe that runs a flow books the arcs it inspected.
+TEST(DirectedFlowGraphTest, FlowProbeCountsInspectedArcs) {
+  const Graph g = kvcc::testing::RandomConnectedGraph(11, 28, 3);
+  DirectedFlowGraph flow(g);
+  VertexId v = 2;
+  while (v < g.NumVertices() && g.HasEdge(0, v)) ++v;
+  ASSERT_LT(v, g.NumVertices());
+  const std::uint64_t before = flow.work_arcs();
+  flow.LocCut(0, v, 4);
+  EXPECT_GT(flow.work_arcs(), before);
+}
+
+// The incremental rebind: a RebindShared borrower answers exactly like a
+// fresh Rebuild, including after the owner rebinds to a smaller and then a
+// larger graph (the borrower's private capacity state is restamped, never
+// trusted stale).
+TEST(DirectedFlowGraphTest, RebindSharedMatchesFreshRebuildAcrossOwnerRebinds) {
+  const Graph big = kvcc::testing::RandomConnectedGraph(14, 40, 9);
+  const Graph small = kvcc::testing::RandomConnectedGraph(8, 14, 10);
+  const Graph grown = kvcc::testing::RandomConnectedGraph(16, 50, 11);
+
+  DirectedFlowGraph owner;
+  DirectedFlowGraph borrower;
+  DirectedFlowGraph fresh;
+  for (const Graph* g : {&big, &small, &grown, &small, &big}) {
+    owner.Rebuild(*g);
+    borrower.RebindShared(owner);
+    fresh.Rebuild(*g);
+    EXPECT_EQ(borrower.graph(), owner.graph());
+    for (VertexId u = 0; u < g->NumVertices(); ++u) {
+      for (VertexId v = u + 1; v < g->NumVertices(); ++v) {
+        if (g->HasEdge(u, v)) continue;
+        EXPECT_EQ(borrower.LocCut(u, v, 3), fresh.LocCut(u, v, 3))
+            << "n=" << g->NumVertices() << " u=" << u << " v=" << v;
+      }
+    }
+  }
+}
+
+// A borrower keeps answering correctly over many probes without rebinding
+// (dirty-pair reset must restore shared-topology capacities correctly).
+TEST(DirectedFlowGraphTest, RepeatedProbesOnOneBindStayConsistent) {
+  const Graph g = TwoCliquesSharing(6, 2);  // kappa = 2 via the shared pair.
+  DirectedFlowGraph owner(g);
+  DirectedFlowGraph borrower;
+  borrower.RebindShared(owner);
+  const std::vector<VertexId> first = borrower.LocCut(0, 9, 4);
+  ASSERT_EQ(first.size(), 2u);
+  for (int round = 0; round < 10; ++round) {
+    EXPECT_EQ(borrower.LocCut(0, 9, 4), first) << "round=" << round;
+    EXPECT_TRUE(borrower.LocCut(0, 9, 2).empty());
+  }
 }
 
 TEST(StoerWagnerTest, TrivialGraphs) {

@@ -209,50 +209,6 @@ TEST(GlobalCutTest, CertificateAndFullGraphAgreeAcrossOptionsMatrix) {
   }
 }
 
-// The pluggable probe engine is a pure substitution: for every sweep
-// preset, GLOBAL-CUT under Dinic, LocalVC, and Hybrid must return the
-// byte-identical cut and identical replay-identical stats on random
-// inputs — only the three oracle work counters may differ.
-TEST(GlobalCutTest, CutOracleKindsAreByteIdentical) {
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const Graph g = kvcc::testing::RandomConnectedGraph(12, 30, seed);
-    for (std::uint32_t k = 2; k <= 4; ++k) {
-      bool degree_ok = true;
-      for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        if (g.Degree(v) < k) degree_ok = false;
-      }
-      if (!degree_ok) continue;
-      for (const auto& preset : AllVariants()) {
-        KvccOptions reference_options = preset;
-        reference_options.cut_oracle = CutOracleKind::kDinic;
-        KvccStats reference_stats;
-        GlobalCutScratch scratch;
-        const auto reference = GlobalCut(g, k, {}, reference_options,
-                                         &reference_stats, &scratch);
-        for (CutOracleKind kind :
-             {CutOracleKind::kLocalVC, CutOracleKind::kHybrid}) {
-          KvccOptions options = preset;
-          options.cut_oracle = kind;
-          KvccStats stats;
-          // Scratch reuse across oracle kinds exercises the
-          // option-change recreation path too.
-          const auto result = GlobalCut(g, k, {}, options, &stats, &scratch);
-          EXPECT_EQ(result.cut, reference.cut)
-              << "seed=" << seed << " k=" << k
-              << " oracle=" << CutOracleKindName(kind);
-          EXPECT_EQ(stats.loc_cut_flow_calls,
-                    reference_stats.loc_cut_flow_calls)
-              << "seed=" << seed << " k=" << k
-              << " oracle=" << CutOracleKindName(kind);
-          EXPECT_EQ(stats.Phase1Total(), reference_stats.Phase1Total());
-          EXPECT_EQ(stats.phase2_pairs_tested,
-                    reference_stats.phase2_pairs_tested);
-        }
-      }
-    }
-  }
-}
-
 TEST(GlobalCutTest, ScratchReuseAcrossShrinkingAndGrowingGraphsIsSound) {
   // One scratch driven through graphs of very different sizes in both
   // directions; epoch-reset sweep state and rebuilt-in-place certificates

@@ -1,8 +1,8 @@
 // Differential mutation harness for the dynamic-graph stack: after every
 // mutation batch, the incrementally maintained decomposition must be
-// byte-identical to a cold re-run on the materialized graph — across k,
-// thread counts, and cut-oracle kinds. This is the correctness
-// centerpiece of the delta store + incremental layer (docs/DYNAMIC.md).
+// byte-identical to a cold re-run on the materialized graph — across k
+// and thread counts. This is the correctness centerpiece of the delta
+// store + incremental layer (docs/DYNAMIC.md).
 #include "kvcc/incremental.h"
 
 #include <gtest/gtest.h>
@@ -163,26 +163,6 @@ TEST(IncrementalTest, ThreadSweepIsByteIdentical) {
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i], threaded[i])
           << "workers=" << workers << " step=" << i;
-    }
-  }
-}
-
-// Every cut oracle must drive the incremental path to identical bytes.
-TEST(IncrementalTest, OracleSweepIsByteIdentical) {
-  KvccOptions dinic;
-  dinic.cut_oracle = CutOracleKind::kDinic;
-  const std::vector<std::string> reference =
-      RunScripted(std::nullopt, dinic, 40, 23);
-  for (const CutOracleKind kind :
-       {CutOracleKind::kLocalVC, CutOracleKind::kHybrid}) {
-    KvccOptions options;
-    options.cut_oracle = kind;
-    const std::vector<std::string> swept =
-        RunScripted(std::nullopt, options, 40, 23);
-    ASSERT_EQ(reference.size(), swept.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(reference[i], swept[i])
-          << "oracle=" << CutOracleKindName(kind) << " step=" << i;
     }
   }
 }

@@ -17,7 +17,7 @@
 #include "graph/delta_store.h"
 #include "graph/graph_io.h"
 #include "graph/k_core.h"
-#include "kvcc/cut_oracle.h"
+#include "kvcc/flow_graph.h"
 #include "kvcc/global_cut.h"
 #include "util/process_memory.h"
 
@@ -99,37 +99,35 @@ TEST(MemoryTrackerTest, WarmGlobalCutAllocatesNothing) {
 }
 
 // The wavefront pool's incremental rebind, in isolation: once a borrower
-// oracle has grown to the largest topology it will ever adopt, the full
-// steady-state cycle — owner rebuild, BindShared adoption, and a real flow
-// probe — must perform ZERO heap allocation, even when the owner bounces
-// between differently-sized graphs. This is what makes wavefront entry
-// O(1) per slot instead of an O(m) rebuild.
+// flow graph has grown to the largest topology it will ever adopt, the
+// full steady-state cycle — owner Rebuild, RebindShared adoption, and a
+// real flow probe — must perform ZERO heap allocation, even when the owner
+// bounces between differently-sized graphs. This is what makes wavefront
+// entry O(1) per slot instead of an O(m) rebuild.
 TEST(MemoryTrackerTest, WarmOracleBindSharedAllocatesNothing) {
   ASSERT_TRUE(MemoryTracker::Enabled());
   const Graph big = HararyGraph(5, 40);
   const Graph small = HararyGraph(5, 16);
-  auto owner = MakeCutOracle(CutOracleKind::kHybrid);
-  auto borrower = MakeCutOracle(CutOracleKind::kHybrid);
+  DirectedFlowGraph owner;
+  DirectedFlowGraph borrower;
   // Warm-up: adopt both sizes twice so every buffer reaches its high-water
   // mark. Vertices 0 and 5 are non-adjacent in both circulants, and both
   // graphs are 5-connected, so the probe runs a full flow and answers
   // empty (no cut vector to allocate).
   for (int warm = 0; warm < 2; ++warm) {
     for (const Graph* g : {&big, &small}) {
-      owner->BindGraph(*g);
-      borrower->BindShared(*owner);
-      ProbeCounters trace;
-      ASSERT_TRUE(borrower->Probe(0, 5, 5, trace).empty());
+      owner.Rebuild(*g);
+      borrower.RebindShared(owner);
+      ASSERT_TRUE(borrower.LocCut(0, 5, 5).empty());
     }
   }
   MemoryTracker::ResetPeak();
   const std::uint64_t baseline = MemoryTracker::CurrentBytes();
   for (int round = 0; round < 5; ++round) {
     for (const Graph* g : {&big, &small}) {
-      owner->BindGraph(*g);
-      borrower->BindShared(*owner);
-      ProbeCounters trace;
-      EXPECT_TRUE(borrower->Probe(0, 5, 5, trace).empty());
+      owner.Rebuild(*g);
+      borrower.RebindShared(owner);
+      EXPECT_TRUE(borrower.LocCut(0, 5, 5).empty());
     }
   }
   EXPECT_EQ(MemoryTracker::PeakBytes(), baseline)

@@ -61,31 +61,24 @@ TEST_P(OptionsMatrixTest, MatchesBruteForce) {
   }
 }
 
-// Execution-dimension sweep for the probe engine: the decomposition must
-// be byte-identical to the brute-force set for every cut_oracle x thread
-// count x intra-cut-parallelism combination — oracles are exact engines
-// and the parallel paths replay the serial decision sequence.
-TEST(CutOracleMatrixTest, OracleTimesThreadsTimesIntraCutMatchesBruteForce) {
+// Execution-dimension sweep: the decomposition must be byte-identical to
+// the brute-force set for every thread count x intra-cut-parallelism
+// combination — the parallel paths replay the serial decision sequence.
+TEST(ExecutionMatrixTest, ThreadsTimesIntraCutMatchesBruteForce) {
   for (std::uint64_t seed : {2ull, 5ull, 9ull}) {
     const Graph g = kvcc::testing::RandomConnectedGraph(11, 26, seed);
     for (std::uint32_t k = 2; k <= 4; ++k) {
       const auto expected = kvcc::testing::BruteKVccs(g, k);
-      for (CutOracleKind kind :
-           {CutOracleKind::kDinic, CutOracleKind::kLocalVC,
-            CutOracleKind::kHybrid}) {
-        for (std::uint32_t threads : {1u, 2u, 8u}) {
-          for (const bool intra_cut : {false, true}) {
-            KvccOptions options = KvccOptions::VcceStar();
-            options.cut_oracle = kind;
-            options.num_threads = threads;
-            options.intra_cut_parallelism = intra_cut;
-            const auto result = EnumerateKVccs(g, k, options);
-            EXPECT_EQ(result.components, expected)
-                << "seed=" << seed << " k=" << k
-                << " oracle=" << CutOracleKindName(kind)
-                << " threads=" << threads << " intra_cut=" << intra_cut;
-            EXPECT_EQ(result.stats.certificate_cut_fallbacks, 0u);
-          }
+      for (std::uint32_t threads : {1u, 2u, 8u}) {
+        for (const bool intra_cut : {false, true}) {
+          KvccOptions options = KvccOptions::VcceStar();
+          options.num_threads = threads;
+          options.intra_cut_parallelism = intra_cut;
+          const auto result = EnumerateKVccs(g, k, options);
+          EXPECT_EQ(result.components, expected)
+              << "seed=" << seed << " k=" << k << " threads=" << threads
+              << " intra_cut=" << intra_cut;
+          EXPECT_EQ(result.stats.certificate_cut_fallbacks, 0u);
         }
       }
     }

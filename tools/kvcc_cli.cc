@@ -49,20 +49,16 @@ int Usage() {
       "usage: kvcc <command> [args]\n"
       "  decompose <graph> <k> [--variant=VCCE*|VCCE|VCCE-N|VCCE-G]\n"
       "            [--threads=N] [--probe-batch=B] [--no-intra-cut]\n"
-      "            [--cut-oracle=dinic|localvc|hybrid]\n"
       "            [--deadline-ms=D] [--validate] [--stats] [--quiet]\n"
       "            (--threads: 1 = serial, 0 = all hardware threads;\n"
       "             the edge-list loader runs on --threads too;\n"
       "             --probe-batch: probes per intra-cut wavefront, 0 =\n"
       "             adaptive; --no-intra-cut: disable intra-GLOBAL-CUT\n"
-      "             probe parallelism; --cut-oracle: per-probe flow engine\n"
-      "             (default hybrid), output is identical for all three;\n"
-      "             --deadline-ms: wall-clock budget,\n"
+      "             probe parallelism; --deadline-ms: wall-clock budget,\n"
       "             exit 3 with partial stats once it elapses)\n"
       "  stream <graph> <k> [--variant=VCCE*|VCCE|VCCE-N|VCCE-G]\n"
       "         [--threads=N] [--stable-order] [--probe-batch=B]\n"
-      "         [--no-intra-cut] [--cut-oracle=dinic|localvc|hybrid]\n"
-      "         [--deadline-ms=D] [--stream-buffer=L]\n"
+      "         [--no-intra-cut] [--deadline-ms=D] [--stream-buffer=L]\n"
       "         [--priority=interactive|normal|bulk] [--stats]\n"
       "         (NDJSON: one {\"type\": \"component\", ...} line per k-VCC\n"
       "          as soon as it commits, then one \"complete\" line;\n"
@@ -72,8 +68,7 @@ int Usage() {
       "          cancels mid-stream, closing with a \"cancelled\" line;\n"
       "          --threads defaults to 0 = all hardware threads)\n"
       "  batch <jobs-file> [--variant=...] [--threads=N] [--probe-batch=B]\n"
-      "        [--no-intra-cut] [--cut-oracle=dinic|localvc|hybrid]\n"
-      "        [--deadline-ms=D]\n"
+      "        [--no-intra-cut] [--deadline-ms=D]\n"
       "        [--priority=interactive|normal|bulk] [--stats] [--quiet]\n"
       "        (jobs-file lines: \"<graph> <k> [variant]\"; '#' comments.\n"
       "         All jobs run concurrently on one shared engine; output\n"
@@ -111,6 +106,18 @@ bool ParseUint(const std::string& value, unsigned long cap,
     return false;
   }
   out = static_cast<std::uint32_t>(parsed);
+  return true;
+}
+
+/// Parses the positional k of `command` before any graph is loaded; prints
+/// one error line naming k and returns false on junk or on k < min_k.
+bool ParseK(const char* command, const std::string& value,
+            std::uint32_t min_k, std::uint32_t& k) {
+  if (!ParseUint(value, 0xffffffffUL, k) || k < min_k) {
+    std::cerr << "error: " << command << " expects an integer k >= " << min_k
+              << "\n";
+    return false;
+  }
   return true;
 }
 
@@ -186,11 +193,6 @@ struct CommonEnumFlags {
       return ParseProbeBatch(arg.substr(14), probe_batch) ? Parse::kHandled
                                                           : Parse::kError;
     }
-    if (arg.rfind("--cut-oracle=", 0) == 0) {
-      // Throws like FromVariantName; the top-level handler reports it.
-      cut_oracle = CutOracleKindFromName(arg.substr(13));
-      return Parse::kHandled;
-    }
     if (arg.rfind("--deadline-ms=", 0) == 0) {
       return ParseDeadlineMs(arg.substr(14), deadline_ms) ? Parse::kHandled
                                                           : Parse::kError;
@@ -216,7 +218,6 @@ struct CommonEnumFlags {
   void ApplyExecutionKnobs(KvccOptions& options) const {
     options.probe_batch_size = probe_batch;
     options.intra_cut_parallelism = intra_cut;
-    options.cut_oracle = cut_oracle;
     options.deadline_ms = deadline_ms;
     options.priority = priority;
   }
@@ -231,7 +232,6 @@ struct CommonEnumFlags {
   KvccOptions variant = KvccOptions::VcceStar();
   std::uint32_t threads;
   std::uint32_t probe_batch = 0;
-  CutOracleKind cut_oracle = CutOracleKind::kHybrid;
   std::uint32_t deadline_ms = 0;
   JobPriority priority = JobPriority::kNormal;
   bool intra_cut = true;
@@ -249,6 +249,8 @@ void PrintComponents(const Graph& g,
 
 int CmdDecompose(const std::vector<std::string>& args) {
   if (args.size() < 2) return Usage();
+  std::uint32_t k = 0;
+  if (!ParseK("decompose", args[1], 1, k)) return 2;
   CommonEnumFlags flags(/*default_threads=*/1);
   bool validate = false, quiet = false;
   for (std::size_t i = 2; i < args.size(); ++i) {
@@ -265,7 +267,6 @@ int CmdDecompose(const std::vector<std::string>& args) {
   }
   const bool stats = flags.stats;
   const Graph g = ReadEdgeListFile(args[0], flags.threads);
-  const auto k = static_cast<std::uint32_t>(std::stoul(args[1]));
   KvccOptions options = flags.Options();
   options.num_threads = flags.threads;
   Timer timer;
@@ -303,6 +304,8 @@ int CmdDecompose(const std::vector<std::string>& args) {
 
 int CmdStream(const std::vector<std::string>& args) {
   if (args.size() < 2) return Usage();
+  std::uint32_t k = 0;
+  if (!ParseK("stream", args[1], 1, k)) return 2;
   // Streaming defaults to all hardware threads (the serving shape).
   CommonEnumFlags flags(/*default_threads=*/0);
   bool stable_order = false;
@@ -325,11 +328,6 @@ int CmdStream(const std::vector<std::string>& args) {
   }
   const bool stats = flags.stats;
   const Graph g = ReadEdgeListFile(args[0], flags.threads);
-  std::uint32_t k = 0;
-  if (!ParseUint(args[1], 0xffffffffUL, k) || k == 0) {
-    std::cerr << "error: stream expects an integer k >= 1\n";
-    return 2;
-  }
   KvccOptions options = flags.Options();
   options.stable_order = stable_order;
   options.stream_buffer_limit = stream_buffer;
@@ -523,9 +521,10 @@ int CmdHierarchy(const std::vector<std::string>& args) {
 
 int CmdConnectivity(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
+  std::uint32_t k = 0;
+  if (args.size() > 1 && !ParseK("connectivity", args[1], 0, k)) return 2;
   const Graph g = ReadEdgeListFile(args[0]);
   if (args.size() > 1) {
-    const auto k = static_cast<std::uint32_t>(std::stoul(args[1]));
     const bool yes = IsKVertexConnected(g, k);
     std::cout << (yes ? "yes" : "no") << ": graph is "
               << (yes ? "" : "NOT ") << k << "-vertex-connected\n";
@@ -537,8 +536,9 @@ int CmdConnectivity(const std::vector<std::string>& args) {
 
 int CmdModels(const std::vector<std::string>& args) {
   if (args.size() < 2) return Usage();
+  std::uint32_t k = 0;
+  if (!ParseK("models", args[1], 1, k)) return 2;
   const Graph g = ReadEdgeListFile(args[0]);
-  const auto k = static_cast<std::uint32_t>(std::stoul(args[1]));
   const auto core = KCoreVertices(g, k);
   const auto eccs = KEdgeConnectedComponents(g, k);
   const auto vccs = EnumerateKVccs(g, k).components;

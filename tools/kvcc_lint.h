@@ -1,8 +1,8 @@
 // kvcc-lint — the project's determinism & scratch-discipline static checker.
 //
 // The system's load-bearing guarantee — components, cuts, hierarchies, and
-// stats byte-identical across thread counts, cut oracles, and batch sizes —
-// is enforced dynamically by the property tests and the sanitizer CI matrix.
+// stats byte-identical across thread counts and batch sizes — is enforced
+// dynamically by the property tests and the sanitizer CI matrix.
 // This linter makes the most common ways of *breaking* that guarantee a
 // checkable property of the source itself, so a violation fails the analysis
 // CI stage before a single test runs.

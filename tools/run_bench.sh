@@ -32,8 +32,8 @@ fi
 
 cmake --build "$BUILD_DIR" -j \
   --target bench_scalability_threads bench_batch_throughput \
-           bench_stream_latency bench_cancellation bench_cut_oracle \
-           bench_serving bench_incremental bench_micro_kvcc 2>/dev/null ||
+           bench_stream_latency bench_cancellation bench_serving \
+           bench_incremental bench_micro_kvcc 2>/dev/null ||
   cmake --build "$BUILD_DIR" -j
 
 BUILD_TYPE="$(build_type)"
@@ -66,12 +66,6 @@ rm -f "$OUT_FILE"
 # drain) and bounded-stream backpressure (peak buffer capped at the limit;
 # fails hard if the bound is exceeded or a multiset diverges).
 "$BUILD_DIR/bench_cancellation" --threads=1,2,4 --json="$OUT_FILE" \
-  --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
-
-# CutOracle probe engines: per-probe arc inspections and end-to-end time
-# for Dinic vs LocalVC vs Hybrid on the hub-heavy and planted scenarios
-# (hard-fails if any engine's decomposition diverges from the baseline).
-"$BUILD_DIR/bench_cut_oracle" --json="$OUT_FILE" \
   --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
 
 # kvccd serving: cold decompose vs cache-served repeat through the full
@@ -125,13 +119,6 @@ if ! grep -q '"bench": "cancellation"' "$OUT_FILE" ||
    ! grep -q '"abandon_reclaim_ms"' "$OUT_FILE" ||
    ! grep -q '"bounded_peak_buffered"' "$OUT_FILE"; then
   echo "run_bench.sh: snapshot is missing the job-control entry" >&2
-  exit 1
-fi
-if ! grep -q '"bench": "cut_oracle"' "$OUT_FILE" ||
-   ! grep -q '"scenario": "hub_heavy"' "$OUT_FILE" ||
-   ! grep -q '"probe_edges_touched"' "$OUT_FILE" ||
-   ! grep -q '"edges_touched_ratio_vs_dinic"' "$OUT_FILE"; then
-  echo "run_bench.sh: snapshot is missing the cut-oracle entry" >&2
   exit 1
 fi
 if ! grep -q '"bench": "serving"' "$OUT_FILE" ||
