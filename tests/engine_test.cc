@@ -523,9 +523,10 @@ TEST(KvccEngineStreamingTest, SerialStreamingMatchesBufferedEnumeration) {
 
 /// A saturating multi-block workload: big enough that its recursion spans
 /// many tasks and many components, so there is always work left to cancel.
-PlantedVccGraph MakeCancellationWorkload(std::uint64_t seed = 23) {
+PlantedVccGraph MakeCancellationWorkload(std::uint64_t seed = 23,
+                                         std::uint32_t num_blocks = 8) {
   PlantedVccConfig config;
-  config.num_blocks = 8;
+  config.num_blocks = num_blocks;
   config.block_size_min = 22;
   config.block_size_max = 34;
   config.connectivity = 9;
@@ -705,7 +706,10 @@ TEST(KvccEngineJobControlTest, AbandonedStreamReclaimsWorkersPromptly) {
   // token, so tearing the engine down right after an early abandon must
   // take a small fraction of the job's full runtime — the workers return
   // at the next task / probe boundary instead of draining the recursion.
-  const PlantedVccGraph planted = MakeCancellationWorkload(37);
+  // 64 blocks make the full run ~150 ms on a 4-vCPU x86 box (8 blocks ran
+  // in ~4 ms), so one scheduler time slice lost while the engine drains
+  // cannot cross the bound below; the abandon path itself costs ~0.5 ms.
+  const PlantedVccGraph planted = MakeCancellationWorkload(37, 64);
 
   double full_ms = 0;
   {
@@ -731,7 +735,7 @@ TEST(KvccEngineJobControlTest, AbandonedStreamReclaimsWorkersPromptly) {
     // recursion.
   }
   const double abandoned_ms = timer.ElapsedMillis();
-  // After one component of an 8-block workload, nearly the whole tree is
+  // After one component of a 64-block workload, nearly the whole tree is
   // still outstanding; a full drain would cost close to full_ms. The
   // bounded-wall-clock assertion: reclamation costs at most half of it
   // (in practice a few milliseconds; the slack absorbs sanitizer and CI
