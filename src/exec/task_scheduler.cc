@@ -1,6 +1,7 @@
 #include "exec/task_scheduler.h"
 
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -229,16 +230,13 @@ void TaskScheduler::WorkerLoop(unsigned worker) {
       try {
         task(worker);
       } catch (...) {
-        // Record the first failure and keep draining so the counter still
-        // reaches zero; Run() rethrows after the workers join. Matches the
-        // serial path, where the exception reaches the caller directly.
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
+        // Keep draining so the counter still reaches zero; owners capture
+        // failures per job inside their tasks.
       }
       task = nullptr;  // Release captures before possibly blocking.
       std::lock_guard<std::mutex> lock(state_mutex_);
       if (--outstanding_ == 0) {
-        // Quiescent: wake Run()/Stop() waiters and parked siblings (which
+        // Quiescent: wake Stop() waiters and parked siblings (which
         // either exit, if stopping, or re-park until the next Submit).
         wake_cv_.notify_all();
       }
@@ -275,24 +273,6 @@ void TaskScheduler::Stop() {
   wake_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
-}
-
-void TaskScheduler::Run() {
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (outstanding_ == 0) {
-      stop_ = true;  // Nothing to do; leave the scheduler retired.
-      return;
-    }
-  }
-  // One-shot = persistent lifecycle compressed: spawn, drain (Stop only
-  // joins once outstanding_ hits zero), then surface the first failure.
-  Start();
-  Stop();
-  if (first_error_) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    std::rethrow_exception(error);
-  }
 }
 
 }  // namespace kvcc::exec

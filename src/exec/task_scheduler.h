@@ -14,14 +14,10 @@
 //     when it drops to zero no task is running or queued, so no new task
 //     can appear until the next external Submit.
 //
-// Two driving modes share the same worker loop:
-//
-//   * one-shot (Run): seed tasks with Submit, then Run() executes the tree
-//     to quiescence on freshly spawned threads and joins them;
-//   * persistent (Start/Stop): Start() spawns workers that park at
-//     quiescence instead of exiting, so a long-lived owner (KvccEngine) can
-//     keep submitting batches of independent jobs against warm per-worker
-//     state. Stop() drains every remaining task, then joins.
+// Start() spawns workers that park at quiescence instead of exiting, so a
+// long-lived owner (KvccEngine) can keep submitting batches of independent
+// jobs against warm per-worker state. Stop() drains every remaining task,
+// then joins.
 //
 // Tasks receive their worker's id (0 <= id < num_workers), which callers
 // use to index per-worker scratch state without any synchronization.
@@ -59,7 +55,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -68,8 +63,8 @@
 
 /// \file
 /// \brief Work-stealing task scheduler for recursive decomposition
-/// workloads: per-worker deques, one-shot and persistent driving modes,
-/// and a nest-safe ParallelFor.
+/// workloads: per-worker deques, a Start/Stop worker pool, and a nest-safe
+/// ParallelFor.
 
 /// \brief Execution substrate: the work-stealing task scheduler shared by
 /// every parallel layer of the k-VCC engine.
@@ -98,15 +93,14 @@ enum class TaskPriority : std::uint8_t {
 inline constexpr unsigned kNumTaskPriorities = 3;
 
 /// \brief Work-stealing task scheduler for dynamic trees of independent
-/// tasks (see file comment for the deque discipline and the two driving
-/// modes).
+/// tasks (see file comment for the deque discipline).
 class TaskScheduler {
  public:
   /// \brief A task body; the argument is the executing worker's id.
   using Task = std::function<void(unsigned worker)>;
 
-  /// \brief Creates the scheduler. Threads are spawned by Run() or
-  /// Start(), not here.
+  /// \brief Creates the scheduler. Threads are spawned by Start(), not
+  /// here.
   /// \param num_workers Number of worker threads (>= 1).
   explicit TaskScheduler(unsigned num_workers);
 
@@ -124,10 +118,9 @@ class TaskScheduler {
 
   /// \brief Enqueues a task.
   ///
-  /// Callable before Run()/Start() (seeding), from within a running task
+  /// Callable before Start() (seeding), from within a running task
   /// (spawning children; the task lands on the calling worker's own
-  /// deque), and — in persistent mode — from any external thread while
-  /// the workers are parked.
+  /// deque), and from any external thread while the workers are parked.
   /// \param task The body to run; receives the executing worker's id.
   /// \param priority Latency class; children of a prioritized job should
   ///   carry their job's class so the whole recursion inherits it.
@@ -184,25 +177,15 @@ class TaskScheduler {
                        body,
                    TaskPriority priority = TaskPriority::kNormal);
 
-  /// \brief One-shot mode: runs until every submitted task (including
-  /// tasks submitted while running) has completed, then joins the
-  /// workers.
-  ///
-  /// Call at most once, and not after Start().
-  /// \throws Rethrows the first exception a task threw (after all
-  ///   remaining tasks have still been drained).
-  void Run();
-
-  /// \brief Persistent mode: spawns worker threads that park at
-  /// quiescence and wake on the next Submit, so the scheduler serves an
-  /// open-ended stream of task trees. Call at most once; pair with
-  /// Stop().
+  /// \brief Spawns worker threads that park at quiescence and wake on the
+  /// next Submit, so the scheduler serves an open-ended stream of task
+  /// trees. Call at most once; pair with Stop().
   void Start();
 
   /// \brief Drains every outstanding task, joins the workers, and retires
-  /// the scheduler. Exceptions thrown by tasks are NOT rethrown here (a
-  /// persistent owner is expected to capture failures per job); they are
-  /// swallowed after the drain. Idempotent.
+  /// the scheduler. Exceptions thrown by tasks are NOT rethrown here (the
+  /// owner is expected to capture failures per job); a throwing task is
+  /// counted as finished and the drain goes on. Idempotent.
   void Stop();
 
  private:
@@ -233,7 +216,6 @@ class TaskScheduler {
   std::uint64_t submit_seq_ = 0;
   std::mutex state_mutex_;
   std::condition_variable wake_cv_;
-  std::exception_ptr first_error_;  // first task failure; rethrown by Run()
   // Workers exit once stop_ is set *and* the outstanding counter hits zero,
   // so Stop() always drains in-flight task trees before joining.
   bool stop_ = false;

@@ -286,8 +286,9 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   sweep.Sweep(source, SweepCause::kTested);
 
   auto finish_with_cut = [&](std::vector<VertexId> cut) {
-    if (use_certificate && options.verify_cuts &&
-        !detail::CutDisconnects(g, cut, *scratch)) {
+    // A cut found on the certificate is always checked against the
+    // working graph, at O(n + m) per cut.
+    if (use_certificate && !detail::CutDisconnects(g, cut, *scratch)) {
       // By the certificate theorem this cannot happen; if it ever does,
       // fall back to an exact search on the full graph. The recursive call
       // rebinds the scratch's flow/sweep/order/wavefront state; none of

@@ -16,7 +16,7 @@ namespace kvcc {
 namespace {
 
 /// Arms `token` from options.deadline_ms and returns it as the cancel
-/// pointer the serial drivers poll (null when no deadline is set — the
+/// pointer the serial loop polls (null when no deadline is set — the
 /// serial paths have no other cancellation trigger).
 const CancelToken* ArmDeadline(const KvccOptions& options,
                                CancelToken& token) {
@@ -24,6 +24,51 @@ const CancelToken* ArmDeadline(const KvccOptions& options,
   token.SetDeadline(std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(options.deadline_ms));
   return &token;
+}
+
+/// The serial recursion behind both serial drivers: an explicit LIFO stack
+/// run on the calling thread. The stack *is* the definition of the serial
+/// emission order (stable_order replays it) — each item's own components
+/// reach `emit` first, then the subtree of its last-spawned child, and so
+/// on. Returns the run's stats. When options.deadline_ms elapses, throws
+/// JobCancelled("<caller>: deadline elapsed") carrying the partial stats;
+/// any other exception (a sink's included) propagates unchanged.
+template <typename Emit>
+KvccStats RunSerial(const Graph& g, std::uint32_t k,
+                    const KvccOptions& options, const char* caller,
+                    Emit&& emit) {
+  const bool maintain =
+      options.maintain_side_vertices && options.neighbor_sweep;
+  internal::EnumScratch scratch;
+  CancelToken deadline_token;
+  const CancelToken* cancel = ArmDeadline(options, deadline_token);
+  KvccStats stats;
+  std::vector<internal::WorkItem> stack;
+  auto spawn = [&stack](internal::WorkItem&& child) {
+    stack.push_back(std::move(child));
+  };
+  try {
+    internal::ProcessItem(internal::WorkItem{}, &g, k, options, maintain,
+                          scratch, stats, /*scheduler=*/nullptr, cancel,
+                          emit, spawn);
+    while (!stack.empty()) {
+      // Task-boundary check: the remaining stack is never processed.
+      if (cancel != nullptr && cancel->Cancelled()) {
+        throw JobCancelled(std::string(caller) + ": deadline elapsed");
+      }
+      internal::WorkItem item = std::move(stack.back());
+      stack.pop_back();
+      internal::ProcessItem(std::move(item), nullptr, k, options, maintain,
+                            scratch, stats, /*scheduler=*/nullptr, cancel,
+                            emit, spawn);
+    }
+  } catch (const JobCancelled& cancelled) {
+    // Attach the partial counters (a mid-GLOBAL-CUT unwind carries none)
+    // and account the stack items the unwind left unprocessed.
+    stats.tasks_cancelled += stack.size();
+    throw JobCancelled(cancelled.what(), stats);
+  }
+  return stats;
 }
 
 }  // namespace
@@ -92,44 +137,11 @@ KvccResult EnumerateKVccs(const Graph& g, std::uint32_t k,
     return engine.Wait(engine.Submit(g, k, options));
   }
 
-  // Serial path: the scheduler degenerates to an explicit LIFO stack run
-  // on the calling thread.
-  const bool maintain =
-      options.maintain_side_vertices && options.neighbor_sweep;
-  internal::EnumScratch scratch;
-  CancelToken deadline_token;
-  const CancelToken* cancel = ArmDeadline(options, deadline_token);
   KvccResult result;
-  std::vector<internal::WorkItem> stack;
-  auto emit = [&result](std::vector<VertexId> ids) {
-    result.components.push_back(std::move(ids));
-  };
-  auto spawn = [&stack](internal::WorkItem&& child) {
-    stack.push_back(std::move(child));
-  };
-  try {
-    internal::ProcessItem(internal::WorkItem{}, &g, k, options, maintain,
-                          scratch, result.stats, /*scheduler=*/nullptr,
-                          cancel, emit, spawn);
-    while (!stack.empty()) {
-      if (cancel != nullptr && cancel->Cancelled()) {
-        // Task-boundary check: the remaining stack is never processed.
-        result.stats.tasks_cancelled += stack.size();
-        stack.clear();
-        throw JobCancelled("EnumerateKVccs: deadline elapsed");
-      }
-      internal::WorkItem item = std::move(stack.back());
-      stack.pop_back();
-      internal::ProcessItem(std::move(item), nullptr, k, options, maintain,
-                            scratch, result.stats, /*scheduler=*/nullptr,
-                            cancel, emit, spawn);
-    }
-  } catch (const JobCancelled& cancelled) {
-    // Attach the partial counters (a mid-GLOBAL-CUT unwind carries none)
-    // and account the stack items the unwind left unprocessed.
-    result.stats.tasks_cancelled += stack.size();
-    throw JobCancelled(cancelled.what(), result.stats);
-  }
+  result.stats = RunSerial(g, k, options, "EnumerateKVccs",
+                           [&result](std::vector<VertexId> ids) {
+                             result.components.push_back(std::move(ids));
+                           });
   std::sort(result.components.begin(), result.components.end());
   return result;
 }
@@ -153,54 +165,19 @@ void EnumerateKVccsStreaming(const Graph& g, std::uint32_t k,
     return;
   }
 
-  // Serial path: the LIFO stack below *is* the definition of the serial
-  // emission order (stable_order replays it) — each item's own components
-  // first, then the subtree of its last-spawned child, and so on.
-  const bool maintain =
-      options.maintain_side_vertices && options.neighbor_sweep;
-  internal::EnumScratch scratch;
-  CancelToken deadline_token;
-  const CancelToken* cancel = ArmDeadline(options, deadline_token);
-  KvccStats stats;
   std::uint64_t sequence = 0;
-  std::vector<internal::WorkItem> stack;
-  auto emit = [&](std::vector<VertexId> ids) {
-    StreamedComponent component;
-    component.sequence = sequence++;
-    component.vertices = std::move(ids);
-    sink.OnComponent(std::move(component));
-  };
-  auto spawn = [&stack](internal::WorkItem&& child) {
-    stack.push_back(std::move(child));
-  };
+  KvccStats stats;
   try {
-    internal::ProcessItem(internal::WorkItem{}, &g, k, options, maintain,
-                          scratch, stats, /*scheduler=*/nullptr, cancel,
-                          emit, spawn);
-    while (!stack.empty()) {
-      if (cancel != nullptr && cancel->Cancelled()) {
-        stats.tasks_cancelled += stack.size();
-        stack.clear();
-        throw JobCancelled("EnumerateKVccsStreaming: deadline elapsed");
-      }
-      internal::WorkItem item = std::move(stack.back());
-      stack.pop_back();
-      internal::ProcessItem(std::move(item), nullptr, k, options, maintain,
-                            scratch, stats, /*scheduler=*/nullptr, cancel,
-                            emit, spawn);
-    }
-  } catch (const JobCancelled& cancelled) {
-    // Same OnError-then-throw shape as the generic failure path below,
-    // but the surfaced outcome carries the partial stats of the work
-    // that ran (components delivered so far stay delivered).
-    stats.tasks_cancelled += stack.size();
-    const JobCancelled outcome(cancelled.what(), stats);
-    try {
-      sink.OnError(std::make_exception_ptr(outcome));
-    } catch (...) {
-    }
-    throw outcome;
+    stats = RunSerial(g, k, options, "EnumerateKVccsStreaming",
+                      [&](std::vector<VertexId> ids) {
+                        StreamedComponent component;
+                        component.sequence = sequence++;
+                        component.vertices = std::move(ids);
+                        sink.OnComponent(std::move(component));
+                      });
   } catch (...) {
+    // A deadline's JobCancelled (with partial stats) or any algorithm or
+    // sink error: components delivered so far stay delivered.
     const std::exception_ptr error = std::current_exception();
     try {
       sink.OnError(error);

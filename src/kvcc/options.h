@@ -74,11 +74,6 @@ struct KvccOptions {
   /// work would exceed the flow tests it saves. 0 = no cap.
   std::uint32_t side_vertex_degree_cap = 128;
 
-  /// \brief Defensive verification that every cut found on the sparse
-  /// certificate actually disconnects the working graph (it must, by the
-  /// certificate theorem). Costs O(n + m) per cut; keep on in production.
-  bool verify_cuts = true;
-
   /// \brief Worker threads for the enumeration engine. 1 (default) runs
   /// the exact serial code path; 0 uses one worker per hardware thread;
   /// any other value runs that many workers over a work-stealing

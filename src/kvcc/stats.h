@@ -92,7 +92,8 @@ struct KvccStats {
   std::uint64_t strong_side_verdicts_reused = 0;
   /// \brief Times a certificate cut failed to disconnect the working
   /// graph and the search was re-run without the certificate. Must stay
-  /// 0; see KvccOptions::verify_cuts.
+  /// 0 by the certificate theorem; GlobalCut checks every cut it finds on
+  /// the certificate with one BFS of the working graph.
   std::uint64_t certificate_cut_fallbacks = 0;
 
   // --- intra-GLOBAL-CUT wavefront diagnostics ---

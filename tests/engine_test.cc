@@ -33,7 +33,7 @@
 namespace kvcc {
 namespace {
 
-const std::vector<unsigned> kWorkerCounts = {1, 2, 8};
+const std::vector<unsigned> kWorkerCounts = {1, 2, 4, 8};
 
 struct TestJob {
   Graph graph;

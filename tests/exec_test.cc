@@ -19,11 +19,6 @@ TEST(ResolveThreadCountTest, ZeroMeansHardwareConcurrency) {
   EXPECT_EQ(ResolveThreadCount(7), 7u);
 }
 
-TEST(TaskSchedulerTest, RunWithNoTasksReturnsImmediately) {
-  TaskScheduler scheduler(4);
-  scheduler.Run();  // Must not hang.
-}
-
 TEST(TaskSchedulerTest, ExecutesEverySeededTaskExactlyOnce) {
   for (unsigned workers : {1u, 2u, 4u}) {
     TaskScheduler scheduler(workers);
@@ -31,7 +26,8 @@ TEST(TaskSchedulerTest, ExecutesEverySeededTaskExactlyOnce) {
     for (int i = 0; i < 100; ++i) {
       scheduler.Submit([&executed](unsigned) { ++executed; });
     }
-    scheduler.Run();
+    scheduler.Start();
+    scheduler.Stop();
     EXPECT_EQ(executed.load(), 100u) << "workers=" << workers;
   }
 }
@@ -46,7 +42,8 @@ TEST(TaskSchedulerTest, WorkerIdsAreInRange) {
       seen.insert(worker);
     });
   }
-  scheduler.Run();
+  scheduler.Start();
+  scheduler.Stop();
   ASSERT_FALSE(seen.empty());
   for (unsigned worker : seen) EXPECT_LT(worker, 3u);
 }
@@ -70,13 +67,17 @@ TEST(TaskSchedulerTest, TasksCanSpawnChildren) {
       }
     } spawner{scheduler, executed};
     scheduler.Submit([&spawner](unsigned) { spawner.Go(9); });
-    scheduler.Run();
+    scheduler.Start();
+    scheduler.Stop();
     EXPECT_EQ(executed.load(), 1023u) << "workers=" << workers;
   }
 }
 
-TEST(TaskSchedulerTest, TaskExceptionIsRethrownAfterDraining) {
+TEST(TaskSchedulerTest, TaskExceptionDoesNotStopTheDrain) {
+  // A throwing task counts as finished, so every other task still runs
+  // and Stop() returns instead of waiting forever.
   TaskScheduler scheduler(2);
+  scheduler.Start();
   std::atomic<std::uint64_t> executed{0};
   for (int i = 0; i < 20; ++i) {
     scheduler.Submit([&executed, i](unsigned) {
@@ -84,9 +85,7 @@ TEST(TaskSchedulerTest, TaskExceptionIsRethrownAfterDraining) {
       ++executed;
     });
   }
-  EXPECT_THROW(scheduler.Run(), std::runtime_error);
-  // Every non-throwing task still ran: the failure is recorded, not fatal
-  // to the rest of the drain.
+  scheduler.Stop();
   EXPECT_EQ(executed.load(), 19u);
 }
 
@@ -166,7 +165,8 @@ TEST(TaskSchedulerTest, SubmitSharedFromInsideTaskStillRuns) {
       scheduler.SubmitShared([&](unsigned) { ++executed; });
     }
   });
-  scheduler.Run();
+  scheduler.Start();
+  scheduler.Stop();
   EXPECT_EQ(executed.load(), 10u);
 }
 
@@ -275,7 +275,7 @@ TEST(ParallelForTest, BodyExceptionIsRethrownAfterDraining) {
 }
 
 TEST(TaskPriorityTest, WeightedPopPrefersInteractiveWithoutStarvingBulk) {
-  // One worker, tasks seeded before Run: execution order is exactly the
+  // One worker, tasks seeded before Start: execution order is exactly the
   // owner's pop order, so the weighted policy is directly observable.
   // Interactive tasks must be served (almost) first, but the fairness
   // stride guarantees bulk a share even while interactive work waits.
@@ -299,7 +299,8 @@ TEST(TaskPriorityTest, WeightedPopPrefersInteractiveWithoutStarvingBulk) {
         },
         TaskPriority::kInteractive);
   }
-  scheduler.Run();
+  scheduler.Start();
+  scheduler.Stop();
   ASSERT_EQ(order.size(), 2u * kEach);
 
   // All interactive tasks land within the first kEach + 2 executions:
@@ -342,7 +343,8 @@ TEST(TaskPriorityTest, FairnessRotationServesBothLowerClasses) {
           classes[c]);
     }
   }
-  scheduler.Run();
+  scheduler.Start();
+  scheduler.Stop();
   ASSERT_EQ(order.size(), 3u * kEach);
   int last_interactive = 0;
   for (int pos = 0; pos < static_cast<int>(order.size()); ++pos) {
@@ -367,7 +369,8 @@ TEST(TaskPriorityTest, AllClassesDrainToCompletion) {
     for (int t = 0; t < 300; ++t) {
       scheduler.Submit([&](unsigned) { ++ran; }, classes[t % 3]);
     }
-    scheduler.Run();
+    scheduler.Start();
+    scheduler.Stop();
     EXPECT_EQ(ran.load(), 300u) << "workers=" << workers;
   }
 }
@@ -381,7 +384,8 @@ TEST(TaskSchedulerTest, ParallelSumMatchesSerial) {
   for (std::uint64_t i = 1; i <= kTasks; ++i) {
     scheduler.Submit([&sum, i](unsigned) { sum += i * i; });
   }
-  scheduler.Run();
+  scheduler.Start();
+  scheduler.Stop();
   std::uint64_t expected = 0;
   for (std::uint64_t i = 1; i <= kTasks; ++i) expected += i * i;
   EXPECT_EQ(sum.load(), expected);

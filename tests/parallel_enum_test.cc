@@ -16,7 +16,7 @@
 namespace kvcc {
 namespace {
 
-const std::vector<std::uint32_t> kThreadCounts = {1, 2, 8};
+const std::vector<std::uint32_t> kThreadCounts = {1, 2, 4, 8};
 
 void ExpectSameStats(const KvccStats& a, const KvccStats& b,
                      const std::string& context) {

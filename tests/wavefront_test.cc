@@ -234,22 +234,29 @@ TEST(WavefrontTest, SingleGiantComponentEngagesWavefronts) {
   // would leave every other worker idle; the wavefronts must actually
   // launch probes here (this is the ROADMAP gap this feature closes).
   // Default options: the graph clears the intra_cut_min_vertices floor.
-  const Graph g = HararyGraph(6, 150);
-  KvccOptions options = KvccOptions::VcceStar();
-  options.num_threads = 4;
-  ASSERT_GE(150u, options.intra_cut_min_vertices);
-  const KvccResult run = EnumerateKVccs(g, 6, options);
-  ASSERT_EQ(run.components.size(), 1u);
-  EXPECT_EQ(run.components[0].size(), 150u);
-  EXPECT_GT(run.stats.probe_wavefronts, 0u);
-  EXPECT_GT(run.stats.probes_launched, 0u);
+  for (const std::uint32_t k : {6u, 12u}) {
+    const Graph g = HararyGraph(k, 150);
+    const KvccOptions serial = KvccOptions::VcceStar();
+    ASSERT_GE(150u, serial.intra_cut_min_vertices);
+    const KvccResult serial_run = EnumerateKVccs(g, k, serial);
+    EXPECT_EQ(serial_run.stats.probes_launched, 0u) << "k=" << k;
 
-  KvccOptions serial = options;
-  serial.num_threads = 1;
-  const KvccResult serial_run = EnumerateKVccs(g, 6, serial);
-  EXPECT_EQ(run.components, serial_run.components);
-  EXPECT_EQ(run.stats.loc_cut_flow_calls, serial_run.stats.loc_cut_flow_calls);
-  EXPECT_EQ(serial_run.stats.probes_launched, 0u);
+    for (const std::uint32_t threads : {2u, 4u}) {
+      KvccOptions options = serial;
+      options.num_threads = threads;
+      const KvccResult run = EnumerateKVccs(g, k, options);
+      const std::string context =
+          "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
+      ASSERT_EQ(run.components.size(), 1u) << context;
+      EXPECT_EQ(run.components[0].size(), 150u) << context;
+      EXPECT_GT(run.stats.probe_wavefronts, 0u) << context;
+      EXPECT_GT(run.stats.probes_launched, 0u) << context;
+      EXPECT_EQ(run.components, serial_run.components) << context;
+      EXPECT_EQ(run.stats.loc_cut_flow_calls,
+                serial_run.stats.loc_cut_flow_calls)
+          << context;
+    }
+  }
 }
 
 TEST(WavefrontTest, IntraCutParallelismCanBeDisabled) {

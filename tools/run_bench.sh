@@ -31,9 +31,7 @@ elif [[ "$(build_type)" != "Release" ]]; then
 fi
 
 cmake --build "$BUILD_DIR" -j \
-  --target bench_scalability_threads bench_batch_throughput \
-           bench_stream_latency bench_cancellation bench_serving \
-           bench_incremental bench_micro_kvcc 2>/dev/null ||
+  --target bench_cancellation bench_serving bench_incremental 2>/dev/null ||
   cmake --build "$BUILD_DIR" -j
 
 BUILD_TYPE="$(build_type)"
@@ -45,22 +43,6 @@ fi
 GIT_COMMIT="$(git -C "$REPO_ROOT" describe --always --dirty 2>/dev/null || echo unknown)"
 
 rm -f "$OUT_FILE"
-
-# Thread-scalability sweep (also validates identical output per thread
-# count). Emits two snapshot lines: the planted bushy-recursion workload and
-# the shallow single-k-VCC workload whose scaling comes entirely from the
-# intra-GLOBAL-CUT probe wavefronts (probe-waste stats included).
-"$BUILD_DIR/bench_scalability_threads" --threads=1,2,4 --json="$OUT_FILE" \
-  --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
-
-# Batch serving throughput on the shared engine.
-"$BUILD_DIR/bench_batch_throughput" --threads=1,2,4 --json="$OUT_FILE" \
-  --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
-
-# Streaming delivery latency (time-to-first/median/last component vs the
-# buffered Wait; also re-checks streamed-multiset identity).
-"$BUILD_DIR/bench_stream_latency" --threads=1,2,4 --json="$OUT_FILE" \
-  --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
 
 # Job control: abandonment reclaim latency (must land far under the full
 # drain) and bounded-stream backpressure (peak buffer capped at the limit;
@@ -81,38 +63,8 @@ rm -f "$OUT_FILE"
 "$BUILD_DIR/bench_incremental" --json="$OUT_FILE" \
   --build-type="$BUILD_TYPE" --commit="$GIT_COMMIT"
 
-# google-benchmark micro suite, if it was built. The report is wrapped in
-# an envelope carrying OUR build stamp: the inner context's
-# "library_build_type" describes how the google-benchmark *library
-# package* was compiled (Debian ships it as "debug"), not this repo.
-if [[ -x "$BUILD_DIR/bench_micro_kvcc" ]]; then
-  MICRO_OUT="$(mktemp)"
-  "$BUILD_DIR/bench_micro_kvcc" --benchmark_format=json \
-    --benchmark_min_time=0.1 >"$MICRO_OUT" 2>/dev/null
-  # Append as one more JSON line: one snapshot object per line.
-  printf '{"bench": "micro_kvcc", "build_type": "%s", "git_commit": "%s", "report": ' \
-    "$BUILD_TYPE" "$GIT_COMMIT" >>"$OUT_FILE"
-  tr -d '\n' <"$MICRO_OUT" >>"$OUT_FILE"
-  printf '}\n' >>"$OUT_FILE"
-  rm -f "$MICRO_OUT"
-fi
-
 if ! grep -q '"build_type": "Release"' "$OUT_FILE"; then
   echo "run_bench.sh: snapshot is missing the Release stamp" >&2
-  exit 1
-fi
-if ! grep -q '"bench": "batch_throughput"' "$OUT_FILE"; then
-  echo "run_bench.sh: snapshot is missing the batch-throughput entry" >&2
-  exit 1
-fi
-if ! grep -q '"bench": "scalability_threads_shallow"' "$OUT_FILE" ||
-   ! grep -q '"probes_launched"' "$OUT_FILE"; then
-  echo "run_bench.sh: snapshot is missing the shallow-recursion wavefront entry" >&2
-  exit 1
-fi
-if ! grep -q '"bench": "stream_latency"' "$OUT_FILE" ||
-   ! grep -q '"first_component_ms"' "$OUT_FILE"; then
-  echo "run_bench.sh: snapshot is missing the streaming-latency entry" >&2
   exit 1
 fi
 if ! grep -q '"bench": "cancellation"' "$OUT_FILE" ||
