@@ -8,8 +8,11 @@
 #include "gen/fixtures.h"
 #include "graph/bfs.h"
 #include "graph/graph.h"
+#include "kvcc/connectivity.h"
 #include "kvcc/flow_graph.h"
 #include "support/brute_force.h"
+#include "support/referee.h"
+#include "util/random.h"
 
 namespace kvcc {
 namespace {
@@ -207,6 +210,46 @@ TEST(DirectedFlowGraphTest, LocCutMatchesBruteForceConnectivity) {
                 << "seed=" << seed << " u=" << u << " v=" << v << " k=" << k;
             EXPECT_TRUE(CutSeparates(g, cut, u, v))
                 << "seed=" << seed << " u=" << u << " v=" << v << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The probe against the independent referee on graphs too large for brute
+// force: LocCut answers empty iff kappa(u, v) >= k, and otherwise a cut of
+// exactly kappa vertices that the referee confirms separates u from v;
+// LocalVertexConnectivity returns kappa itself.
+TEST(LocCutRefereeTest, MatchesRefereeOnRandomGraphs) {
+  std::uint64_t seed = 0;
+  for (const VertexId n : {40u, 90u, 160u}) {
+    for (const std::uint64_t extra : {2ull * n, 5ull * n}) {
+      ++seed;
+      const Graph g = kvcc::testing::RandomConnectedGraph(n, extra, seed);
+      const kvcc::testing::Referee referee(g);
+      DirectedFlowGraph flow(g);
+      Rng rng(seed);
+      for (int sample = 0; sample < 400; ++sample) {
+        const auto u = static_cast<VertexId>(rng.NextBounded(n));
+        const auto v = static_cast<VertexId>(rng.NextBounded(n));
+        if (u == v || referee.Adjacent(u, v)) continue;
+        const std::uint32_t kappa = referee.LocalConnectivity(u, v);
+        ASSERT_EQ(LocalVertexConnectivity(g, u, v), kappa)
+            << "n=" << n << " seed=" << seed << " u=" << u << " v=" << v;
+        for (std::uint32_t k = 2; k <= 9; ++k) {
+          const std::vector<VertexId> cut = flow.LocCut(u, v, k);
+          if (kappa >= k) {
+            EXPECT_TRUE(cut.empty()) << "n=" << n << " seed=" << seed
+                                     << " u=" << u << " v=" << v
+                                     << " k=" << k;
+          } else {
+            EXPECT_EQ(cut.size(), kappa) << "n=" << n << " seed=" << seed
+                                         << " u=" << u << " v=" << v
+                                         << " k=" << k;
+            EXPECT_TRUE(referee.Separates(cut, u, v))
+                << "n=" << n << " seed=" << seed << " u=" << u
+                << " v=" << v << " k=" << k;
           }
         }
       }
