@@ -10,13 +10,9 @@ namespace kvcc {
 std::uint32_t LocalVertexConnectivity(const Graph& g, VertexId u, VertexId v,
                                       std::uint32_t limit) {
   if (u == v || g.HasEdge(u, v)) return kInfiniteConnectivity;
-  DirectedFlowGraph oracle(g);
   // kappa(u,v) <= min(d(u), d(v)) <= n - 2, so n is a safe "exact" limit.
-  const std::int32_t effective_limit =
-      limit == 0 ? static_cast<std::int32_t>(g.NumVertices())
-                 : static_cast<std::int32_t>(limit);
-  return static_cast<std::uint32_t>(
-      oracle.LocalConnectivity(u, v, effective_limit));
+  return FlowProbe().LocalConnectivity(g, u, v,
+                                       limit == 0 ? g.NumVertices() : limit);
 }
 
 bool IsKVertexConnected(const Graph& g, std::uint32_t k) {
@@ -31,19 +27,16 @@ bool IsKVertexConnected(const Graph& g, std::uint32_t k) {
   // contains u, phase 2 finds a neighbor pair with kappa < k (Lemma 4).
   const VertexId source = g.MinDegreeVertex();
   if (g.Degree(source) < k) return false;  // Whitney: kappa <= delta.
-  DirectedFlowGraph oracle(g);
-  const auto limit = static_cast<std::int32_t>(k);
+  FlowProbe probe;
   for (VertexId v = 0; v < n; ++v) {
     if (v == source || g.HasEdge(source, v)) continue;
-    if (oracle.LocalConnectivity(source, v, limit) < limit) return false;
+    if (probe.LocalConnectivity(g, source, v, k) < k) return false;
   }
   const auto nbrs = g.Neighbors(source);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
       if (g.HasEdge(nbrs[i], nbrs[j])) continue;
-      if (oracle.LocalConnectivity(nbrs[i], nbrs[j], limit) < limit) {
-        return false;
-      }
+      if (probe.LocalConnectivity(g, nbrs[i], nbrs[j], k) < k) return false;
     }
   }
   return true;
@@ -58,20 +51,17 @@ std::uint32_t VertexConnectivity(const Graph& g) {
   std::uint32_t best = g.Degree(source);  // kappa <= delta (Whitney).
   if (best == 0) return 0;
 
-  DirectedFlowGraph oracle(g);
+  FlowProbe probe;
   for (VertexId v = 0; v < n && best > 0; ++v) {
     if (v == source || g.HasEdge(source, v)) continue;
-    const auto flow = static_cast<std::uint32_t>(oracle.LocalConnectivity(
-        source, v, static_cast<std::int32_t>(best)));
-    best = std::min(best, flow);
+    best = std::min(best, probe.LocalConnectivity(g, source, v, best));
   }
   const auto nbrs = g.Neighbors(source);
   for (std::size_t i = 0; i < nbrs.size() && best > 0; ++i) {
     for (std::size_t j = i + 1; j < nbrs.size() && best > 0; ++j) {
       if (g.HasEdge(nbrs[i], nbrs[j])) continue;
-      const auto flow = static_cast<std::uint32_t>(oracle.LocalConnectivity(
-          nbrs[i], nbrs[j], static_cast<std::int32_t>(best)));
-      best = std::min(best, flow);
+      best = std::min(best,
+                      probe.LocalConnectivity(g, nbrs[i], nbrs[j], best));
     }
   }
   // If no non-adjacent pair was ever tested the graph is complete and

@@ -1,92 +1,186 @@
 #include "kvcc/flow_graph.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace kvcc {
 
-DirectedFlowGraph::DirectedFlowGraph(const Graph& g) { Rebuild(g); }
-
-void DirectedFlowGraph::Rebuild(const Graph& g) {
-  graph_ = &g;
-  network_.Reinit(2 * g.NumVertices());
-  // Vertex arcs first: arc index of v's arc is 2v (its reverse 2v+1), which
-  // makes vertex-arc lookups in ExtractVertexCut index-free.
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    network_.AddArc(InNode(v), OutNode(v), 1);
+void FlowProbe::SetLink(VertexId from, VertexId to) {
+  for (const VertexId x : {from, to}) {
+    if (links_[x].epoch != flow_epoch_) links_[x] = {flow_epoch_, kNone, kNone};
   }
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    for (VertexId v : g.Neighbors(u)) {
-      // Each undirected edge contributes u_out -> v_in from both endpoints'
-      // iterations.
-      network_.AddArc(OutNode(u), InNode(v), 1);
-    }
-  }
+  links_[from].succ = to;
+  links_[to].pred = from;
 }
 
-// Warm-path: O(1) steady-state rebind (see AdoptTopology).
+void FlowProbe::ClearLink(VertexId from, VertexId to) {
+  assert(Succ(from) == to && Pred(to) == from);
+  links_[from].succ = kNone;
+  links_[to].pred = kNone;
+}
+
+// Warm path: one level BFS per Dinic phase over the pooled queue.
 // kvcc-lint: no-alloc
-void DirectedFlowGraph::RebindShared(const DirectedFlowGraph& owner) {
-  assert(owner.graph_ != nullptr && "RebindShared from an unbound owner");
-  graph_ = owner.graph_;
-  network_.AdoptTopology(owner.network_);
-}
-
-// Warm-path: one exact Dinic probe on the pooled network.
-// kvcc-lint: no-alloc
-std::int32_t DirectedFlowGraph::LocalConnectivity(VertexId u, VertexId v,
-                                                  std::int32_t limit) {
-  assert(graph_ != nullptr);
-  assert(u != v);
-  network_.ResetFlow();
-  return network_.MaxFlow(OutNode(u), InNode(v), limit);
-}
-
-std::vector<VertexId> DirectedFlowGraph::LocCut(VertexId u, VertexId v,
-                                                std::uint32_t k) {
-  if (u == v || graph_->HasEdge(u, v)) return {};  // Lemma 5.
-  const std::int32_t flow =
-      LocalConnectivity(u, v, static_cast<std::int32_t>(k));
-  if (flow >= static_cast<std::int32_t>(k)) return {};
-  return ExtractVertexCut(u, v);
-}
-
-std::vector<VertexId> DirectedFlowGraph::ExtractVertexCut(VertexId u,
-                                                          VertexId v) {
-  const std::vector<bool> reachable =
-      network_.ResidualReachable(OutNode(u));
-  std::vector<bool> in_cut(graph_->NumVertices(), false);
-  std::vector<VertexId> cut;
-
-  auto add = [&](VertexId w) {
-    assert(w != u && w != v);
-    if (!in_cut[w]) {
-      in_cut[w] = true;
-      cut.push_back(w);
-    }
-  };
-
-  // Vertex arcs crossing the residual cut: w itself is a cut vertex.
-  for (VertexId w = 0; w < graph_->NumVertices(); ++w) {
-    if (reachable[InNode(w)] && !reachable[OutNode(w)]) add(w);
+bool FlowProbe::BuildLevels(const Graph& g, VertexId u, VertexId v) {
+  if (++phase_epoch_ == 0) {  // Epoch wrapped: invalidate every stamp.
+    for (Level& level : levels_) level.epoch = 0;
+    phase_epoch_ = 1;
   }
-  // Edge arcs a_out -> b_in crossing the cut. Any source-to-sink path using
-  // such an arc must next traverse b's vertex arc (b_in has a single
-  // outgoing arc), so removing b also severs it — unless b is the sink v,
-  // in which case the path came through a's vertex arc and removing a works
-  // (a cannot be the source u because u and v are non-adjacent).
-  for (VertexId a = 0; a < graph_->NumVertices(); ++a) {
-    if (!reachable[OutNode(a)]) continue;
-    for (VertexId b : graph_->Neighbors(a)) {
-      if (reachable[InNode(b)]) continue;
-      if (b != v) {
-        // Arcs into u_in never carry flow, so b == u cannot occur here.
-        add(b);
-      } else {
-        add(a);
+  const std::uint32_t sink = In(v);
+  queue_.clear();
+  queue_.push_back(Out(u));  // kvcc-lint: reserved
+  Visit(Out(u), 0);
+  std::uint64_t work = 0;
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const std::uint32_t node = queue_[head];
+    const VertexId x = node >> 1;
+    const std::uint32_t next = levels_[node].level + 1;
+    if (IsIn(node)) {
+      ++work;
+      const std::uint32_t to = InSideMove(x);
+      if (LevelOf(to) == kNone) {
+        Visit(to, next);
+        queue_.push_back(to);  // kvcc-lint: reserved
+      }
+      continue;
+    }
+    const VertexId succ = Succ(x);
+    for (const VertexId y : g.Neighbors(x)) {
+      ++work;
+      if (y == succ || LevelOf(In(y)) != kNone || (x == u && Pred(y) == u)) {
+        continue;
+      }
+      Visit(In(y), next);
+      if (In(y) == sink) {  // Shortest sink level found; enough to phase.
+        work_moves_ += work;
+        return true;
+      }
+      queue_.push_back(In(y));  // kvcc-lint: reserved
+    }
+    if (Pred(x) != kNone) {  // x carries flow: x_out -> x_in is residual.
+      ++work;
+      if (LevelOf(In(x)) == kNone) {
+        Visit(In(x), next);
+        queue_.push_back(In(x));  // kvcc-lint: reserved
       }
     }
   }
-  assert(!cut.empty());
+  work_moves_ += work;
+  return false;
+}
+
+// Warm path: one augmenting path by DFS through the level graph, over the
+// pooled path and the per-node cursors.
+// kvcc-lint: no-alloc
+bool FlowProbe::Augment(const Graph& g, VertexId u, VertexId v) {
+  const std::uint32_t sink = In(v);
+  path_.clear();
+  std::uint32_t node = Out(u);
+  std::uint64_t work = 0;
+  while (node != sink) {
+    Level& at = levels_[node];
+    const VertexId x = node >> 1;
+    const std::uint32_t next = at.level + 1;
+    std::uint32_t to = kNone;
+    if (IsIn(node)) {
+      ++work;
+      const std::uint32_t move = InSideMove(x);
+      if (LevelOf(move) == next) to = move;
+    } else {
+      const auto row = g.Neighbors(x);
+      const VertexId succ = Succ(x);
+      for (; at.cursor < row.size(); ++at.cursor) {
+        ++work;
+        const VertexId y = row[at.cursor];
+        if (y != succ && LevelOf(In(y)) == next &&
+            !(x == u && Pred(y) == u)) {
+          to = In(y);
+          break;
+        }
+      }
+      if (to == kNone && Pred(x) != kNone) {
+        ++work;
+        if (LevelOf(In(x)) == next) to = In(x);
+      }
+    }
+    if (to == kNone) {
+      at.level = kNone;  // Dead end for the rest of this phase.
+      if (path_.empty()) {
+        work_moves_ += work;
+        return false;
+      }
+      node = path_.back();
+      path_.pop_back();
+    } else {
+      path_.push_back(node);  // kvcc-lint: reserved
+      node = to;
+    }
+  }
+  work_moves_ += work;
+  path_.push_back(sink);  // kvcc-lint: reserved
+
+  // A step between two vertices either cancels a link (y_in -> x_out, back
+  // along x -> y) or adds one (x_out -> y_in). Cancellations go first: a
+  // path may enter y_in on a new link and leave it by cancelling y's old
+  // one, and both write pred[y].
+  for (std::size_t i = 0; i + 1 < path_.size(); ++i) {
+    const std::uint32_t a = path_[i];
+    const std::uint32_t b = path_[i + 1];
+    if (IsIn(a) && (a >> 1) != (b >> 1)) ClearLink(b >> 1, a >> 1);
+  }
+  for (std::size_t i = 0; i + 1 < path_.size(); ++i) {
+    const std::uint32_t a = path_[i];
+    const std::uint32_t b = path_[i + 1];
+    if (!IsIn(a) && (a >> 1) != (b >> 1)) SetLink(a >> 1, b >> 1);
+  }
+  return true;
+}
+
+// Warm path: one Dinic run on pooled, epoch-stamped state.
+// kvcc-lint: no-alloc
+std::uint32_t FlowProbe::LocalConnectivity(const Graph& g, VertexId u,
+                                           VertexId v, std::uint32_t limit) {
+  assert(u != v && !g.HasEdge(u, v));
+  const std::size_t n = g.NumVertices();
+  if (links_.size() < n) {
+    // Grow-only: new entries carry epoch 0, which never equals a live one,
+    // and the BFS queue and the path never hold more than 2n nodes.
+    links_.resize(n);        // kvcc-lint: reserved
+    levels_.resize(2 * n);   // kvcc-lint: reserved
+    queue_.reserve(2 * n);   // kvcc-lint: reserved
+    path_.reserve(2 * n);    // kvcc-lint: reserved
+  }
+  if (++flow_epoch_ == 0) {  // Epoch wrapped: invalidate every stamp.
+    for (Links& links : links_) links.epoch = 0;
+    flow_epoch_ = 1;
+  }
+  std::uint32_t flow = 0;
+  while (flow < limit && BuildLevels(g, u, v)) {
+    while (flow < limit && Augment(g, u, v)) ++flow;
+  }
+  return flow;
+}
+
+std::vector<VertexId> FlowProbe::LocCut(const Graph& g, VertexId u,
+                                        VertexId v, std::uint32_t k) {
+  if (u == v || g.HasEdge(u, v)) return {};  // Lemma 5.
+  const std::uint32_t flow = LocalConnectivity(g, u, v, k);
+  if (flow >= k) return {};
+  // The flow is maximum, so the last level BFS failed and queued exactly
+  // the residual-reachable set R. The `flow` saturated arcs leaving R are
+  // the in-side arcs x_in -> x_out with x_out outside R, and the source
+  // arcs u_out -> y_in with y_in outside R: any other out-side carrying
+  // flow out of R is reachable only back through the in-side it feeds.
+  // Removing x, respectively y, severs each.
+  std::vector<VertexId> cut;
+  for (const std::uint32_t node : queue_) {
+    if (IsIn(node) && LevelOf(node + 1) == kNone) cut.push_back(node >> 1);
+  }
+  for (const VertexId y : g.Neighbors(u)) {
+    if (LevelOf(In(y)) == kNone) cut.push_back(y);
+  }
+  assert(cut.size() == flow);
+  std::sort(cut.begin(), cut.end());
   return cut;
 }
 

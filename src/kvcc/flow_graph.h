@@ -1,92 +1,117 @@
-// The directed flow graph (vertex splitting) and the LOC-CUT primitive.
+// The LOC-CUT probe: max flow on the directed flow graph, run on the
+// undirected graph's own CSR without building the flow graph.
 //
-// Construction (paper Section 4.1, Fig. 3): every vertex v of the undirected
-// graph becomes an arc v_in -> v_out of capacity 1; every undirected edge
-// (u, v) becomes two arcs u_out -> v_in and v_out -> u_in of capacity 1.
-// The max flow from u_out to v_in equals the local vertex connectivity
-// kappa(u, v) for non-adjacent u, v (Menger), and every node of the network
-// has in-degree 1 or out-degree 1, so Dinic runs in O(sqrt(n) m).
+// The directed flow graph (paper Section 4.1, Fig. 3) splits every vertex x
+// into an in-side x_in and an out-side x_out joined by the arc
+// x_in -> x_out, and turns every edge (x, y) into the arcs x_out -> y_in
+// and y_out -> x_in, all of capacity 1. The max flow from u_out to v_in is
+// the local vertex connectivity kappa(u, v) of non-adjacent u, v (Menger).
 //
-// LocCut is the one LOC-CUT probe: Dinic from scratch with early stop at
-// k, O(min(sqrt(n), k) * m). Whenever kappa(u, v) < k, the cut is derived
-// from the residual-reachable set of a true max flow — the minimal
+// FlowProbe runs Dinic on that graph implicitly, as the local vertex-cut
+// procedure of Nanongkai, Saranurak and Yingchareonthawornchai (arXiv
+// 1905.05329) explores it:
+//   * Every vertex other than the source u and the sink v carries at most
+//     one unit, so the flow is two links per vertex: the flow predecessor
+//     pred[x] (pred[x]_out -> x_in carries flow) and the flow successor
+//     succ[x] (x_out -> succ[x]_in does). The arc x_out -> y_in is
+//     saturated iff succ[x] == y, or pred[y] == u when x is the source u,
+//     because the source and the sink hold several links.
+//   * An out-side x_out scans x's CSR row once: every unsaturated
+//     x_out -> y_in, then back to x_in when x carries flow.
+//   * An in-side x_in has exactly one move: to x_out when x is free, else
+//     back to pred[x]'s out-side, cancelling that link.
+// Dinic stops as soon as the flow reaches the limit, O(min(sqrt(n), k) * m).
+// When the flow ends below it, the last level BFS failed to reach v_in, so
+// the nodes it levelled are exactly the residual-reachable set: the minimal
 // source-side min cut, which does not depend on the augmenting-path order.
+// LocCut reads its cut off that BFS.
+//
+// A probe binds no graph. Its per-vertex state is epoch-stamped and grows
+// only, so one probe answers queries on graph after graph, of any size,
+// with no reset and, once warm, no allocation.
 #ifndef KVCC_KVCC_FLOW_GRAPH_H_
 #define KVCC_KVCC_FLOW_GRAPH_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "flow/unit_flow_network.h"
 #include "graph/graph.h"
 
 namespace kvcc {
 
-/// Reusable vertex-connectivity oracle over a fixed undirected graph.
-/// Queries reset the flow state internally, so a single instance serves all
-/// LOC-CUT calls of one GLOBAL-CUT invocation. Rebind the oracle to another
-/// graph with Rebuild(): the flow network's buffers are recycled, so one
-/// long-lived instance (e.g. per enumeration worker) runs the whole
-/// recursion without reallocating per subgraph. RebindShared() goes one
-/// step further and adopts another instance's already-built arc topology in
-/// O(1) steady state — the "incremental rebind" used by the wavefront probe
-/// pool, where one owner pays the O(m) build per GLOBAL-CUT invocation and
-/// every pool slot borrows it.
-///
-/// Instances are not thread-safe, but they are affine: GLOBAL-CUT's probe
-/// wavefronts keep a pool of these, one per executor slot, each lazily
-/// RebindShared-bound ("epoch rebind", see GlobalCutScratch::probe_pool) to
-/// the invocation's topology owner — concurrent probes then query disjoint
-/// mutable state over one immutable topology and Graph, which is safe.
-class DirectedFlowGraph {
+/// Reusable LOC-CUT probe. Not thread-safe: concurrent probes each use
+/// their own instance and may share one immutable Graph.
+class FlowProbe {
  public:
-  /// Unbound oracle; call Rebuild() before querying.
-  DirectedFlowGraph() = default;
-  explicit DirectedFlowGraph(const Graph& g);
+  /// min(kappa(u, v), limit) in g, for u != v non-adjacent (kappa is
+  /// infinite for adjacent pairs; Lemma 5).
+  std::uint32_t LocalConnectivity(const Graph& g, VertexId u, VertexId v,
+                                  std::uint32_t limit);
 
-  DirectedFlowGraph(const DirectedFlowGraph&) = delete;
-  DirectedFlowGraph& operator=(const DirectedFlowGraph&) = delete;
+  /// LOC-CUT (paper Alg. 2 lines 12-17): empty when u == v, u and v are
+  /// adjacent, or kappa(u, v) >= k; otherwise a minimum u-v vertex cut
+  /// (kappa(u, v) < k vertices, excluding u and v), in ascending order.
+  std::vector<VertexId> LocCut(const Graph& g, VertexId u, VertexId v,
+                               std::uint32_t k);
 
-  /// Rebinds the oracle to `g`, which must outlive all subsequent queries.
-  /// Reuses the internal network storage. This instance becomes a topology
-  /// owner (see RebindShared).
-  void Rebuild(const Graph& g);
-
-  /// Rebinds the oracle to `owner`'s graph by adopting its already-built
-  /// arc topology instead of re-running the O(m) Rebuild: O(1) when this
-  /// instance has seen a topology at least this large before (the pool
-  /// steady state), O(m) tail-fill the first time. `owner` must stay bound
-  /// and un-rebuilt for as long as this instance queries it; re-call after
-  /// the owner's next Rebuild. Distinct borrowers of one owner may rebind
-  /// and query concurrently (they only read the owner's immutable state).
-  void RebindShared(const DirectedFlowGraph& owner);
-
-  /// min(kappa(u, v), limit) for non-adjacent u != v. The caller must not
-  /// pass adjacent vertices (kappa is infinite there; Lemma 5).
-  std::int32_t LocalConnectivity(VertexId u, VertexId v, std::int32_t limit);
-
-  /// LOC-CUT (paper Alg. 2 lines 12-17): empty result when u == v, u and v
-  /// are adjacent, or kappa(u, v) >= k; otherwise a u-v vertex cut with
-  /// fewer than k vertices (excluding u and v themselves).
-  std::vector<VertexId> LocCut(VertexId u, VertexId v, std::uint32_t k);
-
-  /// Monotone count of arcs inspected by all flow work on this oracle
+  /// Monotone count of residual moves examined by this probe's flow work
   /// (KvccStats::probe_edges_touched is accumulated from deltas of this).
-  std::uint64_t work_arcs() const { return network_.work_arcs(); }
-
-  /// The bound graph (nullptr before the first Rebuild/RebindShared).
-  const Graph* graph() const { return graph_; }
-
-  static std::uint32_t InNode(VertexId v) { return 2 * v; }
-  static std::uint32_t OutNode(VertexId v) { return 2 * v + 1; }
+  std::uint64_t work_moves() const { return work_moves_; }
 
  private:
-  /// Extracts the vertex cut after a LocalConnectivity call that returned a
-  /// value < limit (i.e., a true max flow).
-  std::vector<VertexId> ExtractVertexCut(VertexId u, VertexId v);
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
 
-  const Graph* graph_ = nullptr;
-  UnitFlowNetwork network_{0};
+  // Split-graph node ids: 2x is x_in, 2x + 1 is x_out.
+  static std::uint32_t In(VertexId x) { return 2 * x; }
+  static std::uint32_t Out(VertexId x) { return 2 * x + 1; }
+  static bool IsIn(std::uint32_t node) { return (node & 1) == 0; }
+
+  // A vertex's flow links; valid in the probe whose epoch they carry.
+  struct Links {
+    std::uint32_t epoch = 0;
+    VertexId pred = kNone;
+    VertexId succ = kNone;
+  };
+  // A node's Dinic phase state; valid in the phase whose epoch it carries.
+  // `cursor` is an out-side's position in its row (the row's length stands
+  // for the move back to the in-side).
+  struct Level {
+    std::uint32_t epoch = 0;
+    std::uint32_t level = kNone;
+    std::uint32_t cursor = 0;
+  };
+
+  bool BuildLevels(const Graph& g, VertexId u, VertexId v);
+  bool Augment(const Graph& g, VertexId u, VertexId v);
+
+  VertexId Pred(VertexId x) const {
+    return links_[x].epoch == flow_epoch_ ? links_[x].pred : kNone;
+  }
+  VertexId Succ(VertexId x) const {
+    return links_[x].epoch == flow_epoch_ ? links_[x].succ : kNone;
+  }
+  // x_in's one residual move.
+  std::uint32_t InSideMove(VertexId x) const {
+    const VertexId p = Pred(x);
+    return p == kNone ? Out(x) : Out(p);
+  }
+  void SetLink(VertexId from, VertexId to);
+  void ClearLink(VertexId from, VertexId to);
+
+  std::uint32_t LevelOf(std::uint32_t node) const {
+    return levels_[node].epoch == phase_epoch_ ? levels_[node].level : kNone;
+  }
+  void Visit(std::uint32_t node, std::uint32_t level) {
+    levels_[node] = {phase_epoch_, level, 0};
+  }
+
+  std::vector<Links> links_;    // one per vertex
+  std::vector<Level> levels_;   // one per split-graph node
+  std::uint32_t flow_epoch_ = 0;
+  std::uint32_t phase_epoch_ = 0;
+  std::vector<std::uint32_t> queue_;  // the last level BFS, in order
+  std::vector<std::uint32_t> path_;   // the augmenting path's nodes
+  std::uint64_t work_moves_ = 0;
 };
 
 }  // namespace kvcc

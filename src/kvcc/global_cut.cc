@@ -12,14 +12,14 @@
 namespace kvcc {
 namespace {
 
-/// One LOC-CUT probe on `flow`; adds the arcs its flow inspected to
-/// `edges_touched`.
-std::vector<VertexId> CountedLocCut(DirectedFlowGraph& flow, VertexId u,
-                                    VertexId v, std::uint32_t k,
+/// One LOC-CUT probe on `probe`; adds the residual moves its flow examined
+/// to `edges_touched`.
+std::vector<VertexId> CountedLocCut(FlowProbe& probe, const Graph& g,
+                                    VertexId u, VertexId v, std::uint32_t k,
                                     std::uint64_t& edges_touched) {
-  const std::uint64_t before = flow.work_arcs();
-  std::vector<VertexId> cut = flow.LocCut(u, v, k);
-  edges_touched += flow.work_arcs() - before;
+  const std::uint64_t before = probe.work_moves();
+  std::vector<VertexId> cut = probe.LocCut(g, u, v, k);
+  edges_touched += probe.work_moves() - before;
   return cut;
 }
 
@@ -212,7 +212,6 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   // global_cut_calls coherent in partial stats.
   ++stats->global_cut_calls;
   check_cancelled();
-  ++scratch->probe_epoch;  // Pool oracles from older invocations are stale.
 
   GlobalCutResult result;
 
@@ -274,11 +273,6 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
                           options.intra_cut_parallelism &&
                           (options.intra_cut_min_vertices == 0 ||
                            n >= options.intra_cut_min_vertices);
-  // Bound in both modes — serial probes run on it directly, and in
-  // wavefront mode it is the topology owner every pool slot incrementally
-  // rebinds to (one O(m) build per invocation instead of one per slot).
-  DirectedFlowGraph& flow = scratch->flow;
-  flow.Rebuild(test_graph);
   // Epoch rebind: O(1) reset of the sweep arrays, no reallocation.
   SweepContext& sweep = scratch->sweep;
   sweep.Bind(g, k, strong, groups, group_of, options.neighbor_sweep,
@@ -291,16 +285,15 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     if (use_certificate && !detail::CutDisconnects(g, cut, *scratch)) {
       // By the certificate theorem this cannot happen; if it ever does,
       // fall back to an exact search on the full graph. The recursive call
-      // rebinds the scratch's flow/sweep/order/wavefront state; none of
-      // it is used here afterwards.
+      // reuses the scratch's probe/sweep/order/wavefront state; none of it
+      // is used here afterwards.
       ++stats->certificate_cut_fallbacks;
       KvccOptions fallback = options;
       fallback.sparse_certificate = false;
       return GlobalCut(g, k, hints, fallback, stats, scratch, scheduler,
                        cancel);
     }
-    std::sort(cut.begin(), cut.end());
-    result.cut = std::move(cut);
+    result.cut = std::move(cut);  // Ascending, as LocCut returns it.
     return result;
   };
 
@@ -339,11 +332,9 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
 
   // Runs the current wavefront's probe list concurrently and returns how
   // many *flow* probes actually ran (deferred-common entries settled by
-  // the Lemma-13 test never touch a flow graph). Each executor slot owns
-  // one pool oracle, incrementally rebound (DirectedFlowGraph::
-  // RebindShared — adopt the owner's arc arrays, restamp capacities by
-  // epoch) to this invocation's topology owner the first time the slot
-  // participates; a probe writes only its own wave_cuts /
+  // the Lemma-13 test never run a flow). Each executor slot owns one pool
+  // probe, and every probe reads the same immutable test graph; a probe
+  // writes only its own slot's state and its own wave_cuts /
   // wave_common_skip / wave_edges entries, and the commit loop below
   // reads the results only after ParallelFor returned, so probes race
   // with nothing. The sweep state is
@@ -354,7 +345,9 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     const std::uint32_t launched = static_cast<std::uint32_t>(args.size());
     if (launched == 0) return 0;
     const unsigned slots = scheduler->num_workers() + 1;
-    if (scratch->probe_pool.size() < slots) scratch->probe_pool.resize(slots);
+    while (scratch->probe_pool.size() < slots) {
+      scratch->probe_pool.push_back(std::make_unique<FlowProbe>());
+    }
     if (scratch->wave_cuts.size() < launched) scratch->wave_cuts.resize(launched);
     if (scratch->wave_common_skip.size() < launched) {
       scratch->wave_common_skip.resize(launched);
@@ -368,22 +361,14 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     auto& common_skip = scratch->wave_common_skip;
     auto& edges = scratch->wave_edges;
     const auto& deferred = scratch->wave_probe_common;
-    const std::uint64_t epoch = scratch->probe_epoch;
-    const DirectedFlowGraph& owner = flow;
     const Graph& host = g;
     // Helper stubs carry the owning job's latency class, so an
     // interactive job's wavefront competes for idle workers at its own
     // priority instead of degrading to kNormal on its hardest subproblem.
     scheduler->ParallelFor(
         launched,
-        [&pool, &cuts, &common_skip, &edges, &args, &deferred, &owner,
-         &host, epoch, k](std::size_t i, unsigned slot) {
-          if (!pool[slot]) pool[slot] = std::make_unique<ProbeOracle>();
-          ProbeOracle& po = *pool[slot];
-          if (po.bound_epoch != epoch) {
-            po.flow.RebindShared(owner);
-            po.bound_epoch = epoch;
-          }
+        [&pool, &cuts, &common_skip, &edges, &args, &deferred, &test_graph,
+         &host, k](std::size_t i, unsigned slot) {
           edges[i] = 0;
           // Lemma-13 pre-test, hoisted out of the serial formation loop: a
           // pure function of the working graph, so evaluating it here is
@@ -396,8 +381,8 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
             cuts[i].clear();
           } else {
             common_skip[i] = 0;
-            cuts[i] = CountedLocCut(po.flow, args[i].first, args[i].second,
-                                    k, edges[i]);
+            cuts[i] = CountedLocCut(*pool[slot], test_graph, args[i].first,
+                                    args[i].second, k, edges[i]);
           }
         },
         ToTaskPriority(options.priority));
@@ -429,8 +414,9 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
       check_cancelled();
       ++stats->phase1_tested_flow;
       ++stats->loc_cut_flow_calls;
-      std::vector<VertexId> cut =
-          CountedLocCut(flow, source, v, k, stats->probe_edges_touched);
+      std::vector<VertexId> cut = CountedLocCut(
+          scratch->probe, test_graph, source, v, k,
+          stats->probe_edges_touched);
       if (!cut.empty()) return finish_with_cut(std::move(cut));
       sweep.Sweep(v, SweepCause::kTested);
     }
@@ -540,8 +526,9 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
           check_cancelled();
           ++stats->phase2_pairs_tested;
           ++stats->loc_cut_flow_calls;
-          std::vector<VertexId> cut =
-              CountedLocCut(flow, va, vb, k, stats->probe_edges_touched);
+          std::vector<VertexId> cut = CountedLocCut(
+              scratch->probe, test_graph, va, vb, k,
+              stats->probe_edges_touched);
           if (!cut.empty()) return finish_with_cut(std::move(cut));
         }
       }

@@ -8,15 +8,15 @@
 // pairs of u's neighbors (covers cuts containing u, Lemma 4). All flow
 // tests run on a sparse certificate; sweeps (KvccOptions) skip most tests.
 //
-// Every probe is DirectedFlowGraph::LocCut (Dinic on the vertex-split
-// flow graph, flow_graph.h).
+// Every probe is FlowProbe::LocCut (Dinic on the implicit vertex-split
+// flow graph, run on the working graph's CSR; flow_graph.h).
 //
 // Intra-cut parallelism: when a multi-worker TaskScheduler is passed in,
 // both phases run as *deterministic probe wavefronts* — the next batch of
 // flow probes executes concurrently on the pool (each participant on its
-// own flow graph, incrementally rebound to the invocation's shared
-// topology owner), then the batch is committed serially in the exact order
-// the serial loop would have used. The phase-2 common-neighbor test (Lemma 13,
+// own FlowProbe, all reading the one immutable test graph), then the batch
+// is committed serially in the exact order the serial loop would have
+// used. The phase-2 common-neighbor test (Lemma 13,
 // a pure function) also runs inside the wavefront instead of the serial
 // formation loop, so hub-heavy pair formation no longer serializes on it.
 // Sweeps, all pre-existing stats, and the returned cut are byte-identical
@@ -43,20 +43,6 @@
 
 namespace kvcc {
 
-/// One wavefront probe oracle: a flow graph owned by one executor slot,
-/// lazily rebound ("epoch rebind") to the GLOBAL-CUT invocation's topology
-/// owner the first time that slot participates in the invocation. The
-/// rebind is incremental (DirectedFlowGraph::RebindShared): the slot
-/// adopts the owner's already-built arc arrays and restamps its private
-/// capacity state by epoch, so steady-state entry into a wavefront costs
-/// O(1) and allocates nothing instead of an O(m) per-slot rebuild.
-struct ProbeOracle {
-  /// The slot's flow graph, borrowing the owner's topology.
-  DirectedFlowGraph flow;
-  /// GlobalCutScratch::probe_epoch value this slot last bound to.
-  std::uint64_t bound_epoch = 0;
-};
-
 /// One entry of a wavefront: a phase-1 vertex or phase-2 pair together with
 /// the classification the serial loop's replay needs at commit time.
 struct ProbeCandidate {
@@ -77,22 +63,21 @@ struct ProbeCandidate {
 };
 
 /// Reusable per-caller state for GlobalCut. The enumeration engine keeps one
-/// instance per worker thread so that the flow network, the sparse
-/// certificate (storage and working buffers), the side-vertex detection
-/// working set, the sweep context, and the hot-path BFS/mark buffers are all
-/// recycled across the O(n) GLOBAL-CUT invocations of a run instead of being
-/// reallocated in each — the steady-state cut search performs no per-call
-/// heap allocation for any of them. A default-constructed scratch is always
-/// valid; GlobalCut rebinds it to the working graph on entry, and its
-/// contents are meaningless (but safely reusable) between calls — with one
-/// documented exception: `side.strong` holds the last call's strong
-/// side-vertex verdicts until the next call (see GlobalCutResult).
+/// instance per worker thread so that the flow probes' per-vertex state, the
+/// sparse certificate (storage and working buffers), the side-vertex
+/// detection working set, the sweep context, and the hot-path BFS/mark
+/// buffers are all recycled across the O(n) GLOBAL-CUT invocations of a run
+/// instead of being reallocated in each — the steady-state cut search
+/// performs no per-call heap allocation for any of them. A
+/// default-constructed scratch is always valid; GlobalCut rebinds it to the
+/// working graph on entry, and its contents are meaningless (but safely
+/// reusable) between calls — with one documented exception: `side.strong`
+/// holds the last call's strong side-vertex verdicts until the next call
+/// (see GlobalCutResult).
 struct GlobalCutScratch {
-  /// LOC-CUT flow graph, rebuilt (buffers recycled) per invocation.
-  /// Serial probes run here; in wavefront mode this instance is the
-  /// *topology owner* the pool below incrementally rebinds to, and is
-  /// never probed while a wavefront is in flight.
-  DirectedFlowGraph flow;
+  /// The serial loop's LOC-CUT probe. It binds no graph, so nothing is
+  /// rebuilt per invocation; its epoch-stamped state grows only.
+  FlowProbe probe;
 
   /// Sparse-certificate output storage plus build buffers (mate/offset/
   /// used/builder); rebuilt in place per invocation when the certificate
@@ -123,17 +108,14 @@ struct GlobalCutScratch {
   std::vector<VertexId> order;
 
   // --- intra-cut wavefront state ---
-  /// Bumped per GlobalCut invocation; pool oracles lazily rebind when their
-  /// bound_epoch trails it.
-  std::uint64_t probe_epoch = 0;
-  /// One oracle per executor slot (scheduler workers + 1 external slot).
-  /// Grown once per scratch lifetime; entries are created on first use.
-  std::vector<std::unique_ptr<ProbeOracle>> probe_pool;
+  /// One probe per executor slot (scheduler workers + 1 external slot),
+  /// each reading the shared test graph. Grown once per scratch lifetime.
+  std::vector<std::unique_ptr<FlowProbe>> probe_pool;
   /// Current wavefront: candidates in serial order, probe argument list
   /// (indexed by ProbeCandidate::probe_index), and per launched probe one
   /// deferred-common flag (input), one cut slot, one common-skip verdict,
-  /// and one count of arcs the probe's flow inspected (outputs; disjoint
-  /// writes across the wavefront).
+  /// and one count of residual moves the probe's flow examined (outputs;
+  /// disjoint writes across the wavefront).
   std::vector<ProbeCandidate> wave;
   std::vector<std::pair<VertexId, VertexId>> wave_probe_args;
   std::vector<std::uint8_t> wave_probe_common;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "gen/fixtures.h"
 #include "gen/harary.h"
@@ -97,16 +98,22 @@ TEST(LocalConnectivityTest, LimitTruncates) {
   // kappa between two same-side vertices is 4; a limit of 2 truncates.
   EXPECT_EQ(LocalVertexConnectivity(g, 0, 1, 2), 2u);
   EXPECT_EQ(LocalVertexConnectivity(g, 0, 1), 4u);
+  // Limits past INT32_MAX are limits too, not negative ones.
+  const Graph harary = HararyGraph(4, 12);
+  for (const std::uint32_t limit : {0u, 10u, 1u << 31, UINT32_MAX}) {
+    EXPECT_EQ(LocalVertexConnectivity(harary, 0, 6, limit), 4u)
+        << "limit=" << limit;
+  }
 }
 
-TEST(DirectedFlowGraphTest, LocCutProducesValidVertexCut) {
+TEST(FlowProbeTest, LocCutProducesValidVertexCut) {
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const Graph g = kvcc::testing::RandomConnectedGraph(12, 10, seed);
-    DirectedFlowGraph oracle(g);
+    FlowProbe probe;
     for (VertexId u = 0; u < g.NumVertices(); ++u) {
       for (VertexId v = u + 1; v < g.NumVertices(); ++v) {
         const std::uint32_t k = 3;
-        const auto cut = oracle.LocCut(u, v, k);
+        const auto cut = probe.LocCut(g, u, v, k);
         if (g.HasEdge(u, v)) {
           EXPECT_TRUE(cut.empty());
           continue;

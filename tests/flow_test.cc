@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "flow/stoer_wagner.h"
-#include "flow/unit_flow_network.h"
 #include "gen/fixtures.h"
 #include "graph/bfs.h"
 #include "graph/graph.h"
@@ -37,171 +36,35 @@ bool CutSeparates(const Graph& g, const std::vector<VertexId>& cut,
   return dist[relabel[v]] == kUnreachable;
 }
 
-TEST(UnitFlowNetworkTest, SingleArc) {
-  UnitFlowNetwork net(2);
-  net.AddArc(0, 1, 1);
-  EXPECT_EQ(net.MaxFlow(0, 1), 1);
-}
-
-TEST(UnitFlowNetworkTest, NoPathMeansZeroFlow) {
-  UnitFlowNetwork net(3);
-  net.AddArc(0, 1, 1);
-  EXPECT_EQ(net.MaxFlow(0, 2), 0);
-}
-
-TEST(UnitFlowNetworkTest, ParallelPaths) {
-  // Two disjoint 0 -> 3 paths.
-  UnitFlowNetwork net(4);
-  net.AddArc(0, 1, 1);
-  net.AddArc(1, 3, 1);
-  net.AddArc(0, 2, 1);
-  net.AddArc(2, 3, 1);
-  EXPECT_EQ(net.MaxFlow(0, 3), 2);
-}
-
-TEST(UnitFlowNetworkTest, BottleneckLimitsFlow) {
-  // 0 -> 1 (cap 3), 1 -> 2 (cap 1): flow is 1.
-  UnitFlowNetwork net(3);
-  net.AddArc(0, 1, 3);
-  net.AddArc(1, 2, 1);
-  EXPECT_EQ(net.MaxFlow(0, 2), 1);
-}
-
-TEST(UnitFlowNetworkTest, RequiresAugmentingPathReRouting) {
-  // Classic case where a greedy path must be re-routed via residual arcs.
-  //   0 -> 1, 0 -> 2, 1 -> 2, 1 -> 3, 2 -> 3 (all cap 1): max flow 2.
-  UnitFlowNetwork net(4);
-  net.AddArc(0, 1, 1);
-  net.AddArc(0, 2, 1);
-  net.AddArc(1, 2, 1);
-  net.AddArc(1, 3, 1);
-  net.AddArc(2, 3, 1);
-  EXPECT_EQ(net.MaxFlow(0, 3), 2);
-}
-
-TEST(UnitFlowNetworkTest, EarlyTerminationHonorsLimit) {
-  // 5 parallel paths; ask for at most 2.
-  UnitFlowNetwork net(12);
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    net.AddArc(0, 2 + i, 1);
-    net.AddArc(2 + i, 1, 1);
-  }
-  EXPECT_EQ(net.MaxFlow(0, 1, 2), 2);
-  net.ResetFlow();
-  EXPECT_EQ(net.MaxFlow(0, 1), 5);
-}
-
-TEST(UnitFlowNetworkTest, ResetFlowRestoresCapacities) {
-  UnitFlowNetwork net(2);
-  net.AddArc(0, 1, 1);
-  EXPECT_EQ(net.MaxFlow(0, 1), 1);
-  EXPECT_EQ(net.MaxFlow(0, 1), 0);  // Saturated without reset.
-  net.ResetFlow();
-  EXPECT_EQ(net.MaxFlow(0, 1), 1);
-}
-
-TEST(UnitFlowNetworkTest, ResidualReachabilityDefinesCut) {
-  // 0 -> 1 -> 2; after saturating, only 0 is residual-reachable.
-  UnitFlowNetwork net(3);
-  net.AddArc(0, 1, 1);
-  net.AddArc(1, 2, 1);
-  EXPECT_EQ(net.MaxFlow(0, 2), 1);
-  const auto reachable = net.ResidualReachable(0);
-  EXPECT_TRUE(reachable[0]);
-  EXPECT_FALSE(reachable[2]);
-}
-
-TEST(UnitFlowNetworkTest, RepeatedResetCyclesStayExact) {
-  // ResetFlow restores only dirtied arcs; many query/reset cycles against
-  // one network must keep matching a fresh network's answers.
-  const Graph g = MakeFigure1Graph().graph;
-  UnitFlowNetwork reused(g.NumVertices());
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    for (VertexId v : g.Neighbors(u)) reused.AddArc(u, v, 1);
-  }
-  for (std::uint32_t trial = 0; trial < 30; ++trial) {
-    const std::uint32_t s = trial % g.NumVertices();
-    const std::uint32_t t = (trial * 7 + 3) % g.NumVertices();
-    if (s == t) continue;
-    UnitFlowNetwork fresh(g.NumVertices());
-    for (VertexId u = 0; u < g.NumVertices(); ++u) {
-      for (VertexId v : g.Neighbors(u)) fresh.AddArc(u, v, 1);
-    }
-    EXPECT_EQ(reused.MaxFlow(s, t), fresh.MaxFlow(s, t))
-        << "s=" << s << " t=" << t;
-    reused.ResetFlow();
-  }
-}
-
-TEST(UnitFlowNetworkTest, ResetAfterLimitedFlowRestoresFullValue) {
-  UnitFlowNetwork net(12);
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    net.AddArc(0, 2 + i, 1);
-    net.AddArc(2 + i, 1, 1);
-  }
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    EXPECT_EQ(net.MaxFlow(0, 1, 2), 2) << "cycle=" << cycle;
-    net.ResetFlow();
-    EXPECT_EQ(net.MaxFlow(0, 1), 5) << "cycle=" << cycle;
-    net.ResetFlow();
-  }
-}
-
-TEST(UnitFlowNetworkTest, ReinitReusesNetworkForNewTopology) {
-  UnitFlowNetwork net(2);
-  net.AddArc(0, 1, 1);
-  EXPECT_EQ(net.MaxFlow(0, 1), 1);
-
-  // Rebind to a larger network: two disjoint 0 -> 3 paths.
-  net.Reinit(4);
-  EXPECT_EQ(net.NumNodes(), 4u);
-  EXPECT_EQ(net.NumArcs(), 0u);
-  net.AddArc(0, 1, 1);
-  net.AddArc(1, 3, 1);
-  net.AddArc(0, 2, 1);
-  net.AddArc(2, 3, 1);
-  EXPECT_EQ(net.MaxFlow(0, 3), 2);
-
-  // And back down to a smaller one.
-  net.Reinit(3);
-  net.AddArc(0, 1, 2);
-  net.AddArc(1, 2, 1);
-  EXPECT_EQ(net.MaxFlow(0, 2), 1);
-}
-
-TEST(DirectedFlowGraphTest, RebuildReusesOracleAcrossGraphs) {
-  DirectedFlowGraph oracle;  // unbound
+TEST(FlowProbeTest, ReusesOneProbeAcrossGraphs) {
+  FlowProbe probe;
   const Graph k5 = CompleteGraph(5);
-  oracle.Rebuild(k5);
-  // kappa(u, v) in K5 \ {u,v} paths: adjacent -> LocCut returns empty.
-  EXPECT_TRUE(oracle.LocCut(0, 1, 4).empty());
+  // Adjacent vertices have no separating cut: LocCut returns empty.
+  EXPECT_TRUE(probe.LocCut(k5, 0, 1, 4).empty());
 
   const Graph cycle = CycleGraph(8);
-  oracle.Rebuild(cycle);
   // In C8, kappa(0, 4) = 2 < 3: a 2-vertex cut must come back.
-  const auto cut = oracle.LocCut(0, 4, 3);
-  EXPECT_EQ(cut.size(), 2u);
+  EXPECT_EQ(probe.LocCut(cycle, 0, 4, 3), (std::vector<VertexId>{1, 7}));
 
   const Graph bip = CompleteBipartite(3, 3);
-  oracle.Rebuild(bip);
   // kappa between two left-side vertices of K_{3,3} is 3: no cut below 3.
-  EXPECT_TRUE(oracle.LocCut(0, 1, 3).empty());
+  EXPECT_TRUE(probe.LocCut(bip, 0, 1, 3).empty());
 }
 
 // Probe by probe on random graphs: LocCut answers empty iff the
 // brute-force kappa(u, v) >= k, and otherwise a separating cut of exactly
 // kappa vertices (a minimum cut has the max-flow size).
-TEST(DirectedFlowGraphTest, LocCutMatchesBruteForceConnectivity) {
+TEST(FlowProbeTest, LocCutMatchesBruteForceConnectivity) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Graph g = kvcc::testing::RandomConnectedGraph(11, 28, seed);
-    DirectedFlowGraph flow(g);
+    FlowProbe probe;
     for (VertexId u = 0; u < g.NumVertices(); ++u) {
       for (VertexId v = u + 1; v < g.NumVertices(); ++v) {
         if (g.HasEdge(u, v)) continue;
         const std::uint32_t kappa =
             kvcc::testing::BruteLocalVertexConnectivity(g, u, v);
         for (std::uint32_t k = 2; k <= 5; ++k) {
-          const std::vector<VertexId> cut = flow.LocCut(u, v, k);
+          const std::vector<VertexId> cut = probe.LocCut(g, u, v, k);
           if (kappa >= k) {
             EXPECT_TRUE(cut.empty())
                 << "seed=" << seed << " u=" << u << " v=" << v << " k=" << k;
@@ -228,7 +91,7 @@ TEST(LocCutRefereeTest, MatchesRefereeOnRandomGraphs) {
       ++seed;
       const Graph g = kvcc::testing::RandomConnectedGraph(n, extra, seed);
       const kvcc::testing::Referee referee(g);
-      DirectedFlowGraph flow(g);
+      FlowProbe probe;
       Rng rng(seed);
       for (int sample = 0; sample < 400; ++sample) {
         const auto u = static_cast<VertexId>(rng.NextBounded(n));
@@ -238,7 +101,7 @@ TEST(LocCutRefereeTest, MatchesRefereeOnRandomGraphs) {
         ASSERT_EQ(LocalVertexConnectivity(g, u, v), kappa)
             << "n=" << n << " seed=" << seed << " u=" << u << " v=" << v;
         for (std::uint32_t k = 2; k <= 9; ++k) {
-          const std::vector<VertexId> cut = flow.LocCut(u, v, k);
+          const std::vector<VertexId> cut = probe.LocCut(g, u, v, k);
           if (kappa >= k) {
             EXPECT_TRUE(cut.empty()) << "n=" << n << " seed=" << seed
                                      << " u=" << u << " v=" << v
@@ -259,68 +122,83 @@ TEST(LocCutRefereeTest, MatchesRefereeOnRandomGraphs) {
 
 // Adjacent pairs and self-probes are locally k-connected for free (Lemma
 // 5): LocCut answers empty without running any flow.
-TEST(DirectedFlowGraphTest, AdjacentAndSelfProbesRunNoFlow) {
+TEST(FlowProbeTest, AdjacentAndSelfProbesRunNoFlow) {
   const Graph g = PetersenGraph();
-  DirectedFlowGraph flow(g);
-  const std::uint64_t before = flow.work_arcs();
-  EXPECT_TRUE(flow.LocCut(0, 0, 3).empty());
+  FlowProbe probe;
+  EXPECT_TRUE(probe.LocCut(g, 0, 0, 3).empty());
   // Petersen vertex 0 is adjacent to 1.
-  EXPECT_TRUE(flow.LocCut(0, 1, 3).empty());
-  EXPECT_EQ(flow.work_arcs(), before);
+  EXPECT_TRUE(probe.LocCut(g, 0, 1, 3).empty());
+  EXPECT_EQ(probe.work_moves(), 0u);
 }
 
-// A probe that runs a flow books the arcs it inspected.
-TEST(DirectedFlowGraphTest, FlowProbeCountsInspectedArcs) {
+// A probe that runs a flow books the residual moves it examined.
+TEST(FlowProbeTest, FlowProbeCountsInspectedArcs) {
   const Graph g = kvcc::testing::RandomConnectedGraph(11, 28, 3);
-  DirectedFlowGraph flow(g);
+  FlowProbe probe;
   VertexId v = 2;
   while (v < g.NumVertices() && g.HasEdge(0, v)) ++v;
   ASSERT_LT(v, g.NumVertices());
-  const std::uint64_t before = flow.work_arcs();
-  flow.LocCut(0, v, 4);
-  EXPECT_GT(flow.work_arcs(), before);
+  probe.LocCut(g, 0, v, 4);
+  EXPECT_GT(probe.work_moves(), 0u);
 }
 
-// The incremental rebind: a RebindShared borrower answers exactly like a
-// fresh Rebuild, including after the owner rebinds to a smaller and then a
-// larger graph (the borrower's private capacity state is restamped, never
-// trusted stale).
-TEST(DirectedFlowGraphTest, RebindSharedMatchesFreshRebuildAcrossOwnerRebinds) {
+// One probe reused across graphs that shrink and grow answers every pair
+// exactly like a fresh probe: the same cut and the same work count, so
+// probe_edges_touched does not depend on which pool slot ran a probe.
+TEST(FlowProbeTest, ReusedProbeMatchesFreshProbeAcrossGraphSizes) {
   const Graph big = kvcc::testing::RandomConnectedGraph(14, 40, 9);
   const Graph small = kvcc::testing::RandomConnectedGraph(8, 14, 10);
   const Graph grown = kvcc::testing::RandomConnectedGraph(16, 50, 11);
-
-  DirectedFlowGraph owner;
-  DirectedFlowGraph borrower;
-  DirectedFlowGraph fresh;
+  FlowProbe reused;
   for (const Graph* g : {&big, &small, &grown, &small, &big}) {
-    owner.Rebuild(*g);
-    borrower.RebindShared(owner);
-    fresh.Rebuild(*g);
-    EXPECT_EQ(borrower.graph(), owner.graph());
     for (VertexId u = 0; u < g->NumVertices(); ++u) {
       for (VertexId v = u + 1; v < g->NumVertices(); ++v) {
         if (g->HasEdge(u, v)) continue;
-        EXPECT_EQ(borrower.LocCut(u, v, 3), fresh.LocCut(u, v, 3))
-            << "n=" << g->NumVertices() << " u=" << u << " v=" << v;
+        for (const std::uint32_t k : {3u, 6u}) {
+          FlowProbe fresh;
+          const std::uint64_t before = reused.work_moves();
+          EXPECT_EQ(reused.LocCut(*g, u, v, k), fresh.LocCut(*g, u, v, k))
+              << "n=" << g->NumVertices() << " u=" << u << " v=" << v
+              << " k=" << k;
+          EXPECT_EQ(reused.work_moves() - before, fresh.work_moves())
+              << "n=" << g->NumVertices() << " u=" << u << " v=" << v
+              << " k=" << k;
+        }
       }
     }
   }
 }
 
-// A borrower keeps answering correctly over many probes without rebinding
-// (dirty-pair reset must restore shared-topology capacities correctly).
-TEST(DirectedFlowGraphTest, RepeatedProbesOnOneBindStayConsistent) {
-  const Graph g = TwoCliquesSharing(6, 2);  // kappa = 2 via the shared pair.
-  DirectedFlowGraph owner(g);
-  DirectedFlowGraph borrower;
-  borrower.RebindShared(owner);
-  const std::vector<VertexId> first = borrower.LocCut(0, 9, 4);
-  ASSERT_EQ(first.size(), 2u);
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_EQ(borrower.LocCut(0, 9, 4), first) << "round=" << round;
-    EXPECT_TRUE(borrower.LocCut(0, 9, 2).empty());
+// A probe stopped early at its limit leaves no flow behind: the next,
+// exact probe on the same object still finds the full value and the cut.
+TEST(FlowProbeTest, ExactProbeAfterLimitedProbeOnOneObject) {
+  const Graph g = TwoCliquesSharing(6, 2);  // kappa(0, 9) = 2 via {4, 5}.
+  const Graph bip = CompleteBipartite(5, 5);  // kappa(0, 1) = 5.
+  FlowProbe probe;
+  for (int round = 0; round < 4; ++round) {
+    EXPECT_EQ(probe.LocalConnectivity(bip, 0, 1, 2), 2u) << "round=" << round;
+    EXPECT_EQ(probe.LocalConnectivity(bip, 0, 1, 100), 5u)
+        << "round=" << round;
+    EXPECT_TRUE(probe.LocCut(g, 0, 9, 2).empty()) << "round=" << round;
+    EXPECT_EQ(probe.LocCut(g, 0, 9, 4), (std::vector<VertexId>{4, 5}))
+        << "round=" << round;
   }
+}
+
+// A maximum flow that needs a cancellation. In the path 0-1-2-3 with the
+// detours 1-4-5-3 and 0-6-7-2, the only shortest augmenting path 0-1-2-3
+// blocks both disjoint paths, so the second phase must cancel the flow on
+// 1 -> 2: its path enters 2_in on the new arc 7_out -> 2_in and leaves it
+// back along 1_out -> 2_in, so the cancellation must be applied before the
+// addition, which both rewrite 2's flow predecessor.
+TEST(FlowProbeTest, AugmentationCancelsFlow) {
+  const Graph g = Graph::FromEdges(
+      8, std::vector<std::pair<VertexId, VertexId>>{
+             {0, 1}, {1, 2}, {2, 3}, {1, 4}, {4, 5}, {5, 3}, {0, 6},
+             {6, 7}, {7, 2}});
+  FlowProbe probe;
+  EXPECT_EQ(probe.LocalConnectivity(g, 0, 3, 10), 2u);
+  EXPECT_EQ(probe.LocCut(g, 0, 3, 3), (std::vector<VertexId>{1, 6}));
 }
 
 TEST(StoerWagnerTest, TrivialGraphs) {

@@ -98,40 +98,34 @@ TEST(MemoryTrackerTest, WarmGlobalCutAllocatesNothing) {
   EXPECT_TRUE(result.cut.empty());
 }
 
-// The wavefront pool's incremental rebind, in isolation: once a borrower
-// flow graph has grown to the largest topology it will ever adopt, the
-// full steady-state cycle — owner Rebuild, RebindShared adoption, and a
-// real flow probe — must perform ZERO heap allocation, even when the owner
-// bounces between differently-sized graphs. This is what makes wavefront
-// entry O(1) per slot instead of an O(m) rebuild.
-TEST(MemoryTrackerTest, WarmOracleBindSharedAllocatesNothing) {
+// The LOC-CUT probe in isolation: once a probe has grown to the largest
+// graph it will see, full-flow probes must perform ZERO heap allocation,
+// even when they alternate between differently-sized graphs. This is what
+// lets every wavefront pool slot probe any working graph with no per-graph
+// setup.
+TEST(MemoryTrackerTest, WarmProbeAllocatesNothing) {
   ASSERT_TRUE(MemoryTracker::Enabled());
   const Graph big = HararyGraph(5, 40);
   const Graph small = HararyGraph(5, 16);
-  DirectedFlowGraph owner;
-  DirectedFlowGraph borrower;
-  // Warm-up: adopt both sizes twice so every buffer reaches its high-water
+  FlowProbe probe;
+  // Warm-up: probe both sizes twice so every buffer reaches its high-water
   // mark. Vertices 0 and 5 are non-adjacent in both circulants, and both
   // graphs are 5-connected, so the probe runs a full flow and answers
   // empty (no cut vector to allocate).
   for (int warm = 0; warm < 2; ++warm) {
     for (const Graph* g : {&big, &small}) {
-      owner.Rebuild(*g);
-      borrower.RebindShared(owner);
-      ASSERT_TRUE(borrower.LocCut(0, 5, 5).empty());
+      ASSERT_TRUE(probe.LocCut(*g, 0, 5, 5).empty());
     }
   }
   MemoryTracker::ResetPeak();
   const std::uint64_t baseline = MemoryTracker::CurrentBytes();
   for (int round = 0; round < 5; ++round) {
     for (const Graph* g : {&big, &small}) {
-      owner.Rebuild(*g);
-      borrower.RebindShared(owner);
-      EXPECT_TRUE(borrower.LocCut(0, 5, 5).empty());
+      EXPECT_TRUE(probe.LocCut(*g, 0, 5, 5).empty());
     }
   }
   EXPECT_EQ(MemoryTracker::PeakBytes(), baseline)
-      << "steady-state oracle rebind touched the allocator";
+      << "steady-state flow probe touched the allocator";
 }
 
 // Same property for the cut-verification path in isolation: CutDisconnects
