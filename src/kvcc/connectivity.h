@@ -1,4 +1,4 @@
-// Vertex-connectivity queries built directly on the directed flow graph.
+// Vertex-connectivity queries built directly on the LOC-CUT flow probe.
 //
 // These are deliberately independent of GLOBAL-CUT's certificate and sweep
 // machinery (they run on the full graph with no pruning) so they can serve

@@ -2,7 +2,7 @@
 //
 // The paper's VCCE algorithm decomposes each (graph, k) request into many
 // independent GLOBAL-CUT subproblems. One engine owns a single persistent
-// work-stealing TaskScheduler plus one EnumScratch (flow network, sparse
+// work-stealing TaskScheduler plus one EnumScratch (flow probes, sparse
 // certificate, sweep buffers) per worker; every submitted job's subproblem
 // tasks interleave on that shared pool, so a server handling many requests
 // keeps its workers and their scratch hot instead of paying scheduler

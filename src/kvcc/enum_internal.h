@@ -60,9 +60,9 @@ struct WorkItem {
 
 /// Per-worker mutable scratch. Workers never share an EnumScratch, so the
 /// hot path runs without atomics or locks, and a long-lived engine keeps
-/// the LOC-CUT flow graph (DirectedFlowGraph, including its topology),
-/// certificate, sweep buffers, and the peel scratch warm across every job
-/// it serves. A default-constructed scratch is always valid.
+/// the LOC-CUT flow probes (FlowProbe), certificate, sweep buffers, and the
+/// peel scratch warm across every job it serves. A default-constructed
+/// scratch is always valid.
 struct EnumScratch {
   GlobalCutScratch cut_scratch;
   // NeighborsOfSet working set.

@@ -75,8 +75,7 @@ struct ProbeCandidate {
 /// holds the last call's strong side-vertex verdicts until the next call
 /// (see GlobalCutResult).
 struct GlobalCutScratch {
-  /// The serial loop's LOC-CUT probe. It binds no graph, so nothing is
-  /// rebuilt per invocation; its epoch-stamped state grows only.
+  /// The serial loop's LOC-CUT probe; its epoch-stamped state grows only.
   FlowProbe probe;
 
   /// Sparse-certificate output storage plus build buffers (mate/offset/

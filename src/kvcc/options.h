@@ -107,7 +107,7 @@ struct KvccOptions {
   /// \brief Wavefronts engage only on working graphs with at least this
   /// many vertices (0 = no floor). Small subproblems — the recursion tail
   /// of a bushy tree, which already feeds the pool through subproblem
-  /// parallelism — cannot amortize the per-slot oracle binds and the
+  /// parallelism — cannot amortize the fork-join of a wavefront and its
   /// speculative probes, so they stay on the exact serial loop. The floor
   /// is a pure function of the input graph, preserving reproducibility.
   std::uint32_t intra_cut_min_vertices = 128;

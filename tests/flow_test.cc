@@ -36,6 +36,7 @@ bool CutSeparates(const Graph& g, const std::vector<VertexId>& cut,
   return dist[relabel[v]] == kUnreachable;
 }
 
+// A probe binds no graph: one object answers on graph after graph.
 TEST(FlowProbeTest, ReusesOneProbeAcrossGraphs) {
   FlowProbe probe;
   const Graph k5 = CompleteGraph(5);
@@ -190,15 +191,21 @@ TEST(FlowProbeTest, ExactProbeAfterLimitedProbeOnOneObject) {
 // blocks both disjoint paths, so the second phase must cancel the flow on
 // 1 -> 2: its path enters 2_in on the new arc 7_out -> 2_in and leaves it
 // back along 1_out -> 2_in, so the cancellation must be applied before the
-// addition, which both rewrite 2's flow predecessor.
+// addition, which both rewrite 2's flow predecessor. With the extra detour
+// 0-8-2 the new predecessor is 8, and the final level BFS reads it: a
+// lost predecessor would let that BFS walk through vertex 2 and miscut.
 TEST(FlowProbeTest, AugmentationCancelsFlow) {
-  const Graph g = Graph::FromEdges(
-      8, std::vector<std::pair<VertexId, VertexId>>{
-             {0, 1}, {1, 2}, {2, 3}, {1, 4}, {4, 5}, {5, 3}, {0, 6},
-             {6, 7}, {7, 2}});
+  std::vector<std::pair<VertexId, VertexId>> edges = {
+      {0, 1}, {1, 2}, {2, 3}, {1, 4}, {4, 5}, {5, 3}, {0, 6}, {6, 7}, {7, 2}};
+  const Graph g = Graph::FromEdges(8, edges);
   FlowProbe probe;
   EXPECT_EQ(probe.LocalConnectivity(g, 0, 3, 10), 2u);
   EXPECT_EQ(probe.LocCut(g, 0, 3, 3), (std::vector<VertexId>{1, 6}));
+
+  edges.insert(edges.end(), {{0, 8}, {8, 2}});
+  const Graph detour = Graph::FromEdges(9, edges);
+  EXPECT_EQ(probe.LocalConnectivity(detour, 0, 3, 10), 2u);
+  EXPECT_EQ(probe.LocCut(detour, 0, 3, 3), (std::vector<VertexId>{1, 2}));
 }
 
 TEST(StoerWagnerTest, TrivialGraphs) {
