@@ -120,9 +120,10 @@ bool FlowProbe::Augment(const Graph& g, VertexId u, VertexId v) {
   path_.push_back(sink);  // kvcc-lint: reserved
 
   // A step between two vertices either cancels a link (y_in -> x_out, back
-  // along x -> y) or adds one (x_out -> y_in). Cancellations go first: a
-  // path may enter y_in on a new link and leave it by cancelling y's old
-  // one, and both write pred[y].
+  // along x -> y) or adds one (x_out -> y_in); a step between one vertex's
+  // own sides is its vertex arc, as Graph rows hold no self-loops.
+  // Cancellations go first: a path may enter y_in on a new link and leave
+  // it by cancelling y's old one, and both write pred[y].
   for (std::size_t i = 0; i + 1 < path_.size(); ++i) {
     const std::uint32_t a = path_[i];
     const std::uint32_t b = path_[i + 1];
