@@ -15,6 +15,7 @@
 #include "kvcc/kvcc_enum.h"
 #include "metrics/diameter.h"
 #include "support/brute_force.h"
+#include "support/referee.h"
 
 namespace kvcc {
 namespace {
@@ -107,6 +108,24 @@ TEST_P(KvccPropertyTest, AllInvariantsHold) {
   if (g.NumVertices() <= 12) {
     EXPECT_EQ(result.components, kvcc::testing::BruteKVccs(g, c.k));
   }
+}
+
+// The referee's enumeration shares no code with the engine, so it is held
+// to the definition itself: every vertex subset, on graphs small enough to
+// enumerate.
+TEST(KvccRefereeTest, MatchesBruteForceOnSmallGraphs) {
+  std::size_t components = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Graph g = kvcc::testing::RandomConnectedGraph(
+        11 + seed % 3, 18 + 2 * seed, seed);
+    for (std::uint32_t k = 1; k <= 5; ++k) {
+      const auto expected = kvcc::testing::BruteKVccs(g, k);
+      EXPECT_EQ(kvcc::testing::RefereeKVccs(g, k), expected)
+          << "seed=" << seed << " k=" << k;
+      components += expected.size();
+    }
+  }
+  EXPECT_GT(components, 20u);  // The graphs are not all trivially empty.
 }
 
 INSTANTIATE_TEST_SUITE_P(

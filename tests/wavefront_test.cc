@@ -15,13 +15,16 @@
 #include <vector>
 
 #include "exec/task_scheduler.h"
+#include "gen/barabasi_albert.h"
 #include "gen/fixtures.h"
 #include "gen/harary.h"
 #include "gen/planted_vcc.h"
+#include "graph/graph_builder.h"
 #include "kvcc/engine.h"
 #include "kvcc/global_cut.h"
 #include "kvcc/kvcc_enum.h"
 #include "support/brute_force.h"
+#include "support/referee.h"
 
 namespace kvcc {
 namespace {
@@ -349,19 +352,79 @@ TEST(WavefrontTest, LiveTokenLeavesGlobalCutByteIdentical) {
   EXPECT_EQ(token_stats.cuts_cancelled, 0u);
 }
 
-TEST(WavefrontTest, BruteForceAgreementUnderWavefronts) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const Graph g = kvcc::testing::RandomConnectedGraph(13, 30, seed);
-    for (std::uint32_t k = 2; k <= 4; ++k) {
-      const auto expected = kvcc::testing::BruteKVccs(g, k);
-      for (const std::uint32_t batch : kBatchSizes) {
-        KvccOptions options;
-        options.num_threads = 4;
-        options.probe_batch_size = batch;
-        options.intra_cut_min_vertices = 0;
-        const KvccResult run = EnumerateKVccs(g, k, options);
+/// Two disjoint K66s joined through k - 1 connectors, each adjacent to
+/// ceil(k / 2) vertices of either clique. The connectors are the graph's
+/// only vertex cut of fewer than k vertices, and the lowest-numbered one is
+/// its minimum-degree vertex, so a search from that vertex finds the cut
+/// only among pairs of its neighbours (phase 2).
+Graph CliquesJoinedThroughConnectors(std::uint32_t k) {
+  const VertexId clique = 66;
+  const VertexId half = (k + 1) / 2;
+  GraphBuilder builder(2 * clique + k - 1);
+  for (VertexId a = 0; a < clique; ++a) {
+    for (VertexId b = a + 1; b < clique; ++b) {
+      builder.AddEdge(a, b);
+      builder.AddEdge(clique + a, clique + b);
+    }
+  }
+  for (VertexId c = 0; c + 1 < k; ++c) {
+    for (VertexId i = 0; i < half; ++i) {
+      builder.AddEdge(2 * clique + c, (c * half + i) % clique);
+      builder.AddEdge(2 * clique + c, clique + (c * half + i) % clique);
+    }
+  }
+  return builder.Build();
+}
+
+TEST(WavefrontTest, RefereeAgreementUnderWavefronts) {
+  // Graphs past the wavefront floor, so engine runs on 2 and 4 workers
+  // launch speculative probes; the referee enumerates by the definition
+  // with none of the engine's code.
+  struct Case {
+    std::string name;
+    Graph g;
+    std::uint32_t k;
+  };
+  const PlantedVccGraph planted = GeneratePlantedVcc(PlantedVccConfig{});
+  std::vector<Case> cases = {
+      {"harary_5_130", HararyGraph(5, 130), 5},
+      {"two_cliques_66_2", TwoCliquesSharing(66, 2), 4},
+      {"planted", planted.graph, planted.max_connected_k},
+      {"barabasi_albert", BarabasiAlbert(300, 4, 7), 4},
+      {"joined_cliques_k4", CliquesJoinedThroughConnectors(4), 4},
+      {"joined_cliques_k7", CliquesJoinedThroughConnectors(7), 7},
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    cases.push_back({"random_seed" + std::to_string(seed),
+                     kvcc::testing::RandomConnectedGraph(
+                         130 + 40 * seed, 500 + 150 * seed, seed),
+                     3 + static_cast<std::uint32_t>(seed % 3)});
+  }
+  std::vector<KvccOptions> variants = AllVariants();
+  for (const KvccOptions& preset : AllVariants()) {
+    KvccOptions no_certificate = preset;
+    no_certificate.sparse_certificate = false;
+    variants.push_back(no_certificate);
+  }
+  for (const Case& c : cases) {
+    ASSERT_GE(c.g.NumVertices(), 128u) << c.name;
+    ASSERT_LE(c.g.NumVertices(), 300u) << c.name;
+    const auto expected = kvcc::testing::RefereeKVccs(c.g, c.k);
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      std::uint64_t launched = 0;
+      for (std::size_t i = 0; i < variants.size(); ++i) {
+        KvccOptions options = variants[i];
+        options.num_threads = threads;
+        const KvccResult run = EnumerateKVccs(c.g, c.k, options);
         EXPECT_EQ(run.components, expected)
-            << "seed=" << seed << " k=" << k << " batch=" << batch;
+            << c.name << " k=" << c.k << " variant=" << i
+            << " threads=" << threads;
+        launched += run.stats.probes_launched;
+      }
+      if (threads > 1) {
+        EXPECT_GT(launched, 0u) << c.name << " threads=" << threads;
+      } else {
+        EXPECT_EQ(launched, 0u) << c.name;
       }
     }
   }
