@@ -1,8 +1,10 @@
 #include "kvcc/validation.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "graph/connected_components.h"
 #include "graph/k_core.h"
@@ -38,6 +40,8 @@ ValidationReport ValidateKvccResult(
   std::vector<bool> member(g.NumVertices(), false);
   std::vector<std::uint32_t> neighbors_in(g.NumVertices(), 0);
   std::vector<VertexId> touched;
+  // Components that are sorted and in range, which the pair checks read.
+  std::vector<bool> checkable(components.size(), false);
 
   for (std::size_t i = 0; i < components.size(); ++i) {
     const auto& component = components[i];
@@ -49,14 +53,15 @@ ValidationReport ValidateKvccResult(
     if (component.size() <= k) {
       report.Fail(Describe(i, component) + ": needs more than k vertices");
     }
+    // The list is sorted, so its last vertex is its largest; the checks
+    // below index by vertex.
+    if (!component.empty() && component.back() >= g.NumVertices()) {
+      report.Fail(Describe(i, component) + ": vertex out of range");
+      continue;
+    }
+    checkable[i] = true;
     // 6. k-core nesting.
-    bool out_of_range = false;
     for (VertexId v : component) {
-      if (v >= g.NumVertices()) {
-        report.Fail(Describe(i, component) + ": vertex out of range");
-        out_of_range = true;
-        break;
-      }
       if (!core_set.count(v)) {
         report.Fail(Describe(i, component) + ": vertex " +
                     std::to_string(v) + " outside the k-core");
@@ -64,7 +69,6 @@ ValidationReport ValidateKvccResult(
       }
       covered[v] = true;
     }
-    if (out_of_range) continue;  // InducedSubgraph would index out of bounds.
     // 2. k-vertex-connectivity.
     const Graph sub = g.InducedSubgraph(component);
     if (!IsKVertexConnected(sub, k)) {
@@ -92,22 +96,69 @@ ValidationReport ValidateKvccResult(
     touched.clear();
   }
 
-  // 3 + 4. pairwise overlap / containment.
+  // 3, 4 and 9: pairs of components. Only a pair that shares a vertex or
+  // is joined by an edge can overlap, nest, or have a k-connected union, so
+  // a vertex -> components index finds every pair worth checking, and
+  // counts each pair's shared vertices on the way.
+  std::vector<std::vector<std::size_t>> containing(g.NumVertices());
   for (std::size_t i = 0; i < components.size(); ++i) {
-    for (std::size_t j = i + 1; j < components.size(); ++j) {
-      std::vector<VertexId> overlap;
-      std::set_intersection(components[i].begin(), components[i].end(),
-                            components[j].begin(), components[j].end(),
-                            std::back_inserter(overlap));
-      if (overlap.size() >= k) {
-        report.Fail("components #" + std::to_string(i) + " and #" +
-                    std::to_string(j) + " overlap in >= k vertices");
+    if (!checkable[i]) continue;
+    for (VertexId v : components[i]) containing[v].push_back(i);
+  }
+  std::map<std::pair<std::size_t, std::size_t>, std::size_t> shared;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const auto& here = containing[v];
+    for (std::size_t a = 0; a < here.size(); ++a) {
+      for (std::size_t b = a + 1; b < here.size(); ++b) {
+        ++shared[{here[a], here[b]}];
       }
-      if (overlap.size() == components[i].size() ||
-          overlap.size() == components[j].size()) {
-        report.Fail("components #" + std::to_string(i) + " and #" +
-                    std::to_string(j) + " nest (redundancy)");
+    }
+    for (VertexId w : g.Neighbors(v)) {
+      for (std::size_t i : here) {
+        for (std::size_t j : containing[w]) {
+          if (i < j) shared.try_emplace({i, j}, 0);
+        }
       }
+    }
+  }
+  auto in = [&](VertexId v, std::size_t c) {
+    return std::binary_search(containing[v].begin(), containing[v].end(), c);
+  };
+  std::vector<bool> matched(g.NumVertices(), false);
+  for (const auto& [pair, overlap] : shared) {
+    const auto [i, j] = pair;
+    const std::string names =
+        "components #" + std::to_string(i) + " and #" + std::to_string(j);
+    if (overlap >= k) report.Fail(names + " overlap in >= k vertices");
+    if (overlap == components[i].size() || overlap == components[j].size()) {
+      report.Fail(names + " nest (redundancy)");
+      continue;
+    }
+    // 9. Each shared vertex and each edge of a matching between the two
+    // private parts links the components; removing one vertex breaks at
+    // most one link. So with k links, the union stays connected after
+    // removing any k - 1 vertices: it is k-connected, and neither
+    // component is maximal. A greedy matching is enough for a sufficient
+    // test.
+    std::size_t links = overlap;
+    touched.clear();
+    for (VertexId a : components[i]) {
+      if (links >= k) break;
+      if (in(a, j)) continue;
+      for (VertexId b : g.Neighbors(a)) {
+        if (!matched[b] && in(b, j) && !in(b, i)) {
+          matched[b] = true;
+          touched.push_back(b);
+          ++links;
+          break;
+        }
+      }
+    }
+    for (VertexId b : touched) matched[b] = false;
+    if (overlap < k && links >= k) {
+      report.Fail(names + " have a k-connected union (shared vertices plus "
+                          "a matching between their private parts number "
+                          ">= k): neither is maximal");
     }
   }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "gen/barabasi_albert.h"
@@ -86,6 +87,21 @@ TEST(ValidationTest, RejectsNonMaximalComponent) {
   const ValidationReport report = ValidateKvccResult(g, 3, {{0, 1, 2, 3}});
   EXPECT_FALSE(report.ok);
   EXPECT_TRUE(ValidateKvccResult(g, 3, {{0, 1, 2, 3, 4}}).ok);
+}
+
+TEST(ValidationTest, RejectsPrismHalves) {
+  // The triangular prism: triangles {0, 1, 2} and {3, 4, 5} joined by the
+  // perfect matching 0-3, 1-4, 2-5. Each triangle is 2-connected and no
+  // outside vertex has 2 neighbours in it, but the three matching edges
+  // keep the union connected after removing any one vertex: the 2-VCC set
+  // is all six vertices.
+  const std::vector<std::pair<VertexId, VertexId>> edges = {
+      {0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {0, 3}, {1, 4}, {2, 5}};
+  const Graph g = Graph::FromEdges(6, edges);
+  EXPECT_FALSE(ValidateKvccResult(g, 2, {{0, 1, 2}, {3, 4, 5}}).ok);
+  const std::vector<std::vector<VertexId>> all = {{0, 1, 2, 3, 4, 5}};
+  EXPECT_TRUE(ValidateKvccResult(g, 2, all).ok);
+  EXPECT_EQ(EnumerateKVccs(g, 2).components, all);
 }
 
 // Shapes whose k-core splits into several components, or peels down to a
