@@ -134,13 +134,19 @@ void CountPrunedVertex(SweepCause cause, KvccStats* stats) {
   }
 }
 
-// Adaptive wavefront batch bounds: start small (distance ordering tends to
+// Wavefronts engage only on a multi-worker pool and a working graph of at
+// least kWavefrontMinVertices vertices. Smaller subproblems — the recursion
+// tail of a bushy tree, which already feeds the pool through subproblem
+// parallelism — cannot pay for a wavefront's fork-join and speculative
+// probes. The adaptive batch starts small (distance ordering tends to
 // surface cuts within the first few probes, and every probe past a
-// committed cut is waste), grow while the observed prune rate keeps
-// speculative waste low, shrink when sweeps are pruning aggressively.
-// Driven purely by committed (deterministic) outcomes, so the batch-size
-// trajectory — and with it every probe-waste counter — is a pure function
-// of (input, options), independent of thread count or timing.
+// committed cut is waste), grows while the observed prune rate keeps
+// speculative waste low, and shrinks when sweeps are pruning aggressively.
+// Both rules read only the input and committed (deterministic) outcomes,
+// so which probes launch in which wave — and with it every probe-waste
+// counter — is a pure function of (input, options, whether the pool has
+// more than one worker), never of timing.
+constexpr VertexId kWavefrontMinVertices = 128;
 constexpr std::uint32_t kBatchInit = 4;
 constexpr std::uint32_t kBatchMin = 4;
 constexpr std::uint32_t kBatchMax = 256;
@@ -196,11 +202,11 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   assert(n > k);
   assert(hints.empty() || hints.size() == n);
 
-  // Cooperative cancellation: polled at entry, before every serial flow
-  // probe, and at every wavefront-batch formation — the boundaries that
-  // bound time-to-unwind by one probe / one batch. The thrown JobCancelled
-  // carries no stats; the enumeration driver attaches the job's partial
-  // counters when it surfaces the outcome.
+  // Cooperative cancellation: polled at entry and at every wave's
+  // formation, which bounds time-to-unwind by one wave (one probe without
+  // wavefronts). The thrown JobCancelled carries no stats; the enumeration
+  // driver attaches the job's partial counters when it surfaces the
+  // outcome.
   auto check_cancelled = [cancel, stats]() {
     if (cancel != nullptr && cancel->Cancelled()) {
       ++stats->cuts_cancelled;
@@ -264,15 +270,6 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   if (source == kInvalidVertex) source = test_graph.MinDegreeVertex();
   const bool source_is_strong = options.neighbor_sweep && strong[source];
 
-  // Wavefront engagement, decided up front (see the machinery comment
-  // below). The vertex floor keeps small subproblems — which the
-  // subproblem level already parallelizes — on the exact serial loop,
-  // where speculation cannot pay for itself.
-  const bool wavefronts = scheduler != nullptr &&
-                          scheduler->num_workers() > 1 &&
-                          options.intra_cut_parallelism &&
-                          (options.intra_cut_min_vertices == 0 ||
-                           n >= options.intra_cut_min_vertices);
   // Epoch rebind: O(1) reset of the sweep arrays, no reallocation.
   SweepContext& sweep = scratch->sweep;
   sweep.Bind(g, k, strong, groups, group_of, options.neighbor_sweep,
@@ -311,81 +308,88 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     }
   }
 
-  // --- intra-cut wavefront machinery ---
-  // Engagement depends only on (options, scheduler shape), never on runtime
-  // load: whether a wavefront's probes actually execute on several workers
-  // is the scheduler's starvation-gated call, but the wavefront *structure*
-  // — which probes launch, in which batches — is a pure function of the
-  // input, so the probe-waste counters (and everything else) reproduce
-  // exactly across runs and thread counts.
-  std::uint32_t batch =
-      options.probe_batch_size != 0 ? options.probe_batch_size : kBatchInit;
-  const bool adaptive_batch = options.probe_batch_size == 0;
+  // --- the search: waves of probes (form, probe, commit) ---
+  // Each phase walks its candidates in serial order as a run of waves.
+  // Formation settles every candidate before the wave's first probe on the
+  // spot, exactly as a serial search would, and then only classifies until
+  // the wave holds `batch` probes. The probes run inline on the scratch's
+  // probe when wavefronts are off (a wave holds one probe), or else
+  // concurrently on the pool. The commit replays the wave in order
+  // against the live sweep state, so the cut and every replay-identical
+  // counter match a serial search; only what follows a launched probe is
+  // speculative, and that speculation is booked as probe waste.
+  const bool wavefronts = scheduler != nullptr &&
+                          scheduler->num_workers() > 1 &&
+                          n >= kWavefrontMinVertices;
+  std::uint32_t batch = wavefronts ? kBatchInit : 1;
   auto adapt = [&](std::uint32_t launched, std::uint32_t wasted) {
-    if (!adaptive_batch || launched == 0) return;
+    if (!wavefronts || launched == 0) return;
     if (wasted * 4 >= launched) {
       batch = std::max(kBatchMin, batch / 2);  // > 25% waste: back off.
     } else if (wasted * 8 <= launched) {
       batch = std::min(kBatchMax, batch * 2);  // <= 12.5% waste: open up.
     }
   };
+  std::vector<ProbeCandidate>& wave = scratch->wave;
+  auto& args = scratch->wave_probe_args;
+  auto& common = scratch->wave_probe_common;
+  auto start_wave = [&]() {
+    check_cancelled();
+    wave.clear();
+    args.clear();
+    common.clear();
+  };
 
-  // Runs the current wavefront's probe list concurrently and returns how
-  // many *flow* probes actually ran (deferred-common entries settled by
-  // the Lemma-13 test never run a flow). Each executor slot owns one pool
-  // probe, and every probe reads the same immutable test graph; a probe
-  // writes only its own slot's state and its own wave_cuts /
-  // wave_common_skip / wave_edges entries, and the commit loop below
-  // reads the results only after ParallelFor returned, so probes race
-  // with nothing. The sweep state is
-  // snapshot-immutable during the wavefront: formation read it serially,
-  // and commits mutate it serially afterwards.
+  // Runs the wave's probe list and returns how many *flow* probes ran (a
+  // phase-2 pair whose Lemma-13 test settles it runs none). On the pool,
+  // each executor slot owns one probe, and every probe reads the same
+  // immutable test graph; a probe writes only its own slot's state and its
+  // own wave_cuts / wave_common_skip / wave_edges entries, and the commit
+  // reads them only after ParallelFor returned, so probes race with
+  // nothing. The sweep state is snapshot-immutable during the wave:
+  // formation read it serially, and commits mutate it serially afterwards.
   auto run_probes = [&]() -> std::uint32_t {
-    const auto& args = scratch->wave_probe_args;
     const std::uint32_t launched = static_cast<std::uint32_t>(args.size());
-    if (launched == 0) return 0;
-    const unsigned slots = scheduler->num_workers() + 1;
-    while (scratch->probe_pool.size() < slots) {
-      scratch->probe_pool.push_back(std::make_unique<FlowProbe>());
-    }
-    if (scratch->wave_cuts.size() < launched) scratch->wave_cuts.resize(launched);
-    if (scratch->wave_common_skip.size() < launched) {
-      scratch->wave_common_skip.resize(launched);
-    }
-    if (scratch->wave_edges.size() < launched) {
-      scratch->wave_edges.resize(launched);
-    }
-    ++stats->probe_wavefronts;
-    auto& pool = scratch->probe_pool;
     auto& cuts = scratch->wave_cuts;
     auto& common_skip = scratch->wave_common_skip;
     auto& edges = scratch->wave_edges;
-    const auto& deferred = scratch->wave_probe_common;
-    const Graph& host = g;
-    // Helper stubs carry the owning job's latency class, so an
-    // interactive job's wavefront competes for idle workers at its own
-    // priority instead of degrading to kNormal on its hardest subproblem.
-    scheduler->ParallelFor(
-        launched,
-        [&pool, &cuts, &common_skip, &edges, &args, &deferred, &test_graph,
-         &host, k](std::size_t i, unsigned slot) {
-          edges[i] = 0;
-          // Lemma-13 pre-test, hoisted out of the serial formation loop: a
-          // pure function of the working graph, so evaluating it here is
-          // replay-equivalent while parallelizing the Theta(d) merges that
-          // dominate pair formation on hub-heavy sources.
-          if (deferred[i] != 0 &&
-              CommonNeighborsAtLeast(host, args[i].first, args[i].second,
-                                     k)) {
-            common_skip[i] = 1;
-            cuts[i].clear();
-          } else {
-            common_skip[i] = 0;
-            cuts[i] = CountedLocCut(*pool[slot], test_graph, args[i].first,
-                                    args[i].second, k, edges[i]);
-          }
-        },
-        ToTaskPriority(options.priority));
+    if (cuts.size() < launched) cuts.resize(launched);
+    if (common_skip.size() < launched) common_skip.resize(launched);
+    if (edges.size() < launched) edges.resize(launched);
+    auto probe_one = [&](std::size_t i, FlowProbe& probe) {
+      edges[i] = 0;
+      // The Lemma-13 test runs here rather than at formation: a pure
+      // function of the working graph, so this is replay-equivalent, and on
+      // the pool it parallelizes the Theta(d) merges that dominate pair
+      // formation on hub-heavy sources.
+      if (common[i] != 0 &&
+          CommonNeighborsAtLeast(g, args[i].first, args[i].second, k)) {
+        common_skip[i] = 1;
+        cuts[i].clear();
+      } else {
+        common_skip[i] = 0;
+        cuts[i] = CountedLocCut(probe, test_graph, args[i].first,
+                                args[i].second, k, edges[i]);
+      }
+    };
+    if (!wavefronts) {
+      for (std::uint32_t i = 0; i < launched; ++i) {
+        probe_one(i, scratch->probe);
+      }
+    } else if (launched > 0) {
+      auto& pool = scratch->probe_pool;
+      while (pool.size() < scheduler->num_workers() + 1) {
+        pool.push_back(std::make_unique<FlowProbe>());
+      }
+      ++stats->probe_wavefronts;
+      // Helper stubs carry the owning job's latency class, so an
+      // interactive job's wavefront competes for idle workers at its own
+      // priority instead of degrading to kNormal on its hardest subproblem.
+      scheduler->ParallelFor(
+          launched,
+          [&](std::size_t i, unsigned slot) { probe_one(i, *pool[slot]); },
+          ToTaskPriority(options.priority));
+    }
     // Serial roll-up over every launched probe — speculative ones
     // included, their flow work is real — keeps probe_edges_touched
     // deterministic for a fixed (input, options, thread count).
@@ -394,105 +398,74 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
       if (common_skip[i] == 0) ++flow_probes;
       stats->probe_edges_touched += edges[i];
     }
-    stats->probes_launched += flow_probes;
+    if (wavefronts) stats->probes_launched += flow_probes;
     return flow_probes;
   };
 
   // --- phase 1 (Alg. 3 lines 8-15): covers every cut avoiding the source ---
-  if (!wavefronts) {
-    for (VertexId v : scratch->order) {
-      if (sweep.IsSwept(v)) {
-        CountPrunedVertex(sweep.CauseOf(v), stats);
-        continue;
-      }
-      if (g.HasEdge(source, v)) {
-        // Lemma 5: adjacent vertices are locally k-connected for free.
-        ++stats->phase1_tested_trivial;
-        sweep.Sweep(v, SweepCause::kTested);
-        continue;
-      }
-      check_cancelled();
-      ++stats->phase1_tested_flow;
-      ++stats->loc_cut_flow_calls;
-      std::vector<VertexId> cut = CountedLocCut(
-          scratch->probe, test_graph, source, v, k,
-          stats->probe_edges_touched);
-      if (!cut.empty()) return finish_with_cut(std::move(cut));
+  // A swept vertex is counted under its sweep's cause; a vertex adjacent to
+  // the source is locally k-connected for free (Lemma 5).
+  auto settle_vertex = [&](VertexId v, ProbeCandidate::Kind kind) {
+    if (kind == ProbeCandidate::Kind::kSwept) {
+      CountPrunedVertex(sweep.CauseOf(v), stats);
+    } else {
+      ++stats->phase1_tested_trivial;
       sweep.Sweep(v, SweepCause::kTested);
     }
-  } else {
-    const std::vector<VertexId>& order = scratch->order;
-    std::size_t pos = 0;
-    while (pos < order.size()) {
-      check_cancelled();
-      // Formation (serial): classify vertices from the current position
-      // until `batch` probes are collected. The sweep snapshot is the live
-      // state — no commit of this wavefront has happened yet, so anything
-      // unswept here is exactly what the serial loop could still reach.
-      std::vector<ProbeCandidate>& wave = scratch->wave;
-      auto& args = scratch->wave_probe_args;
-      wave.clear();
-      args.clear();
-      scratch->wave_probe_common.clear();
-      std::size_t end = pos;
-      while (end < order.size() && args.size() < batch) {
-        const VertexId v = order[end];
-        ProbeCandidate cand;
-        cand.a = v;
-        if (sweep.IsSwept(v)) {
-          cand.kind = ProbeCandidate::Kind::kSwept;
-        } else if (g.HasEdge(source, v)) {
-          cand.kind = ProbeCandidate::Kind::kAdjacent;
-        } else {
-          cand.kind = ProbeCandidate::Kind::kProbe;
-          cand.probe_index = static_cast<std::uint32_t>(args.size());
-          args.emplace_back(source, v);
-          scratch->wave_probe_common.push_back(0);
-        }
-        wave.push_back(cand);
-        ++end;
+  };
+  const std::vector<VertexId>& order = scratch->order;
+  for (std::size_t pos = 0; pos < order.size();) {
+    start_wave();
+    while (pos < order.size() && args.size() < batch) {
+      ProbeCandidate cand{order[pos++], 0, ProbeCandidate::Kind::kProbe};
+      if (sweep.IsSwept(cand.a)) {
+        cand.kind = ProbeCandidate::Kind::kSwept;
+      } else if (g.HasEdge(source, cand.a)) {
+        cand.kind = ProbeCandidate::Kind::kAdjacent;
       }
-      const std::uint32_t launched = static_cast<std::uint32_t>(args.size());
-      run_probes();
-
-      // Commit (serial replay): walk the slice in order, re-deriving every
-      // serial decision against the *live* sweep state. A probe whose
-      // vertex got swept by an earlier commit in this very wavefront is
-      // discarded (the serial loop never ran it) and counted as waste.
-      std::uint32_t used = 0;
-      std::uint32_t wasted_swept = 0;
-      for (const ProbeCandidate& cand : wave) {
-        const VertexId v = cand.a;
-        if (sweep.IsSwept(v)) {
-          CountPrunedVertex(sweep.CauseOf(v), stats);
-          if (cand.kind == ProbeCandidate::Kind::kProbe) ++wasted_swept;
+      if (cand.kind != ProbeCandidate::Kind::kProbe) {
+        if (args.empty()) {
+          settle_vertex(cand.a, cand.kind);
           continue;
         }
-        if (cand.kind == ProbeCandidate::Kind::kAdjacent) {
-          ++stats->phase1_tested_trivial;
-          sweep.Sweep(v, SweepCause::kTested);
-          continue;
-        }
-        // Unswept and non-adjacent: formation necessarily probed it
-        // (sweeps only grow between formation and commit).
-        assert(cand.kind == ProbeCandidate::Kind::kProbe);
-        ++stats->phase1_tested_flow;
-        ++stats->loc_cut_flow_calls;
-        ++used;
-        std::vector<VertexId>& cut = scratch->wave_cuts[cand.probe_index];
-        if (!cut.empty()) {
-          // Earliest-in-order cut wins; everything the serial loop would
-          // not have reached is pure waste.
-          stats->probes_wasted_swept += wasted_swept;
-          stats->probes_wasted_after_cut += launched - used - wasted_swept;
-          return finish_with_cut(std::move(cut));
-        }
-        sweep.Sweep(v, SweepCause::kTested);
+      } else {
+        cand.probe_index = static_cast<std::uint32_t>(args.size());
+        args.emplace_back(source, cand.a);
+        common.push_back(0);
       }
-      stats->probes_wasted_swept += wasted_swept;
-      adapt(launched, wasted_swept);
-      pos = end;
+      wave.push_back(cand);
     }
+    const std::uint32_t launched = run_probes();
+
+    std::uint32_t used = 0;
+    std::uint32_t wasted_swept = 0;
+    for (const ProbeCandidate& cand : wave) {
+      const VertexId v = cand.a;
+      // An earlier commit of this wave may have swept v since formation; a
+      // probe of such a vertex is discarded (the serial search never ran
+      // it) and counted as waste.
+      const ProbeCandidate::Kind kind =
+          sweep.IsSwept(v) ? ProbeCandidate::Kind::kSwept : cand.kind;
+      if (kind != ProbeCandidate::Kind::kProbe) {
+        if (cand.kind == ProbeCandidate::Kind::kProbe) ++wasted_swept;
+        settle_vertex(v, kind);
+        continue;
+      }
+      ++stats->phase1_tested_flow;
+      ++stats->loc_cut_flow_calls;
+      ++used;
+      std::vector<VertexId>& cut = scratch->wave_cuts[cand.probe_index];
+      if (!cut.empty()) {
+        // Earliest-in-order cut wins; everything the serial search would
+        // not have reached is pure waste.
+        stats->probes_wasted_swept += wasted_swept;
+        stats->probes_wasted_after_cut += launched - used - wasted_swept;
+        return finish_with_cut(std::move(cut));
+      }
+      sweep.Sweep(v, SweepCause::kTested);
+    }
+    stats->probes_wasted_swept += wasted_swept;
+    adapt(launched, wasted_swept);
   }
 
   // --- phase 2 (Alg. 3 lines 16-21): covers cuts containing the source ---
@@ -502,121 +475,67 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
     const std::size_t deg = nbrs.size();
     // Restart the adaptive ramp: a batch grown across a cut-free phase 1
     // would otherwise turn an early phase-2 cut into a full-batch write-off.
-    if (adaptive_batch) batch = kBatchInit;
-    if (!wavefronts) {
-      for (std::size_t i = 0; i < deg; ++i) {
-        for (std::size_t j = i + 1; j < deg; ++j) {
-          const VertexId va = nbrs[i];
-          const VertexId vb = nbrs[j];
-          if (group_sweep && group_of[va] != kNoGroup &&
-              group_of[va] == group_of[vb]) {
-            // Group sweep rule 3: same side-group => locally k-connected.
-            ++stats->phase2_pairs_skipped_group;
-            continue;
-          }
-          if (g.HasEdge(va, vb)) {
-            ++stats->phase2_pairs_skipped_adjacent;  // Lemma 5.
-            continue;
-          }
-          if (options.phase2_common_neighbor_skip &&
-              CommonNeighborsAtLeast(g, va, vb, k)) {
-            ++stats->phase2_pairs_skipped_common;  // Lemma 13.
-            continue;
-          }
-          check_cancelled();
-          ++stats->phase2_pairs_tested;
-          ++stats->loc_cut_flow_calls;
-          std::vector<VertexId> cut = CountedLocCut(
-              scratch->probe, test_graph, va, vb, k,
-              stats->probe_edges_touched);
-          if (!cut.empty()) return finish_with_cut(std::move(cut));
-        }
+    if (wavefronts) batch = kBatchInit;
+    auto settle_pair = [&](ProbeCandidate::Kind kind) {
+      if (kind == ProbeCandidate::Kind::kPairGroupSkip) {
+        ++stats->phase2_pairs_skipped_group;  // Group sweep rule 3.
+      } else {
+        ++stats->phase2_pairs_skipped_adjacent;  // Lemma 5.
       }
-    } else {
-      // Pair wavefronts. The group and adjacency skip predicates are pure
-      // functions of the graphs (no sweep state), so formation classifies
-      // exactly as the serial loop would. The common-neighbor test (Lemma
-      // 13) — also pure, but Theta(d) per pair and the dominant formation
-      // cost on hub-heavy sources — is *deferred into the wavefront*: the
-      // pair is launched as kProbeDeferred and the parallel body either
-      // settles it via the common test (wave_common_skip) or runs the
-      // flow probe. The commit replay keeps the skip counters honest —
-      // pairs past a committed cut are never counted.
-      std::size_t pi = 0;
-      std::size_t pj = 1;
-      while (pi + 1 < deg) {
-        check_cancelled();
-        std::vector<ProbeCandidate>& wave = scratch->wave;
-        auto& args = scratch->wave_probe_args;
-        wave.clear();
-        args.clear();
-        scratch->wave_probe_common.clear();
-        while (pi + 1 < deg && args.size() < batch) {
-          const VertexId va = nbrs[pi];
-          const VertexId vb = nbrs[pj];
-          ProbeCandidate cand;
-          cand.a = va;
-          cand.b = vb;
-          if (group_sweep && group_of[va] != kNoGroup &&
-              group_of[va] == group_of[vb]) {
-            cand.kind = ProbeCandidate::Kind::kPairGroupSkip;
-          } else if (g.HasEdge(va, vb)) {
-            cand.kind = ProbeCandidate::Kind::kPairAdjacent;
-          } else {
-            cand.kind = options.phase2_common_neighbor_skip
-                            ? ProbeCandidate::Kind::kProbeDeferred
-                            : ProbeCandidate::Kind::kProbe;
-            cand.probe_index = static_cast<std::uint32_t>(args.size());
-            args.emplace_back(va, vb);
-            scratch->wave_probe_common.push_back(
-                options.phase2_common_neighbor_skip ? 1 : 0);
-          }
-          wave.push_back(cand);
-          ++pj;
-          if (pj >= deg) {
-            ++pi;
-            pj = pi + 1;
-          }
+    };
+    std::size_t pi = 0;
+    std::size_t pj = 1;
+    while (pi + 1 < deg) {
+      start_wave();
+      // The skip predicates are pure functions of the graphs (no sweep
+      // state), so formation classifies exactly as the commit would.
+      while (pi + 1 < deg && args.size() < batch) {
+        ProbeCandidate cand{nbrs[pi], nbrs[pj], ProbeCandidate::Kind::kProbe};
+        if (++pj >= deg) {
+          ++pi;
+          pj = pi + 1;
         }
-        const std::uint32_t launched = static_cast<std::uint32_t>(args.size());
-        const std::uint32_t flow_launched = run_probes();
+        if (group_sweep && group_of[cand.a] != kNoGroup &&
+            group_of[cand.a] == group_of[cand.b]) {
+          cand.kind = ProbeCandidate::Kind::kPairGroupSkip;
+        } else if (g.HasEdge(cand.a, cand.b)) {
+          cand.kind = ProbeCandidate::Kind::kPairAdjacent;
+        }
+        if (cand.kind != ProbeCandidate::Kind::kProbe) {
+          if (args.empty()) {
+            settle_pair(cand.kind);
+            continue;
+          }
+        } else {
+          cand.probe_index = static_cast<std::uint32_t>(args.size());
+          args.emplace_back(cand.a, cand.b);
+          common.push_back(options.phase2_common_neighbor_skip ? 1 : 0);
+        }
+        wave.push_back(cand);
+      }
+      const std::uint32_t launched = static_cast<std::uint32_t>(args.size());
+      const std::uint32_t flow_launched = run_probes();
 
-        std::uint32_t used = 0;
-        for (const ProbeCandidate& cand : wave) {
-          switch (cand.kind) {
-            case ProbeCandidate::Kind::kPairGroupSkip:
-              ++stats->phase2_pairs_skipped_group;
-              break;
-            case ProbeCandidate::Kind::kPairAdjacent:
-              ++stats->phase2_pairs_skipped_adjacent;
-              break;
-            case ProbeCandidate::Kind::kProbeDeferred:
-              if (scratch->wave_common_skip[cand.probe_index] != 0) {
-                // The wavefront's Lemma-13 test settled the pair — same
-                // verdict, same counter as the serial loop's inline test.
-                ++stats->phase2_pairs_skipped_common;
-                break;
-              }
-              [[fallthrough]];
-            case ProbeCandidate::Kind::kProbe: {
-              ++stats->phase2_pairs_tested;
-              ++stats->loc_cut_flow_calls;
-              ++used;
-              std::vector<VertexId>& cut =
-                  scratch->wave_cuts[cand.probe_index];
-              if (!cut.empty()) {
-                stats->probes_wasted_after_cut += flow_launched - used;
-                return finish_with_cut(std::move(cut));
-              }
-              break;
-            }
-            case ProbeCandidate::Kind::kSwept:
-            case ProbeCandidate::Kind::kAdjacent:
-              break;  // Phase-1 kinds; unreachable here.
-          }
+      std::uint32_t used = 0;
+      for (const ProbeCandidate& cand : wave) {
+        if (cand.kind != ProbeCandidate::Kind::kProbe) {
+          settle_pair(cand.kind);
+          continue;
         }
-        adapt(launched, 0);
+        if (scratch->wave_common_skip[cand.probe_index] != 0) {
+          ++stats->phase2_pairs_skipped_common;  // Lemma 13.
+          continue;
+        }
+        ++stats->phase2_pairs_tested;
+        ++stats->loc_cut_flow_calls;
+        ++used;
+        std::vector<VertexId>& cut = scratch->wave_cuts[cand.probe_index];
+        if (!cut.empty()) {
+          stats->probes_wasted_after_cut += flow_launched - used;
+          return finish_with_cut(std::move(cut));
+        }
       }
+      adapt(launched, 0);
     }
   }
 

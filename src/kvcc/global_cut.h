@@ -11,18 +11,19 @@
 // Every probe is FlowProbe::LocCut (Dinic on the implicit vertex-split
 // flow graph, run on the working graph's CSR; flow_graph.h).
 //
-// Intra-cut parallelism: when a multi-worker TaskScheduler is passed in,
-// both phases run as *deterministic probe wavefronts* — the next batch of
-// flow probes executes concurrently on the pool (each participant on its
-// own FlowProbe, all reading the one immutable test graph), then the batch
-// is committed serially in the exact order the serial loop would have
-// used. The phase-2 common-neighbor test (Lemma 13,
-// a pure function) also runs inside the wavefront instead of the serial
-// formation loop, so hub-heavy pair formation no longer serializes on it.
-// Sweeps, all pre-existing stats, and the returned cut are byte-identical
-// to the serial loop for every thread count and batch size; speculative
-// probes a serial run would have skipped are bounded by an adaptive batch
-// size and surfaced in KvccStats::probes_wasted_*.
+// One search loop serves serial and parallel runs: each phase walks its
+// candidates in serial order as a run of *waves* (form, probe, commit).
+// Without wavefronts (no scheduler, one worker, or a working graph of fewer
+// than 128 vertices) a wave holds one probe, run inline. With them, a wave
+// holds the next batch of probes, which run concurrently on the pool (each
+// participant on its own FlowProbe, all reading the one immutable test
+// graph), and is then committed serially in the order a serial search
+// uses. The phase-2 common-neighbor test (Lemma 13, a pure function) runs
+// with the wave's probes, so hub-heavy pair formation does not serialize
+// on it. Sweeps, all replay-identical stats, and the returned cut are
+// byte-identical for every thread count; speculative probes a serial
+// search would have skipped are bounded by an adaptive batch size and
+// surfaced in KvccStats::probes_wasted_*, which a serial run keeps at 0.
 #ifndef KVCC_KVCC_GLOBAL_CUT_H_
 #define KVCC_KVCC_GLOBAL_CUT_H_
 
@@ -43,18 +44,16 @@
 
 namespace kvcc {
 
-/// One entry of a wavefront: a phase-1 vertex or phase-2 pair together with
-/// the classification the serial loop's replay needs at commit time.
+/// One entry of a wave: a phase-1 vertex or phase-2 pair with the class
+/// formation gave it. Entries before the wave's first probe are settled at
+/// formation and never stored; the commit replays the rest in order.
 struct ProbeCandidate {
   enum class Kind : std::uint8_t {
-    kSwept,           // phase 1: already swept at formation time
-    kAdjacent,        // phase 1: adjacent to the source (Lemma 5)
-    kPairGroupSkip,   // phase 2: same side-group (group sweep rule 3)
-    kPairAdjacent,    // phase 2: adjacent pair (Lemma 5)
-    kProbe,           // flow probe launched; result in wave_cuts[probe_index]
-    kProbeDeferred,   // phase 2: launched with the common-neighbor test
-                      // (Lemma 13) evaluated inside the wavefront; commit
-                      // consults wave_common_skip[probe_index] first
+    kSwept,          // phase 1: already swept at formation time
+    kAdjacent,       // phase 1: adjacent to the source (Lemma 5)
+    kPairGroupSkip,  // phase 2: same side-group (group sweep rule 3)
+    kPairAdjacent,   // phase 2: adjacent pair (Lemma 5)
+    kProbe,          // probe launched; result in wave_cuts[probe_index]
   };
   VertexId a = 0;  // phase 1: the vertex; phase 2: first endpoint
   VertexId b = 0;  // phase 2: second endpoint
@@ -75,7 +74,8 @@ struct ProbeCandidate {
 /// holds the last call's strong side-vertex verdicts until the next call
 /// (see GlobalCutResult).
 struct GlobalCutScratch {
-  /// The serial loop's LOC-CUT probe; its epoch-stamped state grows only.
+  /// The LOC-CUT probe of waves run inline (no wavefronts); its
+  /// epoch-stamped state grows only.
   FlowProbe probe;
 
   /// Sparse-certificate output storage plus build buffers (mate/offset/
@@ -106,15 +106,16 @@ struct GlobalCutScratch {
   std::vector<std::uint32_t> order_bucket_start;
   std::vector<VertexId> order;
 
-  // --- intra-cut wavefront state ---
+  // --- wave state ---
   /// One probe per executor slot (scheduler workers + 1 external slot),
-  /// each reading the shared test graph. Grown once per scratch lifetime.
+  /// each reading the shared test graph. Grown once per scratch lifetime,
+  /// and only by waves run on the pool.
   std::vector<std::unique_ptr<FlowProbe>> probe_pool;
-  /// Current wavefront: candidates in serial order, probe argument list
+  /// Current wave: candidates in serial order, probe argument list
   /// (indexed by ProbeCandidate::probe_index), and per launched probe one
-  /// deferred-common flag (input), one cut slot, one common-skip verdict,
-  /// and one count of residual moves the probe's flow examined (outputs;
-  /// disjoint writes across the wavefront).
+  /// Lemma-13 flag (input: test common neighbors before the flow), one cut
+  /// slot, one common-skip verdict, and one count of residual moves the
+  /// probe's flow examined (outputs; disjoint writes across the wave).
   std::vector<ProbeCandidate> wave;
   std::vector<std::pair<VertexId, VertexId>> wave_probe_args;
   std::vector<std::uint8_t> wave_probe_common;
@@ -143,15 +144,15 @@ struct GlobalCutResult {
 /// or one entry per vertex of g. `scratch` may be nullptr (a transient
 /// scratch is used); pass a live one to amortize allocations across
 /// repeated calls. `scheduler` may be nullptr (fully serial search); with a
-/// multi-worker scheduler and options.intra_cut_parallelism, flow probes
-/// run as parallel wavefronts (see file comment) with identical output.
+/// multi-worker scheduler and at least 128 vertices in g, flow probes run
+/// as parallel wavefronts (see file comment) with identical output.
 /// `cancel` may be nullptr (uncancellable); with a token, the search polls
-/// it at entry, before every serial flow probe, and at every
-/// wavefront-batch formation, and unwinds by throwing JobCancelled (with
-/// empty stats — the driver attaches the job's partials) the first time it
-/// observes cancellation, after bumping KvccStats::cuts_cancelled. Time to
-/// unwind is therefore bounded by one probe (serial) or one batch
-/// (wavefronts), never by the remaining search space.
+/// it at entry and at every wave's formation, and unwinds by throwing
+/// JobCancelled (with empty stats — the driver attaches the job's
+/// partials) the first time it observes cancellation, after bumping
+/// KvccStats::cuts_cancelled. Time to unwind is therefore bounded by one
+/// wave — one probe without wavefronts — never by the remaining search
+/// space.
 GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
                           const std::vector<SideVertexHint>& hints,
                           const KvccOptions& options, KvccStats* stats,

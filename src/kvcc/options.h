@@ -5,6 +5,10 @@
 //   VCCE-N  = + neighbor sweep (Section 5.1)
 //   VCCE-G  = + group sweep (Section 5.2)
 //   VCCE*   = + both (Section 5.3, GLOBAL-CUT*)
+//
+// Intra-cut wavefronts have no knob: they engage whenever a multi-worker
+// pool runs a GLOBAL-CUT on a working graph of 128 or more vertices, and
+// never change results (src/kvcc/global_cut.h).
 #ifndef KVCC_KVCC_OPTIONS_H_
 #define KVCC_KVCC_OPTIONS_H_
 
@@ -13,7 +17,7 @@
 
 /// \file
 /// \brief KvccOptions: algorithm-variant presets (VCCE / VCCE-N / VCCE-G
-/// / VCCE*) and execution knobs (threads, wavefronts, streaming order).
+/// / VCCE*) and execution knobs (threads, streaming order, job control).
 
 namespace kvcc {
 
@@ -82,35 +86,6 @@ struct KvccOptions {
   /// and the output is canonically sorted — so this is purely a
   /// wall-clock knob.
   std::uint32_t num_threads = 1;
-
-  /// \brief Parallelize the probes *inside* one GLOBAL-CUT call
-  /// (deterministic wavefronts over phase-1 vertices / phase-2 pairs)
-  /// when the run has a multi-worker scheduler. This is what lets a
-  /// recursion tree that is too shallow to feed the pool — e.g. one giant
-  /// k-connected component — still scale with cores. The returned cut,
-  /// the components, and every pre-existing stats counter are
-  /// byte-identical to the serial loop for any thread count or batch
-  /// size; the only observable difference is the probe-waste diagnostics
-  /// in KvccStats (a serial run launches no speculative probes). Engages
-  /// only on workers>1 engine runs; serial EnumerateKVccs
-  /// (num_threads = 1) never batches.
-  bool intra_cut_parallelism = true;
-
-  /// \brief Probes per intra-cut wavefront. 0 (default) adapts the batch
-  /// to the observed prune rate: it grows while little of the batch turns
-  /// out to have been swept by earlier commits (bounded waste) and
-  /// shrinks when sweeps are pruning aggressively. A nonzero value pins
-  /// the batch size — results are identical either way; only probe waste
-  /// and parallel saturation change.
-  std::uint32_t probe_batch_size = 0;
-
-  /// \brief Wavefronts engage only on working graphs with at least this
-  /// many vertices (0 = no floor). Small subproblems — the recursion tail
-  /// of a bushy tree, which already feeds the pool through subproblem
-  /// parallelism — cannot amortize the fork-join of a wavefront and its
-  /// speculative probes, so they stay on the exact serial loop. The floor
-  /// is a pure function of the input graph, preserving reproducibility.
-  std::uint32_t intra_cut_min_vertices = 128;
 
   /// \brief Streaming delivery only (KvccEngine::SubmitStreaming /
   /// SubmitStream, EnumerateKVccsStreaming): deliver components in the

@@ -57,29 +57,33 @@ TEST_P(OptionsMatrixTest, MatchesBruteForce) {
       EXPECT_EQ(result.components, expected)
           << "seed=" << seed << " k=" << k;
       EXPECT_EQ(result.stats.certificate_cut_fallbacks, 0u);
+      // A serial search runs every wave inline, one probe each, and
+      // settles what precedes a wave's probe on the spot: no speculation.
+      EXPECT_EQ(result.stats.probe_wavefronts, 0u);
+      EXPECT_EQ(result.stats.probes_launched, 0u);
+      EXPECT_EQ(result.stats.probes_wasted_swept, 0u)
+          << "seed=" << seed << " k=" << k;
+      EXPECT_EQ(result.stats.probes_wasted_after_cut, 0u)
+          << "seed=" << seed << " k=" << k;
     }
   }
 }
 
 // Execution-dimension sweep: the decomposition must be byte-identical to
-// the brute-force set for every thread count x intra-cut-parallelism
-// combination — the parallel paths replay the serial decision sequence.
-TEST(ExecutionMatrixTest, ThreadsTimesIntraCutMatchesBruteForce) {
+// the brute-force set for every thread count — the parallel paths replay
+// the serial decision sequence.
+TEST(ExecutionMatrixTest, ThreadCountsMatchBruteForce) {
   for (std::uint64_t seed : {2ull, 5ull, 9ull}) {
     const Graph g = kvcc::testing::RandomConnectedGraph(11, 26, seed);
     for (std::uint32_t k = 2; k <= 4; ++k) {
       const auto expected = kvcc::testing::BruteKVccs(g, k);
       for (std::uint32_t threads : {1u, 2u, 8u}) {
-        for (const bool intra_cut : {false, true}) {
-          KvccOptions options = KvccOptions::VcceStar();
-          options.num_threads = threads;
-          options.intra_cut_parallelism = intra_cut;
-          const auto result = EnumerateKVccs(g, k, options);
-          EXPECT_EQ(result.components, expected)
-              << "seed=" << seed << " k=" << k << " threads=" << threads
-              << " intra_cut=" << intra_cut;
-          EXPECT_EQ(result.stats.certificate_cut_fallbacks, 0u);
-        }
+        KvccOptions options = KvccOptions::VcceStar();
+        options.num_threads = threads;
+        const auto result = EnumerateKVccs(g, k, options);
+        EXPECT_EQ(result.components, expected)
+            << "seed=" << seed << " k=" << k << " threads=" << threads;
+        EXPECT_EQ(result.stats.certificate_cut_fallbacks, 0u);
       }
     }
   }

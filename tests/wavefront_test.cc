@@ -1,10 +1,11 @@
 // Determinism of the intra-GLOBAL-CUT probe wavefronts: with a multi-worker
-// scheduler, both phases run their flow probes as concurrent batches that
-// are committed serially, so the returned cut, the strong-side verdicts,
-// and every pre-existing stats counter must be byte-identical to the serial
-// loop for every thread count and batch size — across the whole options
-// matrix. Only the probe-waste diagnostics may differ from a serial run
-// (which launches no speculative probes).
+// scheduler and a working graph of at least 128 vertices, both phases run
+// their flow probes as concurrent waves that are committed serially, so
+// the returned cut, the strong-side verdicts, and every replay-identical
+// stats counter must be byte-identical to a serial search for every thread
+// count — across the whole options matrix. Only the probe-waste
+// diagnostics may differ from a serial run (which launches no speculative
+// probes).
 
 #include <gtest/gtest.h>
 
@@ -30,7 +31,6 @@ namespace kvcc {
 namespace {
 
 const std::vector<std::uint32_t> kThreadCounts = {1, 2, 8};
-const std::vector<std::uint32_t> kBatchSizes = {1, 4, 64};
 
 std::vector<KvccOptions> AllVariants() {
   return {KvccOptions::Vcce(), KvccOptions::VcceN(), KvccOptions::VcceG(),
@@ -87,87 +87,108 @@ void ExpectReplayIdenticalStats(const KvccStats& a, const KvccStats& b,
       << context;
 }
 
-/// The satellite matrix: serial GlobalCut vs wavefront GlobalCut across
-/// threads x batch sizes x options variants on one graph.
-void ExpectWavefrontByteIdentity(const Graph& g, std::uint32_t k,
-                                 const std::string& graph_name) {
+/// Probe waste booked by the wavefront runs of one matrix.
+struct Waste {
+  std::uint64_t swept = 0;
+  std::uint64_t after_cut = 0;
+};
+
+/// Serial GlobalCut vs GlobalCut inside a scheduler of each thread count,
+/// across the options presets, on one graph of at least 128 vertices.
+Waste ExpectWavefrontByteIdentity(const Graph& g, std::uint32_t k,
+                                  const std::string& graph_name) {
+  EXPECT_GE(g.NumVertices(), 128u) << graph_name;
+  Waste waste;
   for (const KvccOptions& preset : AllVariants()) {
     KvccStats serial_stats;
     const GlobalCutResult serial =
         GlobalCut(g, k, {}, preset, &serial_stats);
+    EXPECT_EQ(serial_stats.probe_wavefronts, 0u) << graph_name;
     for (const std::uint32_t threads : kThreadCounts) {
-      for (const std::uint32_t batch : kBatchSizes) {
-        KvccOptions options = preset;
-        options.probe_batch_size = batch;
-        options.intra_cut_min_vertices = 0;  // test graphs are small
-        KvccStats stats;
-        const GlobalCutResult run =
-            RunGlobalCutOnScheduler(g, k, options, &stats, threads);
-        const std::string context = graph_name + " k=" + std::to_string(k) +
-                                    " threads=" + std::to_string(threads) +
-                                    " batch=" + std::to_string(batch);
-        EXPECT_EQ(run.cut, serial.cut) << context;
-        ExpectReplayIdenticalStats(stats, serial_stats, context);
-        if (threads > 1) {
-          // Every committed flow test needed a launched probe, so serial
-          // flow activity implies wavefront activity. (The converse is not
-          // asserted: formation may speculate probes that commits discard.)
-          if (serial_stats.loc_cut_flow_calls > 0) {
-            EXPECT_GT(stats.probes_launched, 0u) << context;
-          }
-        } else {
-          EXPECT_EQ(stats.probes_launched, 0u) << context;  // serial loop
+      KvccStats stats;
+      const GlobalCutResult run =
+          RunGlobalCutOnScheduler(g, k, preset, &stats, threads);
+      const std::string context = graph_name + " k=" + std::to_string(k) +
+                                  " threads=" + std::to_string(threads);
+      EXPECT_EQ(run.cut, serial.cut) << context;
+      ExpectReplayIdenticalStats(stats, serial_stats, context);
+      if (threads > 1) {
+        // Every committed flow test needed a launched probe, so serial
+        // flow activity implies wavefront activity. (The converse is not
+        // asserted: formation may speculate probes that commits discard.)
+        if (serial_stats.loc_cut_flow_calls > 0) {
+          EXPECT_GT(stats.probes_launched, 0u) << context;
         }
+        waste.swept += stats.probes_wasted_swept;
+        waste.after_cut += stats.probes_wasted_after_cut;
+      } else {
+        // One worker: every wave holds one probe, run inline.
+        EXPECT_EQ(stats.probe_wavefronts, 0u) << context;
+        EXPECT_EQ(stats.probes_launched, 0u) << context;
+        EXPECT_EQ(stats.probes_wasted_swept, 0u) << context;
+        EXPECT_EQ(stats.probes_wasted_after_cut, 0u) << context;
       }
     }
   }
+  return waste;
 }
 
 TEST(WavefrontTest, KConnectedGraphByteIdentity) {
   // No cut exists: phase 1 sweeps everything, phase 2 runs to exhaustion —
   // the shallow-recursion shape intra-cut parallelism is for.
-  ExpectWavefrontByteIdentity(HararyGraph(5, 24), 5, "harary_5_24");
+  ExpectWavefrontByteIdentity(HararyGraph(5, 130), 5, "harary_5_130");
 }
 
 TEST(WavefrontTest, CutFoundByteIdentity) {
   // A 2-cut exists; the wavefront must return the exact cut the serial
-  // loop finds (earliest in order), not just *a* cut.
-  ExpectWavefrontByteIdentity(TwoCliquesSharing(6, 2), 4, "two_cliques");
+  // search finds (earliest in order), not just *a* cut.
+  const Waste waste =
+      ExpectWavefrontByteIdentity(TwoCliquesSharing(66, 2), 4, "two_cliques");
+  EXPECT_GT(waste.after_cut, 0u);
 }
 
-TEST(WavefrontTest, PetersenCutByteIdentity) {
-  ExpectWavefrontByteIdentity(PetersenGraph(), 4, "petersen");
+TEST(WavefrontTest, PlantedBlocksCutAfterSeveralWavesByteIdentity) {
+  // The block boundaries are the cuts; a search from inside one block
+  // commits several waves before a probe reaches another block.
+  const PlantedVccGraph planted = GeneratePlantedVcc(PlantedVccConfig{});
+  const Waste waste = ExpectWavefrontByteIdentity(
+      planted.graph, planted.max_connected_k, "planted");
+  EXPECT_GT(waste.after_cut, 0u);
 }
 
 TEST(WavefrontTest, RandomGraphsByteIdentityAcrossMatrix) {
+  // k-connected random graphs: sweeps from earlier commits of a wave
+  // discard some of its probes.
+  int graphs = 0;
+  std::uint64_t wasted_swept = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const Graph g = kvcc::testing::RandomConnectedGraph(12, 30, seed);
+    const Graph g = kvcc::testing::RandomConnectedGraph(130, 900, seed);
     for (std::uint32_t k = 2; k <= 4; ++k) {
       bool degree_ok = true;
       for (VertexId v = 0; v < g.NumVertices(); ++v) {
         if (g.Degree(v) < k) degree_ok = false;
       }
       if (!degree_ok) continue;
-      ExpectWavefrontByteIdentity(g, k, "random_seed" + std::to_string(seed));
+      const std::string name = "random_seed" + std::to_string(seed);
+      wasted_swept += ExpectWavefrontByteIdentity(g, k, name).swept;
+      ++graphs;
     }
   }
+  EXPECT_GE(graphs, 6);
+  EXPECT_GT(wasted_swept, 0u);
 }
 
 TEST(WavefrontTest, AdaptiveBatchMatchesSerialToo) {
-  // probe_batch_size = 0 (adaptive) across thread counts.
-  const Graph g = HararyGraph(6, 30);
+  const Graph g = HararyGraph(6, 130);
   KvccStats serial_stats;
   const GlobalCutResult serial =
       GlobalCut(g, 6, {}, KvccOptions::VcceStar(), &serial_stats);
   KvccStats ref_parallel_stats;
   bool have_ref = false;
   for (const std::uint32_t threads : kThreadCounts) {
-    KvccOptions options = KvccOptions::VcceStar();
-    ASSERT_EQ(options.probe_batch_size, 0u);
-    options.intra_cut_min_vertices = 0;
     KvccStats stats;
-    const GlobalCutResult run =
-        RunGlobalCutOnScheduler(g, 6, options, &stats, threads);
+    const GlobalCutResult run = RunGlobalCutOnScheduler(
+        g, 6, KvccOptions::VcceStar(), &stats, threads);
     EXPECT_EQ(run.cut, serial.cut) << "threads=" << threads;
     ExpectReplayIdenticalStats(stats, serial_stats,
                                "threads=" + std::to_string(threads));
@@ -193,19 +214,18 @@ TEST(WavefrontTest, AdaptiveBatchMatchesSerialToo) {
   }
 }
 
-TEST(WavefrontTest, EnumerationByteIdenticalAcrossThreadsAndBatches) {
+TEST(WavefrontTest, EnumerationByteIdenticalAcrossThreads) {
   // End to end: EnumerateKVccs over the engine with wavefronts engaged must
-  // emit byte-identical components for every (threads, batch) combination —
-  // including against the fully serial run.
+  // emit byte-identical components for every thread count — including
+  // against the fully serial run.
   PlantedVccConfig config;
   config.num_blocks = 5;
-  config.block_size_min = 16;
-  config.block_size_max = 24;
   config.connectivity = 8;
   config.overlap = 2;
   config.bridge_edges = 1;
   config.seed = 77;
   const PlantedVccGraph planted = GeneratePlantedVcc(config);
+  ASSERT_GE(planted.graph.NumVertices(), 128u);
 
   KvccOptions serial = KvccOptions::VcceStar();
   serial.num_threads = 1;
@@ -214,21 +234,17 @@ TEST(WavefrontTest, EnumerationByteIdenticalAcrossThreadsAndBatches) {
   EXPECT_EQ(reference.components, planted.blocks);
 
   for (const std::uint32_t threads : kThreadCounts) {
-    for (const std::uint32_t batch : kBatchSizes) {
-      KvccOptions options = KvccOptions::VcceStar();
-      options.num_threads = threads;
-      options.probe_batch_size = batch;
-      options.intra_cut_min_vertices = 0;  // engage on the small pieces too
-      const KvccResult run =
-          EnumerateKVccs(planted.graph, planted.max_connected_k, options);
-      EXPECT_EQ(run.components, reference.components)
-          << "threads=" << threads << " batch=" << batch;
-      EXPECT_EQ(run.stats.loc_cut_flow_calls,
-                reference.stats.loc_cut_flow_calls)
-          << "threads=" << threads << " batch=" << batch;
-      EXPECT_EQ(run.stats.kvccs_found, reference.stats.kvccs_found)
-          << "threads=" << threads << " batch=" << batch;
-    }
+    KvccOptions options = KvccOptions::VcceStar();
+    options.num_threads = threads;
+    const KvccResult run =
+        EnumerateKVccs(planted.graph, planted.max_connected_k, options);
+    EXPECT_EQ(run.components, reference.components) << "threads=" << threads;
+    EXPECT_EQ(run.stats.loc_cut_flow_calls,
+              reference.stats.loc_cut_flow_calls)
+        << "threads=" << threads;
+    EXPECT_EQ(run.stats.kvccs_found, reference.stats.kvccs_found)
+        << "threads=" << threads;
+    if (threads > 1) EXPECT_GT(run.stats.probes_launched, 0u);
   }
 }
 
@@ -236,11 +252,9 @@ TEST(WavefrontTest, SingleGiantComponentEngagesWavefronts) {
   // Recursion tree of depth 1: one k-connected graph. The serial pool
   // would leave every other worker idle; the wavefronts must actually
   // launch probes here (this is the ROADMAP gap this feature closes).
-  // Default options: the graph clears the intra_cut_min_vertices floor.
   for (const std::uint32_t k : {6u, 12u}) {
     const Graph g = HararyGraph(k, 150);
     const KvccOptions serial = KvccOptions::VcceStar();
-    ASSERT_GE(150u, serial.intra_cut_min_vertices);
     const KvccResult serial_run = EnumerateKVccs(g, k, serial);
     EXPECT_EQ(serial_run.stats.probes_launched, 0u) << "k=" << k;
 
@@ -262,35 +276,25 @@ TEST(WavefrontTest, SingleGiantComponentEngagesWavefronts) {
   }
 }
 
-TEST(WavefrontTest, IntraCutParallelismCanBeDisabled) {
-  const Graph g = HararyGraph(5, 24);
-  KvccOptions options = KvccOptions::VcceStar();
-  options.num_threads = 4;
-  options.intra_cut_min_vertices = 0;  // the flag alone must disable
-  options.intra_cut_parallelism = false;
-  const KvccResult run = EnumerateKVccs(g, 5, options);
-  EXPECT_EQ(run.stats.probes_launched, 0u);
-  EXPECT_EQ(run.components.size(), 1u);
-}
-
 TEST(WavefrontTest, MinVertexFloorKeepsSmallGraphsSerial) {
-  // Below the floor the exact serial loop runs even on a wide pool.
-  const Graph g = HararyGraph(5, 24);
+  // Wavefronts engage from 128 vertices up, even on a wide pool.
   KvccOptions options = KvccOptions::VcceStar();
   options.num_threads = 4;
-  options.intra_cut_min_vertices = 128;
-  const KvccResult run = EnumerateKVccs(g, 5, options);
-  EXPECT_EQ(run.stats.probes_launched, 0u);
-  EXPECT_EQ(run.components.size(), 1u);
+  const KvccResult below = EnumerateKVccs(HararyGraph(5, 127), 5, options);
+  EXPECT_EQ(below.stats.probes_launched, 0u);
+  EXPECT_EQ(below.components.size(), 1u);
+  const KvccResult at = EnumerateKVccs(HararyGraph(5, 128), 5, options);
+  EXPECT_GT(at.stats.probes_launched, 0u);
+  EXPECT_EQ(at.components.size(), 1u);
 }
 
 TEST(WavefrontTest, CancelledTokenAbortsGlobalCutAtBatchBoundary) {
-  // A pre-cancelled token must unwind the search before any probe work:
-  // serially (entry / per-probe checks) and under wavefronts (per-batch
-  // formation checks). The throw carries empty stats by contract — the
-  // drivers attach partials — but the cuts_cancelled diagnostic lands in
-  // the caller's counters.
-  const Graph g = HararyGraph(5, 24);
+  // A pre-cancelled token must unwind the search before any probe work,
+  // serially and under wavefronts (entry and per-wave formation checks).
+  // The throw carries empty stats by contract — the drivers attach
+  // partials — but the cuts_cancelled diagnostic lands in the caller's
+  // counters.
+  const Graph g = HararyGraph(5, 130);
   CancelToken cancelled;
   cancelled.RequestCancel();
 
@@ -311,11 +315,9 @@ TEST(WavefrontTest, CancelledTokenAbortsGlobalCutAtBatchBoundary) {
   bool threw_cancelled = false;
   KvccStats wave_stats;
   scheduler.Submit([&](unsigned) {
-    KvccOptions options = KvccOptions::VcceStar();
-    options.intra_cut_min_vertices = 0;
     try {
-      GlobalCut(g, 5, {}, options, &wave_stats, &scratch, &scheduler,
-                &cancelled);
+      GlobalCut(g, 5, {}, KvccOptions::VcceStar(), &wave_stats, &scratch,
+                &scheduler, &cancelled);
     } catch (const JobCancelled&) {
       threw_cancelled = true;
     }

@@ -48,17 +48,15 @@ int Usage() {
   std::cerr <<
       "usage: kvcc <command> [args]\n"
       "  decompose <graph> <k> [--variant=VCCE*|VCCE|VCCE-N|VCCE-G]\n"
-      "            [--threads=N] [--probe-batch=B] [--no-intra-cut]\n"
-      "            [--deadline-ms=D] [--validate] [--stats] [--quiet]\n"
+      "            [--threads=N] [--deadline-ms=D] [--validate]\n"
+      "            [--stats] [--quiet]\n"
       "            (--threads: 1 = serial, 0 = all hardware threads;\n"
       "             the edge-list loader runs on --threads too;\n"
-      "             --probe-batch: probes per intra-cut wavefront, 0 =\n"
-      "             adaptive; --no-intra-cut: disable intra-GLOBAL-CUT\n"
-      "             probe parallelism; --deadline-ms: wall-clock budget,\n"
-      "             exit 3 with partial stats once it elapses)\n"
+      "             --deadline-ms: wall-clock budget, exit 3 with\n"
+      "             partial stats once it elapses)\n"
       "  stream <graph> <k> [--variant=VCCE*|VCCE|VCCE-N|VCCE-G]\n"
-      "         [--threads=N] [--stable-order] [--probe-batch=B]\n"
-      "         [--no-intra-cut] [--deadline-ms=D] [--stream-buffer=L]\n"
+      "         [--threads=N] [--stable-order] [--deadline-ms=D]\n"
+      "         [--stream-buffer=L]\n"
       "         [--priority=interactive|normal|bulk] [--stats]\n"
       "         (NDJSON: one {\"type\": \"component\", ...} line per k-VCC\n"
       "          as soon as it commits, then one \"complete\" line;\n"
@@ -67,8 +65,7 @@ int Usage() {
       "          unbounded, producer blocks when full); --deadline-ms\n"
       "          cancels mid-stream, closing with a \"cancelled\" line;\n"
       "          --threads defaults to 0 = all hardware threads)\n"
-      "  batch <jobs-file> [--variant=...] [--threads=N] [--probe-batch=B]\n"
-      "        [--no-intra-cut] [--deadline-ms=D]\n"
+      "  batch <jobs-file> [--variant=...] [--threads=N] [--deadline-ms=D]\n"
       "        [--priority=interactive|normal|bulk] [--stats] [--quiet]\n"
       "        (jobs-file lines: \"<graph> <k> [variant]\"; '#' comments.\n"
       "         All jobs run concurrently on one shared engine; output\n"
@@ -131,17 +128,6 @@ bool ParseThreads(const std::string& value, std::uint32_t& threads) {
   return true;
 }
 
-/// Parses a --probe-batch=B value; prints an error and returns false on
-/// junk.
-bool ParseProbeBatch(const std::string& value, std::uint32_t& batch) {
-  if (!ParseUint(value, 1u << 20, batch)) {
-    std::cerr << "error: --probe-batch expects an integer in [0, 2^20] "
-                 "(0 = adaptive)\n";
-    return false;
-  }
-  return true;
-}
-
 /// Parses a --deadline-ms=D value; prints an error and returns false on
 /// junk.
 bool ParseDeadlineMs(const std::string& value, std::uint32_t& deadline_ms) {
@@ -169,9 +155,10 @@ bool ParsePriority(const std::string& value, JobPriority& priority) {
   return true;
 }
 
-/// Flags shared by the decompose and stream subcommands: --variant=,
-/// --threads=, --probe-batch=, --no-intra-cut, --stats. Parsed into state
-/// that Options() applies *after* the whole command line is consumed, so a
+/// Flags shared by the decompose, stream and batch subcommands: --variant=,
+/// --threads=, --deadline-ms=, --priority=, --stats. Parsed into state that
+/// Options() applies *after* the whole command line is consumed (batch
+/// applies ApplyExecutionKnobs() to each jobs-file line instead), so a
 /// later --variant= cannot clobber the effect of an earlier flag (each
 /// subcommand likewise applies its own extra flags post-loop).
 struct CommonEnumFlags {
@@ -189,10 +176,6 @@ struct CommonEnumFlags {
       return ParseThreads(arg.substr(10), threads) ? Parse::kHandled
                                                    : Parse::kError;
     }
-    if (arg.rfind("--probe-batch=", 0) == 0) {
-      return ParseProbeBatch(arg.substr(14), probe_batch) ? Parse::kHandled
-                                                          : Parse::kError;
-    }
     if (arg.rfind("--deadline-ms=", 0) == 0) {
       return ParseDeadlineMs(arg.substr(14), deadline_ms) ? Parse::kHandled
                                                           : Parse::kError;
@@ -200,10 +183,6 @@ struct CommonEnumFlags {
     if (arg.rfind("--priority=", 0) == 0) {
       return ParsePriority(arg.substr(11), priority) ? Parse::kHandled
                                                      : Parse::kError;
-    }
-    if (arg == "--no-intra-cut") {
-      intra_cut = false;
-      return Parse::kHandled;
     }
     if (arg == "--stats") {
       stats = true;
@@ -216,8 +195,6 @@ struct CommonEnumFlags {
   /// batch mode resolves its variant per jobs-file line and layers these
   /// on top.
   void ApplyExecutionKnobs(KvccOptions& options) const {
-    options.probe_batch_size = probe_batch;
-    options.intra_cut_parallelism = intra_cut;
     options.deadline_ms = deadline_ms;
     options.priority = priority;
   }
@@ -231,10 +208,8 @@ struct CommonEnumFlags {
 
   KvccOptions variant = KvccOptions::VcceStar();
   std::uint32_t threads;
-  std::uint32_t probe_batch = 0;
   std::uint32_t deadline_ms = 0;
   JobPriority priority = JobPriority::kNormal;
-  bool intra_cut = true;
   bool stats = false;
 };
 
@@ -389,10 +364,9 @@ struct BatchJobLine {
 int CmdBatch(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
   // Batch mode defaults to all hardware threads; the shared enumeration
-  // flags (--threads/--probe-batch/--no-intra-cut/--deadline-ms/
-  // --priority/--variant/--stats) parse exactly as in decompose/stream,
-  // with --variant acting as the default preset for jobs-file lines that
-  // name none.
+  // flags (--threads/--deadline-ms/--priority/--variant/--stats) parse
+  // exactly as in decompose/stream, with --variant acting as the default
+  // preset for jobs-file lines that name none.
   CommonEnumFlags flags(/*default_threads=*/0);
   bool quiet = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
