@@ -97,18 +97,20 @@ struct KvccStats {
   std::uint64_t certificate_cut_fallbacks = 0;
 
   // --- intra-GLOBAL-CUT wavefront diagnostics ---
-  // A wavefront speculatively probes the next batch of phase-1 vertices /
-  // phase-2 pairs concurrently and then commits serially, so some probes
-  // are redundant: the serial loop would have pruned the vertex (an earlier
-  // commit swept it) or stopped before the pair (an earlier probe found the
-  // cut). These counters quantify that waste; they stay 0 on serial runs
-  // and are the only stats fields that differ between a serial and an
-  // intra-cut-parallel run of the same input (everything above is replay-
-  // identical by construction).
+  // GLOBAL-CUT runs its search as waves. On a multi-worker pool a wave
+  // probes the next batch of phase-1 vertices / phase-2 pairs concurrently
+  // and then commits serially, so some probes are redundant: a serial
+  // search would have pruned the vertex (an earlier commit swept it) or
+  // stopped before the pair (an earlier probe found the cut). These
+  // counters quantify that speculation. A serial run runs every wave
+  // inline, one probe each, with nothing speculative, so all four stay 0
+  // there; they are the only stats fields that differ between a serial and
+  // an intra-cut-parallel run of the same input (everything above is
+  // replay-identical by construction).
 
-  /// \brief Wavefront batches formed across all GLOBAL-CUT calls.
+  /// \brief Waves run on the pool across all GLOBAL-CUT calls.
   std::uint64_t probe_wavefronts = 0;
-  /// \brief Speculative flow probes launched inside wavefronts.
+  /// \brief Flow probes launched inside waves run on the pool.
   std::uint64_t probes_launched = 0;
   /// \brief Probes whose vertex was swept between launch and its serial
   /// commit.
