@@ -53,7 +53,7 @@ struct EdgeDelta {
 /// \brief Merges one effective batch into a base graph's CSR arrays,
 /// reusing the output graph's storage.
 ///
-/// This is the seam Graph::FromCsr / GraphBuilder::BuildInto lack: both
+/// This is the seam Graph::FromCsr / GraphBuilder::Build lack: both
 /// assume the edge set is final at build time, so a per-batch rebuild
 /// through them costs a full edge-pair pass and fresh allocations.
 /// DeltaApplier instead counting-sorts the batch's directed ops by source

@@ -123,9 +123,11 @@ class Graph {
 
  private:
   friend class GraphBuilder;
-  // The dynamic-graph delta merge (graph/delta_store.h) writes CSR rows
-  // into a reused Graph in place — the seam FromCsr/BuildInto lack.
+  // The dynamic-graph delta merge (graph/delta_store.h) and the sparse
+  // certificate (kvcc/sparse_certificate.cc) write CSR rows into a reused
+  // Graph in place — the seam FromCsr/GraphBuilder lack.
   friend class DeltaApplier;
+  friend class CertificateRowWriter;
 
   Graph InduceImpl(std::span<const VertexId> vertices, bool as_root) const;
 

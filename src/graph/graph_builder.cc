@@ -21,18 +21,7 @@ void GraphBuilder::SetLabels(std::vector<VertexId> labels) {
   labels_ = std::move(labels);
 }
 
-void GraphBuilder::SetLabelsFrom(const Graph& g) {
-  labels_.resize(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) labels_[v] = g.LabelOf(v);
-}
-
 Graph GraphBuilder::Build() {
-  Graph g;
-  BuildInto(g);
-  return g;
-}
-
-void GraphBuilder::BuildInto(Graph& g) {
   if (!labels_.empty() && labels_.size() != num_vertices_) {
     throw std::invalid_argument("GraphBuilder: label count != vertex count");
   }
@@ -44,6 +33,7 @@ void GraphBuilder::BuildInto(Graph& g) {
   }
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 
+  Graph g;
   g.num_vertices_ = num_vertices_;
   g.num_edges_ = edges_.size();
   g.offsets_.assign(num_vertices_ + 1, 0);
@@ -55,15 +45,15 @@ void GraphBuilder::BuildInto(Graph& g) {
     g.offsets_[i + 1] += g.offsets_[i];
   }
   g.adjacency_.resize(2 * edges_.size());
-  cursor_.assign(g.offsets_.begin(), g.offsets_.end() - 1);
+  std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   // Edges are sorted by (u, v) with u < v, so per-vertex neighbor lists come
   // out sorted: for each u the v's arrive ascending, and for each v the u's
   // arrive ascending (outer sort is by u).
   for (const auto& [u, v] : edges_) {
-    g.adjacency_[cursor_[u]++] = v;
+    g.adjacency_[cursor[u]++] = v;
   }
   for (const auto& [u, v] : edges_) {
-    g.adjacency_[cursor_[v]++] = u;
+    g.adjacency_[cursor[v]++] = u;
   }
   // The two insertion waves above leave each list as "all larger neighbors,
   // then all smaller neighbors" — merge them by sorting each range once.
@@ -72,12 +62,12 @@ void GraphBuilder::BuildInto(Graph& g) {
               g.adjacency_.begin() +
                   static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
   }
-  // Copy rather than move the labels so both sides keep their capacity.
-  g.labels_.assign(labels_.begin(), labels_.end());
+  g.labels_ = std::move(labels_);
 
   edges_.clear();
   labels_.clear();
   num_vertices_ = 0;
+  return g;
 }
 
 }  // namespace kvcc

@@ -27,10 +27,6 @@ class GraphBuilder {
   /// Attaches root-graph labels (size must equal the final vertex count).
   void SetLabels(std::vector<VertexId> labels);
 
-  /// Copies `g`'s labels as this builder's labels, reusing the builder's
-  /// label buffer (no allocation in steady state).
-  void SetLabelsFrom(const Graph& g);
-
   VertexId NumVertices() const { return num_vertices_; }
   std::size_t NumEdgeEntries() const { return edges_.size(); }
 
@@ -38,19 +34,10 @@ class GraphBuilder {
   /// empty afterwards.
   Graph Build();
 
-  /// Like Build(), but writes into `out`, reusing its CSR storage (and the
-  /// builder's own buffers keep their capacity too). A builder + Graph pair
-  /// cycled through AddEdge.../BuildInto reaches a steady state with no
-  /// allocations once capacities have grown to the largest graph seen —
-  /// this is what keeps the per-worker sparse-certificate rebuild off the
-  /// allocator on the GLOBAL-CUT hot path.
-  void BuildInto(Graph& out);
-
  private:
   VertexId num_vertices_ = 0;
   std::vector<std::pair<VertexId, VertexId>> edges_;
   std::vector<VertexId> labels_;
-  std::vector<std::uint64_t> cursor_;  // BuildInto fill positions
 };
 
 }  // namespace kvcc

@@ -78,9 +78,9 @@ struct GlobalCutScratch {
   /// epoch-stamped state grows only.
   FlowProbe probe;
 
-  /// Sparse-certificate output storage plus build buffers (mate/offset/
-  /// used/builder); rebuilt in place per invocation when the certificate
-  /// is enabled.
+  /// Sparse-certificate output storage plus the scan's buffers (bucket
+  /// queue, scan order and positions, F_k roots); rebuilt in place per
+  /// invocation when the certificate is enabled.
   SparseCertificate cert;
   CertificateScratch cert_scratch;
 

@@ -1,8 +1,161 @@
 #include "kvcc/sparse_certificate.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace kvcc {
+
+namespace {
+
+constexpr std::uint32_t kScanned = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint32_t kNotReached = std::numeric_limits<std::uint32_t>::max();
+// Marks a tree root whose tree has an edge but no group id yet.
+constexpr std::uint32_t kPendingGroup = kNoGroup - 1;
+
+void Unlink(CertificateScratch& s, VertexId v, std::uint32_t r) {
+  const VertexId next = s.bucket_next[v];
+  const VertexId prev = s.bucket_prev[v];
+  if (prev == kInvalidVertex) {
+    s.bucket_head[r] = next;
+  } else {
+    s.bucket_next[prev] = next;
+  }
+  if (next != kInvalidVertex) s.bucket_prev[next] = prev;
+}
+
+void PushFront(CertificateScratch& s, VertexId v, std::uint32_t r) {
+  const VertexId head = s.bucket_head[r];
+  s.bucket_next[v] = head;
+  s.bucket_prev[v] = kInvalidVertex;
+  if (head != kInvalidVertex) s.bucket_prev[head] = v;
+  s.bucket_head[r] = v;
+}
+
+// The maximum-adjacency scan (sparse_certificate.h): fills order, position
+// and limit.
+void ScanMaximumAdjacency(const Graph& g, std::uint32_t k,
+                          CertificateScratch& s) {
+  const VertexId n = g.NumVertices();
+  // A rank never exceeds n - 1, so capping at min(k, n) changes nothing
+  // and bounds the bucket array.
+  const auto cap = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(k, n));
+  s.rank.assign(n, 0);
+  s.limit.assign(n, k == 0 ? 0 : kNotReached);
+  s.order.resize(n);
+  s.position.resize(n);
+  s.bucket_head.assign(static_cast<std::size_t>(cap) + 1, kInvalidVertex);
+  s.bucket_next.resize(n);
+  s.bucket_prev.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    s.bucket_next[v] = v + 1 < n ? v + 1 : kInvalidVertex;
+    s.bucket_prev[v] = v > 0 ? v - 1 : kInvalidVertex;
+  }
+  if (n > 0) s.bucket_head[0] = 0;
+
+  std::uint32_t top = 0;
+  for (std::uint32_t p = 0; p < n; ++p) {
+    while (s.bucket_head[top] == kInvalidVertex) --top;
+    const VertexId x = s.bucket_head[top];
+    Unlink(s, x, top);
+    s.rank[x] = kScanned;
+    s.order[p] = x;
+    s.position[x] = p;
+    for (const VertexId y : g.Neighbors(x)) {
+      const std::uint32_t r = s.rank[y];
+      if (r >= cap) continue;  // scanned, or its rank is already capped
+      Unlink(s, y, r);
+      PushFront(s, y, r + 1);
+      s.rank[y] = r + 1;
+      if (r + 1 == k) s.limit[y] = p + 1;
+      top = std::max(top, r + 1);
+    }
+  }
+}
+
+// Trees of F_k, numbered by smallest member with ascending member lists.
+void CollectSideGroups(VertexId n, std::uint32_t k, CertificateScratch& s,
+                       SparseCertificate& out) {
+  out.group_of.assign(n, kNoGroup);
+  std::size_t num_groups = 0;
+  auto& groups = out.groups;
+  if (k > 0) {
+    // A vertex whose rank reached k hangs below the vertex whose scan
+    // raised it there, which was scanned earlier, so one pass in scan
+    // order finds every tree's root. A root that gains a child is marked
+    // pending: its tree is a group.
+    auto& root = s.tree_root;
+    root.resize(n);
+    for (VertexId p = 0; p < n; ++p) {
+      const VertexId y = s.order[p];
+      if (s.limit[y] == kNotReached) {
+        root[y] = y;
+        continue;
+      }
+      root[y] = root[s.order[s.limit[y] - 1]];
+      out.group_of[root[y]] = kPendingGroup;
+    }
+    // The ascending walk meets each tree first at its smallest member.
+    for (VertexId v = 0; v < n; ++v) {
+      std::uint32_t& root_group = out.group_of[root[v]];
+      if (root_group == kNoGroup) continue;  // a single-vertex tree
+      if (root_group == kPendingGroup) {
+        root_group = static_cast<std::uint32_t>(num_groups++);
+        // Recycle the inner vectors of previous builds instead of
+        // reallocating one per group.
+        if (root_group == groups.size()) groups.emplace_back();
+        groups[root_group].clear();
+      }
+      const std::uint32_t group = root_group;
+      out.group_of[v] = group;
+      groups[group].push_back(v);
+    }
+  }
+  groups.resize(num_groups);
+}
+
+}  // namespace
+
+// Writes SC's rows into a reused Graph in place: the seam Graph grants
+// this file, as it grants DeltaApplier (graph/delta_store.h).
+class CertificateRowWriter {
+ public:
+  static void Write(const Graph& g, const CertificateScratch& s, Graph& out) {
+    const VertexId n = g.NumVertices();
+    out.num_vertices_ = n;
+    out.offsets_.resize(static_cast<std::size_t>(n) + 1);
+    out.adjacency_.resize(g.adjacency_.size());  // an upper bound
+    const std::uint64_t kept = FilterRows(g, s, out);
+    out.adjacency_.resize(kept);
+    out.num_edges_ = kept / 2;
+    out.labels_ = g.labels_;  // same vertex ids, so the same labels
+  }
+
+ private:
+  // Every write lands in storage sized by Write above.
+  // kvcc-lint: no-alloc
+  static std::uint64_t FilterRows(const Graph& g, const CertificateScratch& s,
+                                  Graph& out) {
+    const std::uint32_t* position = s.position.data();
+    const std::uint32_t* limit = s.limit.data();
+    VertexId* row = out.adjacency_.data();
+    std::uint64_t write = 0;
+    out.offsets_[0] = 0;
+    for (VertexId u = 0; u < g.NumVertices(); ++u) {
+      const std::uint32_t pu = position[u];
+      const std::uint32_t lu = limit[u];
+      for (const VertexId w : g.Neighbors(u)) {
+        const std::uint32_t pw = position[w];
+        // The edge is kept iff the earlier scanned end is among the later
+        // one's first k scanned neighbours. Rows stay sorted.
+        row[write] = w;
+        write += pw < pu ? pw < lu : pu < limit[w];
+      }
+      out.offsets_[static_cast<std::size_t>(u) + 1] = write;
+    }
+    return write;
+  }
+};
 
 SparseCertificate BuildSparseCertificate(const Graph& g, std::uint32_t k) {
   SparseCertificate out;
@@ -14,134 +167,9 @@ SparseCertificate BuildSparseCertificate(const Graph& g, std::uint32_t k) {
 void BuildSparseCertificate(const Graph& g, std::uint32_t k,
                             SparseCertificate& out,
                             CertificateScratch& scratch) {
-  const VertexId n = g.NumVertices();
-  out.group_of.assign(n, kNoGroup);
-
-  auto& entry_offset = scratch.entry_offset;
-  entry_offset.assign(n + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    entry_offset[v + 1] = entry_offset[v] + g.Degree(v);
-  }
-
-  // Positions of each adjacency entry's reverse entry, so forest edges can
-  // be retired from both endpoints in O(1).
-  auto& mate = scratch.mate;
-  mate.resize(entry_offset[n]);  // Fully overwritten below.
-  for (VertexId u = 0; u < n; ++u) {
-    const auto nbrs = g.Neighbors(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId v = nbrs[i];
-      // Position of u within v's sorted neighbor list.
-      const auto vn = g.Neighbors(v);
-      const auto it = std::lower_bound(vn.begin(), vn.end(), u);
-      mate[entry_offset[u] + i] =
-          entry_offset[v] + static_cast<std::uint64_t>(it - vn.begin());
-    }
-  }
-
-  auto& used = scratch.used;
-  used.assign(entry_offset[n], false);
-
-  GraphBuilder& certificate_builder = scratch.builder;
-  if (n > 0) certificate_builder.EnsureVertex(n - 1);
-  auto& visited = scratch.visited;
-  visited.assign(n, false);
-  auto& queue = scratch.queue;
-  auto& last_forest = scratch.last_forest;
-
-  for (std::uint32_t round = 0; round < k; ++round) {
-    if (round > 0) std::fill(visited.begin(), visited.end(), false);
-    last_forest.clear();
-    bool any_edge = false;
-
-    for (VertexId root = 0; root < n; ++root) {
-      if (visited[root]) continue;
-      visited[root] = true;
-      queue.clear();
-      queue.push_back(root);
-      for (std::size_t head = 0; head < queue.size(); ++head) {
-        const VertexId u = queue[head];
-        // Scan u: claim one unused edge to every unvisited neighbor.
-        const auto nbrs = g.Neighbors(u);
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          const std::uint64_t pos = entry_offset[u] + i;
-          if (used[pos]) continue;
-          const VertexId w = nbrs[i];
-          if (visited[w]) continue;
-          visited[w] = true;
-          used[pos] = true;
-          used[mate[pos]] = true;
-          certificate_builder.AddEdge(u, w);
-          last_forest.emplace_back(u, w);
-          any_edge = true;
-          queue.push_back(w);
-        }
-      }
-    }
-    if (!any_edge) break;  // Graph exhausted before k rounds.
-  }
-
-  // Side-groups: components of the k-th (= last completed) forest, found by
-  // BFS over a flat CSR of its edges. When the graph ran out of edges
-  // early, the final forest is empty and there are no groups; that is
-  // sound (groups are a pure optimization). Group ids increase with the
-  // smallest member (roots are scanned ascending and a component's first
-  // unseen vertex is its minimum), matching the nested-vector original.
-  {
-    auto& offset = scratch.forest_offset;
-    auto& adj = scratch.forest_adj;
-    offset.assign(n + 1, 0);
-    for (const auto& [u, w] : last_forest) {
-      ++offset[u + 1];
-      ++offset[w + 1];
-    }
-    for (VertexId v = 0; v < n; ++v) offset[v + 1] += offset[v];
-    adj.resize(2 * last_forest.size());
-    {
-      // Reuse the BFS queue's storage as the fill cursor; sized n below.
-      auto& cursor = scratch.queue;
-      cursor.assign(offset.begin(), offset.end() - 1);
-      for (const auto& [u, w] : last_forest) {
-        adj[cursor[u]++] = w;
-        adj[cursor[w]++] = u;
-      }
-    }
-
-    std::size_t num_groups = 0;
-    auto& groups = out.groups;
-    std::fill(visited.begin(), visited.end(), false);  // Reused as "seen".
-    for (VertexId root = 0; root < n; ++root) {
-      if (visited[root] || offset[root + 1] == offset[root]) continue;
-      visited[root] = true;
-      // Recycle the inner vectors of previous builds instead of
-      // reallocating one per group.
-      if (num_groups == groups.size()) groups.emplace_back();
-      std::vector<VertexId>& component = groups[num_groups];
-      component.clear();
-      component.push_back(root);
-      for (std::size_t head = 0; head < component.size(); ++head) {
-        const VertexId u = component[head];
-        for (std::uint32_t pos = offset[u]; pos < offset[u + 1]; ++pos) {
-          const VertexId w = adj[pos];
-          if (!visited[w]) {
-            visited[w] = true;
-            component.push_back(w);
-          }
-        }
-      }
-      // Forest components have >= 2 vertices by construction (an edge put
-      // the root in the CSR), so every one is a group.
-      const auto group_id = static_cast<std::uint32_t>(num_groups);
-      std::sort(component.begin(), component.end());
-      for (VertexId v : component) out.group_of[v] = group_id;
-      ++num_groups;
-    }
-    groups.resize(num_groups);
-  }
-
-  // Preserve the input graph's labels on the certificate (same vertex ids).
-  if (g.HasLabels()) certificate_builder.SetLabelsFrom(g);
-  certificate_builder.BuildInto(out.certificate);
+  ScanMaximumAdjacency(g, k, scratch);
+  CertificateRowWriter::Write(g, scratch, out.certificate);
+  CollectSideGroups(g.NumVertices(), k, scratch, out);
 }
 
 }  // namespace kvcc

@@ -137,37 +137,100 @@ struct Parser {
     return Fail("unterminated string");
   }
 
-  bool ParseNumber(double& out) {
+  bool IsDigit() const {
+    return pos < text.size() && text[pos] >= '0' && text[pos] <= '9';
+  }
+
+  // Scans one number. Returns null on success, or what is wrong, with pos
+  // at the offending byte, without touching `error`.
+  const char* ScanNumber(double& out) {
     const std::size_t start = pos;
-    if (pos < text.size() && text[pos] == '-') ++pos;
-    if (pos >= text.size() || text[pos] < '0' || text[pos] > '9') {
+    const bool negative = pos < text.size() && text[pos] == '-';
+    if (negative) ++pos;
+    if (!IsDigit()) {
       pos = start;
-      return Fail("expected number");
+      return "expected number";
     }
     if (text[pos] == '0') {
       ++pos;  // no leading zeros
     } else {
-      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+      while (IsDigit()) ++pos;
     }
+    bool integral = true;
     if (pos < text.size() && text[pos] == '.') {
+      integral = false;
       ++pos;
-      if (pos >= text.size() || text[pos] < '0' || text[pos] > '9') {
-        return Fail("digits required after decimal point");
-      }
-      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+      if (!IsDigit()) return "digits required after decimal point";
+      while (IsDigit()) ++pos;
     }
     if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+      integral = false;
       ++pos;
       if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
-      if (pos >= text.size() || text[pos] < '0' || text[pos] > '9') {
-        return Fail("digits required in exponent");
+      if (!IsDigit()) return "digits required in exponent";
+      while (IsDigit()) ++pos;
+    }
+    const std::size_t digits_start = start + (negative ? 1 : 0);
+    if (integral && pos - digits_start <= 15) {
+      // Below 10^15 < 2^53 every integer is a double, so this is exactly
+      // what strtod returns for the token (-0 included).
+      std::uint64_t value = 0;
+      for (std::size_t i = digits_start; i < pos; ++i) {
+        value = value * 10 + static_cast<std::uint64_t>(text[i] - '0');
       }
-      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+      out = static_cast<double>(value);
+      if (negative) out = -out;
+      return nullptr;
     }
     const std::string token(text.substr(start, pos - start));
     out = std::strtod(token.c_str(), nullptr);
-    if (!std::isfinite(out)) return Fail("number out of range");
-    return true;
+    if (!std::isfinite(out)) return "number out of range";
+    return nullptr;
+  }
+
+  bool ParseNumber(double& out) {
+    const char* what = ScanNumber(out);
+    return what == nullptr || Fail(what);
+  }
+
+  // Reads an array of two-number arrays, such as inline edges, from the
+  // '[' at pos straight into `pairs`. On any other shape it restores pos,
+  // clears `pairs` and returns false; the general path then parses (and
+  // reports any error in) the same bytes, so both accept the same text.
+  bool ParseNumberPairs(std::vector<std::pair<double, double>>& pairs) {
+    const std::size_t start = pos;
+    ++pos;
+    for (;;) {
+      SkipSpace();
+      if (pos >= text.size() || text[pos] != '[') break;
+      ++pos;
+      SkipSpace();
+      double first = 0;
+      if (ScanNumber(first) != nullptr) break;
+      SkipSpace();
+      if (pos >= text.size() || text[pos] != ',') break;
+      ++pos;
+      SkipSpace();
+      double second = 0;
+      if (ScanNumber(second) != nullptr) break;
+      SkipSpace();
+      if (pos >= text.size() || text[pos] != ']') break;
+      ++pos;
+      pairs.emplace_back(first, second);
+      SkipSpace();
+      if (pos < text.size() && text[pos] == ',') {
+        ++pos;
+        continue;
+      }
+      if (pos < text.size() && text[pos] == ']') {
+        ++pos;
+        return true;
+      }
+      break;
+    }
+    pos = start;
+    pairs.clear();
+    return false;
   }
 
   bool ParseValue(JsonValue& out, std::size_t depth) {
@@ -212,8 +275,13 @@ struct Parser {
       }
     }
     if (c == '[') {
-      ++pos;
       out.type = JsonValue::Type::kArray;
+      // The pairs' numbers sit two levels down; where that is too deep,
+      // the general path reports it.
+      if (depth + 2 <= kMaxJsonDepth && ParseNumberPairs(out.number_pairs)) {
+        return true;
+      }
+      ++pos;
       SkipSpace();
       if (pos < text.size() && text[pos] == ']') {
         ++pos;
@@ -516,16 +584,7 @@ bool ParseRequest(const JsonValue& json, Request& out, std::string& error) {
       return false;
     }
     out.has_edges = true;
-    out.edges.reserve(edges->array.size());
-    for (const JsonValue& edge : edges->array) {
-      if (edge.type != JsonValue::Type::kArray || edge.array.size() != 2 ||
-          edge.array[0].type != JsonValue::Type::kNumber ||
-          edge.array[1].type != JsonValue::Type::kNumber) {
-        error = "each edge must be a [u, v] number pair";
-        return false;
-      }
-      const double du = edge.array[0].number;
-      const double dv = edge.array[1].number;
+    const auto add_edge = [&out, &error](double du, double dv) {
       const double max_id = static_cast<double>(kInvalidVertex - 1);
       if (du < 0 || dv < 0 || du != std::floor(du) ||
           dv != std::floor(dv) || du > max_id || dv > max_id) {
@@ -534,6 +593,22 @@ bool ParseRequest(const JsonValue& json, Request& out, std::string& error) {
       }
       out.edges.emplace_back(static_cast<VertexId>(du),
                              static_cast<VertexId>(dv));
+      return true;
+    };
+    out.edges.reserve(edges->array.size() + edges->number_pairs.size());
+    for (const auto& [du, dv] : edges->number_pairs) {
+      if (!add_edge(du, dv)) return false;
+    }
+    for (const JsonValue& edge : edges->array) {
+      if (edge.type != JsonValue::Type::kArray || edge.array.size() != 2 ||
+          edge.array[0].type != JsonValue::Type::kNumber ||
+          edge.array[1].type != JsonValue::Type::kNumber) {
+        error = "each edge must be a [u, v] number pair";
+        return false;
+      }
+      if (!add_edge(edge.array[0].number, edge.array[1].number)) {
+        return false;
+      }
     }
   }
   if (is_mutation && !out.has_edges) {

@@ -64,6 +64,11 @@ struct JsonValue {
   std::string string;
   /// \brief Element payload (type == kArray).
   std::vector<JsonValue> array;
+  /// \brief Element payload of an array whose elements are all two-number
+  /// arrays, such as inline "edges" (type == kArray, `array` empty): one
+  /// pair per element, in order, so a large edge list costs no JsonValue
+  /// per endpoint.
+  std::vector<std::pair<double, double>> number_pairs;
   /// \brief Member payload in declaration order (type == kObject).
   std::vector<std::pair<std::string, JsonValue>> object;
 

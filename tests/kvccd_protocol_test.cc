@@ -166,6 +166,54 @@ TEST(KvccdProtocolTest, ParseErrorsKeepConnectionAlive) {
             std::vector<std::string>{"{\"type\":\"pong\"}"});
 }
 
+// Inline edge lists take the parser's pair path; anything else falls back
+// to the general path. Either way a request must parse to the same edges,
+// or fail with the same message, as any other JSON array would.
+TEST(KvccdProtocolTest, InlineEdgesParseLikeAnyArray) {
+  using Edges = std::vector<std::pair<VertexId, VertexId>>;
+  const auto parse = [](const std::string& line, Edges& edges) {
+    server::JsonValue json;
+    server::Request request;
+    std::string error;
+    if (!server::ParseJson(line, json, error)) return "malformed: " + error;
+    if (!server::ParseRequest(json, request, error)) return "bad: " + error;
+    edges = request.edges;
+    return std::string("ok");
+  };
+  const std::string head = "{\"op\":\"decompose\",\"k\":2,\"edges\":";
+  const std::vector<std::pair<std::string, Edges>> accepted = {
+      {"[ [0 , 1] ,[1,2],[ 2,0 ] ]}", {{0, 1}, {1, 2}, {2, 0}}},
+      {"[[0,1.0],[1e0,2],[-0,2]]}", {{0, 1}, {1, 2}, {0, 2}}},
+      {"[[0,1],[1,1e-400]]}", {{0, 1}, {1, 0}}},
+      {"[]}", {}},
+  };
+  for (const auto& [tail, expected] : accepted) {
+    Edges edges = {{7, 7}};
+    EXPECT_EQ(parse(head + tail, edges), "ok") << tail;
+    EXPECT_EQ(edges, expected) << tail;
+  }
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"[[0,1],[1,2],[2]]}", "bad: each edge must be a [u, v] number pair"},
+      {"[[0,1],[1,2],[2,0.5]]}", "bad: edge endpoint out of range"},
+      {"[[0,1],[1,2],[2,0],]}", "malformed: expected number at byte 51"},
+      {"[[0,1],[1,2]", "malformed: expected ',' or ']' at byte 44"},
+      {"[[0,1],[1,1e400]]}", "malformed: number out of range at byte 47"},
+  };
+  for (const auto& [tail, message] : rejected) {
+    Edges edges;
+    EXPECT_EQ(parse(head + tail, edges), message) << tail;
+  }
+  // A pair list's numbers sit two levels below it, so the depth cap falls
+  // on the same byte as for any other nesting.
+  Edges edges;
+  EXPECT_EQ(parse(std::string(31, '[') + "[0,1]" + std::string(31, ']'),
+                  edges),
+            "bad: request must be a JSON object");
+  EXPECT_EQ(parse(std::string(32, '[') + "[0,1]" + std::string(32, ']'),
+                  edges),
+            "malformed: nesting too deep at byte 33");
+}
+
 TEST(KvccdProtocolTest, DecomposeMatchesDirectEnumeration) {
   KvccdServer daemon;
   Connection conn(daemon);
