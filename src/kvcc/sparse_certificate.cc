@@ -106,9 +106,8 @@ void CollectSideGroups(VertexId n, std::uint32_t k, CertificateScratch& s,
         if (root_group == groups.size()) groups.emplace_back();
         groups[root_group].clear();
       }
-      const std::uint32_t group = root_group;
-      out.group_of[v] = group;
-      groups[group].push_back(v);
+      out.group_of[v] = root_group;
+      groups[root_group].push_back(v);
     }
   }
   groups.resize(num_groups);
