@@ -38,8 +38,7 @@ void ScanMaximumAdjacency(const Graph& g, std::uint32_t k,
   const VertexId n = g.NumVertices();
   // A rank never exceeds n - 1, so capping at min(k, n) changes nothing
   // and bounds the bucket array.
-  const auto cap = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(k, n));
+  const auto cap = static_cast<std::uint32_t>(std::min<std::uint64_t>(k, n));
   s.rank.assign(n, 0);
   s.limit.assign(n, k == 0 ? 0 : kNotReached);
   s.order.resize(n);

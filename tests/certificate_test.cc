@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,11 @@ std::vector<std::uint32_t> ComponentsAvoiding(
   return component;
 }
 
+bool StrictlyAscending(std::span<const VertexId> values) {
+  return std::adjacent_find(values.begin(), values.end(),
+                            std::greater_equal<>()) == values.end();
+}
+
 // Calls visit(removed) for every vertex set of fewer than k vertices.
 template <typename Visit>
 void ForEachRemovalSet(VertexId n, std::uint32_t k, Visit visit) {
@@ -121,8 +127,7 @@ TEST(SparseCertificateTest, CertificateIsSubgraph) {
         EXPECT_EQ(c.LabelOf(v), g.LabelOf(v)) << "input=" << i;
         const auto row = c.Neighbors(v);
         entries += row.size();
-        EXPECT_TRUE(std::adjacent_find(row.begin(), row.end(),
-                                       std::greater_equal<>()) == row.end())
+        EXPECT_TRUE(StrictlyAscending(row))
             << "input=" << i << " k=" << k << " v=" << v;
         for (const VertexId w : row) {
           EXPECT_TRUE(g.HasEdge(v, w)) << "input=" << i << " k=" << k;
@@ -227,9 +232,7 @@ TEST(SparseCertificateTest, GroupOfIsConsistent) {
       for (std::uint32_t gi = 0; gi < sc.groups.size(); ++gi) {
         const auto& group = sc.groups[gi];
         EXPECT_GE(group.size(), 2u) << "input=" << i << " k=" << k;
-        EXPECT_TRUE(std::adjacent_find(group.begin(), group.end(),
-                                       std::greater_equal<>()) == group.end())
-            << "input=" << i << " k=" << k;
+        EXPECT_TRUE(StrictlyAscending(group)) << "input=" << i << " k=" << k;
         if (gi > 0) {
           EXPECT_LT(sc.groups[gi - 1].front(), group.front())
               << "input=" << i << " k=" << k;

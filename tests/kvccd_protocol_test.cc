@@ -205,13 +205,12 @@ TEST(KvccdProtocolTest, InlineEdgesParseLikeAnyArray) {
   }
   // A pair list's numbers sit two levels below it, so the depth cap falls
   // on the same byte as for any other nesting.
+  const auto nest = [](std::size_t depth) {
+    return std::string(depth, '[') + "[0,1]" + std::string(depth, ']');
+  };
   Edges edges;
-  EXPECT_EQ(parse(std::string(31, '[') + "[0,1]" + std::string(31, ']'),
-                  edges),
-            "bad: request must be a JSON object");
-  EXPECT_EQ(parse(std::string(32, '[') + "[0,1]" + std::string(32, ']'),
-                  edges),
-            "malformed: nesting too deep at byte 33");
+  EXPECT_EQ(parse(nest(31), edges), "bad: request must be a JSON object");
+  EXPECT_EQ(parse(nest(32), edges), "malformed: nesting too deep at byte 33");
 }
 
 TEST(KvccdProtocolTest, DecomposeMatchesDirectEnumeration) {
