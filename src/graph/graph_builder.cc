@@ -46,21 +46,15 @@ Graph GraphBuilder::Build() {
   }
   g.adjacency_.resize(2 * edges_.size());
   std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  // Edges are sorted by (u, v) with u < v, so per-vertex neighbor lists come
-  // out sorted: for each u the v's arrive ascending, and for each v the u's
-  // arrive ascending (outer sort is by u).
-  for (const auto& [u, v] : edges_) {
-    g.adjacency_[cursor[u]++] = v;
-  }
+  // Edges are distinct (u, v) pairs with u < v in lexicographic order, so
+  // every row comes out strictly ascending in two waves: first each v's
+  // smaller neighbors (the u's arrive ascending, as the outer order is by
+  // u), then each u's larger ones (its v's arrive ascending).
   for (const auto& [u, v] : edges_) {
     g.adjacency_[cursor[v]++] = u;
   }
-  // The two insertion waves above leave each list as "all larger neighbors,
-  // then all smaller neighbors" — merge them by sorting each range once.
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    std::sort(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
+  for (const auto& [u, v] : edges_) {
+    g.adjacency_[cursor[u]++] = v;
   }
   g.labels_ = std::move(labels_);
 

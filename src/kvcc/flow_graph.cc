@@ -155,7 +155,29 @@ std::uint32_t FlowProbe::LocalConnectivity(const Graph& g, VertexId u,
     for (Links& links : links_) links.epoch = 0;
     flow_epoch_ = 1;
   }
+  // Each common neighbour w of u and v carries one path u -> w -> v, and
+  // these paths share no inner vertex, so they seed the flow before the
+  // first level BFS. One merge of the two sorted rows finds them; each row
+  // entry it steps past counts as one move.
+  const auto row_u = g.Neighbors(u);
+  const auto row_v = g.Neighbors(v);
   std::uint32_t flow = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (flow < limit && i < row_u.size() && j < row_v.size()) {
+    if (row_u[i] < row_v[j]) {
+      ++i;
+    } else if (row_v[j] < row_u[i]) {
+      ++j;
+    } else {
+      SetLink(u, row_u[i]);
+      SetLink(row_u[i], v);
+      ++flow;
+      ++i;
+      ++j;
+    }
+  }
+  work_moves_ += i + j;
   while (flow < limit && BuildLevels(g, u, v)) {
     while (flow < limit && Augment(g, u, v)) ++flow;
   }

@@ -20,11 +20,17 @@
 //     x_out -> y_in, then back to x_in when x carries flow.
 //   * An in-side x_in has exactly one move: to x_out when x is free, else
 //     back to pred[x]'s out-side, cancelling that link.
+//   * Before the first level BFS, one merge of the sorted rows of u and v
+//     routes a unit through each common neighbour w (u -> w -> v; the
+//     paper's common-neighbour argument, Thm 8), stopping at the limit.
+//     Dinic then searches only for longer paths, and a pair with at least
+//     `limit` common neighbours runs no BFS at all.
 // Dinic stops as soon as the flow reaches the limit, O(min(sqrt(n), k) * m).
 // When the flow ends below it, the last level BFS failed to reach v_in, so
 // the nodes it levelled are exactly the residual-reachable set: the minimal
-// source-side min cut, which does not depend on the augmenting-path order.
-// LocCut reads its cut off that BFS.
+// source-side min cut. Every maximum flow leaves the same residual-reachable
+// set, so that cut depends neither on the augmenting-path order nor on the
+// seeded paths. LocCut reads its cut off that BFS.
 //
 // A probe binds no graph. Its per-vertex state is epoch-stamped and grows
 // only, so one probe answers queries on graph after graph, of any size,
@@ -54,7 +60,8 @@ class FlowProbe {
   std::vector<VertexId> LocCut(const Graph& g, VertexId u, VertexId v,
                                std::uint32_t k);
 
-  /// Monotone count of residual moves examined by this probe's flow work
+  /// Monotone count of residual moves examined by this probe's flow work,
+  /// plus one per row entry the seeding merge steps past
   /// (KvccStats::probe_edges_touched is accumulated from deltas of this).
   std::uint64_t work_moves() const { return work_moves_; }
 

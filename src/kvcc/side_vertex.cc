@@ -15,10 +15,12 @@ std::uint64_t MixPairKey(std::uint64_t key) {
 }
 
 /// Memoized Theorem-8 pair check over the flat epoch-stamped table in
-/// SideVertexScratch. In clique-rich graphs the same neighbor pair (v, v')
-/// appears in N(u) for every common neighbor u, so caching the verdict
-/// turns Theta(d^2 * common) repeated work into a probe-and-read — without
-/// the per-node allocations an unordered_map would pay on every insert.
+/// SideVertexScratch, asked only about non-adjacent pairs (the caller's row
+/// walk settles adjacent ones). In clique-rich graphs the same neighbor
+/// pair (v, v') appears in N(u) for every common neighbor u, so caching the
+/// verdict turns Theta(d^2 * common) repeated work into a probe-and-read —
+/// without the per-node allocations an unordered_map would pay on every
+/// insert.
 class PairVerdictCache {
  public:
   PairVerdictCache(const Graph& g, std::uint32_t k, SideVertexScratch& scratch)
@@ -28,8 +30,8 @@ class PairVerdictCache {
     if (scratch_.pair_slots.empty()) scratch_.pair_slots.resize(kMinSlots);
   }
 
+  /// True iff the non-adjacent v and w share at least k neighbors.
   bool PairIsGood(VertexId v, VertexId w) {
-    if (graph_.HasEdge(v, w)) return true;
     const std::uint64_t key =
         (static_cast<std::uint64_t>(std::min(v, w)) << 32) | std::max(v, w);
     auto& slots = scratch_.pair_slots;
@@ -138,8 +140,15 @@ SideVertexCounts ComputeStrongSideVerticesInto(
     ++out.checks_run;
     const auto nbrs = g.Neighbors(u);
     bool strong = true;
-    for (std::size_t i = 0; i < nbrs.size() && strong; ++i) {
+    for (std::size_t i = 0; i + 1 < nbrs.size() && strong; ++i) {
+      // One forward cursor over nbrs[i]'s row, from its first entry at or
+      // past nbrs[i + 1], meets every later neighbor nbrs[i] is adjacent
+      // to; only the pairs it misses go to the table.
+      const auto row = g.Neighbors(nbrs[i]);
+      auto at = std::lower_bound(row.begin(), row.end(), nbrs[i + 1]);
       for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
+        while (at != row.end() && *at < nbrs[j]) ++at;
+        if (at != row.end() && *at == nbrs[j]) continue;
         if (!pairs.PairIsGood(nbrs[i], nbrs[j])) {
           strong = false;
           break;

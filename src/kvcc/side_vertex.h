@@ -51,6 +51,11 @@ struct SideVertexCounts {
 /// call of a run: the verdict vector and the memoized pair-verdict table
 /// only ever grow, so the steady-state detection pass performs no heap
 /// allocation. A default-constructed scratch is always valid.
+///
+/// For each neighbor N(u)[i] the pass walks N(u)[i]'s row once with a
+/// forward cursor, started at the first entry not below N(u)[i + 1]; the
+/// walk settles every adjacent pair (N(u)[i], N(u)[j]), j > i, so only
+/// non-adjacent pairs reach the pair table.
 struct SideVertexScratch {
   /// Verdicts of the most recent ComputeStrongSideVerticesInto call
   /// (size n of that call's graph). Stable until the next call.

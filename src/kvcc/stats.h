@@ -130,8 +130,9 @@ struct KvccStats {
   /// perfbench/src/replay.cc reads it for kvcc.probe.localvc_share;
   /// delete both at the next change to the benchmark.
   std::uint64_t probes_localvc = 0;
-  /// \brief Residual moves examined across all probes (FlowProbe::
-  /// work_moves): the per-probe cost measure.
+  /// \brief Residual moves examined across all probes, plus one per row
+  /// entry each probe's common-neighbour seeding merge steps past
+  /// (FlowProbe::work_moves): the per-probe cost measure.
   std::uint64_t probe_edges_touched = 0;
 
   // --- dynamic-graph maintenance counters (kvcc/incremental.h) ---

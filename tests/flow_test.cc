@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "flow/stoer_wagner.h"
+#include "gen/erdos_renyi.h"
 #include "gen/fixtures.h"
 #include "graph/bfs.h"
 #include "graph/graph.h"
@@ -34,6 +36,53 @@ bool CutSeparates(const Graph& g, const std::vector<VertexId>& cut,
   std::vector<std::uint32_t> dist;
   BfsDistances(remainder, relabel[u], dist);
   return dist[relabel[v]] == kUnreachable;
+}
+
+/// Vertex mask (n <= 32) of the vertices reachable from u once the vertices
+/// of `removed` are gone.
+std::uint32_t ReachMask(const Graph& g, VertexId u, std::uint32_t removed) {
+  std::uint32_t reach = 1u << u;
+  std::uint32_t frontier = reach;
+  while (frontier != 0) {
+    const auto x = static_cast<VertexId>(std::countr_zero(frontier));
+    frontier &= frontier - 1;
+    for (const VertexId y : g.Neighbors(x)) {
+      const std::uint32_t bit = 1u << y;
+      if (((removed | reach) & bit) != 0) continue;
+      reach |= bit;
+      frontier |= bit;
+    }
+  }
+  return reach;
+}
+
+std::uint32_t MaskOf(const std::vector<VertexId>& vertices) {
+  std::uint32_t mask = 0;
+  for (const VertexId x : vertices) mask |= 1u << x;
+  return mask;
+}
+
+/// Brute force over every set of at most `max_size` vertices other than u
+/// and v (n <= 32): entry c is the intersection of the vertex masks left
+/// reachable from u by the c-vertex u-v separators, or 0 when no separator
+/// has c vertices (a reachable set always holds u).
+std::vector<std::uint32_t> ClosestReachBySize(const Graph& g, VertexId u,
+                                              VertexId v,
+                                              std::uint32_t max_size) {
+  const std::uint32_t others =
+      ((1u << g.NumVertices()) - 1) & ~(1u << u) & ~(1u << v);
+  std::vector<std::uint32_t> closest(max_size + 1, 0);
+  for (std::uint32_t removed = others;; removed = (removed - 1) & others) {
+    const auto size = static_cast<std::uint32_t>(std::popcount(removed));
+    if (size <= max_size) {
+      const std::uint32_t reach = ReachMask(g, u, removed);
+      if ((reach >> v & 1) == 0) {
+        closest[size] = closest[size] == 0 ? reach : closest[size] & reach;
+      }
+    }
+    if (removed == 0) break;
+  }
+  return closest;
 }
 
 // A probe binds no graph: one object answers on graph after graph.
@@ -79,6 +128,84 @@ TEST(FlowProbeTest, LocCutMatchesBruteForceConnectivity) {
       }
     }
   }
+}
+
+// The cut is the minimum u-v separator closest to u: removing it leaves u
+// a reachable set that every other separator of its size leaves reachable
+// too. That set is the residual-reachable set of every maximum flow, so
+// the cut does not depend on how the flow was found, which is what lets
+// the probe seed its flow with the two-hop paths. Brute force over every
+// separator of fewer than six vertices.
+TEST(FlowProbeTest, CutIsClosestMinimumSeparator) {
+  constexpr std::uint32_t kMaxK = 6;
+  FlowProbe probe;
+  int cuts = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const auto n = static_cast<VertexId>(8 + seed % 6);
+    const double density = 0.25 + 0.05 * static_cast<double>(seed % 9);
+    const Graph g = ErdosRenyiGnp(n, density, seed);
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = 0; v < n; ++v) {
+        if (u == v || g.HasEdge(u, v)) continue;
+        const std::vector<std::uint32_t> closest =
+            ClosestReachBySize(g, u, v, kMaxK - 1);
+        std::uint32_t kappa = 0;
+        while (kappa < kMaxK && closest[kappa] == 0) ++kappa;
+        for (std::uint32_t k = 1; k <= kMaxK; ++k) {
+          const std::vector<VertexId> cut = probe.LocCut(g, u, v, k);
+          if (kappa >= k) {
+            EXPECT_TRUE(cut.empty()) << "seed=" << seed << " u=" << u
+                                     << " v=" << v << " k=" << k;
+            continue;
+          }
+          ++cuts;
+          const std::uint32_t mask = MaskOf(cut);
+          ASSERT_EQ(cut.size(), kappa) << "seed=" << seed << " u=" << u
+                                       << " v=" << v << " k=" << k;
+          EXPECT_EQ(mask & ((1u << u) | (1u << v)), 0u);
+          EXPECT_EQ(ReachMask(g, u, mask), closest[kappa])
+              << "seed=" << seed << " u=" << u << " v=" << v << " k=" << k;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cuts, 10000);
+}
+
+// Common neighbours settle the flow before any level search. In K_{5,5}
+// the left vertices 0 and 1 share all five right vertices, so one merge of
+// their rows reaches any limit up to 5, at one move per row entry at most.
+// In the second graph, 0 and 1 share 2 and 3 and are also joined by the
+// longer path 0-4-5-1, which only a level search finds; 6 hangs off 0 and
+// 4, so of the two minimum cuts {2, 3, 4} and {2, 3, 5} the first is the
+// one closest to 0.
+TEST(FlowProbeTest, SharedNeighboursSettleWithoutLevelSearch) {
+  FlowProbe probe;
+  const Graph bip = CompleteBipartite(5, 5);
+  const std::uint64_t row_entries = bip.Degree(0) + bip.Degree(1);
+  for (const std::uint32_t limit : {3u, 5u}) {
+    const std::uint64_t before = probe.work_moves();
+    EXPECT_EQ(probe.LocalConnectivity(bip, 0, 1, limit), limit);
+    EXPECT_LE(probe.work_moves() - before, row_entries) << "limit=" << limit;
+  }
+
+  const Graph g = Graph::FromEdges(
+      7, std::vector<std::pair<VertexId, VertexId>>{{0, 2},
+                                                    {2, 1},
+                                                    {0, 3},
+                                                    {3, 1},
+                                                    {0, 4},
+                                                    {4, 5},
+                                                    {5, 1},
+                                                    {0, 6},
+                                                    {6, 4}});
+  const std::uint32_t kappa = kvcc::testing::BruteLocalVertexConnectivity(
+      g, 0, 1);
+  ASSERT_EQ(kappa, 3u);
+  EXPECT_EQ(probe.LocalConnectivity(g, 0, 1, 10), kappa);
+  const std::vector<VertexId> cut = probe.LocCut(g, 0, 1, 4);
+  EXPECT_EQ(cut, (std::vector<VertexId>{2, 3, 4}));
+  EXPECT_EQ(ReachMask(g, 0, MaskOf(cut)), ClosestReachBySize(g, 0, 1, 3)[3]);
 }
 
 // The probe against the independent referee on graphs too large for brute

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -44,18 +46,32 @@ TEST(GraphTest, BuilderDropsSelfLoopsAndDuplicates) {
   EXPECT_FALSE(g.HasEdge(2, 2));
 }
 
+// Every row comes out strictly ascending whatever order the edges arrive
+// in, reversed, duplicated and self-looped ones included.
 TEST(GraphTest, NeighborsAreSorted) {
   GraphBuilder builder(6);
   builder.AddEdge(3, 5);
   builder.AddEdge(3, 0);
   builder.AddEdge(3, 4);
   builder.AddEdge(3, 1);
+  builder.AddEdge(5, 1);  // reversed
+  builder.AddEdge(4, 0);  // reversed
+  builder.AddEdge(0, 3);  // duplicate
+  builder.AddEdge(5, 3);  // duplicate, reversed
+  builder.AddEdge(2, 2);  // self-loop
+  builder.AddEdge(2, 0);  // reversed
   const Graph g = builder.Build();
-  const auto nbrs = g.Neighbors(3);
-  ASSERT_EQ(nbrs.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
-  EXPECT_EQ(nbrs[0], 0u);
-  EXPECT_EQ(nbrs[3], 5u);
+  const std::vector<std::vector<VertexId>> rows = {
+      {2, 3, 4}, {3, 5}, {0}, {0, 1, 4, 5}, {0, 3}, {1, 3}};
+  ASSERT_EQ(g.NumVertices(), rows.size());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const auto nbrs = g.Neighbors(v);
+    EXPECT_TRUE(std::adjacent_find(nbrs.begin(), nbrs.end(),
+                                   std::greater_equal<>()) == nbrs.end())
+        << "v=" << v;
+    EXPECT_EQ(std::vector<VertexId>(nbrs.begin(), nbrs.end()), rows[v])
+        << "v=" << v;
+  }
 }
 
 TEST(GraphTest, BuilderGrowsVertexCountAutomatically) {

@@ -2,12 +2,51 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "gen/erdos_renyi.h"
 #include "gen/fixtures.h"
 #include "graph/graph.h"
 #include "support/brute_force.h"
 
 namespace kvcc {
 namespace {
+
+/// Vertex 0 adjacent to every other vertex, G(random_n, p) on 1..random_n,
+/// and two gadgets after them: x adjacent to a and b (and 0), where the
+/// non-adjacent a and b share x, 0 and shared - 2 vertices of their own.
+/// `short_of_k` is the x whose a and b share k - 1 neighbours (not strong),
+/// `at_k` the one whose share exactly k (strong). Needs k >= 3.
+struct HubGraph {
+  Graph g;
+  VertexId short_of_k = 0;
+  VertexId at_k = 0;
+};
+
+HubGraph MakeHubGraph(VertexId random_n, double p, std::uint32_t k,
+                      std::uint64_t seed) {
+  const Graph base = ErdosRenyiGnp(random_n, p, seed);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (const auto& [v, w] : base.Edges()) edges.emplace_back(v + 1, w + 1);
+  HubGraph out;
+  VertexId next = random_n + 1;
+  for (const std::uint32_t shared : {k - 1, k}) {
+    const VertexId x = next++;
+    const VertexId a = next++;
+    const VertexId b = next++;
+    (shared == k ? out.at_k : out.short_of_k) = x;
+    edges.insert(edges.end(), {{x, a}, {x, b}});
+    for (std::uint32_t i = 2; i < shared; ++i) {
+      const VertexId c = next++;
+      edges.insert(edges.end(), {{a, c}, {b, c}});
+    }
+  }
+  for (VertexId v = 1; v < next; ++v) edges.emplace_back(0, v);
+  out.g = Graph::FromEdges(next, edges);
+  return out;
+}
 
 TEST(CommonNeighborsTest, CountsExactly) {
   // K4 minus an edge: 0 and 1 not adjacent, share {2, 3}.
@@ -103,6 +142,56 @@ TEST(ComputeStrongSideVerticesTest, DegreeCapSkipsChecks) {
       ComputeStrongSideVertices(g, 3, {}, /*degree_cap=*/4);
   EXPECT_EQ(result.strong_count, 0u);
   EXPECT_EQ(result.checks_run, 0u);
+}
+
+// The memoized batch check gives every vertex the reference verdict, with
+// one scratch reused over graphs that grow and shrink (stale table epochs,
+// table growth). The hub's row is ten or more times longer than many of
+// the rows the row walk starts from, and the gadgets put the verdict on a
+// pair with exactly k - 1 and one with exactly k common neighbours. At a
+// degree cap of 128 the hub of the larger graphs goes unchecked.
+TEST(ComputeStrongSideVerticesTest, MatchesReferenceOnRandomGraphs) {
+  SideVertexScratch scratch;
+  std::uint64_t seed = 0;
+  std::uint64_t strong_total = 0;
+  std::uint64_t weak_total = 0;
+  std::uint64_t long_rows = 0;
+  std::uint64_t capped = 0;
+  for (const VertexId random_n : {20u, 150u, 40u, 220u, 12u}) {
+    for (const std::uint32_t k : {3u, 4u, 6u}) {
+      ++seed;
+      const double p = std::min(0.5, 10.0 / random_n);
+      const HubGraph hub = MakeHubGraph(random_n, p, k, seed);
+      const Graph& g = hub.g;
+      for (const std::uint32_t cap : {0u, 128u}) {
+        const SideVertexCounts counts =
+            ComputeStrongSideVerticesInto(g, k, {}, cap, scratch);
+        std::uint64_t checked = 0;
+        std::uint64_t strong = 0;
+        for (VertexId v = 0; v < g.NumVertices(); ++v) {
+          const bool in_cap = cap == 0 || g.Degree(v) <= cap;
+          const bool expected = in_cap && IsStrongSideVertex(g, v, k);
+          EXPECT_EQ(scratch.strong[v], expected)
+              << "n=" << g.NumVertices() << " k=" << k << " cap=" << cap
+              << " v=" << v;
+          (in_cap ? checked : capped) += 1;
+          strong += expected ? 1 : 0;
+          if (in_cap && g.Degree(0) >= 10 * g.Degree(v)) ++long_rows;
+        }
+        EXPECT_EQ(counts.checks_run, checked);
+        EXPECT_EQ(counts.strong_count, strong);
+        EXPECT_EQ(counts.reused, 0u);
+        EXPECT_FALSE(scratch.strong[hub.short_of_k]);
+        EXPECT_TRUE(scratch.strong[hub.at_k]);
+        strong_total += strong;
+        weak_total += g.NumVertices() - strong;
+      }
+    }
+  }
+  EXPECT_GT(strong_total, 0u);
+  EXPECT_GT(weak_total, 0u);
+  EXPECT_GT(long_rows, 0u);
+  EXPECT_GT(capped, 0u);
 }
 
 TEST(TwoHopBallTest, CoversExactlyTwoHops) {
