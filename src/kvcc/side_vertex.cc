@@ -14,6 +14,25 @@ std::uint64_t MixPairKey(std::uint64_t key) {
   return key ^ (key >> 31);
 }
 
+/// First position in [at, end) whose entry is not below `target`, for a
+/// sorted row. Up to four single steps settle the short gaps of dense
+/// neighbourhoods; past them the cursor gallops 1, 2, 4, ... entries ahead
+/// and binary-searches the last stride, so skipping s entries costs
+/// O(log s) compares and a short N(u) crossing a hub's long row stays
+/// cheap (a plain walk made that quadratic in the hub's degree).
+const VertexId* AdvanceTo(const VertexId* at, const VertexId* end,
+                          VertexId target) {
+  for (int step = 0; step < 4; ++step, ++at) {
+    if (at == end || !(*at < target)) return at;
+  }
+  std::ptrdiff_t stride = 1;
+  while (stride < end - at && at[stride] < target) {
+    at += stride;
+    stride *= 2;
+  }
+  return std::lower_bound(at, at + std::min(stride, end - at), target);
+}
+
 /// Memoized Theorem-8 pair check over the flat epoch-stamped table in
 /// SideVertexScratch, asked only about non-adjacent pairs (the caller's row
 /// walk settles adjacent ones). In clique-rich graphs the same neighbor
@@ -141,14 +160,14 @@ SideVertexCounts ComputeStrongSideVerticesInto(
     const auto nbrs = g.Neighbors(u);
     bool strong = true;
     for (std::size_t i = 0; i + 1 < nbrs.size() && strong; ++i) {
-      // One forward cursor over nbrs[i]'s row, from its first entry at or
-      // past nbrs[i + 1], meets every later neighbor nbrs[i] is adjacent
-      // to; only the pairs it misses go to the table.
+      // One forward cursor over nbrs[i]'s row meets every later neighbor
+      // nbrs[i] is adjacent to; only the pairs it misses go to the table.
       const auto row = g.Neighbors(nbrs[i]);
-      auto at = std::lower_bound(row.begin(), row.end(), nbrs[i + 1]);
+      const VertexId* const end = row.data() + row.size();
+      const VertexId* at = row.data();
       for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-        while (at != row.end() && *at < nbrs[j]) ++at;
-        if (at != row.end() && *at == nbrs[j]) continue;
+        at = AdvanceTo(at, end, nbrs[j]);
+        if (at != end && *at == nbrs[j]) continue;
         if (!pairs.PairIsGood(nbrs[i], nbrs[j])) {
           strong = false;
           break;
