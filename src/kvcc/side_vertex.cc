@@ -19,7 +19,7 @@ std::uint64_t MixPairKey(std::uint64_t key) {
 /// neighbourhoods; past them the cursor gallops 1, 2, 4, ... entries ahead
 /// and binary-searches the last stride, so skipping s entries costs
 /// O(log s) compares and a short N(u) crossing a hub's long row stays
-/// cheap (a plain walk made that quadratic in the hub's degree).
+/// cheap (a plain walk would be quadratic in the hub's degree).
 const VertexId* AdvanceTo(const VertexId* at, const VertexId* end,
                           VertexId target) {
   for (int step = 0; step < 4; ++step, ++at) {
