@@ -23,7 +23,7 @@ std::uint64_t MixPairKey(std::uint64_t key) {
 const VertexId* AdvanceTo(const VertexId* at, const VertexId* end,
                           VertexId target) {
   for (int step = 0; step < 4; ++step, ++at) {
-    if (at == end || !(*at < target)) return at;
+    if (at == end || *at >= target) return at;
   }
   std::ptrdiff_t stride = 1;
   while (stride < end - at && at[stride] < target) {

@@ -53,10 +53,11 @@ struct SideVertexCounts {
 /// allocation. A default-constructed scratch is always valid.
 ///
 /// For each neighbor N(u)[i] the pass walks N(u)[i]'s row once with a
-/// forward cursor that steps, or past short gaps gallops, to each later
-/// neighbor N(u)[j]. The walk settles every adjacent pair (N(u)[i],
-/// N(u)[j]), j > i, so only non-adjacent pairs reach the pair table, and
-/// a short N(u) crossing a hub's long row costs O(log) per pair.
+/// forward cursor that steps over short gaps, and gallops over long ones,
+/// to each later neighbor N(u)[j]. The walk settles every adjacent pair
+/// (N(u)[i], N(u)[j]), j > i, so only non-adjacent pairs reach the pair
+/// table, and a short N(u) crossing a hub's long row costs O(log) per
+/// pair.
 struct SideVertexScratch {
   /// Verdicts of the most recent ComputeStrongSideVerticesInto call
   /// (size n of that call's graph). Stable until the next call.

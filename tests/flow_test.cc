@@ -38,7 +38,7 @@ bool CutSeparates(const Graph& g, const std::vector<VertexId>& cut,
   return dist[relabel[v]] == kUnreachable;
 }
 
-/// Vertex mask (n <= 32) of the vertices reachable from u once the vertices
+/// Vertex mask (n < 32) of the vertices reachable from u once the vertices
 /// of `removed` are gone.
 std::uint32_t ReachMask(const Graph& g, VertexId u, std::uint32_t removed) {
   std::uint32_t reach = 1u << u;
@@ -63,7 +63,7 @@ std::uint32_t MaskOf(const std::vector<VertexId>& vertices) {
 }
 
 /// Brute force over every set of at most `max_size` vertices other than u
-/// and v (n <= 32): entry c is the intersection of the vertex masks left
+/// and v (n < 32): entry c is the intersection of the vertex masks left
 /// reachable from u by the c-vertex u-v separators, or 0 when no separator
 /// has c vertices (a reachable set always holds u).
 std::vector<std::uint32_t> ClosestReachBySize(const Graph& g, VertexId u,
@@ -76,7 +76,7 @@ std::vector<std::uint32_t> ClosestReachBySize(const Graph& g, VertexId u,
     const auto size = static_cast<std::uint32_t>(std::popcount(removed));
     if (size <= max_size) {
       const std::uint32_t reach = ReachMask(g, u, removed);
-      if ((reach >> v & 1) == 0) {
+      if (((reach >> v) & 1) == 0) {
         closest[size] = closest[size] == 0 ? reach : closest[size] & reach;
       }
     }
@@ -154,14 +154,14 @@ TEST(FlowProbeTest, CutIsClosestMinimumSeparator) {
         for (std::uint32_t k = 1; k <= kMaxK; ++k) {
           const std::vector<VertexId> cut = probe.LocCut(g, u, v, k);
           if (kappa >= k) {
-            EXPECT_TRUE(cut.empty()) << "seed=" << seed << " u=" << u
-                                     << " v=" << v << " k=" << k;
+            EXPECT_TRUE(cut.empty())
+                << "seed=" << seed << " u=" << u << " v=" << v << " k=" << k;
             continue;
           }
           ++cuts;
+          ASSERT_EQ(cut.size(), kappa)
+              << "seed=" << seed << " u=" << u << " v=" << v << " k=" << k;
           const std::uint32_t mask = MaskOf(cut);
-          ASSERT_EQ(cut.size(), kappa) << "seed=" << seed << " u=" << u
-                                       << " v=" << v << " k=" << k;
           EXPECT_EQ(mask & ((1u << u) | (1u << v)), 0u);
           EXPECT_EQ(ReachMask(g, u, mask), closest[kappa])
               << "seed=" << seed << " u=" << u << " v=" << v << " k=" << k;
@@ -189,18 +189,11 @@ TEST(FlowProbeTest, SharedNeighboursSettleWithoutLevelSearch) {
     EXPECT_LE(probe.work_moves() - before, row_entries) << "limit=" << limit;
   }
 
-  const Graph g = Graph::FromEdges(
-      7, std::vector<std::pair<VertexId, VertexId>>{{0, 2},
-                                                    {2, 1},
-                                                    {0, 3},
-                                                    {3, 1},
-                                                    {0, 4},
-                                                    {4, 5},
-                                                    {5, 1},
-                                                    {0, 6},
-                                                    {6, 4}});
-  const std::uint32_t kappa = kvcc::testing::BruteLocalVertexConnectivity(
-      g, 0, 1);
+  const std::vector<std::pair<VertexId, VertexId>> edges = {
+      {0, 2}, {2, 1}, {0, 3}, {3, 1}, {0, 4}, {4, 5}, {5, 1}, {0, 6}, {6, 4}};
+  const Graph g = Graph::FromEdges(7, edges);
+  const std::uint32_t kappa =
+      kvcc::testing::BruteLocalVertexConnectivity(g, 0, 1);
   ASSERT_EQ(kappa, 3u);
   EXPECT_EQ(probe.LocalConnectivity(g, 0, 1, 10), kappa);
   const std::vector<VertexId> cut = probe.LocCut(g, 0, 1, 4);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,7 +19,7 @@ namespace {
 /// and two gadgets after them: x adjacent to a and b (and 0), where the
 /// non-adjacent a and b share x, 0 and shared - 2 vertices of their own.
 /// `short_of_k` is the x whose a and b share k - 1 neighbours (not strong),
-/// `at_k` the one whose share exactly k (strong). Needs k >= 3.
+/// `at_k` the one whose a and b share exactly k (strong). Needs k >= 3.
 struct HubGraph {
   Graph g;
   VertexId short_of_k = 0;
@@ -164,6 +165,9 @@ TEST(ComputeStrongSideVerticesTest, MatchesReferenceOnRandomGraphs) {
       const HubGraph hub = MakeHubGraph(random_n, p, k, seed);
       const Graph& g = hub.g;
       for (const std::uint32_t cap : {0u, 128u}) {
+        const std::string where =
+            "seed=" + std::to_string(seed) + " cap=" + std::to_string(cap);
+        SCOPED_TRACE(where);
         const SideVertexCounts counts =
             ComputeStrongSideVerticesInto(g, k, {}, cap, scratch);
         std::uint64_t checked = 0;
@@ -171,9 +175,7 @@ TEST(ComputeStrongSideVerticesTest, MatchesReferenceOnRandomGraphs) {
         for (VertexId v = 0; v < g.NumVertices(); ++v) {
           const bool in_cap = cap == 0 || g.Degree(v) <= cap;
           const bool expected = in_cap && IsStrongSideVertex(g, v, k);
-          EXPECT_EQ(scratch.strong[v], expected)
-              << "n=" << g.NumVertices() << " k=" << k << " cap=" << cap
-              << " v=" << v;
+          EXPECT_EQ(scratch.strong[v], expected) << "v=" << v;
           (in_cap ? checked : capped) += 1;
           strong += expected ? 1 : 0;
           if (in_cap && g.Degree(0) >= 10 * g.Degree(v)) ++long_rows;
