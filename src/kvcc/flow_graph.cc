@@ -137,6 +137,67 @@ bool FlowProbe::Augment(const Graph& g, VertexId u, VertexId v) {
   return true;
 }
 
+// Warm path: the flow's short paths, read off rows with no level graph.
+// The free neighbours of u wait on the pooled path, which Augment clears.
+// kvcc-lint: no-alloc
+std::uint32_t FlowProbe::SeedPaths(const Graph& g, VertexId u, VertexId v,
+                                   std::uint32_t limit) {
+  // Each common neighbour w of u and v carries one path u -> w -> v, and
+  // these paths share no inner vertex. One merge of the two sorted rows
+  // finds them; it stamps every other entry of v's row and lists every
+  // other entry of u's row. Each row entry read counts as one move.
+  const auto row_u = g.Neighbors(u);
+  const auto row_v = g.Neighbors(v);
+  path_.clear();
+  std::uint32_t flow = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (flow < limit && i < row_u.size() && j < row_v.size()) {
+    if (row_u[i] < row_v[j]) {
+      path_.push_back(row_u[i++]);  // kvcc-lint: reserved
+    } else if (row_v[j] < row_u[i]) {
+      marks_[row_v[j++]] = flow_epoch_;
+    } else {
+      SetLink(u, row_u[i]);
+      SetLink(row_u[i], v);
+      ++flow;
+      ++i;
+      ++j;
+    }
+  }
+  if (flow < limit) {
+    for (; j < row_v.size(); ++j) marks_[row_v[j]] = flow_epoch_;
+    for (; i < row_u.size(); ++i) {
+      path_.push_back(row_u[i]);  // kvcc-lint: reserved
+    }
+  }
+  std::uint64_t work = i + j;
+
+  // Every common neighbour now carries its unit, so the stamped entries
+  // are exactly v's free neighbours b, and no listed neighbour a of u is
+  // one of them. The first stamped entry of a's row gives the path
+  // u -> a -> b -> v; clearing b's stamp keeps every inner vertex at one
+  // unit.
+  std::size_t free_b = row_v.size() - flow;
+  for (std::size_t next = 0; flow < limit && free_b > 0 && next < path_.size();
+       ++next) {
+    const VertexId a = path_[next];
+    for (const VertexId b : g.Neighbors(a)) {
+      ++work;
+      if (marks_[b] != flow_epoch_) continue;
+      marks_[b] = 0;
+      SetLink(u, a);
+      SetLink(a, b);
+      SetLink(b, v);
+      --free_b;
+      ++flow;
+      break;
+    }
+  }
+  work_moves_ += work;
+  return flow;
+}
+
 // Warm path: one Dinic run on pooled, epoch-stamped state.
 // kvcc-lint: no-alloc
 std::uint32_t FlowProbe::LocalConnectivity(const Graph& g, VertexId u,
@@ -147,37 +208,17 @@ std::uint32_t FlowProbe::LocalConnectivity(const Graph& g, VertexId u,
     // Grow-only: new entries carry epoch 0, which never equals a live one,
     // and the BFS queue and the path never hold more than 2n nodes.
     links_.resize(n);        // kvcc-lint: reserved
+    marks_.resize(n);        // kvcc-lint: reserved
     levels_.resize(2 * n);   // kvcc-lint: reserved
     queue_.reserve(2 * n);   // kvcc-lint: reserved
     path_.reserve(2 * n);    // kvcc-lint: reserved
   }
   if (++flow_epoch_ == 0) {  // Epoch wrapped: invalidate every stamp.
     for (Links& links : links_) links.epoch = 0;
+    std::fill(marks_.begin(), marks_.end(), 0);
     flow_epoch_ = 1;
   }
-  // Each common neighbour w of u and v carries one path u -> w -> v, and
-  // these paths share no inner vertex, so they seed the flow before the
-  // first level BFS. One merge of the two sorted rows finds them; each row
-  // entry it steps past counts as one move.
-  const auto row_u = g.Neighbors(u);
-  const auto row_v = g.Neighbors(v);
-  std::uint32_t flow = 0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (flow < limit && i < row_u.size() && j < row_v.size()) {
-    if (row_u[i] < row_v[j]) {
-      ++i;
-    } else if (row_v[j] < row_u[i]) {
-      ++j;
-    } else {
-      SetLink(u, row_u[i]);
-      SetLink(row_u[i], v);
-      ++flow;
-      ++i;
-      ++j;
-    }
-  }
-  work_moves_ += i + j;
+  std::uint32_t flow = SeedPaths(g, u, v, limit);
   while (flow < limit && BuildLevels(g, u, v)) {
     while (flow < limit && Augment(g, u, v)) ++flow;
   }

@@ -20,11 +20,22 @@
 //     x_out -> y_in, then back to x_in when x carries flow.
 //   * An in-side x_in has exactly one move: to x_out when x is free, else
 //     back to pred[x]'s out-side, cancelling that link.
-//   * Before the first level BFS, one merge of the sorted rows of u and v
-//     routes a unit through each common neighbour w (u -> w -> v; the
-//     paper's common-neighbour argument, Thm 8), stopping at the limit.
-//     Dinic then searches only for longer paths, and a pair with at least
-//     `limit` common neighbours runs no BFS at all.
+//   * Before the first level BFS, the flow is seeded with short paths
+//     read off rows, each pass stopping at the limit:
+//       - two hops: one merge of the sorted rows of u and v routes a unit
+//         through each common neighbour w (u -> w -> v; the paper's
+//         common-neighbour argument, Thm 8), stamps the other entries of
+//         v's row and lists the other entries of u's row;
+//       - three hops: for each listed neighbour a of u, the first stamped
+//         entry b of a's row gives u -> a -> b -> v, and b's stamp is
+//         cleared.
+//     The seeded flow is feasible: every common neighbour carries its unit
+//     before the second pass, so the stamped b are exactly v's free
+//     neighbours, no a is one of them, and each inner vertex carries one
+//     unit. Seeding reads the rows of u and v once and at most the rows of
+//     u's free neighbours, which the first level BFS would scan in full
+//     before it could reach v. Dinic then searches only for what is left,
+//     and a pair whose short paths reach the limit runs no BFS.
 // Dinic stops as soon as the flow reaches the limit, O(min(sqrt(n), k) * m).
 // When the flow ends below it, the last level BFS failed to reach v_in, so
 // the nodes it levelled are exactly the residual-reachable set: the minimal
@@ -61,7 +72,7 @@ class FlowProbe {
                                std::uint32_t k);
 
   /// Monotone count of residual moves examined by this probe's flow work,
-  /// plus one per row entry the seeding merge steps past
+  /// plus one per row entry the seeding passes read
   /// (KvccStats::probe_edges_touched is accumulated from deltas of this).
   std::uint64_t work_moves() const { return work_moves_; }
 
@@ -88,6 +99,8 @@ class FlowProbe {
     std::uint32_t cursor = 0;
   };
 
+  std::uint32_t SeedPaths(const Graph& g, VertexId u, VertexId v,
+                          std::uint32_t limit);
   bool BuildLevels(const Graph& g, VertexId u, VertexId v);
   bool Augment(const Graph& g, VertexId u, VertexId v);
 
@@ -113,11 +126,15 @@ class FlowProbe {
   }
 
   std::vector<Links> links_;    // one per vertex
+  // One per vertex: flow_epoch_ marks a free neighbour of the sink that the
+  // three-hop pass may still route through; 0 never equals a live epoch.
+  std::vector<std::uint32_t> marks_;
   std::vector<Level> levels_;   // one per split-graph node
   std::uint32_t flow_epoch_ = 0;
   std::uint32_t phase_epoch_ = 0;
   std::vector<std::uint32_t> queue_;  // the last level BFS, in order
-  std::vector<std::uint32_t> path_;   // the augmenting path's nodes
+  // The augmenting path's nodes; while seeding, u's free neighbours.
+  std::vector<std::uint32_t> path_;
   std::uint64_t work_moves_ = 0;
 };
 

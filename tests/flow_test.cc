@@ -201,6 +201,60 @@ TEST(FlowProbeTest, SharedNeighboursSettleWithoutLevelSearch) {
   EXPECT_EQ(ReachMask(g, 0, MaskOf(cut)), ClosestReachBySize(g, 0, 1, 3)[3]);
 }
 
+// Three-hop paths settle the rest of the flow before any level search.
+// Vertices 0 and 1 share the neighbours 2 and 3, and 0's other neighbours
+// 4..7 each reach a neighbour of 1 (8..11) in one more hop, so seeding
+// alone reaches the limit 6. It reads the rows of 0 and 1 once and a
+// prefix of each of 4..7's rows, and never a row of the shared neighbours.
+// The same bound holds when 1 is a hub with 10,000 more neighbours: its
+// row is read once, however long.
+TEST(FlowProbeTest, ThreeHopPathsSettleWithoutLevelSearch) {
+  constexpr std::uint32_t kLimit = 6;
+  std::vector<std::pair<VertexId, VertexId>> edges = {
+      {0, 2}, {2, 1}, {0, 3}, {3, 1}};
+  for (VertexId a = 4; a < 8; ++a) {
+    edges.insert(edges.end(), {{0, a}, {a, a + 4}, {a + 4, 1}});
+    if (a + 1 < 8) edges.emplace_back(a, a + 1);
+  }
+  const Graph g = Graph::FromEdges(12, edges);
+  for (VertexId leaf = 12; leaf < 10012; ++leaf) edges.emplace_back(1, leaf);
+  const Graph hub = Graph::FromEdges(10012, edges);
+  ASSERT_EQ(hub.Degree(1), 10006u);
+
+  FlowProbe probe;
+  for (const Graph* graph : {&g, &hub}) {
+    std::uint64_t row_entries = graph->Degree(0) + graph->Degree(1);
+    for (const VertexId a : graph->Neighbors(0)) {
+      row_entries += graph->Degree(a);
+    }
+    const std::uint64_t before = probe.work_moves();
+    EXPECT_EQ(probe.LocalConnectivity(*graph, 0, 1, kLimit), kLimit)
+        << "n=" << graph->NumVertices();
+    EXPECT_LE(probe.work_moves() - before, row_entries)
+        << "n=" << graph->NumVertices();
+  }
+  EXPECT_EQ(kvcc::testing::BruteLocalVertexConnectivity(g, 0, 1), kLimit);
+}
+
+// A greedy three-hop choice can block another one: 2 takes 4, the only
+// neighbour of 1 that 3 reaches, so the maximum flow needs an augmenting
+// path 0-3-4-2-5-1 that cancels the seeded link 2 -> 4. Vertex 6 hangs off
+// 0 and 2, so of the minimum cuts {2, 3}, {2, 4} and {4, 5} the first is
+// the one closest to 0.
+TEST(FlowProbeTest, AugmentationCancelsSeededThreeHopPath) {
+  const std::vector<std::pair<VertexId, VertexId>> edges = {
+      {0, 2}, {0, 3}, {0, 6}, {6, 2}, {2, 4}, {2, 5}, {3, 4}, {4, 1}, {5, 1}};
+  const Graph g = Graph::FromEdges(7, edges);
+  const std::uint32_t kappa =
+      kvcc::testing::BruteLocalVertexConnectivity(g, 0, 1);
+  ASSERT_EQ(kappa, 2u);
+  FlowProbe probe;
+  EXPECT_EQ(probe.LocalConnectivity(g, 0, 1, 10), kappa);
+  const std::vector<VertexId> cut = probe.LocCut(g, 0, 1, 3);
+  EXPECT_EQ(cut, (std::vector<VertexId>{2, 3}));
+  EXPECT_EQ(ReachMask(g, 0, MaskOf(cut)), ClosestReachBySize(g, 0, 1, 2)[2]);
+}
+
 // The probe against the independent referee on graphs too large for brute
 // force: LocCut answers empty iff kappa(u, v) >= k, and otherwise a cut of
 // exactly kappa vertices that the referee confirms separates u from v;
