@@ -88,24 +88,30 @@ std::vector<std::vector<VertexId>> TwoEdgeConnectedComponents(
 
 }  // namespace
 
-std::vector<std::vector<VertexId>> KEdgeConnectedComponents(const Graph& g,
-                                                            std::uint32_t k) {
+std::vector<std::vector<VertexId>> KEdgeConnectedComponents(
+    const Graph& g, std::uint32_t k,
+    std::vector<std::uint32_t>* connectivity) {
   // Linear fast paths. k = 1: the 1-ECCs are the connected components
   // with at least one edge. k = 2: bridge decomposition. Both match the
   // generic recursion's output exactly (sorted components, sorted list).
-  if (k <= 1) {
+  if (k <= 2) {
     std::vector<std::vector<VertexId>> result;
-    for (std::vector<VertexId>& comp : ConnectedComponents(g)) {
-      if (comp.size() < 2) continue;
-      std::sort(comp.begin(), comp.end());
-      result.push_back(std::move(comp));
+    if (k == 2) {
+      result = TwoEdgeConnectedComponents(g);
+    } else {
+      for (std::vector<VertexId>& comp : ConnectedComponents(g)) {
+        if (comp.size() < 2) continue;
+        std::sort(comp.begin(), comp.end());
+        result.push_back(std::move(comp));
+      }
+      std::sort(result.begin(), result.end());
     }
-    std::sort(result.begin(), result.end());
+    if (connectivity != nullptr) connectivity->assign(result.size(), k);
     return result;
   }
-  if (k == 2) return TwoEdgeConnectedComponents(g);
 
-  std::vector<std::vector<VertexId>> result;
+  // Each component with the weight of the cut that confirmed it.
+  std::vector<std::pair<std::vector<VertexId>, std::uint32_t>> found;
   std::vector<Graph> stack;
   stack.push_back(g.WithIdentityLabels());
 
@@ -126,14 +132,16 @@ std::vector<std::vector<VertexId>> KEdgeConnectedComponents(const Graph& g,
 
       const GlobalMinCut cut = StoerWagnerMinCut(sub, /*early_stop_below=*/k);
       if (cut.weight >= k) {
-        // No edge cut below k: sub is a k-ECC.
+        // No edge cut below k: sub is a k-ECC, and the search ran every
+        // phase, so the weight is its exact edge connectivity.
         std::vector<VertexId> ids;
         ids.reserve(sub.NumVertices());
         for (VertexId v = 0; v < sub.NumVertices(); ++v) {
           ids.push_back(sub.LabelOf(v));
         }
         std::sort(ids.begin(), ids.end());
-        result.push_back(std::move(ids));
+        found.emplace_back(std::move(ids),
+                           static_cast<std::uint32_t>(cut.weight));
         continue;
       }
       // Split along the edge cut: the two sides share no vertices.
@@ -148,7 +156,15 @@ std::vector<std::vector<VertexId>> KEdgeConnectedComponents(const Graph& g,
     }
   }
 
-  std::sort(result.begin(), result.end());
+  // Components are disjoint, so their vertex lists alone decide the order.
+  std::sort(found.begin(), found.end());
+  std::vector<std::vector<VertexId>> result;
+  result.reserve(found.size());
+  if (connectivity != nullptr) connectivity->clear();
+  for (auto& [ids, lambda] : found) {
+    result.push_back(std::move(ids));
+    if (connectivity != nullptr) connectivity->push_back(lambda);
+  }
   return result;
 }
 

@@ -69,8 +69,7 @@ IncrementalOutcome IncrementalKvcc::Update(const VersionedGraph& vg,
   std::vector<std::vector<std::vector<VertexId>>> old_levels =
       std::move(levels_);
   levels_.clear();
-  std::vector<std::vector<std::vector<VertexId>>> old_regions =
-      std::move(regions_);
+  std::vector<std::vector<Region>> old_regions = std::move(regions_);
   regions_.clear();
 
   // --- analysis: one pass per level, cheap (O(n + m) each), independent
@@ -93,28 +92,37 @@ IncrementalOutcome IncrementalKvcc::Update(const VersionedGraph& vg,
     // of the level before instead of the whole graph. Level 1 and 2 are
     // the linear fast paths (connected components / bridge
     // decomposition); from level 3 up, the Stoer-Wagner recursion only
-    // ever sees one region at a time. Regions of the previous update are
-    // cached (old_regions): a (k-1)-region with no batch edge inside it
-    // that was also a (k-1)-ECC of the old graph has an unchanged induced
-    // subgraph, so its k-ECCs are carried from the cache instead of
-    // re-derived — the per-batch region cost is proportional to the
-    // edit's footprint, not the graph.
-    static const std::vector<std::vector<VertexId>> kNoRegions;
-    std::vector<std::vector<VertexId>> regions;
+    // ever sees one region at a time. A (k-1)-region whose edge
+    // connectivity is known to be at least k is its own k-ECC: the k-core
+    // peel removes nothing from it and no cut falls below k. Regions of
+    // the previous update are cached (old_regions): a (k-1)-region with no
+    // batch edge inside it that was also a (k-1)-ECC of the old graph has
+    // an unchanged induced subgraph, so its k-ECCs are carried from the
+    // cache instead of re-derived — the per-batch region cost is
+    // proportional to the edit's footprint, not the graph.
+    static const std::vector<Region> kNoRegions;
+    std::vector<Region> regions;
+    std::vector<std::uint32_t> bounds;
     if (k == 1) {
-      regions = KEdgeConnectedComponents(g, 1);
+      for (std::vector<VertexId>& comp : KEdgeConnectedComponents(g, 1)) {
+        regions.push_back({std::move(comp), 1});
+      }
     } else {
-      const std::vector<std::vector<VertexId>>& prev = regions_[k - 2];
+      const std::vector<Region>& prev = regions_[k - 2];
       const bool old_known = k <= old_regions.size();
-      const std::vector<std::vector<VertexId>>& old_prev =
+      const std::vector<Region>& old_prev =
           old_known ? old_regions[k - 2] : kNoRegions;
-      const std::vector<std::vector<VertexId>>& old_here =
+      const std::vector<Region>& old_here =
           old_known ? old_regions[k - 1] : kNoRegions;
-      for (const std::vector<VertexId>& region : prev) {
-        if (region.size() <= k) continue;
+      for (const Region& region : prev) {
+        if (region.vertices.size() <= k) continue;
+        if (region.connectivity >= k) {
+          regions.push_back(region);
+          continue;
+        }
         bool clean = true;
         for (const EdgeDelta& d : batch_) {
-          if (ContainsEdge(region, d.u, d.v)) {
+          if (ContainsEdge(region.vertices, d.u, d.v)) {
             clean = false;
             break;
           }
@@ -124,9 +132,10 @@ IncrementalOutcome IncrementalKvcc::Update(const VersionedGraph& vg,
           // Unchanged induced subgraph of an old (k-1)-ECC: its k-ECCs
           // are exactly the cached old level-k regions inside it (every
           // old region is inside or disjoint, so one member decides).
-          for (const std::vector<VertexId>& old_region : old_here) {
-            if (std::binary_search(region.begin(), region.end(),
-                                   old_region.front())) {
+          for (const Region& old_region : old_here) {
+            if (std::binary_search(region.vertices.begin(),
+                                   region.vertices.end(),
+                                   old_region.vertices.front())) {
               regions.push_back(old_region);
             }
           }
@@ -134,14 +143,16 @@ IncrementalOutcome IncrementalKvcc::Update(const VersionedGraph& vg,
         }
         // g is a VersionedGraph materialization, so it is unlabeled and
         // the subgraph's labels are g's vertex ids.
-        const Graph sub = g.InducedSubgraph(region);
-        for (const std::vector<VertexId>& local :
-             KEdgeConnectedComponents(sub, k)) {
-          std::vector<VertexId> mapped;
-          mapped.reserve(local.size());
-          for (VertexId v : local) mapped.push_back(sub.LabelOf(v));
-          std::sort(mapped.begin(), mapped.end());
-          regions.push_back(std::move(mapped));
+        const Graph sub = g.InducedSubgraph(region.vertices);
+        const std::vector<std::vector<VertexId>> locals =
+            KEdgeConnectedComponents(sub, k, &bounds);
+        for (std::size_t c = 0; c < locals.size(); ++c) {
+          Region found;
+          found.vertices.reserve(locals[c].size());
+          for (VertexId v : locals[c]) found.vertices.push_back(sub.LabelOf(v));
+          std::sort(found.vertices.begin(), found.vertices.end());
+          found.connectivity = bounds[c];
+          regions.push_back(std::move(found));
         }
       }
       std::sort(regions.begin(), regions.end());
@@ -152,7 +163,7 @@ IncrementalOutcome IncrementalKvcc::Update(const VersionedGraph& vg,
     } else {
       region_of.assign(n, kNoRegion);
       for (std::size_t r = 0; r < regions.size(); ++r) {
-        for (VertexId v : regions[r]) {
+        for (VertexId v : regions[r].vertices) {
           region_of[v] = static_cast<std::uint32_t>(r);
         }
       }
@@ -208,7 +219,7 @@ IncrementalOutcome IncrementalKvcc::Update(const VersionedGraph& vg,
         if (!dirty[r]) continue;
         RegionJob job;
         job.k = k;
-        job.vertices = regions[r];
+        job.vertices = regions[r].vertices;
         job.graph = g.InducedSubgraph(job.vertices);
         jobs.push_back(std::move(job));
       }

@@ -132,11 +132,21 @@ class IncrementalKvcc {
   // canonical lexicographic order (EnumerateKVccs output format);
   // trailing empty levels trimmed.
   std::vector<std::vector<std::vector<VertexId>>> levels_;
-  // regions_[k-1] = the k-ECCs of *graph_ ("regions" at level k), same
-  // format as levels_. Cached so the next update only re-derives regions
+  // One k-ECC of *graph_ and a lower bound (>= k) on its edge
+  // connectivity, as KEdgeConnectedComponents reports it. Ordered by the
+  // vertex list; the regions of one level are disjoint.
+  struct Region {
+    std::vector<VertexId> vertices;
+    std::uint32_t connectivity = 0;
+    bool operator<(const Region& other) const {
+      return vertices < other.vertices;
+    }
+  };
+  // regions_[k-1] = the k-ECCs of *graph_ ("regions" at level k), in
+  // levels_' order. Cached so the next update only re-derives regions
   // whose induced subgraph a batch edge touched; cleared on full rebuilds
   // (the following update re-derives every level once and re-primes it).
-  std::vector<std::vector<std::vector<VertexId>>> regions_;
+  std::vector<std::vector<Region>> regions_;
   KvccStats stats_;
   std::uint64_t version_ = 0;
   std::uint64_t applied_seen_ = 0;  // vg.AppliedTotal() at last update

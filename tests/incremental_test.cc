@@ -220,6 +220,49 @@ TEST(IncrementalTest, LocalizedEditStaysLocal) {
   ExpectMatchesColdBuild(*state.Hierarchy(), base, "reinsert");
 }
 
+// Two 7-cliques joined by a 3-edge matching form one region at levels 1-3
+// (edge connectivity 3) and two at levels 4-6 (each clique's is 6).
+// Deleting an edge inside the first clique dirties the joint region at
+// levels 1-3 and the first clique at levels 4-6 (it is 5-connected after),
+// and carries the second clique: exactly six old components are
+// invalidated. Re-inserting it invalidates five, as the first clique is
+// gone from level 6. A region taken as a k-ECC one level past its edge
+// connectivity would leave the second clique in a dirty joint region at
+// level 4 and invalidate it too.
+TEST(IncrementalTest, ConnectivityCarryKeepsRegionsExact) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId a = 0; a < 7; ++a) {
+    for (VertexId b = a + 1; b < 7; ++b) {
+      edges.emplace_back(a, b);
+      edges.emplace_back(a + 7, b + 7);
+    }
+  }
+  for (VertexId a = 0; a < 3; ++a) edges.emplace_back(a, a + 7);
+  const Graph base = Graph::FromEdges(14, edges);
+
+  VersionedGraph vg(base);
+  IncrementalKvcc state;
+  state.Update(vg);
+  ASSERT_EQ(state.Hierarchy()->MaxLevel(), 6u);
+  for (std::uint32_t k = 1; k <= 6; ++k) {
+    ASSERT_EQ(state.Hierarchy()->NodesAtLevel(k).size(), k <= 3 ? 1u : 2u)
+        << "k=" << k;
+  }
+
+  const std::vector<std::pair<VertexId, VertexId>> batch{{4, 5}};
+  ASSERT_EQ(vg.DeleteEdges(batch), 1u);
+  const IncrementalOutcome deleted = state.Update(vg);
+  EXPECT_EQ(deleted.dirty_components, 6u);
+  EXPECT_EQ(deleted.incremental_reruns, 5u);
+  ExpectMatchesColdBuild(*state.Hierarchy(), *state.CurrentGraph(), "delete");
+
+  ASSERT_EQ(vg.InsertEdges(batch), 1u);
+  const IncrementalOutcome inserted = state.Update(vg);
+  EXPECT_EQ(inserted.dirty_components, 5u);
+  EXPECT_EQ(inserted.incremental_reruns, 6u);
+  ExpectMatchesColdBuild(*state.Hierarchy(), base, "reinsert");
+}
+
 // A stable-order stream over the dynamic snapshot replays the exact
 // serial emission order of a cold run on the materialized graph.
 TEST(IncrementalTest, StableOrderStreamReplayMatchesCold) {

@@ -78,6 +78,35 @@ TEST(KeccTest, EveryComponentIsKEdgeConnected) {
   }
 }
 
+// Each component comes with a lower bound b >= k on its edge
+// connectivity. Where Stoer–Wagner confirmed the component (k >= 3), b is
+// its exact edge connectivity: the component is b- but not
+// (b + 1)-edge-connected.
+TEST(KeccTest, ReportsEachComponentsEdgeConnectivity) {
+  int above_k = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const Graph g = kvcc::testing::RandomConnectedGraph(30, 130, seed);
+    for (std::uint32_t k = 1; k <= 6; ++k) {
+      std::vector<std::uint32_t> bounds;
+      const auto eccs = KEdgeConnectedComponents(g, k, &bounds);
+      EXPECT_EQ(eccs, KEdgeConnectedComponents(g, k));
+      ASSERT_EQ(bounds.size(), eccs.size()) << "seed=" << seed << " k=" << k;
+      for (std::size_t c = 0; c < eccs.size(); ++c) {
+        const Graph sub = g.InducedSubgraph(eccs[c]);
+        EXPECT_GE(bounds[c], k) << "seed=" << seed << " k=" << k;
+        EXPECT_TRUE(IsKEdgeConnected(sub, bounds[c]))
+            << "seed=" << seed << " k=" << k << " bound=" << bounds[c];
+        if (k >= 3) {
+          EXPECT_FALSE(IsKEdgeConnected(sub, bounds[c] + 1))
+              << "seed=" << seed << " k=" << k << " bound=" << bounds[c];
+        }
+        if (bounds[c] > k) ++above_k;
+      }
+    }
+  }
+  EXPECT_GT(above_k, 0);
+}
+
 TEST(KeccTest, ComponentsNestInKCore) {
   const Graph g = kvcc::testing::RandomConnectedGraph(50, 150, 3);
   const std::uint32_t k = 3;
