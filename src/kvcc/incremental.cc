@@ -102,7 +102,6 @@ IncrementalOutcome IncrementalKvcc::Update(const VersionedGraph& vg,
     // proportional to the edit's footprint, not the graph.
     static const std::vector<Region> kNoRegions;
     std::vector<Region> regions;
-    std::vector<std::uint32_t> bounds;
     if (k == 1) {
       for (std::vector<VertexId>& comp : KEdgeConnectedComponents(g, 1)) {
         regions.push_back({std::move(comp), 1});
@@ -114,6 +113,7 @@ IncrementalOutcome IncrementalKvcc::Update(const VersionedGraph& vg,
           old_known ? old_regions[k - 2] : kNoRegions;
       const std::vector<Region>& old_here =
           old_known ? old_regions[k - 1] : kNoRegions;
+      std::vector<std::uint32_t> bounds;
       for (const Region& region : prev) {
         if (region.vertices.size() <= k) continue;
         if (region.connectivity >= k) {

@@ -131,7 +131,7 @@ struct KvccStats {
   /// delete both at the next change to the benchmark.
   std::uint64_t probes_localvc = 0;
   /// \brief Residual moves examined across all probes, plus one per row
-  /// entry each probe's common-neighbour seeding merge steps past
+  /// entry each probe's two-hop and three-hop seeding passes read
   /// (FlowProbe::work_moves): the per-probe cost measure.
   std::uint64_t probe_edges_touched = 0;
 
