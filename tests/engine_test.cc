@@ -660,8 +660,11 @@ TEST(KvccEngineJobControlTest, CancelUnknownOrConsumedTicketReturnsFalse) {
   EXPECT_FALSE(engine.Cancel(id));  // Ticket consumed by Wait.
 }
 
+// The deadline tests need a run far longer than their 1 ms deadline: the
+// 8-block workload now finishes in ~0.7 ms serially on a 4-vCPU x86 box
+// (~0.9 ms before three-hop probe seeding), the 64-block one in ~29 ms.
 TEST(KvccEngineJobControlTest, DeadlineCancelsEngineJob) {
-  const PlantedVccGraph planted = MakeCancellationWorkload(29);
+  const PlantedVccGraph planted = MakeCancellationWorkload(29, 64);
   KvccEngine engine(2);
   KvccOptions options;
   options.deadline_ms = 1;  // Elapses long before the decomposition can.
@@ -677,7 +680,7 @@ TEST(KvccEngineJobControlTest, DeadlineCancelsEngineJob) {
 }
 
 TEST(KvccEngineJobControlTest, DeadlineCancelsSerialEnumeration) {
-  const PlantedVccGraph planted = MakeCancellationWorkload(31);
+  const PlantedVccGraph planted = MakeCancellationWorkload(31, 64);
   KvccOptions options;
   options.num_threads = 1;
   options.deadline_ms = 1;
@@ -850,13 +853,16 @@ TEST(KvccEngineJobControlTest, AbandoningBlockedBoundedStreamUnblocks) {
 TEST(KvccEngineJobControlTest, InteractiveJobOvertakesSaturatingBulkBatch) {
   // Latency classes: with the pool saturated by bulk jobs, an interactive
   // job submitted *after* them must still complete while bulk work is in
-  // flight, because every pop prefers the higher class (weighted).
+  // flight, because every pop prefers the higher class (weighted). Four
+  // 64-block jobs keep two workers busy for ~60 ms on a 4-vCPU x86 box;
+  // four 8-block jobs took ~1.5 ms, less than a descheduled waiter can
+  // lose under a parallel ctest.
   const Graph small = TwoCliquesSharing(5, 1);
   const KvccResult small_ref = EnumerateKVccs(small, 3);
 
   std::vector<PlantedVccGraph> bulk_graphs;
   for (std::uint64_t seed = 51; seed < 55; ++seed) {
-    bulk_graphs.push_back(MakeCancellationWorkload(seed));
+    bulk_graphs.push_back(MakeCancellationWorkload(seed, 64));
   }
 
   KvccEngine engine(2);
