@@ -134,9 +134,9 @@ std::vector<std::string> RunScripted(std::optional<unsigned> workers,
   for (int i = 0; i < steps; ++i) {
     const testing::MutationStep step = script.Next();
     ApplyStep(vg, step);
-    const IncrementalOutcome outcome = engine.has_value()
-                                           ? engine->SubmitIncremental(state, vg)
-                                           : state.Update(vg);
+    const IncrementalOutcome outcome =
+        engine.has_value() ? engine->SubmitIncremental(state, vg)
+                           : state.Update(vg);
     std::ostringstream digest;
     digest << HierarchyDigest(*state.Hierarchy(),
                               state.CurrentGraph()->NumVertices())
