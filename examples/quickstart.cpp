@@ -26,8 +26,8 @@ int main() {
   std::cout << "graph: " << g.NumVertices() << " vertices, " << g.NumEdges()
             << " edges\n\n";
 
-  // 2. Enumerate all 4-VCCs. The default options run VCCE* (all paper
-  //    optimizations on); see KvccOptions for the ablation presets.
+  // 2. Enumerate all 4-VCCs. The default options run VCCE* (both sweeps
+  //    on); see KvccOptions for the paper's other three variants.
   const std::uint32_t k = 4;
   const KvccResult result = EnumerateKVccs(g, k);
   std::cout << result.components.size() << " " << k << "-VCCs:\n";
@@ -37,7 +37,7 @@ int main() {
       std::cout << (i ? "," : "") << component[i];
     }
     // Each k-VCC really is k-vertex-connected:
-    const Graph sub = MaterializeComponent(g, component);
+    const Graph sub = g.InducedSubgraph(component);
     std::cout << "}  kappa=" << VertexConnectivity(sub) << "\n";
   }
 

@@ -69,7 +69,7 @@ int main() {
     double diam = 0;
     for (const auto& cell : result.components) {
       largest = std::max(largest, cell.size());
-      diam += ExactDiameter(MaterializeComponent(net, cell));
+      diam += ExactDiameter(net.InducedSubgraph(cell));
     }
     if (!result.components.empty()) {
       diam /= static_cast<double>(result.components.size());

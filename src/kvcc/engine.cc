@@ -174,7 +174,6 @@ KvccEngine::JobId KvccEngine::SubmitJob(const Graph& g, std::uint32_t k,
   state->graph = &g;
   state->k = k;
   state->options = options;
-  state->maintain = options.maintain_side_vertices && options.neighbor_sweep;
   state->cancel = std::move(cancel);
   state->priority = ToTaskPriority(options.priority);
   state->sink = std::move(sink);
@@ -339,9 +338,8 @@ void KvccEngine::RunTask(const std::shared_ptr<JobState>& job,
   } else {
     try {
       internal::ProcessItem(std::move(item), is_root ? job->graph : nullptr,
-                            job->k, job->options, job->maintain,
-                            scratch_[worker_id], stats, &scheduler_,
-                            &job->cancel, emit, spawn);
+                            job->k, job->options, scratch_[worker_id], stats,
+                            &scheduler_, &job->cancel, emit, spawn);
     } catch (const JobCancelled&) {
       // Cooperative unwind from inside GLOBAL-CUT; the token is already
       // latched, so every remaining task short-circuits above, and the

@@ -254,7 +254,6 @@ class KvccEngine {
     const Graph* graph = nullptr;
     std::uint32_t k = 0;
     KvccOptions options;
-    bool maintain = false;
     // Ticket already claimed by a Wait() (guarded by jobs_mutex_). The
     // table entry outlives the claim so Cancel() can still reach a job
     // someone is blocked waiting on; it is erased when that Wait returns.

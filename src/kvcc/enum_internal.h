@@ -114,10 +114,9 @@ inline const std::vector<bool>& NeighborsOfSet(
 /// the outcome with the job's partial stats attached.
 template <typename Emit, typename Spawn>
 void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
-                 const KvccOptions& options, bool maintain,
-                 EnumScratch& scratch, KvccStats& stats,
-                 exec::TaskScheduler* scheduler, const CancelToken* cancel,
-                 Emit&& emit, Spawn&& spawn) {
+                 const KvccOptions& options, EnumScratch& scratch,
+                 KvccStats& stats, exec::TaskScheduler* scheduler,
+                 const CancelToken* cancel, Emit&& emit, Spawn&& spawn) {
   const bool as_root = root != nullptr;
   const Graph* cur = as_root ? root : &item.graph;
 
@@ -133,7 +132,7 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
   // Peeling invalidates side-vertex verdicts within 2 hops of a removed
   // vertex (common-neighbor counts may have dropped).
   std::vector<bool> peel_touched;
-  const bool have_hints = maintain && !item.hints.empty();
+  const bool have_hints = options.neighbor_sweep && !item.hints.empty();
   if (have_hints && !full_core) {
     const PeelMask mask = scratch.kcore.Mask();
     std::vector<VertexId>& removed = scratch.removed;
@@ -186,18 +185,18 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
 
     // --- overlapped partition (Alg. 1 line 9) ---
     ++stats.overlap_partitions;
-    // The strong-side verdicts live in the cut scratch (GlobalCutResult
-    // documents this); they stay valid until the next GlobalCut call, and
-    // every use below happens before this call returns.
+    // With neighbor sweep, the strong-side verdicts live in the cut scratch
+    // (GlobalCut documents this); they stay valid until the next GlobalCut
+    // call, and every use below happens before this call returns.
     const std::vector<bool>& strong_side = scratch.cut_scratch.side.strong;
     const std::vector<bool>* cut_touched = nullptr;
-    if (maintain && found.strong_side_valid) {
+    if (options.neighbor_sweep) {
       cut_touched = &NeighborsOfSet(sub, found.cut, scratch);
     }
     for (PartitionPiece& piece :
          OverlapPartition(sub, found.cut, sub_is_root)) {
       std::vector<SideVertexHint> child_hints;
-      if (maintain && found.strong_side_valid) {
+      if (options.neighbor_sweep) {
         child_hints.resize(piece.graph.NumVertices());
         for (VertexId i = 0; i < piece.graph.NumVertices(); ++i) {
           const VertexId sub_v = piece.vertices[i];

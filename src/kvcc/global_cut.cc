@@ -195,7 +195,7 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
                           const KvccOptions& options, KvccStats* stats,
                           GlobalCutScratch* scratch,
                           exec::TaskScheduler* scheduler,
-                          const CancelToken* cancel) {
+                          const CancelToken* cancel, bool use_certificate) {
   GlobalCutScratch transient;
   if (scratch == nullptr) scratch = &transient;
   const VertexId n = g.NumVertices();
@@ -225,7 +225,6 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   // Rebuilt into the scratch's reused storage: on the steady-state path
   // the certificate construction touches no allocator.
   SparseCertificate& sc = scratch->cert;
-  const bool use_certificate = options.sparse_certificate;
   if (use_certificate) {
     BuildSparseCertificate(g, k, sc, scratch->cert_scratch);
     stats->certificate_edges_input += g.NumEdges();
@@ -242,16 +241,13 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   // --- strong side-vertices (Alg. 3 line 3) ---
   // Verdicts land in the scratch's reused buffer (no per-call O(n) copy);
   // they stay readable there until the scratch's next GlobalCut call.
+  // Neighbor sweep also takes the carried verdicts (Lemmas 15/16).
   if (options.neighbor_sweep) {
-    static const std::vector<SideVertexHint> kNoHints;
-    const auto& effective_hints =
-        options.maintain_side_vertices ? hints : kNoHints;
     const SideVertexCounts side_counts = ComputeStrongSideVerticesInto(
-        g, k, effective_hints, options.side_vertex_degree_cap, scratch->side);
+        g, k, hints, KvccOptions::side_vertex_degree_cap, scratch->side);
     stats->strong_side_vertices_found += side_counts.strong_count;
     stats->strong_side_checks_run += side_counts.checks_run;
     stats->strong_side_verdicts_reused += side_counts.reused;
-    result.strong_side_valid = true;
   } else {
     scratch->side.strong.assign(n, false);
   }
@@ -285,20 +281,20 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
       // reuses the scratch's probe/sweep/order/wavefront state; none of it
       // is used here afterwards.
       ++stats->certificate_cut_fallbacks;
-      KvccOptions fallback = options;
-      fallback.sparse_certificate = false;
-      return GlobalCut(g, k, hints, fallback, stats, scratch, scheduler,
-                       cancel);
+      return GlobalCut(g, k, hints, options, stats, scratch, scheduler,
+                       cancel, /*use_certificate=*/false);
     }
     result.cut = std::move(cut);  // Ascending, as LocCut returns it.
     return result;
   };
 
   // --- phase-1 processing order ---
-  // The connectivity precondition is enforced for every variant (one BFS,
-  // dwarfed by the flow tests), not just when its distances are needed.
+  // Either sweep orders by non-ascending distance (Alg. 3 line 11); basic
+  // VCCE takes ascending ids. The connectivity precondition is enforced
+  // for every variant (one BFS, dwarfed by the flow tests), not just when
+  // its distances are needed.
   const std::uint32_t max_dist = CheckConnectedFromSource(g, source, *scratch);
-  if (options.distance_order) {
+  if (options.neighbor_sweep || options.group_sweep) {
     DistanceDescendingOrder(g, source, max_dist, *scratch);
   } else {
     scratch->order.clear();
@@ -476,8 +472,11 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   }
 
   // --- phase 2 (Alg. 3 lines 16-21): covers cuts containing the source ---
-  // A strong side-vertex source is in no minimum cut; skip entirely.
+  // A strong side-vertex source is in no minimum cut; skip entirely. With
+  // both sweeps, a pair sharing k common neighbors is skipped (Lemma 13).
   if (!source_is_strong) {
+    const std::uint8_t common_skip =
+        options.neighbor_sweep && options.group_sweep ? 1 : 0;
     const auto nbrs = test_graph.Neighbors(source);
     const std::size_t deg = nbrs.size();
     // Restart the adaptive ramp: a batch grown across a cut-free phase 1
@@ -516,7 +515,7 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
         } else {
           cand.probe_index = static_cast<std::uint32_t>(args.size());
           args.emplace_back(cand.a, cand.b);
-          common.push_back(options.phase2_common_neighbor_skip ? 1 : 0);
+          common.push_back(common_skip);
         }
         wave.push_back(cand);
       }

@@ -128,14 +128,6 @@ struct GlobalCutResult {
   /// A vertex cut of g with fewer than k vertices; empty iff g is
   /// k-vertex-connected.
   std::vector<VertexId> cut;
-
-  /// True when the call computed strong side-vertex verdicts (neighbor
-  /// sweep enabled). The verdicts themselves live in the scratch —
-  /// `scratch->side.strong`, one flag per vertex of g, valid until the
-  /// scratch's next GlobalCut call — so the steady-state search does not
-  /// copy an O(n) vector per invocation. Callers that want the verdicts
-  /// (Lemma 15/16 maintenance) must pass their own scratch.
-  bool strong_side_valid = false;
 };
 
 /// Preconditions: |V(g)| > k and (for the intended use) min degree >= k.
@@ -153,12 +145,25 @@ struct GlobalCutResult {
 /// KvccStats::cuts_cancelled. Time to unwind is therefore bounded by one
 /// wave — one probe without wavefronts — never by the remaining search
 /// space.
+///
+/// With options.neighbor_sweep the call computes strong side-vertex
+/// verdicts into `scratch->side.strong`, one flag per vertex of g, valid
+/// until the scratch's next GlobalCut call, so the steady-state search
+/// does not copy an O(n) vector per invocation. Callers that want the
+/// verdicts (Lemma 15/16 maintenance) must pass their own scratch.
+///
+/// `use_certificate` = false runs every flow test on g itself, without
+/// the sparse certificate and hence without group sweep. Only the
+/// recovery from a certificate cut that fails to separate g (counted in
+/// KvccStats::certificate_cut_fallbacks) and tests pass it; every
+/// variant the drivers run uses the certificate.
 GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
                           const std::vector<SideVertexHint>& hints,
                           const KvccOptions& options, KvccStats* stats,
                           GlobalCutScratch* scratch = nullptr,
                           exec::TaskScheduler* scheduler = nullptr,
-                          const CancelToken* cancel = nullptr);
+                          const CancelToken* cancel = nullptr,
+                          bool use_certificate = true);
 
 namespace detail {
 

@@ -37,8 +37,6 @@ template <typename Emit>
 KvccStats RunSerial(const Graph& g, std::uint32_t k,
                     const KvccOptions& options, const char* caller,
                     Emit&& emit) {
-  const bool maintain =
-      options.maintain_side_vertices && options.neighbor_sweep;
   internal::EnumScratch scratch;
   CancelToken deadline_token;
   const CancelToken* cancel = ArmDeadline(options, deadline_token);
@@ -48,9 +46,8 @@ KvccStats RunSerial(const Graph& g, std::uint32_t k,
     stack.push_back(std::move(child));
   };
   try {
-    internal::ProcessItem(internal::WorkItem{}, &g, k, options, maintain,
-                          scratch, stats, /*scheduler=*/nullptr, cancel,
-                          emit, spawn);
+    internal::ProcessItem(internal::WorkItem{}, &g, k, options, scratch, stats,
+                          /*scheduler=*/nullptr, cancel, emit, spawn);
     while (!stack.empty()) {
       // Task-boundary check: the remaining stack is never processed.
       if (cancel != nullptr && cancel->Cancelled()) {
@@ -58,9 +55,8 @@ KvccStats RunSerial(const Graph& g, std::uint32_t k,
       }
       internal::WorkItem item = std::move(stack.back());
       stack.pop_back();
-      internal::ProcessItem(std::move(item), nullptr, k, options, maintain,
-                            scratch, stats, /*scheduler=*/nullptr, cancel,
-                            emit, spawn);
+      internal::ProcessItem(std::move(item), nullptr, k, options, scratch,
+                            stats, /*scheduler=*/nullptr, cancel, emit, spawn);
     }
   } catch (const JobCancelled& cancelled) {
     // Attach the partial counters (a mid-GLOBAL-CUT unwind carries none)
@@ -116,11 +112,6 @@ std::vector<PartitionPiece> OverlapPartition(
         " piece(s) after removal)");
   }
   return pieces;
-}
-
-Graph MaterializeComponent(const Graph& g,
-                           const std::vector<VertexId>& component) {
-  return g.InducedSubgraph(component);
 }
 
 KvccResult EnumerateKVccs(const Graph& g, std::uint32_t k,

@@ -119,14 +119,6 @@ std::vector<PartitionPiece> OverlapPartition(const Graph& g,
                                              const std::vector<VertexId>& cut,
                                              bool as_root = false);
 
-/// \brief Materializes one k-VCC (as returned in KvccResult::components)
-/// as an induced subgraph of the input graph.
-/// \param g The graph the enumeration ran on.
-/// \param component One entry of KvccResult::components.
-/// \return The induced subgraph on `component`.
-Graph MaterializeComponent(const Graph& g,
-                           const std::vector<VertexId>& component);
-
 }  // namespace kvcc
 
 #endif  // KVCC_KVCC_KVCC_ENUM_H_

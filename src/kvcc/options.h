@@ -1,10 +1,17 @@
 // Configuration knobs for the k-VCC enumeration algorithms.
 //
-// The four presets correspond to the paper's four evaluated variants:
-//   VCCE    = basic algorithm (Section 4)
-//   VCCE-N  = + neighbor sweep (Section 5.1)
-//   VCCE-G  = + group sweep (Section 5.2)
-//   VCCE*   = + both (Section 5.3, GLOBAL-CUT*)
+// The only algorithm settings are the paper's two sweeps; their four
+// combinations are its four evaluated variants:
+//   VCCE    = basic algorithm (Section 4): sparse certificate, phase-1
+//             vertices in ascending id order
+//   VCCE-N  = + neighbor sweep (Section 5.1), which also turns on the
+//             farthest-first phase-1 order and the Lemma 15/16 reuse of
+//             strong side-vertex verdicts across partitions
+//   VCCE-G  = + group sweep (Section 5.2), which also turns on the
+//             farthest-first phase-1 order
+//   VCCE*   = + both (Section 5.3, GLOBAL-CUT*), which also skips phase-2
+//             pairs that share k common neighbors (Lemma 13)
+// Every variant runs its flow tests on the sparse certificate.
 //
 // Intra-cut wavefronts have no knob: they engage whenever a multi-worker
 // pool runs a GLOBAL-CUT on a working graph of 128 or more vertices, and
@@ -42,41 +49,25 @@ enum class JobPriority : std::uint8_t {
 /// enumeration family (EnumerateKVccs, KvccEngine, BuildKvccHierarchy).
 struct KvccOptions {
   /// \brief Enables neighbor sweep (strong side-vertices + vertex
-  /// deposits, Section 5.1). Off = never prune phase-1 tests via
-  /// neighborhoods.
+  /// deposits, Section 5.1). Also turns on the farthest-first phase-1
+  /// order (Alg. 3 line 11) and carries strong side-vertex verdicts into
+  /// partition pieces whose 2-hop neighbourhood is untouched (Lemmas
+  /// 15/16). Off = never prune phase-1 tests via neighborhoods.
   bool neighbor_sweep = true;
 
   /// \brief Enables group sweep (side-groups + group deposits, Section
-  /// 5.2), including the phase-2 same-group pair skip (rule 3).
+  /// 5.2), including the phase-2 same-group pair skip (rule 3). Also
+  /// turns on the farthest-first phase-1 order; with neighbor_sweep, it
+  /// also skips phase-2 pairs that share >= k common neighbors (Lemma
+  /// 13).
   bool group_sweep = true;
-
-  /// \brief Runs connectivity tests on a sparse certificate instead of
-  /// the full graph (Section 4.2). Disabling is only useful for ablation
-  /// studies; group sweep requires the certificate (side-groups come from
-  /// F_k) and is silently unavailable without it.
-  bool sparse_certificate = true;
-
-  /// \brief Processes phase-1 vertices in non-ascending BFS-distance
-  /// order from the source (Alg. 3 line 11). Off = ascending vertex id
-  /// (basic algorithm).
-  bool distance_order = true;
-
-  /// \brief Reuses strong side-vertex verdicts across partitions when a
-  /// vertex's 2-hop neighbourhood is untouched (Lemmas 15/16). Off =
-  /// recompute from scratch on every subgraph.
-  bool maintain_side_vertices = true;
-
-  /// \brief Also skip phase-2 pair tests when the two neighbors share
-  /// >= k common neighbors (Lemma 13). A cheap, sound extension the paper
-  /// applies in Theorem 8; kept optional for ablation.
-  bool phase2_common_neighbor_skip = true;
 
   /// \brief Vertices with degree above this cap are never *checked* for
   /// the strong side-vertex property (checking is Theta(d^2) pair work);
   /// they are conservatively treated as non-strong, which is sound. The
-  /// default keeps detection cheap on hub-heavy graphs where the pair
-  /// work would exceed the flow tests it saves. 0 = no cap.
-  std::uint32_t side_vertex_degree_cap = 128;
+  /// cap keeps detection cheap on hub-heavy graphs where the pair work
+  /// would exceed the flow tests it saves.
+  static constexpr std::uint32_t side_vertex_degree_cap = 128;
 
   /// \brief Worker threads for the enumeration engine. 1 (default) runs
   /// the exact serial code path; 0 uses one worker per hardware thread;
@@ -132,42 +123,33 @@ struct KvccOptions {
 
   // ---- presets matching the paper's evaluated variants ----
 
-  /// \brief Preset VCCE: the paper's basic algorithm (no sweeps, id
-  /// order, no verdict maintenance).
+  /// \brief Preset VCCE: the paper's basic algorithm (no sweeps).
   /// \return The configured options.
   static KvccOptions Vcce() {
     KvccOptions o;
     o.neighbor_sweep = false;
     o.group_sweep = false;
-    o.distance_order = false;
-    o.maintain_side_vertices = false;
-    o.phase2_common_neighbor_skip = false;
     return o;
   }
 
-  /// \brief Preset VCCE-N: basic + neighbor sweep, distance order, and
-  /// verdict maintenance (Section 5.1).
+  /// \brief Preset VCCE-N: basic + neighbor sweep (Section 5.1).
   /// \return The configured options.
   static KvccOptions VcceN() {
-    KvccOptions o = Vcce();
-    o.neighbor_sweep = true;
-    o.distance_order = true;
-    o.maintain_side_vertices = true;
+    KvccOptions o;
+    o.group_sweep = false;
     return o;
   }
 
-  /// \brief Preset VCCE-G: basic + group sweep and distance order
-  /// (Section 5.2).
+  /// \brief Preset VCCE-G: basic + group sweep (Section 5.2).
   /// \return The configured options.
   static KvccOptions VcceG() {
-    KvccOptions o = Vcce();
-    o.group_sweep = true;
-    o.distance_order = true;
+    KvccOptions o;
+    o.neighbor_sweep = false;
     return o;
   }
 
-  /// \brief Preset VCCE*: every optimization on (Section 5.3,
-  /// GLOBAL-CUT*) — the default-constructed options.
+  /// \brief Preset VCCE*: both sweeps (Section 5.3, GLOBAL-CUT*) — the
+  /// default-constructed options.
   /// \return The configured options.
   static KvccOptions VcceStar() { return KvccOptions(); }
 

@@ -182,20 +182,6 @@ SideVertexCounts ComputeStrongSideVerticesInto(
   return out;
 }
 
-SideVertexResult ComputeStrongSideVertices(
-    const Graph& g, std::uint32_t k, const std::vector<SideVertexHint>& hints,
-    std::uint32_t degree_cap) {
-  SideVertexScratch scratch;
-  const SideVertexCounts counts =
-      ComputeStrongSideVerticesInto(g, k, hints, degree_cap, scratch);
-  SideVertexResult out;
-  out.strong = std::move(scratch.strong);
-  out.checks_run = counts.checks_run;
-  out.reused = counts.reused;
-  out.strong_count = counts.strong_count;
-  return out;
-}
-
 std::vector<bool> TwoHopBall(const Graph& g,
                              const std::vector<VertexId>& sources) {
   const VertexId n = g.NumVertices();

@@ -31,18 +31,11 @@ enum class SideVertexHint : std::uint8_t {
   kNotStrong,
 };
 
-struct SideVertexResult {
-  std::vector<bool> strong;       // size n
-  std::uint64_t checks_run = 0;   // full Theta(d^2) checks executed
-  std::uint64_t reused = 0;       // verdicts taken from hints
-  std::uint64_t strong_count = 0;
-};
-
-/// Instrumentation counters of one detection pass (the buffer-reusing API
-/// below returns these; the verdicts land in the scratch).
+/// Instrumentation counters of one detection pass (the verdicts land in
+/// the scratch).
 struct SideVertexCounts {
-  std::uint64_t checks_run = 0;
-  std::uint64_t reused = 0;
+  std::uint64_t checks_run = 0;    // full Theta(d^2) checks executed
+  std::uint64_t reused = 0;        // verdicts taken from hints
   std::uint64_t strong_count = 0;
 };
 
@@ -77,10 +70,12 @@ struct SideVertexScratch {
   std::size_t pair_live = 0;
 };
 
-/// Buffer-reusing core of ComputeStrongSideVertices: verdicts are written
-/// into scratch.strong (grown, never shrunk) and the Theorem-8 pair checks
-/// are memoized in the scratch's flat table. Steady state (capacities
-/// already grown): no heap allocation.
+/// Computes the strong side-vertex set of g into scratch.strong (grown,
+/// never shrunk; one flag per vertex of g). `hints` may be empty (check
+/// everything) or size n. Vertices with degree above `degree_cap` (if
+/// nonzero) are reported not strong without checking. The Theorem-8 pair
+/// checks are memoized in the scratch's flat table. Steady state
+/// (capacities already grown): no heap allocation.
 SideVertexCounts ComputeStrongSideVerticesInto(
     const Graph& g, std::uint32_t k, const std::vector<SideVertexHint>& hints,
     std::uint32_t degree_cap, SideVertexScratch& scratch);
@@ -92,13 +87,6 @@ bool CommonNeighborsAtLeast(const Graph& g, VertexId a, VertexId b,
 
 /// Full Theorem-8 check for a single vertex. O(d(u)^2 * d_max) worst case.
 bool IsStrongSideVertex(const Graph& g, VertexId u, std::uint32_t k);
-
-/// Computes the strong side-vertex set of g. `hints` may be empty (check
-/// everything) or size n. Vertices with degree above `degree_cap` (if
-/// nonzero) are reported not strong without checking.
-SideVertexResult ComputeStrongSideVertices(
-    const Graph& g, std::uint32_t k, const std::vector<SideVertexHint>& hints,
-    std::uint32_t degree_cap);
 
 /// Vertices within distance <= 2 of any vertex in `sources` (including the
 /// sources themselves). Used to invalidate side-vertex verdicts around a

@@ -64,47 +64,36 @@ void KvccdServer::ServeConnection(Transport& transport) {
       continue;  // blank keep-alive line
     }
     requests_.fetch_add(1, std::memory_order_relaxed);
+    // Every response ends in one terminal line, written here once Dispatch
+    // has returned and released the request's admission slot, so a client
+    // that has read it never sees the request still running.
+    std::optional<std::string> terminal;
     std::string detail;
-    if (line.size() > kMaxRequestBytes) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      if (!transport.WriteLine(ErrorLine(
-              "overlong", "request exceeds " +
-                              std::to_string(kMaxRequestBytes) + " bytes"))) {
-        return;
-      }
-      continue;
-    }
-    if (!IsValidUtf8(line)) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      if (!transport.WriteLine(
-              ErrorLine("invalid-utf8", "request is not valid UTF-8"))) {
-        return;
-      }
-      continue;
-    }
     JsonValue json;
-    if (!ParseJson(line, json, detail)) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      if (!transport.WriteLine(ErrorLine("malformed", detail))) return;
-      continue;
-    }
     Request request;
-    if (!ParseRequest(json, request, detail)) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      if (!transport.WriteLine(ErrorLine("bad-request", detail))) return;
-      continue;
+    if (line.size() > kMaxRequestBytes) {
+      const std::string limit = std::to_string(kMaxRequestBytes);
+      terminal = ErrorLine("overlong", "request exceeds " + limit + " bytes");
+    } else if (!IsValidUtf8(line)) {
+      terminal = ErrorLine("invalid-utf8", "request is not valid UTF-8");
+    } else if (!ParseJson(line, json, detail)) {
+      terminal = ErrorLine("malformed", detail);
+    } else if (!ParseRequest(json, request, detail)) {
+      terminal = ErrorLine("bad-request", detail);
     }
-    if (!Dispatch(transport, request)) return;
+    if (terminal.has_value()) {
+      errors_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      terminal = Dispatch(transport, request);
+    }
+    if (!terminal.has_value() || !transport.WriteLine(*terminal)) return;
   }
 }
 
-bool KvccdServer::Dispatch(Transport& transport, const Request& request) {
-  if (request.op == Request::Op::kPing) {
-    return transport.WriteLine(PongLine());
-  }
-  if (request.op == Request::Op::kStats) {
-    return transport.WriteLine(StatsLine());
-  }
+std::optional<std::string> KvccdServer::Dispatch(Transport& transport,
+                                                 const Request& request) {
+  if (request.op == Request::Op::kPing) return PongLine();
+  if (request.op == Request::Op::kStats) return StatsLine();
 
   const bool dynamic_op = request.dynamic ||
                           request.op == Request::Op::kInsertEdges ||
@@ -115,17 +104,17 @@ bool KvccdServer::Dispatch(Transport& transport, const Request& request) {
     std::string error;
     if (!ResolveGraph(request, g, error)) {
       errors_.fetch_add(1, std::memory_order_relaxed);
-      return transport.WriteLine(ErrorLine("graph", error));
+      return ErrorLine("graph", error);
     }
   }
 
   AdmissionGuard guard(admission_, request.options.priority);
   if (!guard.admitted()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    return transport.WriteLine(ErrorLine(
-        "overloaded", std::string("admission limit reached for class '") +
-                          PriorityName(request.options.priority) +
-                          "'; retry later"));
+    return ErrorLine("overloaded",
+                     std::string("admission limit reached for class '") +
+                         PriorityName(request.options.priority) +
+                         "'; retry later");
   }
   switch (request.op) {
     case Request::Op::kDecompose:
@@ -141,7 +130,7 @@ bool KvccdServer::Dispatch(Transport& transport, const Request& request) {
       return RenderHierarchy(transport, request, *hierarchy);
     }
     case Request::Op::kMembership: {
-      if (!request.dynamic) return HandleMembership(transport, request, g);
+      if (!request.dynamic) return HandleMembership(request, g);
       std::shared_ptr<const Graph> dynamic_graph;
       std::shared_ptr<const KvccHierarchy> hierarchy;
       {
@@ -149,23 +138,21 @@ bool KvccdServer::Dispatch(Transport& transport, const Request& request) {
         dynamic_graph = dynamic_state_.CurrentGraph();
         hierarchy = dynamic_state_.Hierarchy();
       }
-      return RenderMembership(transport, request, *dynamic_graph,
-                              *hierarchy);
+      return RenderMembership(request, *dynamic_graph, *hierarchy);
     }
     case Request::Op::kInsertEdges:
     case Request::Op::kDeleteEdges:
-      return HandleMutation(transport, request);
+      return HandleMutation(request);
     case Request::Op::kCompact:
-      return HandleCompact(transport);
+      return HandleCompact();
     case Request::Op::kPing:
     case Request::Op::kStats:
-      break;  // handled above
+      break;  // answered above, outside admission
   }
-  return true;
+  return std::nullopt;  // not reached
 }
 
-bool KvccdServer::HandleMutation(Transport& transport,
-                                 const Request& request) {
+std::string KvccdServer::HandleMutation(const Request& request) {
   const bool insert = request.op == Request::Op::kInsertEdges;
   std::uint64_t version = 0;
   std::size_t applied = 0;
@@ -198,14 +185,13 @@ bool KvccdServer::HandleMutation(Transport& transport,
   }
   if (!internal_error.empty()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    return transport.WriteLine(ErrorLine("internal", internal_error));
+    return ErrorLine("internal", internal_error);
   }
-  return transport.WriteLine(
-      UpdatedLine(insert ? "insert_edges" : "delete_edges", version, applied,
-                  outcome.dirty_components, outcome.incremental_reruns));
+  return UpdatedLine(insert ? "insert_edges" : "delete_edges", version, applied,
+                     outcome.dirty_components, outcome.incremental_reruns);
 }
 
-bool KvccdServer::HandleCompact(Transport& transport) {
+std::string KvccdServer::HandleCompact() {
   std::uint64_t version = 0;
   std::size_t folded = 0;
   {
@@ -214,11 +200,11 @@ bool KvccdServer::HandleCompact(Transport& transport) {
     version = dynamic_graph_.Version();
   }
   compactions_.fetch_add(1, std::memory_order_relaxed);
-  return transport.WriteLine(CompactedLine(version, folded));
+  return CompactedLine(version, folded);
 }
 
-bool KvccdServer::HandleDynamicDecompose(Transport& transport,
-                                         const Request& request) {
+std::optional<std::string> KvccdServer::HandleDynamicDecompose(
+    Transport& transport, const Request& request) {
   std::shared_ptr<const Graph> g;
   std::shared_ptr<const KvccHierarchy> hierarchy;
   {
@@ -241,7 +227,7 @@ bool KvccdServer::HandleDynamicDecompose(Transport& transport,
   if (request.progress_every != 0) {
     for (std::uint64_t d = request.progress_every; d <= components->size();
          d += request.progress_every) {
-      if (!transport.WriteLine(ProgressLine(d))) return false;
+      if (!transport.WriteLine(ProgressLine(d))) return std::nullopt;
     }
   }
   return EmitDecompose(transport, request, *components);
@@ -268,17 +254,19 @@ bool KvccdServer::ResolveGraph(const Request& request, Graph& g,
   return true;
 }
 
-bool KvccdServer::EmitDecompose(Transport& transport, const Request& request,
-                                const ComponentList& components) {
+std::optional<std::string> KvccdServer::EmitDecompose(
+    Transport& transport, const Request& request,
+    const ComponentList& components) {
   for (std::size_t i = 0; i < components.size(); ++i) {
-    if (!transport.WriteLine(ComponentLine(i, components[i]))) return false;
+    if (!transport.WriteLine(ComponentLine(i, components[i]))) {
+      return std::nullopt;
+    }
   }
-  return transport.WriteLine(
-      DecomposeCompleteLine(request.k, components.size()));
+  return DecomposeCompleteLine(request.k, components.size());
 }
 
-bool KvccdServer::HandleDecompose(Transport& transport,
-                                  const Request& request, const Graph& g) {
+std::optional<std::string> KvccdServer::HandleDecompose(
+    Transport& transport, const Request& request, const Graph& g) {
   const std::shared_ptr<const ComponentList> cached =
       cache_.LookupComponents(g, request.k);
   if (cached != nullptr) {
@@ -287,7 +275,7 @@ bool KvccdServer::HandleDecompose(Transport& transport,
     if (request.progress_every != 0) {
       for (std::uint64_t d = request.progress_every; d <= cached->size();
            d += request.progress_every) {
-        if (!transport.WriteLine(ProgressLine(d))) return false;
+        if (!transport.WriteLine(ProgressLine(d))) return std::nullopt;
       }
     }
     return EmitDecompose(transport, request, *cached);
@@ -313,16 +301,16 @@ bool KvccdServer::HandleDecompose(Transport& transport,
           delivered % request.progress_every == 0) {
         if (!transport.WriteLine(ProgressLine(delivered))) {
           disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
-          return false;
+          return std::nullopt;
         }
       }
     }
   } catch (const JobCancelled&) {
     deadline_cancels_.fetch_add(1, std::memory_order_relaxed);
-    return transport.WriteLine(CancelledLine("decompose", delivered));
+    return CancelledLine("decompose", delivered);
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    return transport.WriteLine(ErrorLine("internal", e.what()));
+    return ErrorLine("internal", e.what());
   }
   std::sort(components->begin(), components->end());
   cache_.InsertComponents(g, request.k, components);
@@ -330,10 +318,8 @@ bool KvccdServer::HandleDecompose(Transport& transport,
 }
 
 std::shared_ptr<const KvccHierarchy> KvccdServer::ObtainHierarchy(
-    Transport& transport, const Request& request, const Graph& g,
-    std::uint32_t max_level, bool need_exhausted, const char* op,
-    bool& connection_alive) {
-  connection_alive = true;
+    const Request& request, const Graph& g, std::uint32_t max_level,
+    bool need_exhausted, const char* op, std::string& failure) {
   std::shared_ptr<const KvccHierarchy> hierarchy =
       cache_.LookupHierarchy(g, max_level, need_exhausted);
   if (hierarchy != nullptr) return hierarchy;
@@ -346,17 +332,17 @@ std::shared_ptr<const KvccHierarchy> KvccdServer::ObtainHierarchy(
     return built;
   } catch (const JobCancelled&) {
     deadline_cancels_.fetch_add(1, std::memory_order_relaxed);
-    connection_alive = transport.WriteLine(CancelledLine(op, 0));
+    failure = CancelledLine(op, 0);
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    connection_alive = transport.WriteLine(ErrorLine("internal", e.what()));
+    failure = ErrorLine("internal", e.what());
   }
   return nullptr;
 }
 
-bool KvccdServer::RenderHierarchy(Transport& transport,
-                                  const Request& request,
-                                  const KvccHierarchy& hierarchy) {
+std::optional<std::string> KvccdServer::RenderHierarchy(
+    Transport& transport, const Request& request,
+    const KvccHierarchy& hierarchy) {
   std::uint32_t levels = hierarchy.MaxLevel();
   if (request.max_k != 0) levels = std::min(levels, request.max_k);
   for (std::uint32_t k = 1; k <= levels; ++k) {
@@ -368,49 +354,45 @@ bool KvccdServer::RenderHierarchy(Transport& transport,
                                   hierarchy.nodes[index].vertices.size());
     }
     if (!transport.WriteLine(LevelLine(k, nodes.size(), largest))) {
-      return false;
+      return std::nullopt;
     }
   }
-  return transport.WriteLine(HierarchyCompleteLine(levels));
+  return HierarchyCompleteLine(levels);
 }
 
-bool KvccdServer::RenderMembership(Transport& transport,
-                                   const Request& request, const Graph& g,
-                                   const KvccHierarchy& hierarchy) {
+std::string KvccdServer::RenderMembership(const Request& request,
+                                          const Graph& g,
+                                          const KvccHierarchy& hierarchy) {
   if (request.vertex >= g.NumVertices()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    return transport.WriteLine(
-        ErrorLine("bad-request", "vertex out of range"));
+    return ErrorLine("bad-request", "vertex out of range");
   }
-  return transport.WriteLine(MembershipLine(
-      g.LabelOf(request.vertex), hierarchy.CohesionOf(request.vertex),
-      hierarchy.PathOf(request.vertex)));
+  return MembershipLine(g.LabelOf(request.vertex),
+                        hierarchy.CohesionOf(request.vertex),
+                        hierarchy.PathOf(request.vertex));
 }
 
-bool KvccdServer::HandleHierarchy(Transport& transport,
-                                  const Request& request, const Graph& g) {
-  bool connection_alive = true;
+std::optional<std::string> KvccdServer::HandleHierarchy(
+    Transport& transport, const Request& request, const Graph& g) {
+  std::string failure;
   const std::shared_ptr<const KvccHierarchy> hierarchy = ObtainHierarchy(
-      transport, request, g, request.max_k, request.max_k == 0, "hierarchy",
-      connection_alive);
-  if (hierarchy == nullptr) return connection_alive;
+      request, g, request.max_k, request.max_k == 0, "hierarchy", failure);
+  if (hierarchy == nullptr) return failure;
   return RenderHierarchy(transport, request, *hierarchy);
 }
 
-bool KvccdServer::HandleMembership(Transport& transport,
-                                   const Request& request, const Graph& g) {
+std::string KvccdServer::HandleMembership(const Request& request,
+                                          const Graph& g) {
   if (request.vertex >= g.NumVertices()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    return transport.WriteLine(
-        ErrorLine("bad-request", "vertex out of range"));
+    return ErrorLine("bad-request", "vertex out of range");
   }
-  bool connection_alive = true;
+  std::string failure;
   const std::shared_ptr<const KvccHierarchy> hierarchy =
-      ObtainHierarchy(transport, request, g, /*max_level=*/0,
-                      /*need_exhausted=*/true, "membership",
-                      connection_alive);
-  if (hierarchy == nullptr) return connection_alive;
-  return RenderMembership(transport, request, g, *hierarchy);
+      ObtainHierarchy(request, g, /*max_level=*/0, /*need_exhausted=*/true,
+                      "membership", failure);
+  if (hierarchy == nullptr) return failure;
+  return RenderMembership(request, g, *hierarchy);
 }
 
 std::string KvccdServer::StatsLine() const {

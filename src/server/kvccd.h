@@ -34,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "graph/delta_store.h"
@@ -111,34 +112,40 @@ class KvccdServer {
   std::string StatsLine() const;
 
  private:
-  // All handlers return false iff the connection is gone (stop serving).
-  bool Dispatch(Transport& transport, const Request& request);
-  bool HandleMutation(Transport& transport, const Request& request);
-  bool HandleCompact(Transport& transport);
-  bool HandleDynamicDecompose(Transport& transport, const Request& request);
-  bool HandleDecompose(Transport& transport, const Request& request,
-                       const Graph& g);
-  bool HandleHierarchy(Transport& transport, const Request& request,
-                       const Graph& g);
-  bool HandleMembership(Transport& transport, const Request& request,
-                        const Graph& g);
-  bool EmitDecompose(Transport& transport, const Request& request,
-                     const ComponentList& components);
+  // Dispatch and the handlers write only the lines before a response's
+  // terminal line and return that line, which ServeConnection writes once
+  // Dispatch's admission slot is released; std::nullopt means a write
+  // failed (the connection is gone, stop serving).
+  std::optional<std::string> Dispatch(Transport& transport,
+                                      const Request& request);
+  std::string HandleMutation(const Request& request);
+  std::string HandleCompact();
+  std::optional<std::string> HandleDynamicDecompose(Transport& transport,
+                                                    const Request& request);
+  std::optional<std::string> HandleDecompose(Transport& transport,
+                                             const Request& request,
+                                             const Graph& g);
+  std::optional<std::string> HandleHierarchy(Transport& transport,
+                                             const Request& request,
+                                             const Graph& g);
+  std::string HandleMembership(const Request& request, const Graph& g);
+  std::optional<std::string> EmitDecompose(Transport& transport,
+                                           const Request& request,
+                                           const ComponentList& components);
   bool ResolveGraph(const Request& request, Graph& g, std::string& error);
   // Obtains the (cached or freshly built) hierarchy for a hierarchy /
-  // membership request. On null a terminal line was already written
-  // (cancelled / internal error); `connection_alive` reports whether that
-  // write reached the client.
+  // membership request. On null, `failure` holds the response's terminal
+  // line (cancelled / internal error).
   std::shared_ptr<const KvccHierarchy> ObtainHierarchy(
-      Transport& transport, const Request& request, const Graph& g,
-      std::uint32_t max_level, bool need_exhausted, const char* op,
-      bool& connection_alive);
+      const Request& request, const Graph& g, std::uint32_t max_level,
+      bool need_exhausted, const char* op, std::string& failure);
   // The rendering halves of hierarchy / membership, shared between the
   // static (cache-or-build) and dynamic (incrementally maintained) paths.
-  bool RenderHierarchy(Transport& transport, const Request& request,
-                       const KvccHierarchy& hierarchy);
-  bool RenderMembership(Transport& transport, const Request& request,
-                        const Graph& g, const KvccHierarchy& hierarchy);
+  std::optional<std::string> RenderHierarchy(Transport& transport,
+                                             const Request& request,
+                                             const KvccHierarchy& hierarchy);
+  std::string RenderMembership(const Request& request, const Graph& g,
+                               const KvccHierarchy& hierarchy);
 
   const KvccdConfig config_;
   KvccEngine engine_;

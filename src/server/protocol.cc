@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 
 namespace kvcc {
 namespace server {
@@ -632,15 +633,9 @@ bool ParseRequest(const JsonValue& json, Request& out, std::string& error) {
 
   std::string variant = "VCCE*";
   if (!ReadString(json, "variant", variant, present, error)) return false;
-  if (variant == "VCCE") {
-    out.options = KvccOptions::Vcce();
-  } else if (variant == "VCCE-N") {
-    out.options = KvccOptions::VcceN();
-  } else if (variant == "VCCE-G") {
-    out.options = KvccOptions::VcceG();
-  } else if (variant == "VCCE*") {
-    out.options = KvccOptions::VcceStar();
-  } else {
+  try {
+    out.options = KvccOptions::FromVariantName(variant);
+  } catch (const std::invalid_argument&) {
     error = "unknown variant '" + variant + "'";
     return false;
   }

@@ -222,10 +222,12 @@ TEST(KvccEngineTest, SmallJobCompletesWhileLargeJobInFlight) {
   // Fairness: root tasks seed round-robin across the worker deques
   // (SubmitShared), so a small latency-sensitive job never queues behind a
   // huge job's whole recursion subtree. The big job here is sized to run
-  // for a long multiple of the small job's latency; the small job's Wait
-  // must return while the big one is still in flight.
+  // for a long multiple of the small job's latency, long enough that a
+  // small-job waiter descheduled for a few slices under a loaded host
+  // still wakes first; the small job's Wait must return while the big one
+  // is still in flight.
   PlantedVccConfig big;
-  big.num_blocks = 10;
+  big.num_blocks = 64;
   big.block_size_min = 26;
   big.block_size_max = 40;
   big.connectivity = 12;

@@ -156,9 +156,9 @@ TEST(GlobalCutTest, DisconnectedInputThrowsInsteadOfReadingOutOfBounds) {
     }
   }
   const Graph g = builder.Build();
-  // Every variant checks, including basic VCCE (distance_order = false),
-  // whose phase 1 would otherwise misread a 0-flow to an unreachable
-  // vertex as local k-connectivity.
+  // Every variant checks, including basic VCCE (ascending-id order, no
+  // distances needed), whose phase 1 would otherwise misread a 0-flow to
+  // an unreachable vertex as local k-connectivity.
   for (const auto& options : AllVariants()) {
     KvccStats stats;
     EXPECT_THROW(GlobalCut(g, 3, {}, options, &stats),
@@ -174,12 +174,14 @@ TEST(GlobalCutTest, DisconnectedInputThrowsInsteadOfReadingOutOfBounds) {
 // but runs flow on the certificate, and phase 2 enumerates the source's
 // *certificate* neighbors while testing adjacency and common neighbors in
 // g. Pin the soundness of that mixing with a property test: for every
-// sweep preset, with and without the certificate, the verdict must match
-// the brute-force k-connectivity oracle and any returned cut must be a
-// real cut of g.
+// sweep preset, with the certificate and without it (the fallback search,
+// use_certificate = false), the verdict must match the brute-force
+// k-connectivity oracle and any returned cut must be a real cut of g.
 TEST(GlobalCutTest, CertificateAndFullGraphAgreeAcrossOptionsMatrix) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const Graph g = kvcc::testing::RandomConnectedGraph(12, 30, seed);
+    // Reused across ks, presets and both searches: warm-path check.
+    GlobalCutScratch scratch;
     for (std::uint32_t k = 2; k <= 4; ++k) {
       bool degree_ok = true;
       for (VertexId v = 0; v < g.NumVertices(); ++v) {
@@ -187,13 +189,11 @@ TEST(GlobalCutTest, CertificateAndFullGraphAgreeAcrossOptionsMatrix) {
       }
       if (!degree_ok) continue;
       const bool expected = kvcc::testing::BruteIsKVertexConnected(g, k);
-      for (const auto& preset : AllVariants()) {
+      for (const auto& options : AllVariants()) {
         for (const bool certificate : {true, false}) {
-          KvccOptions options = preset;
-          options.sparse_certificate = certificate;
           KvccStats stats;
-          GlobalCutScratch scratch;  // Reused across ks: warm-path check.
-          const auto result = GlobalCut(g, k, {}, options, &stats, &scratch);
+          const auto result = GlobalCut(g, k, {}, options, &stats, &scratch,
+                                        nullptr, nullptr, certificate);
           EXPECT_EQ(result.cut.empty(), expected)
               << "seed=" << seed << " k=" << k
               << " certificate=" << certificate;
@@ -230,13 +230,15 @@ TEST(GlobalCutTest, ScratchReuseAcrossShrinkingAndGrowingGraphsIsSound) {
 }
 
 TEST(GlobalCutTest, DisablingCertificateStillCorrect) {
-  KvccOptions options = KvccOptions::VcceStar();
-  options.sparse_certificate = false;
+  const KvccOptions options = KvccOptions::VcceStar();
+  const auto without_certificate = [&](const Graph& g, KvccStats* stats) {
+    return GlobalCut(g, 4, {}, options, stats, nullptr, nullptr, nullptr,
+                     /*use_certificate=*/false);
+  };
   KvccStats stats;
-  EXPECT_TRUE(GlobalCut(CompleteGraph(7), 4, {}, options, &stats)
-                  .cut.empty());
+  EXPECT_TRUE(without_certificate(CompleteGraph(7), &stats).cut.empty());
   const Graph g = TwoCliquesSharing(6, 2);
-  const auto result = GlobalCut(g, 4, {}, options, &stats);
+  const auto result = without_certificate(g, &stats);
   EXPECT_TRUE(CutIsValid(g, result.cut, 4));
   EXPECT_EQ(stats.certificate_edges_kept, 0u);  // Never built one.
 }

@@ -186,11 +186,11 @@ TEST(KvccEnumTest, CaseStudyShapesMatchFig14) {
                                  f.bridge_author));
 }
 
-TEST(KvccEnumTest, MaterializeComponentInducesSubgraph) {
+TEST(KvccEnumTest, ComponentInducesKConnectedSubgraph) {
   const Figure1Fixture f = MakeFigure1Graph();
   const auto result = EnumerateKVccs(f.graph, 4);
   ASSERT_FALSE(result.components.empty());
-  const Graph sub = MaterializeComponent(f.graph, result.components[0]);
+  const Graph sub = f.graph.InducedSubgraph(result.components[0]);
   EXPECT_EQ(sub.NumVertices(), result.components[0].size());
   EXPECT_TRUE(IsKVertexConnected(sub, 4));
 }

@@ -437,21 +437,85 @@ TEST(KvccdProtocolTest, StatsCountersReplayIdentically) {
   std::vector<std::string> stats_lines;
   for (int run = 0; run < 2; ++run) {
     KvccdServer daemon;
-    {
-      Connection conn(daemon);
-      for (const std::string& request : script) {
-        conn.Roundtrip(request);
-      }
-      // Join the serving thread before sampling: the client can read a
-      // terminal line before the handler releases its admission slot,
-      // so the "running" gauge is only settled once serving returned.
-      conn.Disconnect();
+    Connection conn(daemon);
+    for (const std::string& request : script) {
+      conn.Roundtrip(request);
     }
-    stats_lines.push_back(daemon.StatsLine());
+    // Sample over the connection, as a client would, without joining the
+    // serving thread: every request releases its admission slot before
+    // its terminal line is written, so once the client has read that line
+    // the "running" gauge is settled.
+    const std::vector<std::string> stats =
+        conn.Roundtrip("{\"op\":\"stats\"}");
+    ASSERT_EQ(stats.size(), 1u);
+    stats_lines.push_back(stats[0]);
   }
   EXPECT_EQ(stats_lines[0], stats_lines[1]);
   EXPECT_NE(stats_lines[0].find("\"cache_hits\":1"), std::string::npos)
       << stats_lines[0];
+  EXPECT_NE(stats_lines[0].find("\"running\":0"), std::string::npos)
+      << stats_lines[0];
+}
+
+/// A scripted connection served on the calling thread: ReadLine hands out
+/// the given request lines, then EOF; WriteLine records each response
+/// line with the daemon's admission gauge at the moment it is written.
+class GaugeRecordingTransport : public server::Transport {
+ public:
+  GaugeRecordingTransport(const KvccdServer& daemon,
+                          std::vector<std::string> requests)
+      : daemon_(daemon), requests_(std::move(requests)) {}
+
+  bool ReadLine(std::string& line) override {
+    if (next_ == requests_.size()) return false;
+    line = requests_[next_++];
+    return true;
+  }
+  bool WriteLine(const std::string& line) override {
+    written.emplace_back(line, daemon_.Admission().Running());
+    return true;
+  }
+  void Close() override {}
+
+  std::vector<std::pair<std::string, std::uint32_t>> written;
+
+ private:
+  const KvccdServer& daemon_;
+  std::vector<std::string> requests_;
+  std::size_t next_ = 0;
+};
+
+TEST(KvccdProtocolTest, AdmissionSlotIsFreeWhenTerminalLineIsWritten) {
+  // A client that has read a response's terminal line must not see the
+  // request still running: every admitted request holds its slot while
+  // it streams, and releases it before its last line goes out.
+  KvccdServer daemon;
+  const std::string edges = EdgesJson(DisjointTriangles(3));
+  GaugeRecordingTransport transport(
+      daemon,
+      {"{\"op\":\"decompose\",\"k\":2,\"edges\":" + edges + "}",
+       "{\"op\":\"decompose\",\"k\":2,\"edges\":" + edges + "}",
+       "{\"op\":\"hierarchy\",\"edges\":" + edges + "}",
+       "{\"op\":\"membership\",\"vertex\":1,\"edges\":" + edges + "}",
+       "{\"op\":\"insert_edges\",\"edges\":" + edges + "}",
+       "{\"op\":\"decompose\",\"k\":2,\"dynamic\":true}",
+       "{\"op\":\"compact\"}"});
+  daemon.ServeConnection(transport);
+
+  std::size_t streamed = 0;
+  std::size_t terminal = 0;
+  for (const auto& [line, running] : transport.written) {
+    if (line.rfind("{\"type\":\"component\"", 0) == 0 ||
+        line.rfind("{\"type\":\"level\"", 0) == 0) {
+      EXPECT_EQ(running, 1u) << line;
+      ++streamed;
+    } else {
+      EXPECT_EQ(running, 0u) << line;
+      ++terminal;
+    }
+  }
+  EXPECT_GT(streamed, 0u);
+  EXPECT_EQ(terminal, 7u);
 }
 
 TEST(KvccdProtocolTest, MalformedMutationLinesKeepConnectionAlive) {

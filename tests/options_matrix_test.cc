@@ -1,7 +1,8 @@
-// Exhaustive option-knob correctness sweep: every combination of the
-// GLOBAL-CUT* switches must produce exactly the brute-force k-VCC set.
-// Sweeps/certificates/ordering/maintenance are pure optimizations — any
-// output difference is a soundness bug.
+// Exhaustive variant correctness sweep: each of the four reachable
+// algorithm configurations (neighbor sweep x group sweep, the paper's VCCE,
+// VCCE-N, VCCE-G and VCCE*) must produce exactly the brute-force k-VCC set.
+// Sweeps, the certificate, ordering and verdict maintenance are pure
+// optimizations — any output difference is a soundness bug.
 
 #include <gtest/gtest.h>
 
@@ -13,41 +14,24 @@
 namespace kvcc {
 namespace {
 
-struct Knobs {
+struct Sweeps {
   bool neighbor_sweep;
   bool group_sweep;
-  bool sparse_certificate;
-  bool distance_order;
-  bool maintain_side_vertices;
-  bool phase2_common_neighbor_skip;
-  std::uint32_t degree_cap;
 };
 
-class OptionsMatrixTest : public ::testing::TestWithParam<Knobs> {};
+class OptionsMatrixTest : public ::testing::TestWithParam<Sweeps> {};
 
-std::string KnobsName(const ::testing::TestParamInfo<Knobs>& info) {
-  const Knobs& knobs = info.param;
+std::string SweepsName(const ::testing::TestParamInfo<Sweeps>& info) {
   std::string name;
-  name += knobs.neighbor_sweep ? "Ns" : "ns";
-  name += knobs.group_sweep ? "Gs" : "gs";
-  name += knobs.sparse_certificate ? "Sc" : "sc";
-  name += knobs.distance_order ? "Do" : "do";
-  name += knobs.maintain_side_vertices ? "Mv" : "mv";
-  name += knobs.phase2_common_neighbor_skip ? "P2" : "p2";
-  name += "cap" + std::to_string(knobs.degree_cap);
+  name += info.param.neighbor_sweep ? "Ns" : "ns";
+  name += info.param.group_sweep ? "Gs" : "gs";
   return name;
 }
 
 TEST_P(OptionsMatrixTest, MatchesBruteForce) {
-  const Knobs& knobs = GetParam();
   KvccOptions options;
-  options.neighbor_sweep = knobs.neighbor_sweep;
-  options.group_sweep = knobs.group_sweep;
-  options.sparse_certificate = knobs.sparse_certificate;
-  options.distance_order = knobs.distance_order;
-  options.maintain_side_vertices = knobs.maintain_side_vertices;
-  options.phase2_common_neighbor_skip = knobs.phase2_common_neighbor_skip;
-  options.side_vertex_degree_cap = knobs.degree_cap;
+  options.neighbor_sweep = GetParam().neighbor_sweep;
+  options.group_sweep = GetParam().group_sweep;
 
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Graph g = kvcc::testing::RandomConnectedGraph(11, 26, seed);
@@ -89,31 +73,14 @@ TEST(ExecutionMatrixTest, ThreadCountsMatchBruteForce) {
   }
 }
 
-// All 2^4 combinations of the two sweeps x certificate x ordering, with
-// the remaining knobs at both extremes on the diagonal.
-INSTANTIATE_TEST_SUITE_P(
-    AllKnobCombinations, OptionsMatrixTest,
-    ::testing::Values(
-        Knobs{false, false, false, false, false, false, 0},
-        Knobs{false, false, false, true, false, false, 0},
-        Knobs{false, false, true, false, false, false, 0},
-        Knobs{false, false, true, true, false, false, 0},
-        Knobs{false, true, false, false, false, false, 0},
-        Knobs{false, true, false, true, false, false, 0},
-        Knobs{false, true, true, false, false, false, 0},
-        Knobs{false, true, true, true, false, false, 0},
-        Knobs{true, false, false, false, true, false, 0},
-        Knobs{true, false, false, true, false, true, 0},
-        Knobs{true, false, true, false, true, true, 0},
-        Knobs{true, false, true, true, true, true, 0},
-        Knobs{true, true, false, false, false, false, 0},
-        Knobs{true, true, false, true, true, false, 0},
-        Knobs{true, true, true, false, false, true, 0},
-        Knobs{true, true, true, true, true, true, 0},
-        // Degree caps: a tiny cap (heavy under-detection) and cap 1.
-        Knobs{true, true, true, true, true, true, 2},
-        Knobs{true, true, true, true, false, true, 1}),
-    KnobsName);
+// Every combination of the two sweeps; nothing else in KvccOptions
+// selects an algorithm.
+INSTANTIATE_TEST_SUITE_P(AllVariants, OptionsMatrixTest,
+                         ::testing::Values(Sweeps{false, false},
+                                           Sweeps{true, false},
+                                           Sweeps{false, true},
+                                           Sweeps{true, true}),
+                         SweepsName);
 
 }  // namespace
 }  // namespace kvcc

@@ -129,20 +129,23 @@ TEST(ComputeStrongSideVerticesTest, HintsShortCircuit) {
   std::vector<SideVertexHint> hints(5, SideVertexHint::kNotStrong);
   hints[2] = SideVertexHint::kStrong;
   hints[3] = SideVertexHint::kRecheck;
-  const auto result = ComputeStrongSideVertices(g, 3, hints, 0);
-  EXPECT_FALSE(result.strong[0]);  // Trusted hint (even if conservative).
-  EXPECT_TRUE(result.strong[2]);   // Trusted hint.
-  EXPECT_TRUE(result.strong[3]);   // Rechecked: clique vertex is strong.
-  EXPECT_EQ(result.checks_run, 1u);
-  EXPECT_EQ(result.reused, 4u);
+  SideVertexScratch scratch;
+  const SideVertexCounts counts =
+      ComputeStrongSideVerticesInto(g, 3, hints, 0, scratch);
+  EXPECT_FALSE(scratch.strong[0]);  // Trusted hint (even if conservative).
+  EXPECT_TRUE(scratch.strong[2]);   // Trusted hint.
+  EXPECT_TRUE(scratch.strong[3]);   // Rechecked: clique vertex is strong.
+  EXPECT_EQ(counts.checks_run, 1u);
+  EXPECT_EQ(counts.reused, 4u);
 }
 
 TEST(ComputeStrongSideVerticesTest, DegreeCapSkipsChecks) {
   const Graph g = CompleteGraph(6);  // all degrees 5
-  const auto result =
-      ComputeStrongSideVertices(g, 3, {}, /*degree_cap=*/4);
-  EXPECT_EQ(result.strong_count, 0u);
-  EXPECT_EQ(result.checks_run, 0u);
+  SideVertexScratch scratch;
+  const SideVertexCounts counts =
+      ComputeStrongSideVerticesInto(g, 3, {}, /*degree_cap=*/4, scratch);
+  EXPECT_EQ(counts.strong_count, 0u);
+  EXPECT_EQ(counts.checks_run, 0u);
 }
 
 // The memoized batch check gives every vertex the reference verdict, with

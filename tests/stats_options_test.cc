@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <string>
 
+#include "gen/dataset_suite.h"
+#include "kvcc/kvcc_enum.h"
 #include "kvcc/options.h"
 #include "kvcc/stats.h"
 
@@ -16,7 +18,6 @@ TEST(KvccOptionsTest, PresetsMatchPaperVariants) {
   const KvccOptions vcce = KvccOptions::Vcce();
   EXPECT_FALSE(vcce.neighbor_sweep);
   EXPECT_FALSE(vcce.group_sweep);
-  EXPECT_TRUE(vcce.sparse_certificate);  // Certificate is part of Alg. 2.
 
   const KvccOptions vcce_n = KvccOptions::VcceN();
   EXPECT_TRUE(vcce_n.neighbor_sweep);
@@ -29,6 +30,32 @@ TEST(KvccOptionsTest, PresetsMatchPaperVariants) {
   const KvccOptions star = KvccOptions::VcceStar();
   EXPECT_TRUE(star.neighbor_sweep);
   EXPECT_TRUE(star.group_sweep);
+}
+
+// What each preset turns on, read from the counters of one decomposition
+// on which every rule fires: the certificate always; strong side-vertex
+// checks and their Lemma 15/16 reuse with neighbor sweep; group prunes and
+// same-group pair skips with group sweep; the Lemma-13 phase-2 skip only
+// with both.
+TEST(KvccOptionsTest, PresetsTurnOnTheirRules) {
+  const Graph g = GenerateDataset("dblp", 0.1);
+  const std::uint32_t k = 10;
+  for (const char* name : {"VCCE", "VCCE-N", "VCCE-G", "VCCE*"}) {
+    const KvccOptions options = KvccOptions::FromVariantName(name);
+    const KvccStats stats = EnumerateKVccs(g, k, options).stats;
+    EXPECT_GT(stats.certificate_edges_kept, 0u) << name;
+    EXPECT_EQ(stats.certificate_cut_fallbacks, 0u) << name;
+    EXPECT_EQ(stats.strong_side_checks_run > 0, options.neighbor_sweep)
+        << name;
+    EXPECT_EQ(stats.strong_side_verdicts_reused > 0, options.neighbor_sweep)
+        << name;
+    EXPECT_EQ(stats.phase1_pruned_gs > 0, options.group_sweep) << name;
+    EXPECT_EQ(stats.phase2_pairs_skipped_group > 0, options.group_sweep)
+        << name;
+    EXPECT_EQ(stats.phase2_pairs_skipped_common > 0,
+              options.neighbor_sweep && options.group_sweep)
+        << name;
+  }
 }
 
 TEST(KvccOptionsTest, FromVariantName) {

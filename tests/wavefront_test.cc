@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -20,7 +21,9 @@
 #include "gen/fixtures.h"
 #include "gen/harary.h"
 #include "gen/planted_vcc.h"
+#include "graph/connected_components.h"
 #include "graph/graph_builder.h"
+#include "graph/k_core.h"
 #include "kvcc/engine.h"
 #include "kvcc/global_cut.h"
 #include "kvcc/kvcc_enum.h"
@@ -37,20 +40,17 @@ std::vector<KvccOptions> AllVariants() {
           KvccOptions::VcceStar()};
 }
 
-/// Runs GlobalCut inside a worker task of a live multi-worker scheduler —
-/// the configuration under which wavefronts engage.
-GlobalCutResult RunGlobalCutOnScheduler(const Graph& g, std::uint32_t k,
-                                        const KvccOptions& options,
-                                        KvccStats* stats, unsigned workers) {
+/// Runs body(scheduler) inside a worker task of a live scheduler of
+/// `workers` workers — the configuration under which wavefronts engage.
+template <typename Body>
+void RunInWorkerTask(unsigned workers, Body&& body) {
   exec::TaskScheduler scheduler(workers);
   scheduler.Start();
-  GlobalCutResult result;
-  GlobalCutScratch scratch;
   std::mutex mutex;
   std::condition_variable done_cv;
   bool done = false;
   scheduler.Submit([&](unsigned) {
-    result = GlobalCut(g, k, {}, options, stats, &scratch, &scheduler);
+    body(scheduler);
     std::lock_guard<std::mutex> lock(mutex);
     done = true;
     done_cv.notify_all();
@@ -59,7 +59,56 @@ GlobalCutResult RunGlobalCutOnScheduler(const Graph& g, std::uint32_t k,
   done_cv.wait(lock, [&] { return done; });
   lock.unlock();
   scheduler.Stop();
+}
+
+/// Runs GlobalCut inside a worker task of a live multi-worker scheduler.
+GlobalCutResult RunGlobalCutOnScheduler(const Graph& g, std::uint32_t k,
+                                        const KvccOptions& options,
+                                        KvccStats* stats, unsigned workers) {
+  GlobalCutResult result;
+  GlobalCutScratch scratch;
+  RunInWorkerTask(workers, [&](exec::TaskScheduler& scheduler) {
+    result = GlobalCut(g, k, {}, options, stats, &scratch, &scheduler);
+  });
   return result;
+}
+
+/// Algorithm 1 (k-core, components, GLOBAL-CUT, overlap partition) on a
+/// serial stack, with every GLOBAL-CUT running its certificate-off search,
+/// which no enumeration driver runs. With a scheduler, each search on 128
+/// or more vertices runs its probes as wavefronts on it. Returns the sorted
+/// k-VCCs in g's ids; the searches' counters accumulate into `stats`.
+std::vector<std::vector<VertexId>> EnumerateWithoutCertificate(
+    const Graph& g, std::uint32_t k, const KvccOptions& options,
+    exec::TaskScheduler* scheduler, KvccStats* stats) {
+  std::vector<std::vector<VertexId>> found;
+  std::vector<Graph> pending = {g};
+  GlobalCutScratch scratch;
+  while (!pending.empty()) {
+    const Graph cur = std::move(pending.back());
+    pending.pop_back();
+    const Graph core = cur.InducedSubgraph(KCoreVertices(cur, k));
+    for (const std::vector<VertexId>& component : ConnectedComponents(core)) {
+      if (component.size() <= k) continue;
+      const Graph sub = core.InducedSubgraph(component);
+      const GlobalCutResult result =
+          GlobalCut(sub, k, {}, options, stats, &scratch, scheduler,
+                    /*cancel=*/nullptr, /*use_certificate=*/false);
+      if (result.cut.empty()) {
+        std::vector<VertexId> all(sub.NumVertices());
+        for (VertexId v = 0; v < sub.NumVertices(); ++v) all[v] = v;
+        std::vector<VertexId> ids = sub.LabelsOf(all);
+        std::sort(ids.begin(), ids.end());
+        found.push_back(std::move(ids));
+        continue;
+      }
+      for (PartitionPiece& piece : OverlapPartition(sub, result.cut)) {
+        pending.push_back(std::move(piece.graph));
+      }
+    }
+  }
+  std::sort(found.begin(), found.end());
+  return found;
 }
 
 /// Serial-path stats fields (everything except the probe-waste
@@ -402,12 +451,7 @@ TEST(WavefrontTest, RefereeAgreementUnderWavefronts) {
                          130 + 40 * seed, 500 + 150 * seed, seed),
                      3 + static_cast<std::uint32_t>(seed % 3)});
   }
-  std::vector<KvccOptions> variants = AllVariants();
-  for (const KvccOptions& preset : AllVariants()) {
-    KvccOptions no_certificate = preset;
-    no_certificate.sparse_certificate = false;
-    variants.push_back(no_certificate);
-  }
+  const std::vector<KvccOptions> variants = AllVariants();
   for (const Case& c : cases) {
     ASSERT_GE(c.g.NumVertices(), 128u) << c.name;
     ASSERT_LE(c.g.NumVertices(), 300u) << c.name;
@@ -422,6 +466,24 @@ TEST(WavefrontTest, RefereeAgreementUnderWavefronts) {
             << c.name << " k=" << c.k << " variant=" << i
             << " threads=" << threads;
         launched += run.stats.probes_launched;
+
+        // The same variant with every flow test on the full working graph.
+        KvccStats stats;
+        std::vector<std::vector<VertexId>> without_certificate;
+        if (threads == 1) {
+          without_certificate = EnumerateWithoutCertificate(
+              c.g, c.k, variants[i], /*scheduler=*/nullptr, &stats);
+        } else {
+          RunInWorkerTask(threads, [&](exec::TaskScheduler& scheduler) {
+            without_certificate = EnumerateWithoutCertificate(
+                c.g, c.k, variants[i], &scheduler, &stats);
+          });
+        }
+        EXPECT_EQ(without_certificate, expected)
+            << c.name << " k=" << c.k << " variant=" << i
+            << " threads=" << threads << " without certificate";
+        EXPECT_EQ(stats.certificate_edges_kept, 0u) << c.name;
+        launched += stats.probes_launched;
       }
       if (threads > 1) {
         EXPECT_GT(launched, 0u) << c.name << " threads=" << threads;
