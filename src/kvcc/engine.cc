@@ -89,17 +89,6 @@ class ChannelSink : public ComponentSink {
   std::shared_ptr<internal::StreamChannel> channel_;
 };
 
-/// The smallest emission key the subtree of an item at `path` that has
-/// already emitted `emitted` own components can still produce: its next
-/// own emit. (Every child subtree key is larger — child elements carry the
-/// top bit.)
-std::vector<std::uint64_t> MinFutureKey(
-    const std::vector<std::uint64_t>& path, std::uint64_t emitted) {
-  std::vector<std::uint64_t> key = path;
-  key.push_back(emitted);
-  return key;
-}
-
 }  // namespace
 
 KvccEngine::KvccEngine(unsigned num_threads)
@@ -177,13 +166,7 @@ KvccEngine::JobId KvccEngine::SubmitJob(const Graph& g, std::uint32_t k,
   state->cancel = std::move(cancel);
   state->priority = ToTaskPriority(options.priority);
   state->sink = std::move(sink);
-  state->stable_order = state->sink != nullptr && options.stable_order;
   state->pending.store(1, std::memory_order_relaxed);  // The root task.
-  if (state->stable_order) {
-    // The root item is live from submission on; its subtree can still
-    // produce every key, the smallest being its own first emit {0}.
-    state->live_min_keys.insert(MinFutureKey({}, 0));
-  }
   std::shared_ptr<JobState> job = state;
   JobId id;
   {
@@ -198,8 +181,7 @@ KvccEngine::JobId KvccEngine::SubmitJob(const Graph& g, std::uint32_t k,
   const exec::TaskPriority priority = job->priority;
   scheduler_.SubmitShared(
       [this, job = std::move(job)](unsigned worker_id) {
-        RunTask(job, internal::WorkItem{}, /*is_root=*/true, EmitKey{},
-                worker_id);
+        RunTask(job, internal::WorkItem{}, /*is_root=*/true, worker_id);
       },
       priority);
   return id;
@@ -221,27 +203,8 @@ void KvccEngine::DeliverLocked(JobState* job, std::vector<VertexId> ids) {
   }
 }
 
-void KvccEngine::DrainReorderLocked(JobState* job) {
-  // A buffered component is deliverable once no live item's subtree can
-  // still emit a smaller key. Every future emission's key is bounded
-  // below by some live item's min-future key (the emitting item is live,
-  // and children register before their parent retires), so comparing
-  // against the smallest live key is exact, not heuristic.
-  while (!job->reorder.empty() &&
-         (job->live_min_keys.empty() ||
-          job->reorder.begin()->first < *job->live_min_keys.begin())) {
-    auto first = job->reorder.begin();
-    std::vector<VertexId> ids = std::move(first->second);
-    job->reorder.erase(first);
-    DeliverLocked(job, std::move(ids));
-  }
-}
-
 void KvccEngine::FinishStreaming(JobState* job) {
   std::lock_guard<std::mutex> lock(job->emit_mutex);
-  // Every item has retired, so the live set is empty and the drain
-  // releases any still-buffered tail in key order.
-  DrainReorderLocked(job);
   std::exception_ptr error;
   {
     std::lock_guard<std::mutex> job_lock(job->mutex);
@@ -269,17 +232,14 @@ void KvccEngine::FinishStreaming(JobState* job) {
 
 void KvccEngine::RunTask(const std::shared_ptr<JobState>& job,
                          internal::WorkItem&& item, bool is_root,
-                         EmitKey path, unsigned worker_id) {
+                         unsigned worker_id) {
   const bool streaming = job->sink != nullptr;
-  const bool stable = job->stable_order;
   // Buffered mode keeps task-local accumulators: one lock acquisition per
   // task (below), not one per found component. Streaming mode delivers
   // each component under the job's emit mutex the moment it commits.
   std::vector<std::vector<VertexId>> found;
   KvccStats stats;
   std::exception_ptr error;
-  std::uint64_t emit_count = 0;   // own components emitted by this item
-  std::uint64_t spawn_count = 0;  // children spawned by this item
 
   auto emit = [&](std::vector<VertexId> ids) {
     if (!streaming) {
@@ -287,43 +247,16 @@ void KvccEngine::RunTask(const std::shared_ptr<JobState>& job,
       return;
     }
     std::lock_guard<std::mutex> lock(job->emit_mutex);
-    if (!stable) {
-      // Immediate delivery; emit_count is stable-order bookkeeping only.
-      DeliverLocked(job.get(), std::move(ids));
-      return;
-    }
-    // Advance this item's min-future key past the component being
-    // buffered, then release whatever became in-order.
-    EmitKey key = MinFutureKey(path, emit_count);
-    job->live_min_keys.erase(job->live_min_keys.find(key));
-    ++emit_count;
-    job->live_min_keys.insert(MinFutureKey(path, emit_count));
-    job->reorder.emplace(std::move(key), std::move(ids));
-    DrainReorderLocked(job.get());
+    DeliverLocked(job.get(), std::move(ids));
   };
 
   auto spawn = [&](internal::WorkItem&& child) {
-    EmitKey child_path;
-    if (stable) {
-      child_path = path;
-      // Descending in spawn index: the serial LIFO stack runs the
-      // last-spawned child's subtree first.
-      child_path.push_back(kChildFlag | (kChildMax - spawn_count));
-      ++spawn_count;
-      std::lock_guard<std::mutex> lock(job->emit_mutex);
-      // Register the child live *before* its parent retires (and before
-      // the child can run), so the reorder drain never releases a key the
-      // child's subtree could still undercut.
-      job->live_min_keys.insert(MinFutureKey(child_path, 0));
-    }
     // Count the child before it can possibly run and finish, so
     // `pending` can never dip to zero while work remains.
     job->pending.fetch_add(1, std::memory_order_relaxed);
     scheduler_.Submit(
-        [this, job, moved = std::move(child),
-         child_path = std::move(child_path)](unsigned w) mutable {
-          RunTask(job, std::move(moved), /*is_root=*/false,
-                  std::move(child_path), w);
+        [this, job, moved = std::move(child)](unsigned w) mutable {
+          RunTask(job, std::move(moved), /*is_root=*/false, w);
         },
         job->priority);
   };
@@ -351,15 +284,6 @@ void KvccEngine::RunTask(const std::shared_ptr<JobState>& job,
       // children included) still run to completion so `pending` drains.
       error = std::current_exception();
     }
-  }
-
-  if (stable) {
-    // This item retires: it can emit nothing further. Children spawned
-    // above (even on the exception path) are already registered.
-    std::lock_guard<std::mutex> lock(job->emit_mutex);
-    job->live_min_keys.erase(
-        job->live_min_keys.find(MinFutureKey(path, emit_count)));
-    DrainReorderLocked(job.get());
   }
 
   {
@@ -399,9 +323,8 @@ void KvccEngine::RunTask(const std::shared_ptr<JobState>& job,
         }
       }
     }
-    // Streaming jobs flush the reorder tail and close out the sink before
-    // the done flag is published, so a Wait()er observes delivery fully
-    // finished.
+    // Streaming jobs close out the sink before the done flag is
+    // published, so a Wait()er observes delivery fully finished.
     if (streaming) FinishStreaming(job.get());
     // No other thread touches the accumulators anymore, but the mutex
     // still orders the publication against a concurrent Wait().

@@ -16,9 +16,8 @@
 //
 // Streaming: SubmitStreaming / SubmitStream deliver each k-VCC the moment
 // its subproblem commits instead of buffering until Wait(). The multiset
-// of streamed components is byte-identical to the buffered result; with
-// KvccOptions::stable_order the delivery *order* additionally reproduces
-// the exact serial emission order via a reorder buffer (see stream.h and
+// of streamed components is byte-identical to the buffered result; the
+// delivery order is completion order (see stream.h and
 // docs/ARCHITECTURE.md).
 //
 // Job control (docs/JOB_CONTROL.md): every job carries a CancelToken —
@@ -36,10 +35,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -118,12 +115,10 @@ class KvccEngine {
   /// k-VCC as soon as its subproblem commits, then the final stats.
   ///
   /// Sink calls are serialized per job but arrive on worker threads; see
-  /// ComponentSink for the full delivery contract. With
-  /// options.stable_order the delivery order is the exact serial emission
-  /// order (out-of-order completions are held in a reorder buffer);
-  /// otherwise components are delivered the moment they commit, in a
-  /// thread-count-dependent order whose multiset is still byte-identical
-  /// to the buffered result. The returned ticket must still be Wait()ed:
+  /// ComponentSink for the full delivery contract. Components are
+  /// delivered the moment they commit, in a thread-count-dependent order
+  /// whose multiset is byte-identical to the buffered result. The
+  /// returned ticket must still be Wait()ed:
   /// Wait blocks until delivery has finished, rethrows the first error
   /// (from the algorithm or from the sink), and returns a KvccResult
   /// whose `components` is empty (they were streamed) and whose `stats`
@@ -131,8 +126,7 @@ class KvccEngine {
   /// \param g The graph to decompose; borrowed, must outlive Wait.
   /// \param k Connectivity parameter (>= 1).
   /// \param sink Non-null consumer for components and completion.
-  /// \param options Algorithm options (num_threads ignored;
-  ///   stable_order selects ordered delivery).
+  /// \param options Algorithm options (num_threads ignored).
   /// \return Ticket to pass to Wait() exactly once.
   /// \throws std::invalid_argument if k == 0 or sink is null.
   JobId SubmitStreaming(const Graph& g, std::uint32_t k,
@@ -157,10 +151,9 @@ class KvccEngine {
   ///   stream reports completion or is destroyed (abandonment joins the
   ///   job, so either event means no worker reads the graph anymore).
   /// \param k Connectivity parameter (>= 1).
-  /// \param options Algorithm options (num_threads ignored; stable_order
-  ///   selects ordered delivery; stream_buffer_limit bounds the channel;
-  ///   deadline_ms arms a wall-clock budget; priority picks the latency
-  ///   class).
+  /// \param options Algorithm options (num_threads ignored;
+  ///   stream_buffer_limit bounds the channel; deadline_ms arms a
+  ///   wall-clock budget; priority picks the latency class).
   /// \return Stream handle delivering the job's components.
   /// \throws std::invalid_argument if k == 0.
   ResultStream SubmitStream(const Graph& g, std::uint32_t k,
@@ -235,21 +228,6 @@ class KvccEngine {
                                        const VersionedGraph& graph);
 
  private:
-  // Serial-emission-order key of one streamed component (stable_order
-  // mode). Keys are sequences of elements, compared lexicographically:
-  //   * an item's own j-th emitted component appends element j
-  //     (top bit clear, ascending: earlier emits sort first);
-  //   * the child spawned i-th appends element (kChildFlag | (kChildMax -
-  //     i)) (top bit set: children sort after every own emit; descending
-  //     in i: the serial LIFO stack processes the *last*-spawned child
-  //     first, so later spawns sort earlier).
-  // The serial run's emission order is exactly ascending key order, and
-  // keys are prefix-free, so a reorder buffer over them can replay the
-  // serial order from any parallel interleaving.
-  using EmitKey = std::vector<std::uint64_t>;
-  static constexpr std::uint64_t kChildFlag = std::uint64_t{1} << 63;
-  static constexpr std::uint64_t kChildMax = kChildFlag - 1;
-
   struct JobState {
     const Graph* graph = nullptr;
     std::uint32_t k = 0;
@@ -279,28 +257,21 @@ class KvccEngine {
     bool done = false;
 
     // --- streaming delivery (sink != nullptr) ---
-    // emit_mutex serializes every sink call and all reorder bookkeeping.
+    // emit_mutex serializes every sink call and the sequence counter.
     // Lock order: emit_mutex before mutex, never the reverse.
     std::shared_ptr<ComponentSink> sink;
-    bool stable_order = false;
     std::mutex emit_mutex;
     std::uint64_t next_sequence = 0;
     bool delivery_suppressed = false;  // sink threw; drop the rest
-    // stable_order reorder state: components buffered until no live item
-    // can emit a serially-earlier one. `live_min_keys` holds, per live
-    // recursion item, the smallest key its subtree can still produce.
-    std::map<EmitKey, std::vector<VertexId>> reorder;
-    std::multiset<EmitKey> live_min_keys;
   };
 
   JobId SubmitJob(const Graph& g, std::uint32_t k, const KvccOptions& options,
                   std::shared_ptr<ComponentSink> sink, CancelToken cancel);
   void RunTask(const std::shared_ptr<JobState>& job,
-               internal::WorkItem&& item, bool is_root, EmitKey path,
-               unsigned worker_id);
-  // All three require job->emit_mutex to be held by the caller.
+               internal::WorkItem&& item, bool is_root, unsigned worker_id);
+  // Requires job->emit_mutex to be held by the caller.
   void DeliverLocked(JobState* job, std::vector<VertexId> ids);
-  void DrainReorderLocked(JobState* job);
+  // Takes job->emit_mutex itself.
   void FinishStreaming(JobState* job);
 
   std::vector<internal::EnumScratch> scratch_;  // one per worker, unshared

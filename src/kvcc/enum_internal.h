@@ -24,14 +24,8 @@
 // The emit callback is also the streaming-delivery tap (kvcc/stream.h):
 // the drivers either buffer emitted components for a sorted KvccResult
 // (EnumerateKVccs, KvccEngine::Wait) or forward them to a ComponentSink
-// the moment they fire (EnumerateKVccsStreaming,
-// KvccEngine::SubmitStreaming). Within one ProcessItem call the emission
-// order is deterministic, and the serial driver's LIFO stack visits
-// children last-spawned-first — together that fixes the "serial emission
-// order" that KvccOptions::stable_order reproduces under parallelism (the
-// engine keys each emit/spawn with a hierarchical path; see
-// KvccEngine::EmitKey in kvcc/engine.h). docs/ARCHITECTURE.md has the
-// full map.
+// the moment they fire (KvccEngine::SubmitStreaming), in completion
+// order. docs/ARCHITECTURE.md has the full map.
 #ifndef KVCC_KVCC_ENUM_INTERNAL_H_
 #define KVCC_KVCC_ENUM_INTERNAL_H_
 

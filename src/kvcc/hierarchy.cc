@@ -51,29 +51,18 @@ void BuildHierarchyInto(KvccEngine* engine, const Graph& g,
     std::vector<KvccResult> engine_results;
     if (engine != nullptr) {
       subgraphs.resize(parents.size());
-      std::vector<KvccEngine::JobId> ids(parents.size());
+      std::vector<EngineJobSpec> specs(parents.size(), {&g, k, job_options});
       for (std::size_t p = 0; p < parents.size(); ++p) {
-        const Graph* job_graph = &g;
         if (parents[p] != HierarchyNode::kNoParent) {
           subgraphs[p] =
               g.InducedSubgraph(hierarchy.nodes[parents[p]].vertices);
-          job_graph = &subgraphs[p];
-        }
-        ids[p] = engine->Submit(*job_graph, k, job_options);
-      }
-      // Wait on EVERY job before anything can unwind: the jobs borrow
-      // `subgraphs`, so letting one job's exception escape while siblings
-      // are still running would free graphs under live worker threads.
-      engine_results.resize(parents.size());
-      std::exception_ptr first_error;
-      for (std::size_t p = 0; p < parents.size(); ++p) {
-        try {
-          engine_results[p] = engine->Wait(ids[p]);
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
+          specs[p].graph = &subgraphs[p];
         }
       }
-      if (first_error) std::rethrow_exception(first_error);
+      // RunBatch waits out EVERY job before it rethrows the first error:
+      // the jobs borrow `subgraphs`, so an exception escaping while
+      // siblings still run would free graphs under live worker threads.
+      engine_results = engine->RunBatch(specs);
     }
 
     for (std::size_t p = 0; p < parents.size(); ++p) {

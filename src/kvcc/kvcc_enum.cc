@@ -17,7 +17,7 @@ namespace {
 
 /// Arms `token` from options.deadline_ms and returns it as the cancel
 /// pointer the serial loop polls (null when no deadline is set — the
-/// serial paths have no other cancellation trigger).
+/// serial path has no other cancellation trigger).
 const CancelToken* ArmDeadline(const KvccOptions& options,
                                CancelToken& token) {
   if (options.deadline_ms == 0) return nullptr;
@@ -26,45 +26,46 @@ const CancelToken* ArmDeadline(const KvccOptions& options,
   return &token;
 }
 
-/// The serial recursion behind both serial drivers: an explicit LIFO stack
-/// run on the calling thread. The stack *is* the definition of the serial
-/// emission order (stable_order replays it) — each item's own components
-/// reach `emit` first, then the subtree of its last-spawned child, and so
-/// on. Returns the run's stats. When options.deadline_ms elapses, throws
-/// JobCancelled("<caller>: deadline elapsed") carrying the partial stats;
-/// any other exception (a sink's included) propagates unchanged.
-template <typename Emit>
-KvccStats RunSerial(const Graph& g, std::uint32_t k,
-                    const KvccOptions& options, const char* caller,
-                    Emit&& emit) {
+/// The serial recursion behind EnumerateKVccs: an explicit LIFO stack run
+/// on the calling thread. Returns every component, unsorted, and the
+/// run's stats. When options.deadline_ms elapses, throws
+/// JobCancelled("EnumerateKVccs: deadline elapsed") carrying the partial
+/// stats.
+KvccResult RunSerial(const Graph& g, std::uint32_t k,
+                     const KvccOptions& options) {
   internal::EnumScratch scratch;
   CancelToken deadline_token;
   const CancelToken* cancel = ArmDeadline(options, deadline_token);
-  KvccStats stats;
+  KvccResult result;
+  auto emit = [&result](std::vector<VertexId> ids) {
+    result.components.push_back(std::move(ids));
+  };
   std::vector<internal::WorkItem> stack;
   auto spawn = [&stack](internal::WorkItem&& child) {
     stack.push_back(std::move(child));
   };
   try {
-    internal::ProcessItem(internal::WorkItem{}, &g, k, options, scratch, stats,
-                          /*scheduler=*/nullptr, cancel, emit, spawn);
+    internal::ProcessItem(internal::WorkItem{}, &g, k, options, scratch,
+                          result.stats, /*scheduler=*/nullptr, cancel, emit,
+                          spawn);
     while (!stack.empty()) {
       // Task-boundary check: the remaining stack is never processed.
       if (cancel != nullptr && cancel->Cancelled()) {
-        throw JobCancelled(std::string(caller) + ": deadline elapsed");
+        throw JobCancelled("EnumerateKVccs: deadline elapsed");
       }
       internal::WorkItem item = std::move(stack.back());
       stack.pop_back();
       internal::ProcessItem(std::move(item), nullptr, k, options, scratch,
-                            stats, /*scheduler=*/nullptr, cancel, emit, spawn);
+                            result.stats, /*scheduler=*/nullptr, cancel, emit,
+                            spawn);
     }
   } catch (const JobCancelled& cancelled) {
     // Attach the partial counters (a mid-GLOBAL-CUT unwind carries none)
     // and account the stack items the unwind left unprocessed.
-    stats.tasks_cancelled += stack.size();
-    throw JobCancelled(cancelled.what(), stats);
+    result.stats.tasks_cancelled += stack.size();
+    throw JobCancelled(cancelled.what(), result.stats);
   }
-  return stats;
+  return result;
 }
 
 }  // namespace
@@ -128,57 +129,9 @@ KvccResult EnumerateKVccs(const Graph& g, std::uint32_t k,
     return engine.Wait(engine.Submit(g, k, options));
   }
 
-  KvccResult result;
-  result.stats = RunSerial(g, k, options, "EnumerateKVccs",
-                           [&result](std::vector<VertexId> ids) {
-                             result.components.push_back(std::move(ids));
-                           });
+  KvccResult result = RunSerial(g, k, options);
   std::sort(result.components.begin(), result.components.end());
   return result;
-}
-
-void EnumerateKVccsStreaming(const Graph& g, std::uint32_t k,
-                             ComponentSink& sink,
-                             const KvccOptions& options) {
-  if (k == 0) {
-    throw std::invalid_argument(
-        "EnumerateKVccsStreaming: k must be at least 1");
-  }
-  const unsigned num_workers = exec::ResolveThreadCount(options.num_threads);
-  if (num_workers > 1) {
-    // One-job streaming batch on a transient engine; Wait() rethrows the
-    // first algorithm or sink error after the tree drains, matching the
-    // serial path's throw-through semantics. The sink is borrowed, not
-    // owned: alias it into a shared_ptr with no ownership.
-    KvccEngine engine(num_workers);
-    std::shared_ptr<ComponentSink> borrowed(std::shared_ptr<void>(), &sink);
-    engine.Wait(engine.SubmitStreaming(g, k, std::move(borrowed), options));
-    return;
-  }
-
-  std::uint64_t sequence = 0;
-  KvccStats stats;
-  try {
-    stats = RunSerial(g, k, options, "EnumerateKVccsStreaming",
-                      [&](std::vector<VertexId> ids) {
-                        StreamedComponent component;
-                        component.sequence = sequence++;
-                        component.vertices = std::move(ids);
-                        sink.OnComponent(std::move(component));
-                      });
-  } catch (...) {
-    // A deadline's JobCancelled (with partial stats) or any algorithm or
-    // sink error: components delivered so far stay delivered.
-    const std::exception_ptr error = std::current_exception();
-    try {
-      sink.OnError(error);
-    } catch (...) {
-      // OnError is informational; the first error is the one the caller
-      // must see (same semantics as the engine path's FinishStreaming).
-    }
-    std::rethrow_exception(error);
-  }
-  sink.OnComplete(stats);
 }
 
 }  // namespace kvcc

@@ -18,12 +18,10 @@
 #include "kvcc/job_control.h"
 #include "kvcc/options.h"
 #include "kvcc/stats.h"
-#include "kvcc/stream.h"
 
 /// \file
 /// \brief KVCC-ENUM (paper Algorithm 1): enumerate all k-vertex connected
-/// components by recursive overlapped partitioning — buffered
-/// (EnumerateKVccs) and streaming (EnumerateKVccsStreaming) entry points.
+/// components by recursive overlapped partitioning (EnumerateKVccs).
 
 /// \brief The k-VCC library: enumeration (EnumerateKVccs), batch serving
 /// (KvccEngine), streaming delivery (stream.h), and the cohesion
@@ -59,34 +57,6 @@ struct KvccResult {
 ///   ran (see kvcc/job_control.h).
 KvccResult EnumerateKVccs(const Graph& g, std::uint32_t k,
                           const KvccOptions& options = {});
-
-/// \brief Streams all k-VCCs of g to `sink` in the order the recursion
-/// emits them, instead of buffering the whole set.
-///
-/// With num_threads resolving to 1 this runs the exact serial recursion
-/// and delivers each component the moment its branch bottoms out — the
-/// emission order of this serial path *defines* the "serial order" that
-/// KvccOptions::stable_order reproduces. With num_threads > 1 the call is
-/// a one-job wrapper over KvccEngine::SubmitStreaming on a transient
-/// engine (hold an engine yourself to amortize pool spin-up). In both
-/// cases the multiset of streamed components is byte-identical to
-/// EnumerateKVccs(g, k, options).components, the sink receives the final
-/// stats via OnComplete, and a sink exception aborts delivery and is
-/// rethrown here (after OnError fires).
-/// \param g The input graph.
-/// \param k Connectivity parameter (>= 1).
-/// \param sink Receives every component, then OnComplete (or OnError).
-/// \param options Algorithm variant and execution knobs; stable_order
-///   makes multi-threaded runs reproduce the serial delivery order;
-///   deadline_ms > 0 arms a wall-clock budget.
-/// \throws std::invalid_argument if k == 0; rethrows the first algorithm
-///   or sink error otherwise.
-/// \throws JobCancelled if options.deadline_ms elapsed mid-run: delivery
-///   stops, OnError receives the same JobCancelled (with partial stats),
-///   and OnComplete never fires for that call.
-void EnumerateKVccsStreaming(const Graph& g, std::uint32_t k,
-                             ComponentSink& sink,
-                             const KvccOptions& options = {});
 
 /// \brief One piece of an overlapped partition: the induced subgraph on
 /// (component ∪ cut) plus the ids it was built from.

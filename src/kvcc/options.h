@@ -24,7 +24,7 @@
 
 /// \file
 /// \brief KvccOptions: algorithm-variant presets (VCCE / VCCE-N / VCCE-G
-/// / VCCE*) and execution knobs (threads, streaming order, job control).
+/// / VCCE*) and execution knobs (threads, job control).
 
 namespace kvcc {
 
@@ -78,17 +78,6 @@ struct KvccOptions {
   /// wall-clock knob.
   std::uint32_t num_threads = 1;
 
-  /// \brief Streaming delivery only (KvccEngine::SubmitStreaming /
-  /// SubmitStream, EnumerateKVccsStreaming): deliver components in the
-  /// exact serial emission order — the order the num_threads = 1
-  /// streaming path produces — by holding out-of-order completions in a
-  /// small reorder buffer, instead of delivering each component the
-  /// moment it commits. The delivered *multiset* is byte-identical either
-  /// way; stable order trades a little time-to-first-component for a
-  /// reproducible sequence. Ignored by the buffered APIs (their output is
-  /// canonically sorted regardless).
-  bool stable_order = false;
-
   // ---- job control (see docs/JOB_CONTROL.md) ----
 
   /// \brief Wall-clock budget for the job in milliseconds; 0 (default) =
@@ -96,7 +85,7 @@ struct KvccOptions {
   /// elapses, tasks short-circuit at the next recursion-task or
   /// probe/wavefront boundary and the job reports JobCancelled with the
   /// partial stats of the work that ran. Honored by KvccEngine jobs and
-  /// by the serial EnumerateKVccs / EnumerateKVccsStreaming paths.
+  /// by the serial EnumerateKVccs path.
   std::uint32_t deadline_ms = 0;
 
   /// \brief Latency class for engine scheduling (KvccEngine only; the
@@ -112,10 +101,8 @@ struct KvccOptions {
   /// worker blocks (backpressure) until the consumer drains, the stream
   /// is abandoned, or the job is cancelled — capping the memory a slow
   /// consumer can pin, where an unbounded channel grows with the
-  /// component count (worst-case exponential in dense graphs). Composes
-  /// with stable_order: the reorder buffer releases in serial order and
-  /// the channel bounds what is released but unread. Ignored by
-  /// SubmitStreaming (a push sink owns its own buffering) and by the
+  /// component count (worst-case exponential in dense graphs). Ignored
+  /// by SubmitStreaming (a push sink owns its own buffering) and by the
   /// buffered APIs. Backpressure parks the producing worker inside the
   /// job's delivery section — pair bounded streams with deadline_ms if
   /// the consumer may stall forever (see docs/JOB_CONTROL.md).

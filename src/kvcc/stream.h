@@ -13,10 +13,9 @@
 // Delivery contract (enforced by tests/engine_test.cc): the multiset of
 // streamed components is byte-identical to the KvccResult::components a
 // Wait() on the same (graph, k, options) would return, for every worker
-// count. With KvccOptions::stable_order the *order* is additionally the
-// exact serial emission order (the order EnumerateKVccsStreaming with
-// num_threads = 1 produces), reconstructed from out-of-order completions
-// by a reorder buffer inside the engine.
+// count. Components arrive in completion order, which depends on the
+// worker count and the interleaving; callers that need a canonical order
+// sort, as Wait() does.
 #ifndef KVCC_KVCC_STREAM_H_
 #define KVCC_KVCC_STREAM_H_
 
@@ -43,9 +42,7 @@ namespace kvcc {
 /// \brief One k-VCC delivered through a streaming channel.
 struct StreamedComponent {
   /// \brief Per-job delivery index: 0 for the first component a job
-  /// delivers, then 1, 2, ... with no gaps. Under
-  /// KvccOptions::stable_order this equals the component's position in
-  /// the serial emission order.
+  /// delivers, then 1, 2, ... with no gaps.
   std::uint64_t sequence = 0;
 
   /// \brief The component's vertex ids in the input graph's id space,
@@ -55,7 +52,7 @@ struct StreamedComponent {
 };
 
 /// \brief Consumer interface for push-style streaming
-/// (KvccEngine::SubmitStreaming, EnumerateKVccsStreaming).
+/// (KvccEngine::SubmitStreaming).
 ///
 /// Calls are *serialized per job* (never concurrent with each other) but
 /// may arrive on any worker thread, so implementations need no locking of
@@ -63,17 +60,15 @@ struct StreamedComponent {
 /// other threads. Exactly one of OnComplete / OnError is the last call a
 /// job makes. An exception thrown from OnComponent poisons the job:
 /// delivery stops, the job's remaining subproblems still drain, and the
-/// exception is rethrown by KvccEngine::Wait (or immediately by the
-/// serial EnumerateKVccsStreaming path).
+/// exception is rethrown by KvccEngine::Wait.
 class ComponentSink {
  public:
   /// \brief Sinks are owned (or borrowed) by the caller; destroying one
   /// while its job is in flight is the caller's bug.
   virtual ~ComponentSink();
 
-  /// \brief Receives one finished k-VCC as soon as its subproblem commits
-  /// (or, under stable_order, as soon as every serially-earlier component
-  /// has been delivered).
+  /// \brief Receives one finished k-VCC as soon as its subproblem
+  /// commits.
   /// \param component The component and its per-job sequence number.
   virtual void OnComponent(StreamedComponent component) = 0;
 
@@ -85,7 +80,7 @@ class ComponentSink {
 
   /// \brief Final call on failure: the job (or the sink itself) threw.
   /// Default implementation does nothing; the error also reaches the
-  /// caller by throw (from Wait or from EnumerateKVccsStreaming).
+  /// caller by throw from KvccEngine::Wait.
   /// \param error The first exception the job recorded.
   virtual void OnError(std::exception_ptr error);
 };
@@ -156,7 +151,7 @@ class ResultStream {
   /// \return The next component in delivery order, or std::nullopt at
   ///   end of stream.
   /// \throws Whatever the job failed with (first recorded exception),
-  ///   after the in-order prefix delivered so far. A job cancelled by
+  ///   after the components delivered so far. A job cancelled by
   ///   KvccOptions::deadline_ms surfaces here as JobCancelled (with the
   ///   partial stats of the work that ran).
   std::optional<StreamedComponent> Next();

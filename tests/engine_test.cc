@@ -357,38 +357,6 @@ TEST(KvccEngineStreamingTest, MultisetMatchesWaitForEveryWorkerCount) {
   }
 }
 
-TEST(KvccEngineStreamingTest, StableOrderReproducesSerialEmissionOrder) {
-  // The serial streaming path *defines* the serial emission order; with
-  // stable_order every worker count must reproduce it exactly — order,
-  // bytes, and sequence numbers — via the reorder buffer.
-  std::vector<TestJob> jobs = MakeJobMix();
-  for (const TestJob& job : jobs) {
-    CollectingSink serial;
-    KvccOptions serial_options = job.options;
-    serial_options.num_threads = 1;
-    EnumerateKVccsStreaming(job.graph, job.k, serial, serial_options);
-    ASSERT_TRUE(serial.complete);
-
-    for (unsigned workers : kWorkerCounts) {
-      KvccEngine engine(workers);
-      auto sink = std::make_shared<CollectingSink>();
-      KvccOptions options = job.options;
-      options.stable_order = true;
-      const KvccResult waited =
-          engine.Wait(engine.SubmitStreaming(job.graph, job.k, sink, options));
-      const std::string context = "workers=" + std::to_string(workers);
-      ASSERT_EQ(sink->components.size(), serial.components.size()) << context;
-      for (std::size_t s = 0; s < sink->components.size(); ++s) {
-        EXPECT_EQ(sink->components[s].sequence, serial.components[s].sequence)
-            << context << " position=" << s;
-        EXPECT_EQ(sink->components[s].vertices, serial.components[s].vertices)
-            << context << " position=" << s;
-      }
-      ExpectSameStats(waited.stats, serial.stats, context);
-    }
-  }
-}
-
 TEST(KvccEngineStreamingTest, ResultStreamDeliversEverythingThenStats) {
   const Figure1Fixture fig1 = MakeFigure1Graph();
   const KvccResult reference = EnumerateKVccs(fig1.graph, 4);
@@ -477,44 +445,6 @@ TEST(KvccEngineStreamingTest, SinkThrowPropagatesToWaitAndJobDrains) {
     EXPECT_EQ(engine.Wait(engine.Submit(fig1.graph, 4)).components,
               fig1.expected_vccs)
         << "workers=" << workers;
-  }
-}
-
-TEST(KvccEngineStreamingTest, SerialStreamingSinkThrowPropagatesImmediately) {
-  class ThrowOnSecondSink : public ComponentSink {
-   public:
-    void OnComponent(StreamedComponent) override {
-      if (++delivered == 2) throw std::runtime_error("stop after one");
-    }
-    void OnComplete(const KvccStats&) override { completed = true; }
-    void OnError(std::exception_ptr e) override { error = e; }
-    int delivered = 0;
-    bool completed = false;
-    std::exception_ptr error;
-  };
-
-  const Figure1Fixture fig1 = MakeFigure1Graph();
-  ThrowOnSecondSink sink;
-  KvccOptions serial;
-  serial.num_threads = 1;
-  EXPECT_THROW(EnumerateKVccsStreaming(fig1.graph, 4, sink, serial),
-               std::runtime_error);
-  EXPECT_EQ(sink.delivered, 2);
-  EXPECT_FALSE(sink.completed);
-  EXPECT_TRUE(sink.error != nullptr);
-}
-
-TEST(KvccEngineStreamingTest, SerialStreamingMatchesBufferedEnumeration) {
-  const std::vector<TestJob> jobs = MakeJobMix();
-  for (const TestJob& job : jobs) {
-    KvccOptions serial = job.options;
-    serial.num_threads = 1;
-    CollectingSink sink;
-    EnumerateKVccsStreaming(job.graph, job.k, sink, serial);
-    ASSERT_TRUE(sink.complete);
-    const KvccResult reference = EnumerateKVccs(job.graph, job.k, serial);
-    EXPECT_EQ(SortedMultiset(sink.components), reference.components);
-    ExpectSameStats(sink.stats, reference.stats, "serial streaming");
   }
 }
 
@@ -694,15 +624,6 @@ TEST(KvccEngineJobControlTest, DeadlineCancelsSerialEnumeration) {
                   cancelled.partial_stats().cuts_cancelled,
               0u);
   }
-
-  // Serial streaming: OnError gets the JobCancelled, OnComplete never
-  // fires, and the call rethrows it.
-  CollectingSink sink;
-  EXPECT_THROW(EnumerateKVccsStreaming(planted.graph, 9, sink, options),
-               JobCancelled);
-  EXPECT_FALSE(sink.complete);
-  ASSERT_TRUE(sink.error != nullptr);
-  EXPECT_THROW(std::rethrow_exception(sink.error), JobCancelled);
 }
 
 TEST(KvccEngineJobControlTest, AbandonedStreamReclaimsWorkersPromptly) {
@@ -757,40 +678,36 @@ TEST(KvccEngineJobControlTest, BoundedStreamHoldsAtMostLimit) {
   constexpr std::uint32_t kLimit = 2;
 
   for (unsigned workers : kWorkerCounts) {
-    for (const bool stable : {false, true}) {
-      KvccEngine engine(workers);
-      KvccOptions options;
-      options.stream_buffer_limit = kLimit;
-      options.stable_order = stable;
-      ResultStream stream = engine.SubmitStream(planted.graph, 9, options);
-      const std::string context = "workers=" + std::to_string(workers) +
-                                  (stable ? " stable" : " immediate");
+    KvccEngine engine(workers);
+    KvccOptions options;
+    options.stream_buffer_limit = kLimit;
+    ResultStream stream = engine.SubmitStream(planted.graph, 9, options);
+    const std::string context = "workers=" + std::to_string(workers);
 
-      // Let the producer run as far ahead as the bound allows: it must
-      // fill the channel to the limit (the job has more components than
-      // kLimit) and then block instead of overfilling. Synchronize on
-      // the block actually happening via the live counter — the producer
-      // is guaranteed to attempt the limit+1-th delivery eventually
-      // (more components exist), and nothing is popped until it did, so
-      // this poll terminates deterministically with no wall-clock guess.
-      while (stream.BackpressureBlocks() == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      EXPECT_EQ(stream.BufferedComponents(), kLimit) << context;
-      std::vector<std::vector<VertexId>> streamed;
-      while (true) {
-        EXPECT_LE(stream.BufferedComponents(), kLimit) << context;
-        std::optional<StreamedComponent> c = stream.Next();
-        if (!c.has_value()) break;
-        streamed.push_back(std::move(c->vertices));
-      }
-      std::sort(streamed.begin(), streamed.end());
-      EXPECT_EQ(streamed, reference.components) << context;
-      const KvccStats& stats = stream.Stats();
-      EXPECT_LE(stats.stream_peak_buffered, kLimit) << context;
-      EXPECT_GT(stats.stream_backpressure_blocks, 0u) << context;
-      ExpectSameStats(stats, reference.stats, context);
+    // Let the producer run as far ahead as the bound allows: it must
+    // fill the channel to the limit (the job has more components than
+    // kLimit) and then block instead of overfilling. Synchronize on the
+    // block actually happening via the live counter — the producer is
+    // guaranteed to attempt the limit+1-th delivery eventually (more
+    // components exist), and nothing is popped until it did, so this
+    // poll terminates deterministically with no wall-clock guess.
+    while (stream.BackpressureBlocks() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
+    EXPECT_EQ(stream.BufferedComponents(), kLimit) << context;
+    std::vector<std::vector<VertexId>> streamed;
+    while (true) {
+      EXPECT_LE(stream.BufferedComponents(), kLimit) << context;
+      std::optional<StreamedComponent> c = stream.Next();
+      if (!c.has_value()) break;
+      streamed.push_back(std::move(c->vertices));
+    }
+    std::sort(streamed.begin(), streamed.end());
+    EXPECT_EQ(streamed, reference.components) << context;
+    const KvccStats& stats = stream.Stats();
+    EXPECT_LE(stats.stream_peak_buffered, kLimit) << context;
+    EXPECT_GT(stats.stream_backpressure_blocks, 0u) << context;
+    ExpectSameStats(stats, reference.stats, context);
   }
 }
 

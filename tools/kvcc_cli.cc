@@ -55,16 +55,15 @@ int Usage() {
       "             --deadline-ms: wall-clock budget, exit 3 with\n"
       "             partial stats once it elapses)\n"
       "  stream <graph> <k> [--variant=VCCE*|VCCE|VCCE-N|VCCE-G]\n"
-      "         [--threads=N] [--stable-order] [--deadline-ms=D]\n"
-      "         [--stream-buffer=L]\n"
+      "         [--threads=N] [--deadline-ms=D] [--stream-buffer=L]\n"
       "         [--priority=interactive|normal|bulk] [--stats]\n"
       "         (NDJSON: one {\"type\": \"component\", ...} line per k-VCC\n"
-      "          as soon as it commits, then one \"complete\" line;\n"
-      "          --stable-order reproduces the serial emission order;\n"
-      "          --stream-buffer bounds undelivered components (0 =\n"
-      "          unbounded, producer blocks when full); --deadline-ms\n"
-      "          cancels mid-stream, closing with a \"cancelled\" line;\n"
-      "          --threads defaults to 0 = all hardware threads)\n"
+      "          as soon as it commits, in completion order, then one\n"
+      "          \"complete\" line; --stream-buffer bounds undelivered\n"
+      "          components (0 = unbounded, producer blocks when full);\n"
+      "          --deadline-ms cancels mid-stream, closing with a\n"
+      "          \"cancelled\" line; --threads defaults to 0 = all\n"
+      "          hardware threads)\n"
       "  batch <jobs-file> [--variant=...] [--threads=N] [--deadline-ms=D]\n"
       "        [--priority=interactive|normal|bulk] [--stats] [--quiet]\n"
       "        (jobs-file lines: \"<graph> <k> [variant]\"; '#' comments.\n"
@@ -283,15 +282,12 @@ int CmdStream(const std::vector<std::string>& args) {
   if (!ParseK("stream", args[1], 1, k)) return 2;
   // Streaming defaults to all hardware threads (the serving shape).
   CommonEnumFlags flags(/*default_threads=*/0);
-  bool stable_order = false;
   std::uint32_t stream_buffer = 0;
   for (std::size_t i = 2; i < args.size(); ++i) {
     const CommonEnumFlags::Parse parsed = flags.TryParse(args[i]);
     if (parsed == CommonEnumFlags::Parse::kError) return 2;
     if (parsed == CommonEnumFlags::Parse::kHandled) continue;
-    if (args[i] == "--stable-order") {
-      stable_order = true;
-    } else if (args[i].rfind("--stream-buffer=", 0) == 0) {
+    if (args[i].rfind("--stream-buffer=", 0) == 0) {
       if (!ParseUint(args[i].substr(16), 1u << 20, stream_buffer)) {
         std::cerr << "error: --stream-buffer expects an integer in "
                      "[0, 2^20] (0 = unbounded)\n";
@@ -304,7 +300,6 @@ int CmdStream(const std::vector<std::string>& args) {
   const bool stats = flags.stats;
   const Graph g = ReadEdgeListFile(args[0], flags.threads);
   KvccOptions options = flags.Options();
-  options.stable_order = stable_order;
   options.stream_buffer_limit = stream_buffer;
 
   KvccEngine engine(flags.threads);
@@ -349,8 +344,7 @@ int CmdStream(const std::vector<std::string>& args) {
             << " k=" << k << ": streamed " << count << " k-VCCs in "
             << total_ms << "ms (first after "
             << (count ? first_ms : total_ms) << "ms, "
-            << engine.num_workers() << " workers"
-            << (options.stable_order ? ", stable order" : "") << ")\n";
+            << engine.num_workers() << " workers)\n";
   return 0;
 }
 
