@@ -44,7 +44,7 @@ class Graph {
   /// neighbor list is sorted, strictly increasing (no duplicates, no
   /// self-loops), and every edge appears in both directions. Checked by
   /// assertions in debug builds. `labels` may be empty (identity). This is
-  /// the seam the parallel edge-list loader builds through — it produces
+  /// the seam the edge-list loader builds through — it produces
   /// normalized CSR without a GraphBuilder edge-pair pass.
   static Graph FromCsr(VertexId num_vertices,
                        std::vector<std::uint64_t> offsets,

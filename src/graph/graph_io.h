@@ -17,25 +17,23 @@ namespace kvcc {
 
 /// Parses a SNAP/GAP whitespace edge list held in memory.
 ///
-/// The buffer is split at newline boundaries into ~4 chunks per thread,
-/// each parsed with std::from_chars into a thread-partitioned edge buffer;
-/// the CSR is then assembled by counting sort (atomic degree count, prefix
-/// sum, cursor scatter, per-row sort + dedup) instead of a global edge
-/// sort. The resulting Graph is byte-identical for every `num_threads`
-/// (0 = one per hardware thread):
+/// One serial pass parses every line with std::from_chars into a raw-id
+/// pair buffer; the CSR is then assembled by counting sort (degree count,
+/// prefix sum, cursor scatter in file order) instead of a global edge
+/// sort. A row the scatter leaves out of order is sorted; every row is
+/// deduplicated.
 ///   - vertex ids are compacted by *ascending* raw id, so labels ascend;
 ///   - duplicate edges collapse and self-loops contribute only their
 ///     endpoint's existence;
 ///   - a malformed line, or a raw id that does not fit in 32 bits, throws
-///     std::runtime_error naming the first bad line in file order,
-///     regardless of which chunk hit it first.
+///     std::runtime_error naming the first bad line.
 /// An empty input yields the empty graph. Lines of only whitespace are
 /// skipped, and tokens after the second id on a line are ignored.
-Graph ReadEdgeList(std::string_view text, unsigned num_threads);
+Graph ReadEdgeList(std::string_view text);
 
 /// ReadEdgeList over a file's bytes. Throws std::runtime_error if the file
 /// cannot be opened or is malformed.
-Graph ReadEdgeListFile(const std::string& path, unsigned num_threads = 1);
+Graph ReadEdgeListFile(const std::string& path);
 
 /// Writes `g` as an edge list (one `u v` pair per line, labels used as ids),
 /// preceded by a `# nodes edges` comment header.

@@ -244,8 +244,6 @@ bool KvccdServer::ResolveGraph(const Request& request, Graph& g,
     return true;
   }
   try {
-    // One thread: on the files kvccd serves, starting a loader pool costs
-    // more than it saves, and the request already owns this thread.
     g = ReadEdgeListFile(request.graph_path);
   } catch (const std::exception& e) {
     error = e.what();

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -19,9 +23,6 @@ namespace {
 
 using kvcc::testing::RandomConnectedGraph;
 
-/// Loader thread counts the ParallelLoaderTest cases sweep.
-const std::vector<unsigned> kThreadCounts = {1, 2, 8};
-
 TEST(GraphIoTest, ParsesEdgeListWithComments) {
   const Graph g = ReadEdgeList(
       "# a SNAP-style header\n"
@@ -29,14 +30,13 @@ TEST(GraphIoTest, ParsesEdgeListWithComments) {
       "0 1\n"
       "1 2\n"
       "\n"
-      "2 0\n",
-      1);
+      "2 0\n");
   EXPECT_EQ(g.NumVertices(), 3u);
   EXPECT_EQ(g.NumEdges(), 3u);
 }
 
 TEST(GraphIoTest, CompactsSparseIdsAndKeepsLabels) {
-  const Graph g = ReadEdgeList("4000000 205\n205 100\n", 1);
+  const Graph g = ReadEdgeList("4000000 205\n205 100\n");
   EXPECT_EQ(g.NumVertices(), 3u);
   EXPECT_EQ(g.NumEdges(), 2u);
   // Labels preserve the original ids, numbered in ascending order.
@@ -46,7 +46,7 @@ TEST(GraphIoTest, CompactsSparseIdsAndKeepsLabels) {
 }
 
 TEST(GraphIoTest, ThrowsOnMalformedLine) {
-  EXPECT_THROW(ReadEdgeList("0 1\nbogus line\n", 1), std::runtime_error);
+  EXPECT_THROW(ReadEdgeList("0 1\nbogus line\n"), std::runtime_error);
 }
 
 TEST(GraphIoTest, ThrowsOnMissingFile) {
@@ -55,10 +55,10 @@ TEST(GraphIoTest, ThrowsOnMissingFile) {
 }
 
 TEST(GraphIoTest, RoundTripPreservesStructure) {
-  const Graph g = ReadEdgeList("5 7\n7 9\n9 5\n9 11\n", 1);
+  const Graph g = ReadEdgeList("5 7\n7 9\n9 5\n9 11\n");
   std::ostringstream out;
   WriteEdgeList(g, out);
-  const Graph g2 = ReadEdgeList(out.str(), 1);
+  const Graph g2 = ReadEdgeList(out.str());
   EXPECT_EQ(g2.NumVertices(), g.NumVertices());
   EXPECT_EQ(g2.NumEdges(), g.NumEdges());
   // Same label universe.
@@ -74,7 +74,7 @@ TEST(GraphIoTest, RoundTripPreservesStructure) {
 }
 
 TEST(GraphIoTest, FileRoundTrip) {
-  const Graph g = ReadEdgeList("0 1\n1 2\n2 3\n3 0\n", 1);
+  const Graph g = ReadEdgeList("0 1\n1 2\n2 3\n3 0\n");
   const std::string path = ::testing::TempDir() + "/kvcc_io_test.txt";
   WriteEdgeListFile(g, path);
   const Graph g2 = ReadEdgeListFile(path);
@@ -82,7 +82,7 @@ TEST(GraphIoTest, FileRoundTrip) {
   EXPECT_EQ(g2.NumEdges(), 4u);
 }
 
-// ---- the loader at several thread counts ------------------------------------
+// ---- the loader's normalization --------------------------------------------
 
 /// Full structural fingerprint: vertex numbering, labels, and adjacency
 /// order all included. Equal fingerprints mean byte-identical graphs.
@@ -121,51 +121,78 @@ std::string CanonicalFingerprint(const Graph& g) {
   return out.str();
 }
 
-TEST(ParallelLoaderTest, RoundTripMatchesWrittenGraph) {
+/// `g` with vertex v labelled `stride * v + 11`: ascending labels, so
+/// the loader numbers the vertices as `g` does.
+Graph RelabelledCopy(const Graph& g, VertexId stride) {
+  std::vector<std::uint64_t> offsets = {0};
+  std::vector<VertexId> adjacency;
+  std::vector<VertexId> labels;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const auto row = g.Neighbors(v);
+    adjacency.insert(adjacency.end(), row.begin(), row.end());
+    offsets.push_back(adjacency.size());
+    labels.push_back(stride * v + 11);
+  }
+  return Graph::FromCsr(g.NumVertices(), std::move(offsets),
+                        std::move(adjacency), std::move(labels));
+}
+
+TEST(EdgeListLoaderTest, RoundTripMatchesWrittenGraph) {
   for (const Graph& g :
        {RandomConnectedGraph(50, 80, 1), BarabasiAlbert(3000, 3, 4),
         GridGraph(20, 20)}) {
     std::ostringstream text;
     WriteEdgeList(g, text);
-    for (const unsigned threads : kThreadCounts) {
-      EXPECT_EQ(CanonicalFingerprint(ReadEdgeList(text.str(), threads)),
-                CanonicalFingerprint(g))
-          << "threads=" << threads;
-    }
+    EXPECT_EQ(CanonicalFingerprint(ReadEdgeList(text.str())),
+              CanonicalFingerprint(g));
   }
 }
 
-TEST(ParallelLoaderTest, ThreadCountInvariant) {
-  std::ostringstream text;
-  WriteEdgeList(BarabasiAlbert(5000, 4, 13), text);
-  const std::string reference =
-      GraphFingerprint(ReadEdgeList(text.str(), 1));
-  for (const unsigned threads : {2u, 3u, 8u, 16u}) {
-    EXPECT_EQ(GraphFingerprint(ReadEdgeList(text.str(), threads)),
-              reference)
-        << "threads=" << threads;
+// Shuffled lines scatter every row out of order, and reversed, repeated
+// and self-loop lines add duplicates, so the loader's per-row sort and
+// dedup both run. The loaded graph must equal the original byte for
+// byte, on the dense id table and (with labels far apart) on the sparse.
+TEST(EdgeListLoaderTest, ShuffledRepeatedAndReversedLinesLoadTheOriginal) {
+  const Graph base = BarabasiAlbert(2000, 4, 17);
+  for (const Graph& g : {base, RelabelledCopy(base, 1000003)}) {
+    std::ostringstream written;
+    WriteEdgeList(g, written);
+    std::istringstream lines(written.str());
+    std::vector<std::string> shuffled;
+    std::mt19937 rng(5);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.empty() || line[0] == '#') continue;
+      const std::size_t space = line.find(' ');
+      const std::string u = line.substr(0, space);
+      const std::string v = line.substr(space + 1);
+      shuffled.push_back(rng() % 2 == 0 ? line : v + " " + u);
+      if (rng() % 4 == 0) shuffled.push_back(v + " " + u);
+      if (rng() % 4 == 0) shuffled.push_back(line);
+      if (rng() % 16 == 0) shuffled.push_back(u + " " + u);
+    }
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    std::string text;
+    for (const std::string& line : shuffled) text += line + "\n";
+    EXPECT_EQ(GraphFingerprint(ReadEdgeList(text)), GraphFingerprint(g));
   }
 }
 
 // Repeating every line leaves the graph unchanged but multiplies the
 // parsed pairs, which moves the input from the sparse id table (sort +
 // unique) to the dense one (present bitmap). Both must number alike.
-TEST(ParallelLoaderTest, DenseAndSparseIdTablesAgree) {
+TEST(EdgeListLoaderTest, DenseAndSparseIdTablesAgree) {
   const std::string lines = "4999 3\n70 1000\n3 70\n2500 4999\n1000 2500\n";
   std::string repeated;
   for (int copy = 0; copy < 63; ++copy) repeated += lines;  // 16*315 >= 5000
-  for (const unsigned threads : kThreadCounts) {
-    const Graph sparse = ReadEdgeList(lines, threads);
-    const Graph dense = ReadEdgeList(repeated, threads);
-    ASSERT_EQ(sparse.NumVertices(), 5u);
-    EXPECT_EQ(sparse.LabelsOf(std::vector<VertexId>{0, 1, 2, 3, 4}),
-              (std::vector<VertexId>{3, 70, 1000, 2500, 4999}));
-    EXPECT_EQ(GraphFingerprint(dense), GraphFingerprint(sparse))
-        << "threads=" << threads;
-  }
+  const Graph sparse = ReadEdgeList(lines);
+  const Graph dense = ReadEdgeList(repeated);
+  ASSERT_EQ(sparse.NumVertices(), 5u);
+  EXPECT_EQ(sparse.LabelsOf(std::vector<VertexId>{0, 1, 2, 3, 4}),
+            (std::vector<VertexId>{3, 70, 1000, 2500, 4999}));
+  EXPECT_EQ(GraphFingerprint(dense), GraphFingerprint(sparse));
 }
 
-TEST(ParallelLoaderTest, CommentsBlanksAndTrailingTokens) {
+TEST(EdgeListLoaderTest, CommentsBlanksAndTrailingTokens) {
   const std::string text =
       "# header comment\n"
       "% percent comment\n"
@@ -174,13 +201,13 @@ TEST(ParallelLoaderTest, CommentsBlanksAndTrailingTokens) {
       "1 2 weight=7 extra tokens\n"
       "\t2  3\n"
       "3 1\r\n";
-  const Graph g = ReadEdgeList(text, 2);
+  const Graph g = ReadEdgeList(text);
   EXPECT_EQ(g.NumVertices(), 3u);
   EXPECT_EQ(g.NumEdges(), 3u);
 }
 
-TEST(ParallelLoaderTest, LabelsSortedByRawId) {
-  const Graph g = ReadEdgeList("100 7\n7 3\n", 2);
+TEST(EdgeListLoaderTest, LabelsSortedByRawId) {
+  const Graph g = ReadEdgeList("100 7\n7 3\n");
   ASSERT_EQ(g.NumVertices(), 3u);
   EXPECT_EQ(g.LabelOf(0), 3u);
   EXPECT_EQ(g.LabelOf(1), 7u);
@@ -190,35 +217,33 @@ TEST(ParallelLoaderTest, LabelsSortedByRawId) {
   EXPECT_EQ(g.Neighbors(0).size(), 1u);
 }
 
-TEST(ParallelLoaderTest, DuplicatesAndSelfLoops) {
+TEST(EdgeListLoaderTest, DuplicatesAndSelfLoops) {
   // Duplicate edges collapse (in either direction); a self-loop keeps the
   // vertex but contributes no edge.
-  const Graph g = ReadEdgeList("1 2\n2 1\n1 2\n5 5\n", 2);
+  const Graph g = ReadEdgeList("1 2\n2 1\n1 2\n5 5\n");
   ASSERT_EQ(g.NumVertices(), 3u);
   EXPECT_EQ(g.NumEdges(), 1u);
   EXPECT_EQ(g.LabelOf(2), 5u);
   EXPECT_TRUE(g.Neighbors(2).empty());
 }
 
-TEST(ParallelLoaderTest, MalformedInputNamesFirstBadLineInFileOrder) {
+TEST(EdgeListLoaderTest, MalformedInputNamesFirstBadLine) {
   const auto expect_throws_line = [](const std::string& text,
                                      const std::string& needle) {
-    for (const unsigned threads : kThreadCounts) {
-      try {
-        ReadEdgeList(text, threads);
-        FAIL() << "expected malformed-input throw for: " << text;
-      } catch (const std::runtime_error& error) {
-        EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
-            << "threads=" << threads << " what=" << error.what();
-      }
+    try {
+      ReadEdgeList(text);
+      FAIL() << "expected malformed-input throw for: " << text;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+          << "what=" << error.what();
     }
   };
   expect_throws_line("1 2\nbad line\n3 4\n", "line 2");
   expect_throws_line("1 2\n3\n", "line 2");            // missing endpoint
   expect_throws_line("1 -2\n", "line 1");              // negative id
   expect_throws_line("99999999999 1\n", "line 1");     // > 32-bit id
-  // Two bad lines in different chunks: the *first in file order* wins
-  // regardless of which chunk parses first.
+  expect_throws_line("1 2\n# note\n\n2 x", "line 4");  // no final newline
+  // Of two bad lines far apart, the first is named.
   std::string text;
   text += "nope\n";
   for (int i = 0; i < 5000; ++i) text += "1 2\n";
@@ -226,17 +251,32 @@ TEST(ParallelLoaderTest, MalformedInputNamesFirstBadLineInFileOrder) {
   expect_throws_line(text, "line 1");
 }
 
-TEST(ParallelLoaderTest, EmptyInputYieldsEmptyGraph) {
-  const Graph g = ReadEdgeList("", 4);
+TEST(EdgeListLoaderTest, EmptyInputYieldsEmptyGraph) {
+  const Graph g = ReadEdgeList("");
   EXPECT_EQ(g.NumVertices(), 0u);
   EXPECT_EQ(g.NumEdges(), 0u);
-  const Graph comments_only = ReadEdgeList("# nothing\n\n", 4);
+  const Graph comments_only = ReadEdgeList("# nothing\n\n");
   EXPECT_EQ(comments_only.NumVertices(), 0u);
 }
 
-TEST(ParallelLoaderTest, MissingFileThrows) {
-  EXPECT_THROW(ReadEdgeListFile("/nonexistent/kvcc.el", 2),
-               std::runtime_error);
+TEST(EdgeListLoaderTest, EmptyFileYieldsEmptyGraph) {
+  const std::string path = ::testing::TempDir() + "/kvcc_empty.el";
+  std::ofstream(path).close();
+  const Graph g = ReadEdgeListFile(path);
+  EXPECT_EQ(g.NumVertices(), 0u);
+  EXPECT_EQ(g.NumEdges(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(EdgeListLoaderTest, FileWithoutFinalNewlineKeepsLastLine) {
+  const std::string path = ::testing::TempDir() + "/kvcc_no_newline.el";
+  std::ofstream(path) << "0 1\n1 2\n2 30";
+  const Graph g = ReadEdgeListFile(path);
+  ASSERT_EQ(g.NumVertices(), 4u);
+  EXPECT_EQ(g.NumEdges(), 3u);
+  EXPECT_EQ(g.LabelOf(3), 30u);
+  EXPECT_EQ(g.Neighbors(3).size(), 1u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -71,8 +71,7 @@ TEST(LabeledInputTest, ResultsAreInInputIdSpace) {
   // of the *compacted* input graph, mappable back via LabelsOf.
   const Graph g = ReadEdgeList(
       "100 101\n100 102\n100 103\n101 102\n101 103\n102 103\n"  // K4
-      "103 200\n200 201\n",
-      1);
+      "103 200\n200 201\n");
   const auto result = EnumerateKVccs(g, 3);
   ASSERT_EQ(result.components.size(), 1u);
   const auto raw = g.LabelsOf(result.components[0]);

@@ -51,7 +51,6 @@ int Usage() {
       "            [--threads=N] [--deadline-ms=D] [--validate]\n"
       "            [--stats] [--quiet]\n"
       "            (--threads: 1 = serial, 0 = all hardware threads;\n"
-      "             the edge-list loader runs on --threads too;\n"
       "             --deadline-ms: wall-clock budget, exit 3 with\n"
       "             partial stats once it elapses)\n"
       "  stream <graph> <k> [--variant=VCCE*|VCCE|VCCE-N|VCCE-G]\n"
@@ -240,7 +239,7 @@ int CmdDecompose(const std::vector<std::string>& args) {
     }
   }
   const bool stats = flags.stats;
-  const Graph g = ReadEdgeListFile(args[0], flags.threads);
+  const Graph g = ReadEdgeListFile(args[0]);
   KvccOptions options = flags.Options();
   options.num_threads = flags.threads;
   Timer timer;
@@ -298,7 +297,7 @@ int CmdStream(const std::vector<std::string>& args) {
     }
   }
   const bool stats = flags.stats;
-  const Graph g = ReadEdgeListFile(args[0], flags.threads);
+  const Graph g = ReadEdgeListFile(args[0]);
   KvccOptions options = flags.Options();
   options.stream_buffer_limit = stream_buffer;
 
@@ -413,8 +412,7 @@ int CmdBatch(const std::vector<std::string>& args) {
   std::map<std::string, Graph> graphs;
   for (const BatchJobLine& job : jobs) {
     if (!graphs.count(job.graph_path)) {
-      graphs.emplace(job.graph_path,
-                     ReadEdgeListFile(job.graph_path, flags.threads));
+      graphs.emplace(job.graph_path, ReadEdgeListFile(job.graph_path));
     }
   }
 
@@ -471,7 +469,7 @@ int CmdHierarchy(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  const Graph g = ReadEdgeListFile(args[0], threads);
+  const Graph g = ReadEdgeListFile(args[0]);
   KvccOptions options;
   options.num_threads = threads;
   const KvccHierarchy hierarchy = BuildKvccHierarchy(g, max_k, options);
@@ -548,7 +546,7 @@ int CmdUpdate(const std::vector<std::string>& args) {
 
   // The delta store works in root-id space; keep the file's original ids
   // as a label table of our own so output matches the other subcommands.
-  const Graph loaded = ReadEdgeListFile(args[0], threads);
+  const Graph loaded = ReadEdgeListFile(args[0]);
   std::vector<VertexId> labels(loaded.NumVertices());
   std::map<VertexId, VertexId> label_to_root;
   for (VertexId v = 0; v < loaded.NumVertices(); ++v) {
