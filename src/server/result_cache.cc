@@ -7,14 +7,14 @@ namespace kvcc {
 namespace server {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+constexpr std::uint64_t kSeed = 14695981039346656037ull;
+constexpr std::uint64_t kMultiplier = 0x9E3779B97F4A7C15ull;  // odd
 
+// One multiply per value; the xor-shift folds the product's high bits
+// back down, so every bit of a value reaches the low bits of later words.
 void Mix(std::uint64_t& hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFFu;
-    hash *= kFnvPrime;
-  }
+  hash = (hash ^ value) * kMultiplier;
+  hash ^= hash >> 32;
 }
 
 std::uint64_t ComponentListBytes(const ComponentList& components) {
@@ -28,7 +28,7 @@ std::uint64_t ComponentListBytes(const ComponentList& components) {
 }  // namespace
 
 std::uint64_t GraphFingerprint(const Graph& g) {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = kSeed;
   const VertexId n = g.NumVertices();
   Mix(hash, n);
   Mix(hash, g.NumEdges());
@@ -52,9 +52,8 @@ bool GraphIdentical(const Graph& a, const Graph& b) {
 ResultCache::ResultCache(std::uint64_t byte_budget)
     : byte_budget_(byte_budget) {}
 
-ResultCache::LruList::iterator ResultCache::TouchEntryLocked(const Graph& g,
-                                                             bool create) {
-  const std::uint64_t fingerprint = GraphFingerprint(g);
+ResultCache::LruList::iterator ResultCache::TouchEntryLocked(
+    const Graph& g, std::uint64_t fingerprint, bool create) {
   auto bucket = index_.find(fingerprint);
   if (bucket != index_.end()) {
     for (const LruList::iterator it : bucket->second) {
@@ -92,8 +91,10 @@ void ResultCache::RechargeLocked(LruList::iterator it) {
 
 std::shared_ptr<const ComponentList> ResultCache::LookupComponents(
     const Graph& g, std::uint32_t k) {
+  const std::uint64_t fingerprint = GraphFingerprint(g);
   std::lock_guard<std::mutex> lock(mutex_);
-  const LruList::iterator it = TouchEntryLocked(g, /*create=*/false);
+  const LruList::iterator it =
+      TouchEntryLocked(g, fingerprint, /*create=*/false);
   if (it != lru_.end()) {
     const auto flat = it->flat.find(k);
     if (flat != it->flat.end()) {
@@ -114,8 +115,10 @@ void ResultCache::InsertComponents(
     const Graph& g, std::uint32_t k,
     std::shared_ptr<const ComponentList> components) {
   if (components == nullptr) return;
+  const std::uint64_t fingerprint = GraphFingerprint(g);
   std::lock_guard<std::mutex> lock(mutex_);
-  const LruList::iterator it = TouchEntryLocked(g, /*create=*/true);
+  const LruList::iterator it =
+      TouchEntryLocked(g, fingerprint, /*create=*/true);
   it->flat.insert_or_assign(k, std::move(components));
   RechargeLocked(it);
   EvictToBudgetLocked();
@@ -123,8 +126,10 @@ void ResultCache::InsertComponents(
 
 std::shared_ptr<const KvccHierarchy> ResultCache::LookupHierarchy(
     const Graph& g, std::uint32_t min_depth, bool need_exhausted) {
+  const std::uint64_t fingerprint = GraphFingerprint(g);
   std::lock_guard<std::mutex> lock(mutex_);
-  const LruList::iterator it = TouchEntryLocked(g, /*create=*/false);
+  const LruList::iterator it =
+      TouchEntryLocked(g, fingerprint, /*create=*/false);
   if (it != lru_.end() && it->hierarchy != nullptr &&
       (it->exhausted || (!need_exhausted && it->built_k >= min_depth))) {
     ++hits_;
@@ -138,8 +143,10 @@ void ResultCache::InsertHierarchy(
     const Graph& g, std::shared_ptr<const KvccHierarchy> hierarchy,
     std::uint32_t built_k, bool exhausted) {
   if (hierarchy == nullptr) return;
+  const std::uint64_t fingerprint = GraphFingerprint(g);
   std::lock_guard<std::mutex> lock(mutex_);
-  const LruList::iterator it = TouchEntryLocked(g, /*create=*/true);
+  const LruList::iterator it =
+      TouchEntryLocked(g, fingerprint, /*create=*/true);
   // Keep the deeper of the two hierarchies; a fresh shallow build never
   // clobbers a cached exhausted one.
   const bool new_deeper =
@@ -157,8 +164,11 @@ void ResultCache::InsertHierarchy(
 void ResultCache::RekeyAfterMutation(
     const Graph& from, const Graph& to,
     const std::vector<std::uint32_t>& dirty_levels) {
+  const std::uint64_t from_fingerprint = GraphFingerprint(from);
+  const std::uint64_t to_fingerprint = GraphFingerprint(to);
   std::lock_guard<std::mutex> lock(mutex_);
-  const LruList::iterator old_it = TouchEntryLocked(from, /*create=*/false);
+  const LruList::iterator old_it =
+      TouchEntryLocked(from, from_fingerprint, /*create=*/false);
   if (old_it == lru_.end()) return;
 
   // Survivors: every flat result whose level did not change, and the
@@ -189,7 +199,8 @@ void ResultCache::RekeyAfterMutation(
   lru_.erase(old_it);
 
   if (surviving.empty() && hierarchy == nullptr) return;
-  const LruList::iterator it = TouchEntryLocked(to, /*create=*/true);
+  const LruList::iterator it =
+      TouchEntryLocked(to, to_fingerprint, /*create=*/true);
   for (auto& [k, components] : surviving) {
     // Merge, never clobber: a result already computed against `to` is at
     // least as fresh as the migrated one.

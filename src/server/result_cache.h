@@ -40,8 +40,8 @@ namespace server {
 /// \brief One decomposition's component lists, canonically sorted.
 using ComponentList = std::vector<std::vector<VertexId>>;
 
-/// \brief 64-bit FNV-1a fingerprint of a graph (vertex count, adjacency,
-/// and per-vertex labels).
+/// \brief 64-bit fingerprint of a graph (vertex count, edge count,
+/// adjacency, and per-vertex labels), one multiply-xorshift step per value.
 ///
 /// Labels are included because decomposition results are reported in
 /// label space: two structurally equal graphs with different labels must
@@ -164,9 +164,11 @@ class ResultCache {
   };
   using LruList = std::list<Entry>;
 
-  // Finds (and front-splices) the entry for `g`, creating it if asked.
+  // Finds (and front-splices) the entry for `g`, whose GraphFingerprint
+  // the caller computed before taking mutex_, creating it if asked.
   // Returns lru_.end() when absent and !create. Caller holds mutex_.
-  LruList::iterator TouchEntryLocked(const Graph& g, bool create);
+  LruList::iterator TouchEntryLocked(const Graph& g,
+                                     std::uint64_t fingerprint, bool create);
   static std::uint64_t EntryBytes(const Entry& entry);
   void RechargeLocked(LruList::iterator it);
   void EvictToBudgetLocked();

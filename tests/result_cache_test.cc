@@ -79,11 +79,11 @@ TEST(ResultCacheTest, HitMissBasics) {
 }
 
 TEST(ResultCacheTest, SameFingerprintSlotServesDistinctGraphsHonestly) {
-  // Engineering a true 64-bit FNV collision is infeasible, so honesty is
-  // exercised where it lives: the lookup path compares full graphs, and
-  // same-structure-different-label graphs (which *would* alias if
-  // fingerprints ignored labels) get distinct entries and never share
-  // results.
+  // Engineering a true 64-bit fingerprint collision is infeasible, so
+  // honesty is exercised where it lives: the lookup path compares full
+  // graphs, and same-structure-different-label graphs (which *would*
+  // alias if fingerprints ignored labels) get distinct entries and never
+  // share results.
   ResultCache cache(1u << 20);
   const Graph k4 = CompleteGraph(4);
   const std::vector<VertexId> low = {0, 1, 2};
