@@ -377,12 +377,20 @@ KvccResult KvccEngine::Wait(JobId id) {
 
 std::vector<KvccResult> KvccEngine::RunBatch(
     const std::vector<EngineJobSpec>& jobs) {
-  std::vector<JobId> ids;
-  ids.reserve(jobs.size());
+  // Check every spec before the first Submit, so a bad spec never leaves
+  // an earlier job running with a ticket the caller never receives.
   for (const EngineJobSpec& spec : jobs) {
     if (spec.graph == nullptr) {
       throw std::invalid_argument("KvccEngine::RunBatch: null graph");
     }
+    if (spec.k == 0) {
+      throw std::invalid_argument(
+          "KvccEngine::RunBatch: k must be at least 1");
+    }
+  }
+  std::vector<JobId> ids;
+  ids.reserve(jobs.size());
+  for (const EngineJobSpec& spec : jobs) {
     ids.push_back(Submit(*spec.graph, spec.k, spec.options));
   }
   std::vector<KvccResult> results;

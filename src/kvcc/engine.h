@@ -207,7 +207,8 @@ class KvccEngine {
   /// CLI's batch mode does.
   /// \param jobs The specs to run (graphs borrowed for the call).
   /// \return One result per spec, in spec order.
-  /// \throws std::invalid_argument if any spec's graph is null.
+  /// \throws std::invalid_argument if any spec's graph is null or its k
+  ///   is 0; every spec is checked before the first job is submitted.
   /// \throws JobCancelled (or the job's own first error) for the first
   ///   failed job, after all jobs finished.
   std::vector<KvccResult> RunBatch(const std::vector<EngineJobSpec>& jobs);

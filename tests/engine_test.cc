@@ -169,6 +169,22 @@ TEST(KvccEngineTest, RunBatchReturnsResultsInSpecOrder) {
   }
 }
 
+TEST(KvccEngineTest, RunBatchRejectsBadSpecBeforeSubmittingAny) {
+  // A bad spec after a good one must throw before the good one is
+  // submitted: no ticket may outlive the throw.
+  const Figure1Fixture fig1 = MakeFigure1Graph();
+  const std::vector<std::vector<EngineJobSpec>> batches = {
+      {{&fig1.graph, 4, {}}, {nullptr, 4, {}}},
+      {{&fig1.graph, 4, {}}, {&fig1.graph, 0, {}}},
+  };
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    KvccEngine engine(2);
+    EXPECT_THROW(engine.RunBatch(batches[b]), std::invalid_argument)
+        << "batch=" << b;
+    EXPECT_FALSE(engine.Cancel(0)) << "batch=" << b;
+  }
+}
+
 TEST(KvccEngineTest, WarmScratchGivesIdenticalResultsAcrossRepeats) {
   // The steady-state path (worker scratch already grown) must produce the
   // same bytes as the cold first run.
