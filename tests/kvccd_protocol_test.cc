@@ -248,6 +248,36 @@ TEST(KvccdProtocolTest, PathReadMatchesLibraryAndReplaysFromCache) {
   std::remove(path.c_str());
 }
 
+TEST(KvccdProtocolTest, PathRewrittenInPlaceIsReadAfresh) {
+  // Same path, same byte length, different edges: two K4s sharing vertex
+  // 3, then a K5 with a tail. The file is re-read on every request, so
+  // the second answer is the new graph's, booked as a cache miss.
+  const std::string before =
+      "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n3 5\n3 6\n4 5\n4 6\n5 6\n";
+  const std::string after =
+      "0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n5 6\n";
+  ASSERT_EQ(before.size(), after.size());
+  const std::string path = WriteTempFile("kvccd_rewritten.el", before);
+  const std::vector<std::string> expected_before =
+      ExpectedDecomposeLines(ReadEdgeList(before), 3);
+  const std::vector<std::string> expected_after =
+      ExpectedDecomposeLines(ReadEdgeList(after), 3);
+  ASSERT_EQ(expected_before.size(), 3u);
+  ASSERT_EQ(expected_after.size(), 2u);
+
+  KvccdServer daemon;
+  Connection conn(daemon);
+  const std::string request = PathDecompose(path, 3);
+  EXPECT_EQ(conn.Roundtrip(request), expected_before);
+  WriteTempFile("kvccd_rewritten.el", after);
+  const std::uint64_t hits = daemon.Cache().Hits();
+  const std::uint64_t misses = daemon.Cache().Misses();
+  EXPECT_EQ(conn.Roundtrip(request), expected_after);
+  EXPECT_EQ(daemon.Cache().Hits(), hits);
+  EXPECT_EQ(daemon.Cache().Misses(), misses + 1);
+  std::remove(path.c_str());
+}
+
 TEST(KvccdProtocolTest, PathReadErrorsKeepConnectionAlive) {
   const std::string missing = ::testing::TempDir() + "/kvccd_missing.el";
   std::remove(missing.c_str());
