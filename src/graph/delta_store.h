@@ -53,9 +53,9 @@ struct EdgeDelta {
 /// \brief Merges one effective batch into a base graph's CSR arrays,
 /// reusing the output graph's storage.
 ///
-/// This is the seam Graph::FromCsr / GraphBuilder::Build lack: both
-/// assume the edge set is final at build time, so a per-batch rebuild
-/// through them costs a full edge-pair pass and fresh allocations.
+/// This is the seam GraphBuilder::Build lacks: it assumes the edge set
+/// is final at build time, so a per-batch rebuild through it costs a
+/// full edge-pair pass and fresh allocations.
 /// DeltaApplier instead counting-sorts the batch's directed ops by source
 /// row and two-pointer-merges each touched CSR row, writing into `out`'s
 /// existing vectors. All scratch is owned by the applier and grows

@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "graph/graph_builder.h"
 
@@ -12,35 +11,6 @@ Graph Graph::FromEdges(VertexId num_vertices,
   GraphBuilder builder(num_vertices);
   for (const auto& [u, v] : edges) builder.AddEdge(u, v);
   return builder.Build();
-}
-
-Graph Graph::FromCsr(VertexId num_vertices,
-                     std::vector<std::uint64_t> offsets,
-                     std::vector<VertexId> adjacency,
-                     std::vector<VertexId> labels) {
-  assert(offsets.size() == static_cast<std::size_t>(num_vertices) + 1);
-  assert(offsets.front() == 0 && offsets.back() == adjacency.size());
-  assert(labels.empty() ||
-         labels.size() == static_cast<std::size_t>(num_vertices));
-#ifndef NDEBUG
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    assert(offsets[v] <= offsets[v + 1]);
-    for (std::uint64_t i = offsets[v]; i + 1 < offsets[v + 1]; ++i) {
-      assert(adjacency[i] < adjacency[i + 1] && "neighbor list not strict");
-    }
-    for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      assert(adjacency[i] < num_vertices);
-      assert(adjacency[i] != v && "self-loop in CSR");
-    }
-  }
-#endif
-  Graph g;
-  g.num_vertices_ = num_vertices;
-  g.num_edges_ = adjacency.size() / 2;
-  g.offsets_ = std::move(offsets);
-  g.adjacency_ = std::move(adjacency);
-  g.labels_ = std::move(labels);
-  return g;
 }
 
 bool Graph::HasEdge(VertexId u, VertexId v) const {

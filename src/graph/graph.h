@@ -38,19 +38,6 @@ class Graph {
   static Graph FromEdges(VertexId num_vertices,
                          std::span<const std::pair<VertexId, VertexId>> edges);
 
-  /// Adopts already-normalized CSR arrays directly (no copy). The caller
-  /// guarantees the invariants Graph maintains everywhere else: offsets has
-  /// num_vertices + 1 monotone entries ending at adjacency.size(), each
-  /// neighbor list is sorted, strictly increasing (no duplicates, no
-  /// self-loops), and every edge appears in both directions. Checked by
-  /// assertions in debug builds. `labels` may be empty (identity). This is
-  /// the seam the edge-list loader builds through — it produces
-  /// normalized CSR without a GraphBuilder edge-pair pass.
-  static Graph FromCsr(VertexId num_vertices,
-                       std::vector<std::uint64_t> offsets,
-                       std::vector<VertexId> adjacency,
-                       std::vector<VertexId> labels = {});
-
   VertexId NumVertices() const { return num_vertices_; }
 
   /// Number of undirected edges.

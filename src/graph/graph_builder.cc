@@ -6,6 +6,19 @@
 
 namespace kvcc {
 
+GraphBuilder::GraphBuilder(VertexId num_vertices,
+                           std::vector<std::pair<VertexId, VertexId>> edges)
+    : num_vertices_(num_vertices), edges_(std::move(edges)) {
+  std::size_t kept = 0;
+  for (auto [u, v] : edges_) {
+    if (u == v) continue;
+    if (u > v) std::swap(u, v);
+    edges_[kept++] = {u, v};
+    if (v >= num_vertices_) num_vertices_ = v + 1;
+  }
+  edges_.resize(kept);
+}
+
 void GraphBuilder::AddEdge(VertexId u, VertexId v) {
   if (u == v) return;
   if (u > v) std::swap(u, v);

@@ -18,6 +18,11 @@ class GraphBuilder {
   GraphBuilder() = default;
   explicit GraphBuilder(VertexId num_vertices) : num_vertices_(num_vertices) {}
 
+  /// Takes `edges` whole, without a copy, as if each pair were passed to
+  /// AddEdge: self-loops are dropped and every pair is stored as (min, max).
+  GraphBuilder(VertexId num_vertices,
+               std::vector<std::pair<VertexId, VertexId>> edges);
+
   /// Adds an undirected edge. Self-loops are silently dropped.
   void AddEdge(VertexId u, VertexId v);
 

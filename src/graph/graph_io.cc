@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "graph/graph_builder.h"
+
 namespace kvcc {
 
 namespace {
@@ -106,48 +108,9 @@ Graph ReadEdgeList(std::string_view text) {
   }
   std::vector<VertexId>().swap(rank);  // before the CSR arrays exist
 
-  // Counting-sort CSR build: degree count (duplicates included), prefix
-  // sum, cursor scatter of both directions in file order, then per-row
-  // sort (only where the scatter left the row out of order) + dedup.
-  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : edges) {
-    if (u == v) continue;
-    ++offsets[u + 1];
-    ++offsets[v + 1];
-  }
-  for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-  std::vector<VertexId> adjacency(offsets[n]);
-  for (const auto& [u, v] : edges) {
-    if (u == v) continue;
-    adjacency[cursor[u]++] = v;
-    adjacency[cursor[v]++] = u;
-  }
-  // Normalize each row and compact duplicate slack out in the same pass:
-  // rows only move down, so a row is read before anything overwrites it.
-  std::uint64_t write = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    const auto row_begin =
-        adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-    const auto row_end =
-        adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-    if (!std::is_sorted(row_begin, row_end)) std::sort(row_begin, row_end);
-    const auto row_len =
-        static_cast<std::uint64_t>(std::unique(row_begin, row_end) -
-                                   row_begin);
-    if (write != offsets[v]) {
-      std::memmove(adjacency.data() + write, adjacency.data() + offsets[v],
-                   row_len * sizeof(VertexId));
-    }
-    offsets[v] = write;
-    write += row_len;
-  }
-  offsets[n] = write;
-  adjacency.resize(write);
-
-  return Graph::FromCsr(n, std::move(offsets), std::move(adjacency),
-                        identity ? std::vector<VertexId>()
-                                 : std::move(labels));
+  GraphBuilder builder(n, std::move(edges));
+  if (!identity) builder.SetLabels(std::move(labels));
+  return builder.Build();
 }
 
 Graph ReadEdgeListFile(const std::string& path) {

@@ -18,10 +18,10 @@ namespace kvcc {
 /// Parses a SNAP/GAP whitespace edge list held in memory.
 ///
 /// One serial pass parses every line with std::from_chars into a raw-id
-/// pair buffer; the CSR is then assembled by counting sort (degree count,
-/// prefix sum, cursor scatter in file order) instead of a global edge
-/// sort. A row the scatter leaves out of order is sorted; every row is
-/// deduplicated.
+/// pair buffer, which is compacted in place and handed whole to
+/// GraphBuilder. The builder's edge sort is skipped when the pairs
+/// arrive in order, as in a file that lists each edge once as `u v`
+/// with u < v, sorted by u then v (what WriteEdgeList writes).
 ///   - vertex ids are compacted by *ascending* raw id, so labels ascend;
 ///   - duplicate edges collapse and self-loops contribute only their
 ///     endpoint's existence;

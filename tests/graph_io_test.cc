@@ -16,6 +16,7 @@
 #include "gen/barabasi_albert.h"
 #include "gen/fixtures.h"
 #include "graph/graph.h"
+#include "graph/graph_builder.h"
 #include "support/brute_force.h"
 
 namespace kvcc {
@@ -124,17 +125,14 @@ std::string CanonicalFingerprint(const Graph& g) {
 /// `g` with vertex v labelled `stride * v + 11`: ascending labels, so
 /// the loader numbers the vertices as `g` does.
 Graph RelabelledCopy(const Graph& g, VertexId stride) {
-  std::vector<std::uint64_t> offsets = {0};
-  std::vector<VertexId> adjacency;
+  GraphBuilder builder(g.NumVertices());
   std::vector<VertexId> labels;
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    const auto row = g.Neighbors(v);
-    adjacency.insert(adjacency.end(), row.begin(), row.end());
-    offsets.push_back(adjacency.size());
+    for (const VertexId w : g.Neighbors(v)) builder.AddEdge(v, w);
     labels.push_back(stride * v + 11);
   }
-  return Graph::FromCsr(g.NumVertices(), std::move(offsets),
-                        std::move(adjacency), std::move(labels));
+  builder.SetLabels(std::move(labels));
+  return builder.Build();
 }
 
 TEST(EdgeListLoaderTest, RoundTripMatchesWrittenGraph) {
@@ -148,10 +146,10 @@ TEST(EdgeListLoaderTest, RoundTripMatchesWrittenGraph) {
   }
 }
 
-// Shuffled lines scatter every row out of order, and reversed, repeated
-// and self-loop lines add duplicates, so the loader's per-row sort and
-// dedup both run. The loaded graph must equal the original byte for
-// byte, on the dense id table and (with labels far apart) on the sparse.
+// Shuffled lines put the edge pairs out of order, and reversed, repeated
+// and self-loop lines add duplicates, so the build's sort and dedup both
+// run. The loaded graph must equal the original byte for byte, on the
+// dense id table and (with labels far apart) on the sparse.
 TEST(EdgeListLoaderTest, ShuffledRepeatedAndReversedLinesLoadTheOriginal) {
   const Graph base = BarabasiAlbert(2000, 4, 17);
   for (const Graph& g : {base, RelabelledCopy(base, 1000003)}) {
@@ -277,6 +275,10 @@ TEST(EdgeListLoaderTest, FileWithoutFinalNewlineKeepsLastLine) {
   EXPECT_EQ(g.LabelOf(3), 30u);
   EXPECT_EQ(g.Neighbors(3).size(), 1u);
   std::remove(path.c_str());
+}
+
+TEST(EdgeListLoaderTest, MissingFileThrows) {
+  EXPECT_THROW(ReadEdgeListFile("/nonexistent/kvcc.el"), std::runtime_error);
 }
 
 }  // namespace
