@@ -377,21 +377,27 @@ KvccResult KvccEngine::Wait(JobId id) {
 
 std::vector<KvccResult> KvccEngine::RunBatch(
     const std::vector<EngineJobSpec>& jobs) {
-  // Check every spec before the first Submit, so a bad spec never leaves
-  // an earlier job running with a ticket the caller never receives.
-  for (const EngineJobSpec& spec : jobs) {
-    if (spec.graph == nullptr) {
-      throw std::invalid_argument("KvccEngine::RunBatch: null graph");
-    }
-    if (spec.k == 0) {
-      throw std::invalid_argument(
-          "KvccEngine::RunBatch: k must be at least 1");
-    }
-  }
   std::vector<JobId> ids;
   ids.reserve(jobs.size());
-  for (const EngineJobSpec& spec : jobs) {
-    ids.push_back(Submit(*spec.graph, spec.k, spec.options));
+  try {
+    for (const EngineJobSpec& spec : jobs) {
+      if (spec.graph == nullptr) {
+        throw std::invalid_argument("KvccEngine::RunBatch: null graph");
+      }
+      ids.push_back(Submit(*spec.graph, spec.k, spec.options));
+    }
+  } catch (...) {
+    // A spec that cannot be submitted must not strand the jobs already
+    // running (tickets the caller never receives, tasks reading graphs it
+    // may free once the error reaches it): cancel and reclaim them first.
+    for (JobId id : ids) Cancel(id);
+    for (JobId id : ids) {
+      try {
+        Wait(id);
+      } catch (...) {
+      }
+    }
+    throw;
   }
   std::vector<KvccResult> results;
   results.reserve(ids.size());

@@ -208,7 +208,8 @@ class KvccEngine {
   /// \param jobs The specs to run (graphs borrowed for the call).
   /// \return One result per spec, in spec order.
   /// \throws std::invalid_argument if any spec's graph is null or its k
-  ///   is 0; every spec is checked before the first job is submitted.
+  ///   is 0, after the jobs already submitted are cancelled and waited
+  ///   out.
   /// \throws JobCancelled (or the job's own first error) for the first
   ///   failed job, after all jobs finished.
   std::vector<KvccResult> RunBatch(const std::vector<EngineJobSpec>& jobs);

@@ -169,9 +169,9 @@ TEST(KvccEngineTest, RunBatchReturnsResultsInSpecOrder) {
   }
 }
 
-TEST(KvccEngineTest, RunBatchRejectsBadSpecBeforeSubmittingAny) {
-  // A bad spec after a good one must throw before the good one is
-  // submitted: no ticket may outlive the throw.
+TEST(KvccEngineTest, RunBatchReclaimsSubmittedJobsOnBadSpec) {
+  // A bad spec after a good one throws, and the good one's ticket must
+  // not outlive the throw.
   const Figure1Fixture fig1 = MakeFigure1Graph();
   const std::vector<std::vector<EngineJobSpec>> batches = {
       {{&fig1.graph, 4, {}}, {nullptr, 4, {}}},
