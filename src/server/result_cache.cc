@@ -165,7 +165,6 @@ void ResultCache::RekeyAfterMutation(
     const Graph& from, const Graph& to,
     const std::vector<std::uint32_t>& dirty_levels) {
   const std::uint64_t from_fingerprint = GraphFingerprint(from);
-  const std::uint64_t to_fingerprint = GraphFingerprint(to);
   std::lock_guard<std::mutex> lock(mutex_);
   const LruList::iterator old_it =
       TouchEntryLocked(from, from_fingerprint, /*create=*/false);
@@ -199,8 +198,10 @@ void ResultCache::RekeyAfterMutation(
   lru_.erase(old_it);
 
   if (surviving.empty() && hierarchy == nullptr) return;
+  // `to` is hashed here, under the lock, so a write whose old graph is
+  // not cached, or keeps no result, never hashes the new graph.
   const LruList::iterator it =
-      TouchEntryLocked(to, to_fingerprint, /*create=*/true);
+      TouchEntryLocked(to, GraphFingerprint(to), /*create=*/true);
   for (auto& [k, components] : surviving) {
     // Merge, never clobber: a result already computed against `to` is at
     // least as fresh as the migrated one.

@@ -165,7 +165,7 @@ class ResultCache {
   using LruList = std::list<Entry>;
 
   // Finds (and front-splices) the entry for `g`, whose GraphFingerprint
-  // the caller computed before taking mutex_, creating it if asked.
+  // is `fingerprint`, creating it if asked.
   // Returns lru_.end() when absent and !create. Caller holds mutex_.
   LruList::iterator TouchEntryLocked(const Graph& g,
                                      std::uint64_t fingerprint, bool create);
