@@ -395,6 +395,7 @@ std::vector<KvccResult> KvccEngine::RunBatch(
       try {
         Wait(id);
       } catch (...) {
+        // The caller gets the submit error, not these cancellations.
       }
     }
     throw;
