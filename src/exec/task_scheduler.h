@@ -29,7 +29,9 @@
 // wait at the end is bounded by the in-flight bodies only — helpers never
 // block and the owner never executes unrelated tasks — so ParallelFor nests
 // inside tasks (and inside other ParallelFor bodies) without deadlock even
-// on a single worker.
+// on a single worker. The same two facts let a body borrow the scratch of
+// the worker it runs on, as long as no such body starts another borrowing
+// ParallelFor (see ParallelFor).
 //
 // Latency classes: every task carries a TaskPriority. Each worker deque is
 // really one deque per class, and the pop policy is *weighted*, not strict:
@@ -153,18 +155,22 @@ class TaskScheduler {
   /// The calling thread claims indices from a shared counter; when the
   /// pool looks starved, helper stubs are submitted so idle workers claim
   /// from the same counter concurrently. `slot` identifies the executing
-  /// thread for per-slot scratch: a worker of this scheduler gets its
-  /// worker id, any other thread gets num_workers() — so slots of
-  /// concurrent participants never collide and callers size per-slot
-  /// pools to num_workers() + 1.
+  /// thread: a worker of this scheduler gets its worker id, any other
+  /// thread gets num_workers(). A body may therefore work on per-worker
+  /// scratch indexed by slot, and on the caller's own state at slot
+  /// num_workers(); GLOBAL-CUT does exactly that (kvcc/global_cut.h). A
+  /// worker's scratch is free for such a body because a worker runs helper
+  /// stubs only between its own tasks, and the caller runs nothing but
+  /// the indices of its own call until it returns. A body that works on
+  /// borrowed scratch must not start another ParallelFor that borrows
+  /// scratch: its thread would join the inner call at the same slot.
   ///
   /// Safe to call from inside a task (nested fork-join) and reentrantly
   /// from inside a ParallelFor body: the caller never blocks on a helper
   /// *starting* (it drains the index space itself) and waits only for
-  /// bodies already in flight on other threads. If one external (non-
-  /// worker) thread may call this concurrently with another, callers must
-  /// serialize those external calls themselves (they would share the
-  /// external slot).
+  /// bodies already in flight on other threads. Two external (non-worker)
+  /// threads calling at once share slot num_workers(), so bodies must not
+  /// share state by that slot across external callers.
   /// \param count Number of indices to process.
   /// \param body Called once per index with (index, slot).
   /// \param priority Latency class of the helper stubs; pass the owning

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -117,6 +119,12 @@ Graph ReadEdgeListFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("ReadEdgeListFile: cannot open " + path);
+  }
+  // A directory opens as a stream that reads nothing, which would parse as
+  // the empty graph; only a regular file (or a link to one) holds edges.
+  std::error_code status_error;
+  if (!std::filesystem::is_regular_file(path, status_error)) {
+    throw std::runtime_error("ReadEdgeListFile: not a regular file: " + path);
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();

@@ -31,8 +31,9 @@ namespace kvcc {
 /// skipped, and tokens after the second id on a line are ignored.
 Graph ReadEdgeList(std::string_view text);
 
-/// ReadEdgeList over a file's bytes. Throws std::runtime_error if the file
-/// cannot be opened or is malformed.
+/// ReadEdgeList over a file's bytes. Throws std::runtime_error naming the
+/// path if it cannot be opened or is not a regular file (a directory, for
+/// one), or if the file is malformed.
 Graph ReadEdgeListFile(const std::string& path);
 
 /// Writes `g` as an edge list (one `u v` pair per line, labels used as ids),

@@ -94,6 +94,11 @@ class ChannelSink : public ComponentSink {
 KvccEngine::KvccEngine(unsigned num_threads)
     : scratch_(exec::ResolveThreadCount(num_threads)),
       scheduler_(exec::ResolveThreadCount(num_threads)) {
+  cut_pool_.scheduler = &scheduler_;
+  cut_pool_.worker_scratch.reserve(scratch_.size());
+  for (internal::EnumScratch& worker : scratch_) {
+    cut_pool_.worker_scratch.push_back(&worker.cut_scratch);
+  }
   scheduler_.Start();
 }
 
@@ -272,7 +277,7 @@ void KvccEngine::RunTask(const std::shared_ptr<JobState>& job,
     try {
       internal::ProcessItem(std::move(item), is_root ? job->graph : nullptr,
                             job->k, job->options, scratch_[worker_id], stats,
-                            &scheduler_, &job->cancel, emit, spawn);
+                            &cut_pool_, &job->cancel, emit, spawn);
     } catch (const JobCancelled&) {
       // Cooperative unwind from inside GLOBAL-CUT; the token is already
       // latched, so every remaining task short-circuits above, and the

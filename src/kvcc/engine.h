@@ -276,7 +276,10 @@ class KvccEngine {
   // Takes job->emit_mutex itself.
   void FinishStreaming(JobState* job);
 
-  std::vector<internal::EnumScratch> scratch_;  // one per worker, unshared
+  // One per worker. A worker's tasks use its entry alone; between them,
+  // GLOBAL-CUT fork-joins of other workers borrow its cut_scratch through
+  // cut_pool_ (src/kvcc/global_cut.h says why that is safe).
+  std::vector<internal::EnumScratch> scratch_;
   std::mutex jobs_mutex_;
   // Live tickets only: a returning Wait() frees its entry (and detached
   // stream jobs never hold one past submission), so the table holds
@@ -288,6 +291,9 @@ class KvccEngine {
   std::unordered_map<JobId, std::shared_ptr<JobState>> jobs_;
   JobId next_job_id_ = 0;
   exec::TaskScheduler scheduler_;
+  // scheduler_ and each worker's scratch_[w].cut_scratch, handed to every
+  // GLOBAL-CUT the engine runs.
+  GlobalCutPool cut_pool_;
 };
 
 }  // namespace kvcc

@@ -6,11 +6,12 @@
 // The unit of work is a WorkItem (one subgraph of the recursion tree plus
 // carried side-vertex verdicts). ProcessItem runs one recursion step on one
 // item using only a per-worker EnumScratch, emitting found k-VCCs and
-// spawning partition pieces through caller-supplied sinks. The step is a
-// pure function of (item/root, k, options): the emitted components and the
-// spawned children do not depend on which worker runs it or when, which is
-// what makes any parallel interleaving's merged-and-sorted output identical
-// to the serial run's.
+// spawning partition pieces (and, when the k-core splits, its components)
+// through caller-supplied sinks. The step is a pure function of
+// (item/root, k, options): the emitted components and the spawned children
+// do not depend on which worker runs it or when, which is what makes any
+// parallel interleaving's merged-and-sorted output identical to the serial
+// run's.
 //
 // Preprocessing inside the step (Alg. 1 lines 2-3) is one staged path: a
 // serial bucket peel into pooled scratch (graph/k_core.h), the k-core as
@@ -52,11 +53,13 @@ struct WorkItem {
   std::vector<SideVertexHint> hints;
 };
 
-/// Per-worker mutable scratch. Workers never share an EnumScratch, so the
-/// hot path runs without atomics or locks, and a long-lived engine keeps
-/// the LOC-CUT flow probes (FlowProbe), certificate, sweep buffers, and the
-/// peel scratch warm across every job it serves. A default-constructed
-/// scratch is always valid.
+/// Per-worker mutable scratch. A worker's tasks alone use its EnumScratch,
+/// so the hot path runs without atomics or locks, and a long-lived engine
+/// keeps the LOC-CUT flow probe (FlowProbe), certificate, sweep buffers,
+/// and the peel scratch warm across every job it serves. Between its
+/// tasks, GLOBAL-CUT fork-joins of other workers borrow its cut_scratch's
+/// probe and pair table (kvcc/global_cut.h). A default-constructed scratch
+/// is always valid.
 struct EnumScratch {
   GlobalCutScratch cut_scratch;
   // NeighborsOfSet working set.
@@ -94,22 +97,26 @@ inline const std::vector<bool>& NeighborsOfSet(
 /// Runs one step of the Algorithm-1 recursion (k-core peel -> components ->
 /// GLOBAL-CUT -> overlapped partition) on one work item. Found k-VCCs are
 /// passed to `emit` as sorted id lists; partition pieces are handed to
-/// `spawn` as child items; counters accumulate into `stats`. `root` is
-/// non-null only for the initial item: the step then reads the caller's
-/// graph in place (no identity-label copy) and derived subgraphs seed their
-/// label chain at the root via subset labeling. `scheduler` (may be null:
-/// fully serial) is handed down into GLOBAL-CUT so a single hard subproblem
-/// can fan out to idle workers — the missing parallelism level when the
-/// recursion tree is too shallow to feed the pool on its own. `cancel` (may
-/// be null: uncancellable) is handed down too; GLOBAL-CUT polls it at its
-/// probe and wavefront boundaries and unwinds this step by throwing
-/// JobCancelled — the driver is responsible for the whole-item boundary
-/// check *before* calling in, and for catching JobCancelled and reporting
-/// the outcome with the job's partial stats attached.
+/// `spawn` as child items; counters accumulate into `stats`. When the
+/// k-core splits into two or more components of more than k vertices, each
+/// of them is handed to `spawn` as its own item (whose step finds it a
+/// k-core of one component) instead of being cut here one after another,
+/// so a pool cuts them side by side. `root` is non-null only for the
+/// initial item: the step then reads the caller's graph in place (no
+/// identity-label copy) and derived subgraphs seed their label chain at
+/// the root via subset labeling. `pool` (may be null: fully serial) is
+/// handed down into GLOBAL-CUT so a single hard subproblem can fan its
+/// set-up and probes out to idle workers — the missing parallelism level
+/// when the recursion tree is too shallow to feed the pool on its own.
+/// `cancel` (may be null: uncancellable) is handed down too; GLOBAL-CUT
+/// polls it at its probe and wavefront boundaries and unwinds this step by
+/// throwing JobCancelled — the driver is responsible for the whole-item
+/// boundary check *before* calling in, and for catching JobCancelled and
+/// reporting the outcome with the job's partial stats attached.
 template <typename Emit, typename Spawn>
 void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
                  const KvccOptions& options, EnumScratch& scratch,
-                 KvccStats& stats, exec::TaskScheduler* scheduler,
+                 KvccStats& stats, const GlobalCutPool* pool,
                  const CancelToken* cancel, Emit&& emit, Spawn&& spawn) {
   const bool as_root = root != nullptr;
   const Graph* cur = as_root ? root : &item.graph;
@@ -162,8 +169,7 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
   const auto run_cut = [&](const Graph& sub, bool sub_is_root,
                            const std::vector<SideVertexHint>& sub_hints) {
     GlobalCutResult found = GlobalCut(sub, k, sub_hints, options, &stats,
-                                      &scratch.cut_scratch, scheduler,
-                                      cancel);
+                                      &scratch.cut_scratch, pool, cancel);
     if (found.cut.empty()) {
       // sub is k-vertex-connected and maximal within this branch: k-VCC.
       std::vector<VertexId> ids;
@@ -182,7 +188,8 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
     // With neighbor sweep, the strong-side verdicts live in the cut scratch
     // (GlobalCut documents this); they stay valid until the next GlobalCut
     // call, and every use below happens before this call returns.
-    const std::vector<bool>& strong_side = scratch.cut_scratch.side.strong;
+    const std::vector<std::uint8_t>& strong_side =
+        scratch.cut_scratch.side.strong;
     const std::vector<bool>* cut_touched = nullptr;
     if (options.neighbor_sweep) {
       cut_touched = &NeighborsOfSet(sub, found.cut, scratch);
@@ -194,7 +201,7 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
         child_hints.resize(piece.graph.NumVertices());
         for (VertexId i = 0; i < piece.graph.NumVertices(); ++i) {
           const VertexId sub_v = piece.vertices[i];
-          if (!strong_side[sub_v]) {
+          if (strong_side[sub_v] == 0) {
             child_hints[i] = SideVertexHint::kNotStrong;  // Lemma 15.
           } else if ((*cut_touched)[sub_v]) {
             child_hints[i] = SideVertexHint::kRecheck;
@@ -228,6 +235,14 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
   const std::vector<std::vector<VertexId>> components =
       ConnectedComponents(*core);
   const bool single_component = components.size() == 1;
+  // Two or more components that can hold a k-VCC become items of their
+  // own; their steps repeat only the peel and the split, which find
+  // nothing to remove (each component of a k-core is a k-core).
+  const bool fan_out =
+      std::count_if(components.begin(), components.end(),
+                    [k](const std::vector<VertexId>& comp) {
+                      return comp.size() > k;
+                    }) >= 2;
   for (const std::vector<VertexId>& comp : components) {
     if (comp.size() <= k) continue;  // Cannot contain a k-VCC (Def. 2).
 
@@ -254,7 +269,11 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
     std::vector<SideVertexHint> sub_hints;
     build_hints([&](VertexId i) { return survivors[comp[i]]; },
                 sub->NumVertices(), sub_hints);
-    run_cut(*sub, sub_as_root, sub_hints);
+    if (fan_out) {
+      spawn(WorkItem{std::move(sub_owned), std::move(sub_hints)});
+    } else {
+      run_cut(*sub, sub_as_root, sub_hints);
+    }
   }
 }
 

@@ -151,6 +151,81 @@ constexpr std::uint32_t kBatchInit = 4;
 constexpr std::uint32_t kBatchMin = 4;
 constexpr std::uint32_t kBatchMax = 256;
 
+// The set-up fork-join (certificate beside side-vertex ranges) engages on a
+// multi-worker pool, with neighbor sweep, for working graphs of at least
+// kSetUpForkMinVertices vertices; each side-vertex range holds
+// kSideVertexRange vertices. Below the floor the fork-join costs more than
+// it spreads: with the floor at 128, kvccd_mixed's write median read higher
+// in 5 of 6 alternating pairs (4 vCPUs).
+constexpr VertexId kSetUpForkMinVertices = 512;
+constexpr VertexId kSideVertexRange = 32;
+
+/// The scratch a fork-join participant works on: its worker's, or the
+/// caller's own when it runs outside the pool (ParallelFor's external
+/// slot). See the file comment of global_cut.h for why borrowing a
+/// worker's scratch is safe.
+GlobalCutScratch& ParticipantScratch(const GlobalCutPool& pool, unsigned slot,
+                                     GlobalCutScratch& caller) {
+  return slot < pool.worker_scratch.size() ? *pool.worker_scratch[slot]
+                                           : caller;
+}
+
+/// Alg. 3 lines 1-3 as one fork-join on the pool: index 0 builds the sparse
+/// certificate into `scratch` (when `use_certificate`), and every further
+/// index checks one kSideVertexRange-vertex range of the strong side-vertex
+/// pass, writing its verdict bytes into scratch.side.strong and its counts
+/// into its own entry of scratch.side_range_counts. Returns the counts
+/// summed in range order, so they repeat a serial pass's exactly.
+///
+/// A range runs on the pair-verdict table of its participant's scratch,
+/// under this pass's stamp. No index starts a fork-join of its own: that
+/// would let this thread borrow the scratch one of its indices is using.
+SideVertexCounts ForkSetUp(const Graph& g, std::uint32_t k,
+                           const std::vector<SideVertexHint>& hints,
+                           bool use_certificate, exec::TaskPriority priority,
+                           const GlobalCutPool& pool,
+                           GlobalCutScratch& scratch) {
+  const VertexId n = g.NumVertices();
+  scratch.side.strong.resize(n);
+  const std::size_t ranges = (n + kSideVertexRange - 1) / kSideVertexRange;
+  scratch.side_range_counts.resize(ranges);
+  const std::size_t first_range = use_certificate ? 1 : 0;
+  const std::uint64_t pass = NewSideVertexPass();
+  // The body copies pointers, not references into this frame: ParallelFor
+  // keeps its own copy on the heap, which helpers read while this thread
+  // works through its share.
+  const Graph* const graph = &g;
+  const std::vector<SideVertexHint>* const hint_list = &hints;
+  const GlobalCutPool* const cut_pool = &pool;
+  GlobalCutScratch* const caller = &scratch;
+  pool.scheduler->ParallelFor(
+      first_range + ranges,
+      [graph, k, hint_list, n, first_range, pass, cut_pool, caller](
+          std::size_t index, unsigned slot) {
+        if (index < first_range) {
+          BuildSparseCertificate(*graph, k, caller->cert,
+                                 caller->cert_scratch);
+          return;
+        }
+        const std::size_t range = index - first_range;
+        const auto begin = static_cast<VertexId>(range * kSideVertexRange);
+        const VertexId end = std::min<VertexId>(n, begin + kSideVertexRange);
+        SideVertexScratch& memo =
+            ParticipantScratch(*cut_pool, slot, *caller).side;
+        caller->side_range_counts[range] = CheckStrongSideVertexRange(
+            *graph, k, *hint_list, KvccOptions::side_vertex_degree_cap, begin,
+            end, pass, memo, caller->side.strong.data());
+      },
+      priority);
+  SideVertexCounts total;
+  for (const SideVertexCounts& counts : scratch.side_range_counts) {
+    total.checks_run += counts.checks_run;
+    total.reused += counts.reused;
+    total.strong_count += counts.strong_count;
+  }
+  return total;
+}
+
 }  // namespace
 
 namespace detail {
@@ -194,7 +269,7 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
                           const std::vector<SideVertexHint>& hints,
                           const KvccOptions& options, KvccStats* stats,
                           GlobalCutScratch* scratch,
-                          exec::TaskScheduler* scheduler,
+                          const GlobalCutPool* pool,
                           const CancelToken* cancel, bool use_certificate) {
   GlobalCutScratch transient;
   if (scratch == nullptr) scratch = &transient;
@@ -221,12 +296,34 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
 
   GlobalCutResult result;
 
-  // --- sparse certificate (Alg. 2/3 line 1) ---
-  // Rebuilt into the scratch's reused storage: on the steady-state path
-  // the certificate construction touches no allocator.
+  // --- set-up: sparse certificate (Alg. 2/3 line 1) and strong
+  // side-vertices (Alg. 3 line 3) ---
+  // Both land in the scratch's reused storage: on the steady-state path
+  // neither touches the allocator, and the verdicts stay readable in
+  // scratch->side.strong until the scratch's next GlobalCut call. Neighbor
+  // sweep also takes the carried verdicts (Lemmas 15/16).
+  const bool multi_worker =
+      pool != nullptr && pool->scheduler->num_workers() > 1;
   SparseCertificate& sc = scratch->cert;
+  SideVertexCounts side_counts;
+  if (options.neighbor_sweep && multi_worker && n >= kSetUpForkMinVertices) {
+    side_counts = ForkSetUp(g, k, hints, use_certificate,
+                            ToTaskPriority(options.priority), *pool, *scratch);
+  } else {
+    if (use_certificate) {
+      BuildSparseCertificate(g, k, sc, scratch->cert_scratch);
+    }
+    if (options.neighbor_sweep) {
+      side_counts = ComputeStrongSideVerticesInto(
+          g, k, hints, KvccOptions::side_vertex_degree_cap, scratch->side);
+    } else {
+      scratch->side.strong.assign(n, 0);
+    }
+  }
+  stats->strong_side_vertices_found += side_counts.strong_count;
+  stats->strong_side_checks_run += side_counts.checks_run;
+  stats->strong_side_verdicts_reused += side_counts.reused;
   if (use_certificate) {
-    BuildSparseCertificate(g, k, sc, scratch->cert_scratch);
     stats->certificate_edges_input += g.NumEdges();
     stats->certificate_edges_kept += sc.certificate.NumEdges();
     stats->side_groups_found += sc.groups.size();
@@ -237,34 +334,20 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   static const std::vector<std::uint32_t> kNoGroupOf;
   const auto& groups = group_sweep ? sc.groups : kNoGroups;
   const auto& group_of = group_sweep ? sc.group_of : kNoGroupOf;
-
-  // --- strong side-vertices (Alg. 3 line 3) ---
-  // Verdicts land in the scratch's reused buffer (no per-call O(n) copy);
-  // they stay readable there until the scratch's next GlobalCut call.
-  // Neighbor sweep also takes the carried verdicts (Lemmas 15/16).
-  if (options.neighbor_sweep) {
-    const SideVertexCounts side_counts = ComputeStrongSideVerticesInto(
-        g, k, hints, KvccOptions::side_vertex_degree_cap, scratch->side);
-    stats->strong_side_vertices_found += side_counts.strong_count;
-    stats->strong_side_checks_run += side_counts.checks_run;
-    stats->strong_side_verdicts_reused += side_counts.reused;
-  } else {
-    scratch->side.strong.assign(n, false);
-  }
-  const std::vector<bool>& strong = scratch->side.strong;
+  const std::vector<std::uint8_t>& strong = scratch->side.strong;
 
   // --- source selection (Alg. 3 lines 4-7) ---
   VertexId source = kInvalidVertex;
   if (options.neighbor_sweep) {
     for (VertexId v = 0; v < n; ++v) {
-      if (strong[v]) {
+      if (strong[v] != 0) {
         source = v;
         break;
       }
     }
   }
   if (source == kInvalidVertex) source = test_graph.MinDegreeVertex();
-  const bool source_is_strong = options.neighbor_sweep && strong[source];
+  const bool source_is_strong = options.neighbor_sweep && strong[source] != 0;
 
   // Epoch rebind: O(1) reset of the sweep arrays, no reallocation.
   SweepContext& sweep = scratch->sweep;
@@ -281,8 +364,8 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
       // reuses the scratch's probe/sweep/order/wavefront state; none of it
       // is used here afterwards.
       ++stats->certificate_cut_fallbacks;
-      return GlobalCut(g, k, hints, options, stats, scratch, scheduler,
-                       cancel, /*use_certificate=*/false);
+      return GlobalCut(g, k, hints, options, stats, scratch, pool, cancel,
+                       /*use_certificate=*/false);
     }
     result.cut = std::move(cut);  // Ascending, as LocCut returns it.
     return result;
@@ -310,13 +393,12 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   // spot, exactly as a serial search would, and then only classifies until
   // the wave holds `batch` probes. The probes run inline on the scratch's
   // probe when wavefronts are off (a wave holds one probe), or else
-  // concurrently on the pool. The commit replays the wave in order
-  // against the live sweep state, so the cut and every replay-identical
-  // counter match a serial search; only what follows a launched probe is
-  // speculative, and that speculation is booked as probe waste.
-  const bool wavefronts = scheduler != nullptr &&
-                          scheduler->num_workers() > 1 &&
-                          n >= kWavefrontMinVertices;
+  // concurrently on the pool, each on its participant's probe. The commit
+  // replays the wave in order against the live sweep state, so the cut and
+  // every replay-identical counter match a serial search; only what
+  // follows a launched probe is speculative, and that speculation is
+  // booked as probe waste.
+  const bool wavefronts = multi_worker && n >= kWavefrontMinVertices;
   std::uint32_t batch = wavefronts ? kBatchInit : 1;
   auto adapt = [&](std::uint32_t launched, std::uint32_t wasted) {
     if (!wavefronts || launched == 0) return;
@@ -338,12 +420,13 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
 
   // Runs the wave's probe list and returns how many *flow* probes ran (a
   // phase-2 pair whose Lemma-13 test settles it runs none). On the pool,
-  // each executor slot owns one probe, and every probe reads the same
-  // immutable test graph; a probe writes only its own slot's state and its
-  // own wave_cuts / wave_common_skip / wave_edges entries, and the commit
-  // reads them only after ParallelFor returned, so probes race with
-  // nothing. The sweep state is snapshot-immutable during the wave:
-  // formation read it serially, and commits mutate it serially afterwards.
+  // each participant probes on its own scratch's FlowProbe (see
+  // ParticipantScratch), and every probe reads the same immutable test
+  // graph; a probe writes only its probe's state and its own wave_cuts /
+  // wave_common_skip / wave_edges entries, and the commit reads them only
+  // after ParallelFor returned, so probes race with nothing. The sweep
+  // state is snapshot-immutable during the wave: formation read it
+  // serially, and commits mutate it serially afterwards.
   auto run_probes = [&]() -> std::uint32_t {
     const std::uint32_t launched = static_cast<std::uint32_t>(args.size());
     auto& cuts = scratch->wave_cuts;
@@ -373,10 +456,6 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
         probe_one(i, scratch->probe);
       }
     } else if (launched > 0) {
-      auto& pool = scratch->probe_pool;
-      while (pool.size() < scheduler->num_workers() + 1) {
-        pool.push_back(std::make_unique<FlowProbe>());
-      }
       ++stats->probe_wavefronts;
       // Helper stubs carry the owning job's latency class, so an
       // interactive job's wavefront competes for idle workers at its own
@@ -385,11 +464,13 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
       // std::function stores on the heap, so helpers do not read it from
       // this thread's stack while this thread drains its own share there.
       // A body that referenced probe_one read slower per op on
-      // paper_sweep_t4 in six of six alternating runs (4 vCPUs).
-      scheduler->ParallelFor(
+      // paper_sweep_t4 in six of six alternating runs (4 vCPUs). A probe
+      // starts no fork-join (see ForkSetUp).
+      GlobalCutScratch* const caller = scratch;
+      pool->scheduler->ParallelFor(
           launched,
-          [probe_one, &pool](std::size_t i, unsigned slot) {
-            probe_one(i, *pool[slot]);
+          [probe_one, pool, caller](std::size_t i, unsigned slot) {
+            probe_one(i, ParticipantScratch(*pool, slot, *caller).probe);
           },
           ToTaskPriority(options.priority));
     }

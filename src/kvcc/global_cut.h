@@ -11,24 +11,44 @@
 // Every probe is FlowProbe::LocCut (Dinic on the implicit vertex-split
 // flow graph, run on the working graph's CSR; flow_graph.h).
 //
+// Set-up (Alg. 3 lines 1-3) builds the certificate and runs the strong
+// side-vertex pass. On a multi-worker pool, with neighbor sweep and a
+// working graph of at least 512 vertices, both run as one fork-join: one
+// index builds the certificate while the others check 32-vertex ranges of
+// the side-vertex pass, so the set-up every probe waits for does not hold
+// one worker while the rest idle. Otherwise both run inline.
+//
 // One search loop serves serial and parallel runs: each phase walks its
 // candidates in serial order as a run of *waves* (form, probe, commit).
-// Without wavefronts (no scheduler, one worker, or a working graph of fewer
+// Without wavefronts (no pool, one worker, or a working graph of fewer
 // than 128 vertices) a wave holds one probe, run inline. With them, a wave
-// holds the next batch of probes, which run concurrently on the pool (each
-// participant on its own FlowProbe, all reading the one immutable test
-// graph), and is then committed serially in the order a serial search
-// uses. The phase-2 common-neighbor test (Lemma 13, a pure function) runs
-// with the wave's probes, so hub-heavy pair formation does not serialize
-// on it. Sweeps, all replay-identical stats, and the returned cut are
-// byte-identical for every thread count; speculative probes a serial
-// search would have skipped are bounded by an adaptive batch size and
-// surfaced in KvccStats::probes_wasted_*, which a serial run keeps at 0.
+// holds the next batch of probes, which run concurrently on the pool (all
+// reading the one immutable test graph), and is then committed serially
+// in the order a serial search uses. The phase-2 common-neighbor test
+// (Lemma 13, a pure function) runs with the wave's probes, so hub-heavy
+// pair formation does not serialize on it. Sweeps, all replay-identical
+// stats, and the returned cut are byte-identical for every thread count;
+// speculative probes a serial search would have skipped are bounded by an
+// adaptive batch size and surfaced in KvccStats::probes_wasted_*, which a
+// serial run keeps at 0.
+//
+// Whose scratch a fork-join participant uses: a participant running on
+// pool worker w works on that worker's GlobalCutScratch (its FlowProbe for
+// a wave's probes, its pair-verdict table for a side-vertex range), and
+// one running on the calling thread outside the pool works on the scratch
+// the caller passed. Results go to the calling scratch only, each index to
+// its own entries; the certificate index also builds on the calling
+// scratch's certificate buffers, which no other index touches. Two facts
+// make the borrowing safe: a worker runs a fork-join helper only between
+// its own tasks, never inside one, so its scratch is idle then; and the
+// thread that called ParallelFor runs none but its own indices until the
+// fork-join returns. No fork-join body may start another fork-join that
+// borrows scratch: its caller would borrow the scratch its own body is
+// still using.
 #ifndef KVCC_KVCC_GLOBAL_CUT_H_
 #define KVCC_KVCC_GLOBAL_CUT_H_
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -62,7 +82,7 @@ struct ProbeCandidate {
 };
 
 /// Reusable per-caller state for GlobalCut. The enumeration engine keeps one
-/// instance per worker thread so that the flow probes' per-vertex state, the
+/// instance per worker thread so that the flow probe's per-vertex state, the
 /// sparse certificate (storage and working buffers), the side-vertex
 /// detection working set, the sweep context, and the hot-path BFS/mark
 /// buffers are all recycled across the O(n) GLOBAL-CUT invocations of a run
@@ -73,20 +93,32 @@ struct ProbeCandidate {
 /// reusable) between calls — with one documented exception: `side.strong`
 /// holds the last call's strong side-vertex verdicts until the next call
 /// (see GlobalCutResult).
+///
+/// Between its worker's tasks, the scratch is lent to the fork-joins other
+/// workers' GLOBAL-CUT calls run (see the file comment): `probe` serves
+/// their wave probes and `side`'s pair table their side-vertex ranges. No
+/// other field is lent.
 struct GlobalCutScratch {
-  /// The LOC-CUT probe of waves run inline (no wavefronts); its
+  /// The LOC-CUT probe of this scratch's caller — every probe of a wave run
+  /// inline, and the caller's share of a wave run on the pool — and of the
+  /// fork-join participants its worker runs for other calls. Its
   /// epoch-stamped state grows only.
   FlowProbe probe;
 
   /// Sparse-certificate output storage plus the scan's buffers (bucket
   /// queue, scan order and positions, F_k roots); rebuilt in place per
-  /// invocation when the certificate is enabled.
+  /// invocation when the certificate is enabled. A set-up fork-join builds
+  /// it in the calling scratch on whichever participant takes that index.
   SparseCertificate cert;
   CertificateScratch cert_scratch;
 
-  /// Strong side-vertex detection working set (verdict vector + memoized
-  /// pair-check table); epoch-invalidated per invocation.
+  /// Strong side-vertex detection working set: the call's verdict bytes
+  /// (which a set-up fork-join's ranges write, each its own vertices) and
+  /// the memoized pair-check table (stamped per detection pass).
   SideVertexScratch side;
+  /// Per-call counts of a set-up fork-join's side-vertex ranges, one entry
+  /// per range, summed in range order.
+  std::vector<SideVertexCounts> side_range_counts;
 
   /// Sweep bookkeeping; epoch-rebound per invocation (O(1) reset).
   SweepContext sweep;
@@ -107,10 +139,6 @@ struct GlobalCutScratch {
   std::vector<VertexId> order;
 
   // --- wave state ---
-  /// One probe per executor slot (scheduler workers + 1 external slot),
-  /// each reading the shared test graph. Grown once per scratch lifetime,
-  /// and only by waves run on the pool.
-  std::vector<std::unique_ptr<FlowProbe>> probe_pool;
   /// Current wave: candidates in serial order, probe argument list
   /// (indexed by ProbeCandidate::probe_index), and per launched probe one
   /// Lemma-13 flag (input: test common neighbors before the flow), one cut
@@ -124,6 +152,18 @@ struct GlobalCutScratch {
   std::vector<std::uint64_t> wave_edges;
 };
 
+/// The pool a GLOBAL-CUT may fork onto: a scheduler and the scratch of each
+/// of its workers, which the call borrows for the participants running on
+/// them (see the file comment). The owner of the workers' scratch — the
+/// enumeration engine — builds one and hands it to every call. An external
+/// caller's own scratch must not be one of the workers'.
+struct GlobalCutPool {
+  /// The scheduler the fork-joins run on (non-null).
+  exec::TaskScheduler* scheduler = nullptr;
+  /// worker_scratch[w] is worker w's scratch; one entry per worker.
+  std::vector<GlobalCutScratch*> worker_scratch;
+};
+
 struct GlobalCutResult {
   /// A vertex cut of g with fewer than k vertices; empty iff g is
   /// k-vertex-connected.
@@ -135,9 +175,12 @@ struct GlobalCutResult {
 /// (checked in every build mode, not assert-only). `hints` is either empty
 /// or one entry per vertex of g. `scratch` may be nullptr (a transient
 /// scratch is used); pass a live one to amortize allocations across
-/// repeated calls. `scheduler` may be nullptr (fully serial search); with a
-/// multi-worker scheduler and at least 128 vertices in g, flow probes run
-/// as parallel wavefronts (see file comment) with identical output.
+/// repeated calls. `pool` may be nullptr (fully serial search); with a
+/// multi-worker pool, a working graph of at least 512 vertices forks its
+/// set-up onto it (with neighbor sweep), and one of at least 128 runs its
+/// flow probes as parallel wavefronts (see file comment), with identical
+/// output. Never call it from inside one of its own fork-join bodies (see
+/// the file comment).
 /// `cancel` may be nullptr (uncancellable); with a token, the search polls
 /// it at entry and at every wave's formation, and unwinds by throwing
 /// JobCancelled (with empty stats — the driver attaches the job's
@@ -147,7 +190,7 @@ struct GlobalCutResult {
 /// space.
 ///
 /// With options.neighbor_sweep the call computes strong side-vertex
-/// verdicts into `scratch->side.strong`, one flag per vertex of g, valid
+/// verdicts into `scratch->side.strong`, one byte per vertex of g, valid
 /// until the scratch's next GlobalCut call, so the steady-state search
 /// does not copy an O(n) vector per invocation. Callers that want the
 /// verdicts (Lemma 15/16 maintenance) must pass their own scratch.
@@ -161,7 +204,7 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
                           const std::vector<SideVertexHint>& hints,
                           const KvccOptions& options, KvccStats* stats,
                           GlobalCutScratch* scratch = nullptr,
-                          exec::TaskScheduler* scheduler = nullptr,
+                          const GlobalCutPool* pool = nullptr,
                           const CancelToken* cancel = nullptr,
                           bool use_certificate = true);
 

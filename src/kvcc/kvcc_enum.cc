@@ -46,7 +46,7 @@ KvccResult RunSerial(const Graph& g, std::uint32_t k,
   };
   try {
     internal::ProcessItem(internal::WorkItem{}, &g, k, options, scratch,
-                          result.stats, /*scheduler=*/nullptr, cancel, emit,
+                          result.stats, /*pool=*/nullptr, cancel, emit,
                           spawn);
     while (!stack.empty()) {
       // Task-boundary check: the remaining stack is never processed.
@@ -56,7 +56,7 @@ KvccResult RunSerial(const Graph& g, std::uint32_t k,
       internal::WorkItem item = std::move(stack.back());
       stack.pop_back();
       internal::ProcessItem(std::move(item), nullptr, k, options, scratch,
-                            result.stats, /*scheduler=*/nullptr, cancel, emit,
+                            result.stats, /*pool=*/nullptr, cancel, emit,
                             spawn);
     }
   } catch (const JobCancelled& cancelled) {

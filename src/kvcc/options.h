@@ -13,9 +13,13 @@
 //             pairs that share k common neighbors (Lemma 13)
 // Every variant runs its flow tests on the sparse certificate.
 //
-// Intra-cut wavefronts have no knob: they engage whenever a multi-worker
-// pool runs a GLOBAL-CUT on a working graph of 128 or more vertices, and
-// never change results (src/kvcc/global_cut.h).
+// Intra-cut parallelism has no knob: whenever a multi-worker pool runs a
+// GLOBAL-CUT, its probes run as wavefronts on a working graph of 128 or
+// more vertices, and with neighbor sweep its set-up (the certificate
+// beside 32-vertex side-vertex ranges) forks on one of 512 or more. Each
+// participant works on the scratch of the worker it runs on, and no
+// fork-join body starts another. Neither changes results
+// (src/kvcc/global_cut.h).
 #ifndef KVCC_KVCC_OPTIONS_H_
 #define KVCC_KVCC_OPTIONS_H_
 

@@ -1,9 +1,14 @@
 #include "kvcc/side_vertex.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace kvcc {
 namespace {
+
+/// Source of NewSideVertexPass's stamps. Stamps start at 1, so a fresh
+/// scratch's pair_pass of 0 matches no pass.
+std::atomic<std::uint64_t> next_side_vertex_pass{1};
 
 /// SplitMix64 finalizer: spreads packed (min, max) vertex pairs across the
 /// table (consecutive ids would otherwise cluster in one probe run).
@@ -39,13 +44,19 @@ const VertexId* AdvanceTo(const VertexId* at, const VertexId* end,
 /// pair (v, v') appears in N(u) for every common neighbor u, so caching the
 /// verdict turns Theta(d^2 * common) repeated work into a probe-and-read —
 /// without the per-node allocations an unordered_map would pay on every
-/// insert.
+/// insert. The table keeps the verdicts of one detection pass: the ranges
+/// of that pass it serves share them, and the first range of any other
+/// pass invalidates them in O(1).
 class PairVerdictCache {
  public:
-  PairVerdictCache(const Graph& g, std::uint32_t k, SideVertexScratch& scratch)
+  PairVerdictCache(const Graph& g, std::uint32_t k, std::uint64_t pass,
+                   SideVertexScratch& scratch)
       : graph_(g), k_(k), scratch_(scratch) {
-    ++scratch_.pair_epoch;  // O(1) invalidation of all cached verdicts.
-    scratch_.pair_live = 0;
+    if (scratch_.pair_pass != pass) {
+      ++scratch_.pair_epoch;  // O(1) invalidation of all cached verdicts.
+      scratch_.pair_live = 0;
+      scratch_.pair_pass = pass;
+    }
     if (scratch_.pair_slots.empty()) scratch_.pair_slots.resize(kMinSlots);
   }
 
@@ -118,34 +129,24 @@ bool CommonNeighborsAtLeast(const Graph& g, VertexId a, VertexId b,
   return false;
 }
 
-bool IsStrongSideVertex(const Graph& g, VertexId u, std::uint32_t k) {
-  const auto nbrs = g.Neighbors(u);
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-      const VertexId v = nbrs[i];
-      const VertexId w = nbrs[j];
-      if (g.HasEdge(v, w)) continue;
-      if (CommonNeighborsAtLeast(g, v, w, k)) continue;
-      return false;
-    }
-  }
-  return true;
+std::uint64_t NewSideVertexPass() {
+  return next_side_vertex_pass.fetch_add(1, std::memory_order_relaxed);
 }
 
 // kvcc-lint: no-alloc — warm path under tests/memory_tracker_test.cc's
-// WarmGlobalCutAllocatesNothing: the strong mask and the pair table are
-// grow-only scratch; the memoized pair checks recycle slots by epoch.
-SideVertexCounts ComputeStrongSideVerticesInto(
+// WarmGlobalCutAllocatesNothing: the pair table is grow-only scratch and
+// the memoized pair checks recycle slots by epoch.
+SideVertexCounts CheckStrongSideVertexRange(
     const Graph& g, std::uint32_t k, const std::vector<SideVertexHint>& hints,
-    std::uint32_t degree_cap, SideVertexScratch& scratch) {
-  const VertexId n = g.NumVertices();
+    std::uint32_t degree_cap, VertexId begin, VertexId end,
+    std::uint64_t pass, SideVertexScratch& memo, std::uint8_t* strong) {
   SideVertexCounts out;
-  scratch.strong.assign(n, false);  // kvcc-lint: reserved
-  PairVerdictCache pairs(g, k, scratch);
-  for (VertexId u = 0; u < n; ++u) {
+  PairVerdictCache pairs(g, k, pass, memo);
+  for (VertexId u = begin; u < end; ++u) {
+    strong[u] = 0;
     if (!hints.empty()) {
       if (hints[u] == SideVertexHint::kStrong) {
-        scratch.strong[u] = true;
+        strong[u] = 1;
         ++out.reused;
         ++out.strong_count;
         continue;
@@ -158,28 +159,40 @@ SideVertexCounts ComputeStrongSideVerticesInto(
     if (degree_cap != 0 && g.Degree(u) > degree_cap) continue;
     ++out.checks_run;
     const auto nbrs = g.Neighbors(u);
-    bool strong = true;
-    for (std::size_t i = 0; i + 1 < nbrs.size() && strong; ++i) {
+    bool is_strong = true;
+    for (std::size_t i = 0; i + 1 < nbrs.size() && is_strong; ++i) {
       // One forward cursor over nbrs[i]'s row meets every later neighbor
       // nbrs[i] is adjacent to; only the pairs it misses go to the table.
       const auto row = g.Neighbors(nbrs[i]);
-      const VertexId* const end = row.data() + row.size();
+      const VertexId* const row_end = row.data() + row.size();
       const VertexId* at = row.data();
       for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-        at = AdvanceTo(at, end, nbrs[j]);
-        if (at != end && *at == nbrs[j]) continue;
+        at = AdvanceTo(at, row_end, nbrs[j]);
+        if (at != row_end && *at == nbrs[j]) continue;
         if (!pairs.PairIsGood(nbrs[i], nbrs[j])) {
-          strong = false;
+          is_strong = false;
           break;
         }
       }
     }
-    if (strong) {
-      scratch.strong[u] = true;
+    if (is_strong) {
+      strong[u] = 1;
       ++out.strong_count;
     }
   }
   return out;
+}
+
+// kvcc-lint: no-alloc — warm path under tests/memory_tracker_test.cc's
+// WarmGlobalCutAllocatesNothing: the verdict bytes only grow.
+SideVertexCounts ComputeStrongSideVerticesInto(
+    const Graph& g, std::uint32_t k, const std::vector<SideVertexHint>& hints,
+    std::uint32_t degree_cap, SideVertexScratch& scratch) {
+  const VertexId n = g.NumVertices();
+  scratch.strong.resize(n);  // kvcc-lint: reserved
+  return CheckStrongSideVertexRange(g, k, hints, degree_cap, 0, n,
+                                    NewSideVertexPass(), scratch,
+                                    scratch.strong.data());
 }
 
 std::vector<bool> TwoHopBall(const Graph& g,

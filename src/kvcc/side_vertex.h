@@ -52,14 +52,20 @@ struct SideVertexCounts {
 /// table, and a short N(u) crossing a hub's long row costs O(log) per
 /// pair.
 struct SideVertexScratch {
-  /// Verdicts of the most recent ComputeStrongSideVerticesInto call
-  /// (size n of that call's graph). Stable until the next call.
-  std::vector<bool> strong;
+  /// Verdicts of the most recent ComputeStrongSideVerticesInto call, one
+  /// byte per vertex of that call's graph (1 = strong). Stable until the
+  /// next call. Bytes, not bits: the ranges of one pass may be written by
+  /// different threads, and neighbouring bits of a vector<bool> share a
+  /// word.
+  std::vector<std::uint8_t> strong;
 
   // Open-addressing pair-verdict cache (Theorem-8 memoization). Slots are
-  // epoch-stamped so a new detection pass invalidates the table in O(1);
-  // growth reallocates and simply drops the cached verdicts (they are
-  // deterministic, so re-deriving them cannot change any result).
+  // epoch-stamped so invalidating the table costs O(1); growth reallocates
+  // and simply drops the cached verdicts (they are deterministic, so
+  // re-deriving them cannot change any result). `pair_pass` is the
+  // detection pass whose verdicts the live slots hold: a range of another
+  // pass bumps the epoch first, so a table lent to the ranges of several
+  // passes never serves one pass's verdict to another.
   struct PairSlot {
     std::uint64_t key = 0;
     std::uint64_t epoch = 0;
@@ -67,11 +73,33 @@ struct SideVertexScratch {
   };
   std::vector<PairSlot> pair_slots;
   std::uint64_t pair_epoch = 0;
+  std::uint64_t pair_pass = 0;
   std::size_t pair_live = 0;
 };
 
-/// Computes the strong side-vertex set of g into scratch.strong (grown,
-/// never shrunk; one flag per vertex of g). `hints` may be empty (check
+/// A stamp for one detection pass that no other pass of the process
+/// holds: a 64-bit counter, so it never repeats within a run (an address
+/// would, once a pass's frame is reused). Never 0.
+std::uint64_t NewSideVertexPass();
+
+/// The Theorem-8 loop behind every detection pass: writes the verdict of
+/// each vertex u in [begin, end) of g to strong[u] (1 = strong, 0 = not)
+/// and returns the range's counts. A pass may check its vertices as one
+/// range or as several disjoint ranges, on any threads; the verdicts and
+/// the counts summed over the ranges are the same either way. `hints` and
+/// `degree_cap` are as for ComputeStrongSideVerticesInto. `memo` lends its
+/// pair table: it serves verdicts memoized under the same `pass` only
+/// (see SideVertexScratch), so every range of one pass must share one
+/// stamp from NewSideVertexPass(), and a memo may serve one range at a
+/// time. `memo.strong` is not touched.
+SideVertexCounts CheckStrongSideVertexRange(
+    const Graph& g, std::uint32_t k, const std::vector<SideVertexHint>& hints,
+    std::uint32_t degree_cap, VertexId begin, VertexId end,
+    std::uint64_t pass, SideVertexScratch& memo, std::uint8_t* strong);
+
+/// Computes the strong side-vertex set of g into scratch.strong (resized
+/// to one byte per vertex of g; capacity only grows): one range over all
+/// of g, under a fresh pass stamp. `hints` may be empty (check
 /// everything) or size n. Vertices with degree above `degree_cap` (if
 /// nonzero) are reported not strong without checking. The Theorem-8 pair
 /// checks are memoized in the scratch's flat table. Steady state
@@ -84,9 +112,6 @@ SideVertexCounts ComputeStrongSideVerticesInto(
 /// a ≡k b then). Linear merge of the sorted adjacency lists, early exit.
 bool CommonNeighborsAtLeast(const Graph& g, VertexId a, VertexId b,
                             std::uint32_t k);
-
-/// Full Theorem-8 check for a single vertex. O(d(u)^2 * d_max) worst case.
-bool IsStrongSideVertex(const Graph& g, VertexId u, std::uint32_t k);
 
 /// Vertices within distance <= 2 of any vertex in `sources` (including the
 /// sources themselves). Used to invalidate side-vertex verdicts around a

@@ -6,7 +6,7 @@ namespace kvcc {
 // per-vertex state in O(1), and the resizes below are grow-only (covered by
 // the warm GLOBAL-CUT assertion in tests/memory_tracker_test.cc).
 void SweepContext::Bind(const Graph& g, std::uint32_t k,
-                        const std::vector<bool>& strong,
+                        const std::vector<std::uint8_t>& strong,
                         const std::vector<std::vector<VertexId>>& groups,
                         const std::vector<std::uint32_t>& group_of,
                         bool neighbor_sweep_enabled,
@@ -56,7 +56,7 @@ void SweepContext::Sweep(VertexId v, SweepCause cause) {
   while (!worklist_.empty()) {
     const VertexId u = worklist_.back();
     worklist_.pop_back();
-    const bool u_strong = neighbor_sweep_enabled_ && (*strong_)[u];
+    const bool u_strong = neighbor_sweep_enabled_ && (*strong_)[u] != 0;
 
     if (neighbor_sweep_enabled_) {
       for (VertexId w : graph_->Neighbors(u)) {
@@ -81,7 +81,7 @@ void SweepContext::Sweep(VertexId v, SweepCause cause) {
           // rule 2 needs k known-connected members (only possible when
           // |group| > k).
           const bool group_strong =
-              neighbor_sweep_enabled_ ? (*strong_)[u] : false;
+              neighbor_sweep_enabled_ && (*strong_)[u] != 0;
           if (group_strong || group_deposit_[group] >= k_) {
             group_processed_[group] = true;
             for (VertexId w : (*groups_)[group]) {

@@ -54,7 +54,7 @@ class SweepContext {
   /// Convenience: construct and Bind in one step (see Bind for parameter
   /// semantics).
   SweepContext(const Graph& g, std::uint32_t k,
-               const std::vector<bool>& strong,
+               const std::vector<std::uint8_t>& strong,
                const std::vector<std::vector<VertexId>>& groups,
                const std::vector<std::uint32_t>& group_of,
                bool neighbor_sweep_enabled, bool group_sweep_enabled) {
@@ -64,11 +64,13 @@ class SweepContext {
 
   /// (Re)binds the context to a working graph, resetting all sweep state.
   /// `g` is the working graph (sweep conditions use its full adjacency);
-  /// `strong` flags strong side-vertices of g; `groups`/`group_of` come
-  /// from the sparse certificate. Either sweep family can be disabled. All
-  /// arguments are borrowed and must outlive the binding (i.e. stay alive
-  /// until the next Bind or destruction).
-  void Bind(const Graph& g, std::uint32_t k, const std::vector<bool>& strong,
+  /// `strong` flags strong side-vertices of g (one byte per vertex, 1 =
+  /// strong); `groups`/`group_of` come from the sparse certificate. Either
+  /// sweep family can be disabled. All arguments are borrowed and must
+  /// outlive the binding (i.e. stay alive until the next Bind or
+  /// destruction).
+  void Bind(const Graph& g, std::uint32_t k,
+            const std::vector<std::uint8_t>& strong,
             const std::vector<std::vector<VertexId>>& groups,
             const std::vector<std::uint32_t>& group_of,
             bool neighbor_sweep_enabled, bool group_sweep_enabled);
@@ -113,7 +115,7 @@ class SweepContext {
 
   const Graph* graph_ = nullptr;
   std::uint32_t k_ = 0;
-  const std::vector<bool>* strong_ = nullptr;
+  const std::vector<std::uint8_t>* strong_ = nullptr;
   const std::vector<std::vector<VertexId>>* groups_ = nullptr;
   const std::vector<std::uint32_t>* group_of_ = nullptr;
   bool neighbor_sweep_enabled_ = false;

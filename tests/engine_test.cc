@@ -18,6 +18,7 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -115,6 +116,34 @@ TEST(KvccEngineTest, BatchMatchesSerialPerCallForEveryWorkerCount) {
       EXPECT_EQ(result.components, reference[i].components) << context;
       ExpectSameStats(result.stats, reference[i].stats, context);
     }
+  }
+}
+
+TEST(KvccEngineTest, ConcurrentJobsWithLargeCoreComponentsMatchSerial) {
+  // Each job's k-core falls into three components of 512 or more vertices,
+  // each cut as an item of its own, so the two jobs' GLOBAL-CUT fork-joins
+  // borrow the same workers' scratch while both are in flight.
+  const std::vector<TestJob> jobs = {
+      {kvcc::testing::SplitCoreGraph(5, 21), 5, KvccOptions::VcceStar()},
+      {kvcc::testing::SplitCoreGraph(6, 22), 6, KvccOptions::VcceN()},
+  };
+  const std::vector<KvccResult> reference = SerialReference(jobs);
+  KvccEngine engine(4);
+  std::vector<KvccEngine::JobId> ids;
+  for (const TestJob& job : jobs) {
+    ids.push_back(engine.Submit(job.graph, job.k, job.options));
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const KvccResult result = engine.Wait(ids[i]);
+    const std::string context = "job=" + std::to_string(i);
+    EXPECT_EQ(result.components, reference[i].components) << context;
+    ExpectSameStats(result.stats, reference[i].stats, context);
+    EXPECT_EQ(result.stats.strong_side_checks_run,
+              reference[i].stats.strong_side_checks_run)
+        << context;
+    EXPECT_EQ(result.stats.strong_side_vertices_found,
+              reference[i].stats.strong_side_vertices_found)
+        << context;
   }
 }
 

@@ -192,8 +192,9 @@ TEST(GlobalCutTest, CertificateAndFullGraphAgreeAcrossOptionsMatrix) {
       for (const auto& options : AllVariants()) {
         for (const bool certificate : {true, false}) {
           KvccStats stats;
-          const auto result = GlobalCut(g, k, {}, options, &stats, &scratch,
-                                        nullptr, nullptr, certificate);
+          const auto result =
+              GlobalCut(g, k, {}, options, &stats, &scratch, /*pool=*/nullptr,
+                        /*cancel=*/nullptr, certificate);
           EXPECT_EQ(result.cut.empty(), expected)
               << "seed=" << seed << " k=" << k
               << " certificate=" << certificate;
@@ -232,7 +233,8 @@ TEST(GlobalCutTest, ScratchReuseAcrossShrinkingAndGrowingGraphsIsSound) {
 TEST(GlobalCutTest, DisablingCertificateStillCorrect) {
   const KvccOptions options = KvccOptions::VcceStar();
   const auto without_certificate = [&](const Graph& g, KvccStats* stats) {
-    return GlobalCut(g, 4, {}, options, stats, nullptr, nullptr, nullptr,
+    return GlobalCut(g, 4, {}, options, stats, /*scratch=*/nullptr,
+                     /*pool=*/nullptr, /*cancel=*/nullptr,
                      /*use_certificate=*/false);
   };
   KvccStats stats;

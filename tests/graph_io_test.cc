@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -279,6 +280,21 @@ TEST(EdgeListLoaderTest, FileWithoutFinalNewlineKeepsLastLine) {
 
 TEST(EdgeListLoaderTest, MissingFileThrows) {
   EXPECT_THROW(ReadEdgeListFile("/nonexistent/kvcc.el"), std::runtime_error);
+}
+
+TEST(EdgeListLoaderTest, DirectoryThrowsNamingThePath) {
+  // A directory opens as a stream that reads nothing; it must not load as
+  // the empty graph.
+  const std::string path = ::testing::TempDir() + "/kvcc_dir_input";
+  std::filesystem::create_directories(path);
+  try {
+    ReadEdgeListFile(path);
+    ADD_FAILURE() << "a directory loaded as a graph";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

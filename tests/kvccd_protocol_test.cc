@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -299,6 +300,31 @@ TEST(KvccdProtocolTest, PathReadErrorsKeepConnectionAlive) {
               std::vector<std::string>{"{\"type\":\"pong\"}"});
   }
   for (const std::string& path : paths) std::remove(path.c_str());
+}
+
+TEST(KvccdProtocolTest, PathNamingADirectoryIsAGraphError) {
+  // A directory must not load as the empty graph (zero components); the
+  // request gets a graph error naming it, and the connection serves the
+  // next request.
+  const std::string dir = ::testing::TempDir() + "/kvccd_dir_input";
+  std::filesystem::create_directories(dir);
+  const std::string file =
+      WriteTempFile("kvccd_after_dir.el",
+                    "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n3 5\n3 6\n"
+                    "4 5\n4 6\n5 6\n");
+  KvccdServer daemon;
+  Connection conn(daemon);
+  const std::vector<std::string> response =
+      conn.Roundtrip(PathDecompose(dir, 3));
+  ASSERT_EQ(response.size(), 1u);
+  EXPECT_EQ(response[0].rfind("{\"type\":\"error\",\"code\":\"graph\"", 0),
+            0u)
+      << response[0];
+  EXPECT_NE(response[0].find(dir), std::string::npos) << response[0];
+  EXPECT_EQ(conn.Roundtrip(PathDecompose(file, 3)),
+            ExpectedDecomposeLines(ReadEdgeListFile(file), 3));
+  std::remove(file.c_str());
+  std::filesystem::remove(dir);
 }
 
 TEST(KvccdProtocolTest, CachedReplayIsByteIdentical) {

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gen/fixtures.h"
 #include "gen/planted_vcc.h"
+#include "graph/connected_components.h"
+#include "graph/k_core.h"
 #include "kvcc/kvcc_enum.h"
 #include "support/brute_force.h"
 
@@ -49,6 +52,54 @@ KvccResult ExpectThreadInvariant(const Graph& g, std::uint32_t k,
     ExpectSameStats(run.stats, serial.stats, context);
   }
   return serial;
+}
+
+/// The stats as JSON, without the counters that may differ between thread
+/// counts: the wavefront diagnostics and probe work (speculative probes)
+/// and the job-control diagnostics (timing).
+std::string ReplayIdenticalStats(KvccStats stats) {
+  stats.probe_wavefronts = 0;
+  stats.probes_launched = 0;
+  stats.probes_wasted_swept = 0;
+  stats.probes_wasted_after_cut = 0;
+  stats.probe_edges_touched = 0;
+  stats.tasks_cancelled = 0;
+  stats.cuts_cancelled = 0;
+  stats.stream_backpressure_blocks = 0;
+  stats.stream_peak_buffered = 0;
+  return stats.ToJson();
+}
+
+TEST(ParallelEnumTest, LargeCoreComponentsGiveIdenticalResults) {
+  // The k-core falls into three components of 512 or more vertices, so
+  // the root item spawns each as an item of its own, and on a pool every
+  // one of their GLOBAL-CUT calls forks its certificate and side-vertex
+  // ranges onto the workers. Every stats field a serial run books must
+  // repeat, k-core rounds included.
+  const std::uint32_t k = 5;
+  const Graph g = kvcc::testing::SplitCoreGraph(k, 11);
+  const Graph core = g.InducedSubgraph(KCoreVertices(g, k));
+  const auto components = ConnectedComponents(core);
+  ASSERT_EQ(components.size(), 3u);
+  for (const auto& component : components) {
+    ASSERT_GE(component.size(), 512u);
+  }
+
+  KvccOptions options = KvccOptions::VcceStar();
+  options.num_threads = 1;
+  const KvccResult serial = EnumerateKVccs(g, k, options);
+  EXPECT_GE(serial.components.size(), 3u);
+  EXPECT_GT(serial.stats.overlap_partitions, 0u);
+  for (const std::uint32_t threads : {2u, 4u}) {
+    options.num_threads = threads;
+    const KvccResult run = EnumerateKVccs(g, k, options);
+    const std::string context = "threads=" + std::to_string(threads);
+    EXPECT_EQ(run.components, serial.components) << context;
+    EXPECT_EQ(ReplayIdenticalStats(run.stats),
+              ReplayIdenticalStats(serial.stats))
+        << context;
+    EXPECT_GT(run.stats.probes_launched, 0u) << context;
+  }
 }
 
 TEST(ParallelEnumTest, PlantedVccFixture) {

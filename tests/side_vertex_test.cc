@@ -3,14 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <exception>
+#include <future>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "exec/task_scheduler.h"
 #include "gen/erdos_renyi.h"
 #include "gen/fixtures.h"
 #include "graph/graph.h"
+#include "kvcc/global_cut.h"
+#include "kvcc/options.h"
+#include "kvcc/stats.h"
 #include "support/brute_force.h"
+#include "util/random.h"
 
 namespace kvcc {
 namespace {
@@ -59,10 +67,17 @@ TEST(CommonNeighborsTest, CountsExactly) {
   EXPECT_TRUE(CommonNeighborsAtLeast(g, 0, 1, 0));  // Vacuous.
 }
 
+/// The detection pass's verdict for u: one pass over g, no degree cap.
+bool PassSaysStrong(const Graph& g, VertexId u, std::uint32_t k) {
+  SideVertexScratch scratch;
+  ComputeStrongSideVerticesInto(g, k, {}, /*degree_cap=*/0, scratch);
+  return scratch.strong[u] != 0;
+}
+
 TEST(StrongSideVertexTest, CliqueVerticesAreStrong) {
   const Graph g = CompleteGraph(6);
   for (VertexId v = 0; v < 6; ++v) {
-    EXPECT_TRUE(IsStrongSideVertex(g, v, 4));
+    EXPECT_TRUE(PassSaysStrong(g, v, 4));
   }
 }
 
@@ -71,18 +86,18 @@ TEST(StrongSideVertexTest, CutVertexIsNotStrong) {
   const Graph g = Graph::FromEdges(
       5, std::vector<std::pair<VertexId, VertexId>>{
              {0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}});
-  EXPECT_FALSE(IsStrongSideVertex(g, 2, 2));
+  EXPECT_FALSE(PassSaysStrong(g, 2, 2));
   // Leaf-side vertices have all neighbor pairs adjacent: strong.
-  EXPECT_TRUE(IsStrongSideVertex(g, 0, 2));
+  EXPECT_TRUE(PassSaysStrong(g, 0, 2));
 }
 
 TEST(StrongSideVertexTest, LowDegreeVacuouslyStrong) {
   const Graph g = PathGraph(3);
   // Degree-1 endpoints have no neighbor pair to violate Theorem 8.
-  EXPECT_TRUE(IsStrongSideVertex(g, 0, 2));
+  EXPECT_TRUE(PassSaysStrong(g, 0, 2));
   // The middle vertex has a non-adjacent neighbor pair with no common
   // neighbors.
-  EXPECT_FALSE(IsStrongSideVertex(g, 1, 2));
+  EXPECT_FALSE(PassSaysStrong(g, 1, 2));
 }
 
 // Soundness: a strong side-vertex never appears in any *minimum* vertex cut
@@ -92,7 +107,7 @@ TEST(StrongSideVertexTest, NeverInMinimumCutsOnRandomGraphs) {
     const Graph g = kvcc::testing::RandomConnectedGraph(9, 12, seed);
     const std::uint32_t k = 3;
     for (VertexId u = 0; u < g.NumVertices(); ++u) {
-      if (!IsStrongSideVertex(g, u, k)) continue;
+      if (!PassSaysStrong(g, u, k)) continue;
       // For every non-adjacent pair (a, c) avoiding u with kappa < k,
       // removing any minimum cut without u must still be possible — we
       // verify the transitive consequence instead: kappa(a,c) computed in
@@ -177,7 +192,8 @@ TEST(ComputeStrongSideVerticesTest, MatchesReferenceOnRandomGraphs) {
         std::uint64_t strong = 0;
         for (VertexId v = 0; v < g.NumVertices(); ++v) {
           const bool in_cap = cap == 0 || g.Degree(v) <= cap;
-          const bool expected = in_cap && IsStrongSideVertex(g, v, k);
+          const bool expected =
+              in_cap && kvcc::testing::BruteIsStrongSideVertex(g, v, k);
           EXPECT_EQ(scratch.strong[v], expected) << "v=" << v;
           (in_cap ? checked : capped) += 1;
           strong += expected ? 1 : 0;
@@ -197,6 +213,89 @@ TEST(ComputeStrongSideVerticesTest, MatchesReferenceOnRandomGraphs) {
   EXPECT_GT(weak_total, 0u);
   EXPECT_GT(long_rows, 0u);
   EXPECT_GT(capped, 0u);
+}
+
+// On a multi-worker pool, GLOBAL-CUT checks the side-vertex pass of a
+// working graph of 512 or more vertices in 32-vertex ranges, beside the
+// certificate build, each range on the pair table of the worker it runs
+// on. Its verdict bytes and counts must equal the serial pass's: with and
+// without carried hints, with the hub (vertex 0) above the degree cap, and
+// whether the call comes from a worker task or from outside the pool.
+TEST(ComputeStrongSideVerticesTest, PoolRangesMatchSerialPass) {
+  exec::TaskScheduler scheduler(4);
+  std::vector<GlobalCutScratch> worker_scratch(scheduler.num_workers());
+  GlobalCutPool pool{&scheduler, {}};
+  for (GlobalCutScratch& scratch : worker_scratch) {
+    pool.worker_scratch.push_back(&scratch);
+  }
+  scheduler.Start();
+  const std::uint32_t cap = KvccOptions::side_vertex_degree_cap;
+  std::uint64_t seed = 100;
+  std::uint64_t strong_total = 0;
+  for (const VertexId random_n : {520u, 700u}) {
+    for (const std::uint32_t k : {3u, 4u}) {
+      ++seed;
+      const HubGraph hub =
+          MakeHubGraph(random_n, 12.0 / random_n, k, seed);
+      const Graph& g = hub.g;
+      ASSERT_GE(g.NumVertices(), 512u);
+      ASSERT_GT(g.Degree(0), cap);
+
+      // Carried verdicts as a partition hands them down: the true verdict
+      // for about two vertices in three, a recheck for the rest.
+      SideVertexScratch serial;
+      ComputeStrongSideVerticesInto(g, k, {}, cap, serial);
+      std::vector<SideVertexHint> hints(g.NumVertices());
+      Rng rng(seed);
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        if (rng.NextBounded(3) == 0) {
+          hints[v] = SideVertexHint::kRecheck;
+        } else {
+          hints[v] = serial.strong[v] != 0 ? SideVertexHint::kStrong
+                                           : SideVertexHint::kNotStrong;
+        }
+      }
+
+      for (const bool hinted : {false, true}) {
+        const std::vector<SideVertexHint> carried =
+            hinted ? hints : std::vector<SideVertexHint>{};
+        const SideVertexCounts expected =
+            ComputeStrongSideVerticesInto(g, k, carried, cap, serial);
+        strong_total += expected.strong_count;
+        for (const bool in_task : {false, true}) {
+          SCOPED_TRACE("seed=" + std::to_string(seed) +
+                       " hinted=" + std::to_string(hinted) +
+                       " in_task=" + std::to_string(in_task));
+          GlobalCutScratch scratch;
+          KvccStats stats;
+          const auto run = [&] {
+            GlobalCut(g, k, carried, KvccOptions::VcceStar(), &stats,
+                      &scratch, &pool);
+          };
+          if (in_task) {
+            std::promise<void> done;
+            scheduler.Submit([&](unsigned) {
+              try {
+                run();
+                done.set_value();
+              } catch (...) {
+                done.set_exception(std::current_exception());
+              }
+            });
+            done.get_future().get();
+          } else {
+            run();
+          }
+          EXPECT_EQ(scratch.side.strong, serial.strong);
+          EXPECT_EQ(stats.strong_side_checks_run, expected.checks_run);
+          EXPECT_EQ(stats.strong_side_verdicts_reused, expected.reused);
+          EXPECT_EQ(stats.strong_side_vertices_found, expected.strong_count);
+        }
+      }
+    }
+  }
+  scheduler.Stop();
+  EXPECT_GT(strong_total, 0u);
 }
 
 TEST(TwoHopBallTest, CoversExactlyTwoHops) {

@@ -1,10 +1,13 @@
 #include "support/brute_force.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <utility>
 #include <vector>
 
+#include "gen/barabasi_albert.h"
+#include "gen/planted_vcc.h"
 #include "graph/connected_components.h"
 #include "graph/graph_builder.h"
 #include "kvcc/connectivity.h"  // for kInfiniteConnectivity
@@ -163,6 +166,22 @@ std::uint64_t BruteMinEdgeCutWeight(const Graph& g) {
   return best;
 }
 
+bool BruteIsStrongSideVertex(const Graph& g, VertexId u, std::uint32_t k) {
+  const auto nbrs = g.Neighbors(u);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
+      const auto a = g.Neighbors(nbrs[i]);
+      const auto b = g.Neighbors(nbrs[j]);
+      if (std::binary_search(a.begin(), a.end(), nbrs[j])) continue;
+      std::vector<VertexId> common;
+      std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                            std::back_inserter(common));
+      if (common.size() < k) return false;
+    }
+  }
+  return true;
+}
+
 Graph RandomConnectedGraph(VertexId n, std::uint64_t extra_edges,
                            std::uint64_t seed) {
   GraphBuilder builder(n);
@@ -177,6 +196,41 @@ Graph RandomConnectedGraph(VertexId n, std::uint64_t extra_edges,
     builder.AddEdge(u, v);  // Self-loops / duplicates dropped by builder.
   }
   return builder.Build();
+}
+
+Graph SplitCoreGraph(std::uint32_t k, std::uint64_t seed) {
+  PlantedVccConfig planted;
+  planted.num_blocks = 16;
+  planted.block_size_min = 34;
+  planted.block_size_max = 40;
+  planted.connectivity = 8;
+  planted.overlap = 1;
+  planted.bridge_edges = 1;
+  std::vector<Graph> parts;
+  planted.seed = seed;
+  parts.push_back(GeneratePlantedVcc(planted).graph);
+  parts.push_back(BarabasiAlbert(560, k, seed + 1));
+  planted.seed = seed + 2;
+  parts.push_back(GeneratePlantedVcc(planted).graph);
+
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  VertexId base = 0;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    for (const auto& [u, v] : parts[i].Edges()) {
+      edges.emplace_back(base + u, base + v);
+    }
+    const VertexId next_base = base + parts[i].NumVertices();
+    if (i + 1 < parts.size()) {
+      // The connector: adjacent to the first vertex of this part and of
+      // the next one, so the peel removes it at any k >= 3.
+      edges.emplace_back(next_base, base);
+      edges.emplace_back(next_base, next_base + 1);
+      base = next_base + 1;
+    } else {
+      base = next_base;
+    }
+  }
+  return Graph::FromEdges(base, edges);
 }
 
 Graph DisconnectedFixture() {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "gen/fixtures.h"
 #include "graph/graph.h"
 #include "kvcc/sparse_certificate.h"
@@ -23,7 +25,7 @@ class SweepTest : public ::testing::Test {
 TEST_F(SweepTest, SweepMarksVertex) {
   const Graph g = CompleteGraph(4);
   SetupNoGroups(g);
-  std::vector<bool> strong(4, false);
+  std::vector<std::uint8_t> strong(4, 0);
   SweepContext ctx(g, 2, strong, no_groups_, no_group_of_,
                    /*neighbor_sweep=*/true, /*group_sweep=*/false);
   EXPECT_FALSE(ctx.IsSwept(1));
@@ -38,7 +40,7 @@ TEST_F(SweepTest, DepositsAccumulateOnNeighbors) {
       5, std::vector<std::pair<VertexId, VertexId>>{
              {0, 1}, {0, 2}, {0, 3}, {0, 4}});
   SetupNoGroups(g);
-  std::vector<bool> strong(5, false);
+  std::vector<std::uint8_t> strong(5, 0);
   SweepContext ctx(g, 3, strong, no_groups_, no_group_of_, true, false);
   ctx.Sweep(1, SweepCause::kTested);
   ctx.Sweep(2, SweepCause::kTested);
@@ -53,8 +55,8 @@ TEST_F(SweepTest, DepositsAccumulateOnNeighbors) {
 TEST_F(SweepTest, StrongSideVertexSweepsAllNeighbors) {
   const Graph g = CompleteGraph(5);
   SetupNoGroups(g);
-  std::vector<bool> strong(5, false);
-  strong[0] = true;
+  std::vector<std::uint8_t> strong(5, 0);
+  strong[0] = 1;
   SweepContext ctx(g, 4, strong, no_groups_, no_group_of_, true, false);
   ctx.Sweep(0, SweepCause::kTested);  // Source is the strong vertex.
   for (VertexId v = 1; v < 5; ++v) {
@@ -71,7 +73,7 @@ TEST_F(SweepTest, CascadeThroughDeposits) {
       4, std::vector<std::pair<VertexId, VertexId>>{
              {0, 2}, {0, 3}, {1, 2}, {1, 3}});
   SetupNoGroups(g);
-  std::vector<bool> strong(4, false);
+  std::vector<std::uint8_t> strong(4, 0);
   SweepContext ctx(g, 2, strong, no_groups_, no_group_of_, true, false);
   ctx.Sweep(2, SweepCause::kTested);
   ctx.Sweep(3, SweepCause::kTested);
@@ -83,7 +85,7 @@ TEST_F(SweepTest, CascadeThroughDeposits) {
 TEST_F(SweepTest, NeighborSweepDisabledMeansNoDeposits) {
   const Graph g = CompleteGraph(4);
   SetupNoGroups(g);
-  std::vector<bool> strong(4, true);  // Even with strong flags set.
+  std::vector<std::uint8_t> strong(4, 1);  // Even with strong flags set.
   SweepContext ctx(g, 2, strong, no_groups_, no_group_of_,
                    /*neighbor_sweep=*/false, /*group_sweep=*/false);
   ctx.Sweep(0, SweepCause::kTested);
@@ -97,7 +99,7 @@ TEST_F(SweepTest, NeighborSweepDisabledMeansNoDeposits) {
 TEST_F(SweepTest, GroupDepositSweepsWholeGroup) {
   // One group of 5 vertices in a clique; k = 3.
   const Graph g = CompleteGraph(6);
-  std::vector<bool> strong(6, false);
+  std::vector<std::uint8_t> strong(6, 0);
   std::vector<std::vector<VertexId>> groups = {{0, 1, 2, 3, 4}};
   std::vector<std::uint32_t> group_of = {0, 0, 0, 0, 0, kNoGroup};
   SweepContext ctx(g, 3, strong, groups, group_of,
@@ -116,8 +118,8 @@ TEST_F(SweepTest, GroupDepositSweepsWholeGroup) {
 
 TEST_F(SweepTest, StrongMemberSweepsGroupImmediately) {
   const Graph g = CompleteGraph(5);
-  std::vector<bool> strong(5, false);
-  strong[1] = true;
+  std::vector<std::uint8_t> strong(5, 0);
+  strong[1] = 1;
   std::vector<std::vector<VertexId>> groups = {{0, 1, 2, 3, 4}};
   std::vector<std::uint32_t> group_of = {0, 0, 0, 0, 0};
   SweepContext ctx(g, 4, strong, groups, group_of,
@@ -133,7 +135,7 @@ TEST_F(SweepTest, GroupAndNeighborSweepsCompose) {
   const Graph g = Graph::FromEdges(
       4, std::vector<std::pair<VertexId, VertexId>>{
              {0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}, {2, 3}});
-  std::vector<bool> strong(4, false);
+  std::vector<std::uint8_t> strong(4, 0);
   std::vector<std::vector<VertexId>> groups = {{0, 1, 2}};
   std::vector<std::uint32_t> group_of = {0, 0, 0, kNoGroup};
   SweepContext ctx(g, 3, strong, groups, group_of, true, true);

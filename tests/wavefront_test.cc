@@ -40,17 +40,23 @@ std::vector<KvccOptions> AllVariants() {
           KvccOptions::VcceStar()};
 }
 
-/// Runs body(scheduler) inside a worker task of a live scheduler of
-/// `workers` workers — the configuration under which wavefronts engage.
+/// Runs body(pool) inside a worker task of a live scheduler of `workers`
+/// workers — the configuration under which wavefronts engage. The pool
+/// lends GLOBAL-CUT one scratch per worker, as KvccEngine does.
 template <typename Body>
 void RunInWorkerTask(unsigned workers, Body&& body) {
   exec::TaskScheduler scheduler(workers);
+  std::vector<GlobalCutScratch> worker_scratch(workers);
+  GlobalCutPool pool{&scheduler, {}};
+  for (GlobalCutScratch& scratch : worker_scratch) {
+    pool.worker_scratch.push_back(&scratch);
+  }
   scheduler.Start();
   std::mutex mutex;
   std::condition_variable done_cv;
   bool done = false;
   scheduler.Submit([&](unsigned) {
-    body(scheduler);
+    body(pool);
     std::lock_guard<std::mutex> lock(mutex);
     done = true;
     done_cv.notify_all();
@@ -67,20 +73,20 @@ GlobalCutResult RunGlobalCutOnScheduler(const Graph& g, std::uint32_t k,
                                         KvccStats* stats, unsigned workers) {
   GlobalCutResult result;
   GlobalCutScratch scratch;
-  RunInWorkerTask(workers, [&](exec::TaskScheduler& scheduler) {
-    result = GlobalCut(g, k, {}, options, stats, &scratch, &scheduler);
+  RunInWorkerTask(workers, [&](const GlobalCutPool& pool) {
+    result = GlobalCut(g, k, {}, options, stats, &scratch, &pool);
   });
   return result;
 }
 
 /// Algorithm 1 (k-core, components, GLOBAL-CUT, overlap partition) on a
 /// serial stack, with every GLOBAL-CUT running its certificate-off search,
-/// which no enumeration driver runs. With a scheduler, each search on 128
-/// or more vertices runs its probes as wavefronts on it. Returns the sorted
+/// which no enumeration driver runs. With a pool, each search on 128 or
+/// more vertices runs its probes as wavefronts on it. Returns the sorted
 /// k-VCCs in g's ids; the searches' counters accumulate into `stats`.
 std::vector<std::vector<VertexId>> EnumerateWithoutCertificate(
     const Graph& g, std::uint32_t k, const KvccOptions& options,
-    exec::TaskScheduler* scheduler, KvccStats* stats) {
+    const GlobalCutPool* pool, KvccStats* stats) {
   std::vector<std::vector<VertexId>> found;
   std::vector<Graph> pending = {g};
   GlobalCutScratch scratch;
@@ -92,7 +98,7 @@ std::vector<std::vector<VertexId>> EnumerateWithoutCertificate(
       if (component.size() <= k) continue;
       const Graph sub = core.InducedSubgraph(component);
       const GlobalCutResult result =
-          GlobalCut(sub, k, {}, options, stats, &scratch, scheduler,
+          GlobalCut(sub, k, {}, options, stats, &scratch, pool,
                     /*cancel=*/nullptr, /*use_certificate=*/false);
       if (result.cut.empty()) {
         std::vector<VertexId> all(sub.NumVertices());
@@ -355,30 +361,17 @@ TEST(WavefrontTest, CancelledTokenAbortsGlobalCutAtBatchBoundary) {
   EXPECT_EQ(serial_stats.loc_cut_flow_calls, 0u);
 
   // Wavefront configuration: run inside a live multi-worker scheduler.
-  exec::TaskScheduler scheduler(4);
-  scheduler.Start();
   GlobalCutScratch scratch;
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  bool done = false;
   bool threw_cancelled = false;
   KvccStats wave_stats;
-  scheduler.Submit([&](unsigned) {
+  RunInWorkerTask(4, [&](const GlobalCutPool& pool) {
     try {
       GlobalCut(g, 5, {}, KvccOptions::VcceStar(), &wave_stats, &scratch,
-                &scheduler, &cancelled);
+                &pool, &cancelled);
     } catch (const JobCancelled&) {
       threw_cancelled = true;
     }
-    std::lock_guard<std::mutex> lock(mutex);
-    done = true;
-    done_cv.notify_all();
   });
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    done_cv.wait(lock, [&] { return done; });
-  }
-  scheduler.Stop();
   EXPECT_TRUE(threw_cancelled);
   EXPECT_EQ(wave_stats.cuts_cancelled, 1u);
   EXPECT_EQ(wave_stats.probes_launched, 0u);
@@ -472,11 +465,11 @@ TEST(WavefrontTest, RefereeAgreementUnderWavefronts) {
         std::vector<std::vector<VertexId>> without_certificate;
         if (threads == 1) {
           without_certificate = EnumerateWithoutCertificate(
-              c.g, c.k, variants[i], /*scheduler=*/nullptr, &stats);
+              c.g, c.k, variants[i], /*pool=*/nullptr, &stats);
         } else {
-          RunInWorkerTask(threads, [&](exec::TaskScheduler& scheduler) {
+          RunInWorkerTask(threads, [&](const GlobalCutPool& pool) {
             without_certificate = EnumerateWithoutCertificate(
-                c.g, c.k, variants[i], &scheduler, &stats);
+                c.g, c.k, variants[i], &pool, &stats);
           });
         }
         EXPECT_EQ(without_certificate, expected)
