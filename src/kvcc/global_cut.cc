@@ -276,6 +276,8 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   const VertexId n = g.NumVertices();
   assert(n > k);
   assert(hints.empty() || hints.size() == n);
+  assert(pool == nullptr ||
+         pool->worker_scratch.size() == pool->scheduler->num_workers());
 
   // Cooperative cancellation: polled at entry and at every wave's
   // formation, which bounds time-to-unwind by one wave (one probe without
