@@ -203,8 +203,7 @@ SideVertexCounts ForkSetUp(const Graph& g, std::uint32_t k,
       [graph, k, hint_list, n, first_range, pass, cut_pool, caller](
           std::size_t index, unsigned slot) {
         if (index < first_range) {
-          BuildSparseCertificate(*graph, k, caller->cert,
-                                 caller->cert_scratch);
+          BuildSparseCertificate(*graph, k, caller->cert, caller->cert_scratch);
           return;
         }
         const std::size_t range = index - first_range;

@@ -317,8 +317,7 @@ TEST(KvccdProtocolTest, PathNamingADirectoryIsAGraphError) {
   const std::vector<std::string> response =
       conn.Roundtrip(PathDecompose(dir, 3));
   ASSERT_EQ(response.size(), 1u);
-  EXPECT_EQ(response[0].rfind("{\"type\":\"error\",\"code\":\"graph\"", 0),
-            0u)
+  EXPECT_EQ(response[0].rfind("{\"type\":\"error\",\"code\":\"graph\"", 0), 0u)
       << response[0];
   EXPECT_NE(response[0].find(dir), std::string::npos) << response[0];
   EXPECT_EQ(conn.Roundtrip(PathDecompose(file, 3)),

@@ -235,8 +235,7 @@ TEST(ComputeStrongSideVerticesTest, PoolRangesMatchSerialPass) {
   for (const VertexId random_n : {520u, 700u}) {
     for (const std::uint32_t k : {3u, 4u}) {
       ++seed;
-      const HubGraph hub =
-          MakeHubGraph(random_n, 12.0 / random_n, k, seed);
+      const HubGraph hub = MakeHubGraph(random_n, 12.0 / random_n, k, seed);
       const Graph& g = hub.g;
       ASSERT_GE(g.NumVertices(), 512u);
       ASSERT_GT(g.Degree(0), cap);
