@@ -112,7 +112,7 @@ class Graph {
   friend class GraphBuilder;
   // The dynamic-graph delta merge (graph/delta_store.h) and the sparse
   // certificate (kvcc/sparse_certificate.cc) write CSR rows into a reused
-  // Graph in place — the seam FromCsr/GraphBuilder lack.
+  // Graph in place — the seam GraphBuilder lacks.
   friend class DeltaApplier;
   friend class CertificateRowWriter;
 

@@ -138,17 +138,18 @@ void CountPrunedVertex(SweepCause cause, KvccStats* stats) {
 // least kWavefrontMinVertices vertices. Smaller subproblems — the recursion
 // tail of a bushy tree, which already feeds the pool through subproblem
 // parallelism — cannot pay for a wavefront's fork-join and speculative
-// probes. The adaptive batch starts small (distance ordering tends to
-// surface cuts within the first few probes, and every probe past a
-// committed cut is waste), grows while the observed prune rate keeps
-// speculative waste low, and shrinks when sweeps are pruning aggressively.
-// Both rules read only the input and committed (deterministic) outcomes,
-// so which probes launch in which wave — and with it every probe-waste
-// counter — is a pure function of (input, options, whether the pool has
-// more than one worker), never of timing.
+// probes. Each phase starts with a one-probe wave, run inline: distance
+// ordering tends to surface a cut with the phase's first probe, and a probe
+// run beside a cut-finding one is waste of the costly kind, since it too may
+// find a cut and level its whole residual side. After each wave the batch
+// doubles, up to kBatchMax, if at most 12.5% of its probes were wasted, and
+// halves, to no fewer than one, if at least 25% were. So no probe runs
+// speculatively until a probe of the phase has passed. The rule reads only
+// the input and committed (deterministic) outcomes, so which probes launch
+// in which wave — and with it every probe-waste counter — is a pure
+// function of (input, options, whether the pool has more than one worker),
+// never of timing.
 constexpr VertexId kWavefrontMinVertices = 128;
-constexpr std::uint32_t kBatchInit = 4;
-constexpr std::uint32_t kBatchMin = 4;
 constexpr std::uint32_t kBatchMax = 256;
 
 // The set-up fork-join (certificate beside side-vertex ranges) engages on a
@@ -392,19 +393,19 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
   // Each phase walks its candidates in serial order as a run of waves.
   // Formation settles every candidate before the wave's first probe on the
   // spot, exactly as a serial search would, and then only classifies until
-  // the wave holds `batch` probes. The probes run inline on the scratch's
-  // probe when wavefronts are off (a wave holds one probe), or else
-  // concurrently on the pool, each on its participant's probe. The commit
-  // replays the wave in order against the live sweep state, so the cut and
-  // every replay-identical counter match a serial search; only what
-  // follows a launched probe is speculative, and that speculation is
-  // booked as probe waste.
+  // the wave holds `batch` probes. A wave of one probe (every wave without
+  // wavefronts, and each phase's first wave with them) runs it inline on
+  // the scratch's probe; a larger wave runs concurrently on the pool, each
+  // probe on its participant's probe. The commit replays the wave in order
+  // against the live sweep state, so the cut and every replay-identical
+  // counter match a serial search; only what follows a launched probe is
+  // speculative, and that speculation is booked as probe waste.
   const bool wavefronts = multi_worker && n >= kWavefrontMinVertices;
-  std::uint32_t batch = wavefronts ? kBatchInit : 1;
+  std::uint32_t batch = 1;
   auto adapt = [&](std::uint32_t launched, std::uint32_t wasted) {
     if (!wavefronts || launched == 0) return;
     if (wasted * 4 >= launched) {
-      batch = std::max(kBatchMin, batch / 2);  // > 25% waste: back off.
+      batch = std::max<std::uint32_t>(1, batch / 2);  // >= 25% waste: back off.
     } else if (wasted * 8 <= launched) {
       batch = std::min(kBatchMax, batch * 2);  // <= 12.5% waste: open up.
     }
@@ -452,12 +453,11 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
                                 args[i].second, k, edges[i]);
       }
     };
-    if (!wavefronts) {
+    if (!wavefronts || launched <= 1) {
       for (std::uint32_t i = 0; i < launched; ++i) {
         probe_one(i, scratch->probe);
       }
-    } else if (launched > 0) {
-      ++stats->probe_wavefronts;
+    } else {
       // Helper stubs carry the owning job's latency class, so an
       // interactive job's wavefront competes for idle workers at its own
       // priority instead of degrading to kNormal on its hardest subproblem.
@@ -483,7 +483,10 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
       if (common_skip[i] == 0) ++flow_probes;
       stats->probe_edges_touched += edges[i];
     }
-    if (wavefronts) stats->probes_launched += flow_probes;
+    if (wavefronts) {
+      if (launched > 0) ++stats->probe_wavefronts;
+      stats->probes_launched += flow_probes;
+    }
     return flow_probes;
   };
 
@@ -561,9 +564,9 @@ GlobalCutResult GlobalCut(const Graph& g, std::uint32_t k,
         options.neighbor_sweep && options.group_sweep ? 1 : 0;
     const auto nbrs = test_graph.Neighbors(source);
     const std::size_t deg = nbrs.size();
-    // Restart the adaptive ramp: a batch grown across a cut-free phase 1
+    // Restart the ramp at one probe: a batch grown across a cut-free phase 1
     // would otherwise turn an early phase-2 cut into a full-batch write-off.
-    if (wavefronts) batch = kBatchInit;
+    batch = 1;
     auto settle_pair = [&](ProbeCandidate::Kind kind) {
       if (kind == ProbeCandidate::Kind::kPairGroupSkip) {
         ++stats->phase2_pairs_skipped_group;  // Group sweep rule 3.

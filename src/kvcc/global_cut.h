@@ -21,16 +21,19 @@
 // One search loop serves serial and parallel runs: each phase walks its
 // candidates in serial order as a run of *waves* (form, probe, commit).
 // Without wavefronts (no pool, one worker, or a working graph of fewer
-// than 128 vertices) a wave holds one probe, run inline. With them, a wave
-// holds the next batch of probes, which run concurrently on the pool (all
-// reading the one immutable test graph), and is then committed serially
-// in the order a serial search uses. The phase-2 common-neighbor test
-// (Lemma 13, a pure function) runs with the wave's probes, so hub-heavy
-// pair formation does not serialize on it. Sweeps, all replay-identical
-// stats, and the returned cut are byte-identical for every thread count;
-// speculative probes a serial search would have skipped are bounded by an
-// adaptive batch size and surfaced in KvccStats::probes_wasted_*, which a
-// serial run keeps at 0.
+// than 128 vertices) a wave holds one probe, run inline. With them, each
+// phase starts with a one-probe wave, run inline, and the batch then
+// doubles after every wave that wastes at most 12.5% of its probes (halving
+// at 25% or more, never below one probe, at most 256). A wave of several
+// probes runs them concurrently on the pool (all reading the one immutable
+// test graph), and every wave is committed serially in the order a serial
+// search uses. The phase-2 common-neighbor test (Lemma 13, a pure function)
+// runs with the wave's probes, so hub-heavy pair formation does not
+// serialize on it. Sweeps, all replay-identical stats, and the returned
+// cut are byte-identical for every thread count. No probe runs
+// speculatively until a probe of its phase has passed; the probes a serial
+// search would have skipped are surfaced in KvccStats::probes_wasted_*,
+// which a serial run keeps at 0.
 //
 // Whose scratch a fork-join participant uses: a participant running on
 // pool worker w works on that worker's GlobalCutScratch (its FlowProbe for

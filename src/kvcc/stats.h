@@ -108,9 +108,10 @@ struct KvccStats {
   // an intra-cut-parallel run of the same input (everything above is
   // replay-identical by construction).
 
-  /// \brief Waves run on the pool across all GLOBAL-CUT calls.
+  /// \brief Waves of the GLOBAL-CUT calls that run wavefronts, one-probe
+  /// waves (run inline) included.
   std::uint64_t probe_wavefronts = 0;
-  /// \brief Flow probes launched inside waves run on the pool.
+  /// \brief Flow probes launched inside those waves.
   std::uint64_t probes_launched = 0;
   /// \brief Probes whose vertex was swept between launch and its serial
   /// commit.

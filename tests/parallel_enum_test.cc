@@ -15,6 +15,7 @@
 #include "graph/k_core.h"
 #include "kvcc/kvcc_enum.h"
 #include "support/brute_force.h"
+#include "support/replay_stats.h"
 
 namespace kvcc {
 namespace {
@@ -54,22 +55,6 @@ KvccResult ExpectThreadInvariant(const Graph& g, std::uint32_t k,
   return serial;
 }
 
-/// The stats as JSON, without the counters that may differ between thread
-/// counts: the wavefront diagnostics and probe work (speculative probes)
-/// and the job-control diagnostics (timing).
-std::string ReplayIdenticalStats(KvccStats stats) {
-  stats.probe_wavefronts = 0;
-  stats.probes_launched = 0;
-  stats.probes_wasted_swept = 0;
-  stats.probes_wasted_after_cut = 0;
-  stats.probe_edges_touched = 0;
-  stats.tasks_cancelled = 0;
-  stats.cuts_cancelled = 0;
-  stats.stream_backpressure_blocks = 0;
-  stats.stream_peak_buffered = 0;
-  return stats.ToJson();
-}
-
 TEST(ParallelEnumTest, LargeCoreComponentsGiveIdenticalResults) {
   // The k-core falls into three components of 512 or more vertices, so
   // the root item spawns each as an item of its own, and on a pool every
@@ -95,8 +80,8 @@ TEST(ParallelEnumTest, LargeCoreComponentsGiveIdenticalResults) {
     const KvccResult run = EnumerateKVccs(g, k, options);
     const std::string context = "threads=" + std::to_string(threads);
     EXPECT_EQ(run.components, serial.components) << context;
-    EXPECT_EQ(ReplayIdenticalStats(run.stats),
-              ReplayIdenticalStats(serial.stats))
+    EXPECT_EQ(kvcc::testing::ReplayIdenticalStats(run.stats),
+              kvcc::testing::ReplayIdenticalStats(serial.stats))
         << context;
     EXPECT_GT(run.stats.probes_launched, 0u) << context;
   }

@@ -29,6 +29,7 @@
 #include "kvcc/kvcc_enum.h"
 #include "support/brute_force.h"
 #include "support/referee.h"
+#include "support/replay_stats.h"
 
 namespace kvcc {
 namespace {
@@ -194,18 +195,72 @@ TEST(WavefrontTest, KConnectedGraphByteIdentity) {
   ExpectWavefrontByteIdentity(HararyGraph(5, 130), 5, "harary_5_130");
 }
 
+/// H(4, 130) with an 8-clique on ids 130-137, every clique vertex joined to
+/// vertices 60-62 of the Harary ring. {60, 61, 62} is the only vertex cut
+/// of fewer than 4 vertices, and it does not cut off the search's source.
+Graph HararyWithPendantClique() {
+  const VertexId ring = 130;
+  const VertexId clique = 8;
+  GraphBuilder builder(ring + clique);
+  for (const auto& [u, v] : HararyEdges(4, ring)) builder.AddEdge(u, v);
+  for (VertexId a = ring; a < ring + clique; ++a) {
+    for (VertexId b = a + 1; b < ring + clique; ++b) builder.AddEdge(a, b);
+    for (VertexId r = 60; r <= 62; ++r) builder.AddEdge(a, r);
+  }
+  return builder.Build();
+}
+
+/// Two H(8, 66) blocks joined through 3 connectors, ids 0-2, each adjacent
+/// to two vertices 9 apart in either block. The connectors are the only
+/// vertex cut of fewer than 4 vertices, and connector 0 is the search's
+/// source, so phase 1 finds no cut. Phase 2's first pair lies inside one
+/// block and passes; the pair after it crosses the cut.
+Graph BlocksJoinedThroughLowConnectors() {
+  const VertexId connectors = 3;
+  const VertexId block = 66;
+  GraphBuilder builder(connectors + 2 * block);
+  for (const auto& [u, v] : HararyEdges(8, block)) {
+    builder.AddEdge(connectors + u, connectors + v);
+    builder.AddEdge(connectors + block + u, connectors + block + v);
+  }
+  for (VertexId c = 0; c < connectors; ++c) {
+    for (const VertexId offset : {c, c + 9}) {
+      builder.AddEdge(c, connectors + offset);
+      builder.AddEdge(c, connectors + block + offset);
+    }
+  }
+  return builder.Build();
+}
+
 TEST(WavefrontTest, CutFoundByteIdentity) {
-  // A 2-cut exists; the wavefront must return the exact cut the serial
-  // search finds (earliest in order), not just *a* cut.
-  const Waste waste =
-      ExpectWavefrontByteIdentity(TwoCliquesSharing(66, 2), 4, "two_cliques");
-  EXPECT_GT(waste.after_cut, 0u);
+  // A cut exists; the wavefront must return the exact cut the serial
+  // search finds (earliest in order), not just *a* cut. On both graphs a
+  // cut-free wave comes before the cut, so the wave that finds it has
+  // probes after it to discard: in phase 1 under basic VCCE and VCCE-G on
+  // the pendant clique, and in phase 2 under every variant on the
+  // connectors.
+  const Waste pendant =
+      ExpectWavefrontByteIdentity(HararyWithPendantClique(), 4, "pendant");
+  EXPECT_GT(pendant.after_cut, 0u);
+
+  const Graph connectors = BlocksJoinedThroughLowConnectors();
+  for (const KvccOptions& preset : AllVariants()) {
+    KvccStats stats;
+    EXPECT_FALSE(GlobalCut(connectors, 4, {}, preset, &stats).cut.empty());
+    EXPECT_GE(stats.phase2_pairs_tested, 2u);  // The cut is phase 2's.
+  }
+  const Waste phase_two =
+      ExpectWavefrontByteIdentity(connectors, 4, "connectors");
+  EXPECT_GT(phase_two.after_cut, 0u);
 }
 
 TEST(WavefrontTest, PlantedBlocksCutAfterSeveralWavesByteIdentity) {
-  // The block boundaries are the cuts; a search from inside one block
-  // commits several waves before a probe reaches another block.
-  const PlantedVccGraph planted = GeneratePlantedVcc(PlantedVccConfig{});
+  // The block boundaries are the cuts. On this seed basic VCCE, which
+  // walks ascending ids, commits several cut-free waves before a probe
+  // reaches another block.
+  PlantedVccConfig config;
+  config.seed = 43;
+  const PlantedVccGraph planted = GeneratePlantedVcc(config);
   const Waste waste = ExpectWavefrontByteIdentity(
       planted.graph, planted.max_connected_k, "planted");
   EXPECT_GT(waste.after_cut, 0u);
@@ -300,6 +355,32 @@ TEST(WavefrontTest, EnumerationByteIdenticalAcrossThreads) {
     EXPECT_EQ(run.stats.kvccs_found, reference.stats.kvccs_found)
         << "threads=" << threads;
     if (threads > 1) EXPECT_GT(run.stats.probes_launched, 0u);
+  }
+}
+
+TEST(WavefrontTest, FirstProbeCutsLaunchNothingSpeculative) {
+  // Every GLOBAL-CUT on this graph that finds a cut finds it with its
+  // phase's first probe, and every phase starts with a one-probe wave, so
+  // the engine's multi-worker runs discard no probe after a cut and do
+  // exactly the serial run's probe work.
+  const PlantedVccGraph planted = GeneratePlantedVcc(PlantedVccConfig{});
+  const std::uint32_t k = 8;
+  ASSERT_EQ(planted.max_connected_k, k);
+  const KvccResult serial = EnumerateKVccs(planted.graph, k);
+  EXPECT_EQ(serial.components, planted.blocks);
+  for (const unsigned workers : {2u, 4u}) {
+    KvccEngine engine(workers);
+    const KvccResult run = engine.Wait(engine.Submit(planted.graph, k));
+    const std::string context = "workers=" + std::to_string(workers);
+    EXPECT_EQ(run.components, serial.components) << context;
+    EXPECT_EQ(kvcc::testing::ReplayIdenticalStats(run.stats),
+              kvcc::testing::ReplayIdenticalStats(serial.stats))
+        << context;
+    EXPECT_GT(run.stats.probes_launched, 0u) << context;
+    EXPECT_EQ(run.stats.probes_wasted_after_cut, 0u) << context;
+    EXPECT_EQ(run.stats.probe_edges_touched,
+              serial.stats.probe_edges_touched)
+        << context;
   }
 }
 
