@@ -8,7 +8,6 @@
 // each overlaid with planted Harary-core blocks whose connectivities span
 // the paper's k sweeps, so k-VCCs exist at every evaluated k and the
 // efficiency experiments exercise the same code paths as the real data.
-// See DESIGN.md ("Substitutions") for the full rationale.
 #ifndef KVCC_GEN_DATASET_SUITE_H_
 #define KVCC_GEN_DATASET_SUITE_H_
 

@@ -20,23 +20,6 @@ std::uint32_t BfsDistances(const Graph& g, VertexId src,
   return static_cast<std::uint32_t>(queue.size());
 }
 
-std::vector<VertexId> BfsOrder(const Graph& g, VertexId src) {
-  std::vector<bool> seen(g.NumVertices(), false);
-  std::vector<VertexId> queue;
-  seen[src] = true;
-  queue.push_back(src);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const VertexId u = queue[head];
-    for (VertexId w : g.Neighbors(u)) {
-      if (!seen[w]) {
-        seen[w] = true;
-        queue.push_back(w);
-      }
-    }
-  }
-  return queue;
-}
-
 std::pair<VertexId, std::uint32_t> FarthestVertex(const Graph& g,
                                                   VertexId src) {
   std::vector<std::uint32_t> dist;

@@ -19,9 +19,6 @@ inline constexpr std::uint32_t kUnreachable = static_cast<std::uint32_t>(-1);
 std::uint32_t BfsDistances(const Graph& g, VertexId src,
                            std::vector<std::uint32_t>& dist);
 
-/// Vertices reachable from src in visiting order (src first).
-std::vector<VertexId> BfsOrder(const Graph& g, VertexId src);
-
 /// (vertex, distance) of a farthest vertex from src within its component.
 std::pair<VertexId, std::uint32_t> FarthestVertex(const Graph& g,
                                                   VertexId src);

@@ -1,66 +1,38 @@
 #include "graph/connected_components.h"
 
+#include <cstdint>
+
 namespace kvcc {
 
-// Steady-state zero-allocation is asserted dynamically by
-// memory_tracker_test.WarmLabelComponentsIntoAllocatesNothing; the grow-only
-// resizes below run only when the graph outgrows the scratch watermark (a
-// cold-path event).
-// kvcc-lint: no-alloc
-void LabelComponentsInto(const Graph& g, CcScratch& scratch,
-                         ComponentLabeling& out) {
+std::vector<std::vector<VertexId>> ConnectedComponents(const Graph& g) {
+  constexpr std::uint32_t kUnlabelled = static_cast<std::uint32_t>(-1);
   const VertexId n = g.NumVertices();
-  if (scratch.visited_stamp.size() < n) {
-    scratch.visited_stamp.resize(n, 0);  // kvcc-lint: reserved
-  }
-  if (scratch.queue.capacity() < n) {
-    scratch.queue.reserve(n);  // kvcc-lint: reserved
-  }
-  // Allocation-free once capacity has grown to the watermark (shrinks never
-  // reallocate, and every element is overwritten below).
-  out.component_of.resize(n);  // kvcc-lint: reserved
-  out.count = 0;
-  const std::uint64_t epoch = ++scratch.epoch;
-  std::vector<VertexId>& queue = scratch.queue;
+  // Components are numbered in order of their smallest vertex.
+  std::vector<std::uint32_t> component_of(n, kUnlabelled);
+  std::vector<VertexId> queue;
+  queue.reserve(n);
+  std::uint32_t count = 0;
   for (VertexId start = 0; start < n; ++start) {
-    if (scratch.visited_stamp[start] == epoch) continue;
-    const std::uint32_t id = out.count++;
-    scratch.visited_stamp[start] = epoch;
-    out.component_of[start] = id;
-    queue.clear();
-    queue.push_back(start);  // kvcc-lint: reserved
+    if (component_of[start] != kUnlabelled) continue;
+    component_of[start] = count;
+    queue.assign(1, start);
     for (std::size_t head = 0; head < queue.size(); ++head) {
-      const VertexId u = queue[head];
-      for (VertexId w : g.Neighbors(u)) {
-        if (scratch.visited_stamp[w] != epoch) {
-          scratch.visited_stamp[w] = epoch;
-          out.component_of[w] = id;
-          queue.push_back(w);  // kvcc-lint: reserved
+      for (VertexId w : g.Neighbors(queue[head])) {
+        if (component_of[w] == kUnlabelled) {
+          component_of[w] = count;
+          queue.push_back(w);
         }
       }
     }
+    ++count;
   }
-}
-
-ComponentLabeling LabelComponents(const Graph& g) {
-  CcScratch scratch;
-  ComponentLabeling out;
-  LabelComponentsInto(g, scratch, out);
-  return out;
-}
-
-std::vector<std::vector<VertexId>> ConnectedComponents(const Graph& g) {
-  const ComponentLabeling labeling = LabelComponents(g);
-  std::vector<std::vector<VertexId>> components(labeling.count);
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    components[labeling.component_of[v]].push_back(v);
+  std::vector<std::vector<VertexId>> components(count);
+  for (VertexId v = 0; v < n; ++v) {
+    components[component_of[v]].push_back(v);
   }
   return components;  // Vertex order within each component is ascending.
 }
 
-bool IsConnected(const Graph& g) {
-  if (g.NumVertices() == 0) return true;
-  return LabelComponents(g).count == 1;
-}
+bool IsConnected(const Graph& g) { return ConnectedComponents(g).size() <= 1; }
 
 }  // namespace kvcc

@@ -26,10 +26,6 @@ void GraphBuilder::AddEdge(VertexId u, VertexId v) {
   if (v >= num_vertices_) num_vertices_ = v + 1;
 }
 
-void GraphBuilder::EnsureVertex(VertexId v) {
-  if (v >= num_vertices_) num_vertices_ = v + 1;
-}
-
 void GraphBuilder::SetLabels(std::vector<VertexId> labels) {
   labels_ = std::move(labels);
 }

@@ -26,14 +26,10 @@ class GraphBuilder {
   /// Adds an undirected edge. Self-loops are silently dropped.
   void AddEdge(VertexId u, VertexId v);
 
-  /// Ensures the built graph has at least `v + 1` vertices.
-  void EnsureVertex(VertexId v);
-
   /// Attaches root-graph labels (size must equal the final vertex count).
   void SetLabels(std::vector<VertexId> labels);
 
   VertexId NumVertices() const { return num_vertices_; }
-  std::size_t NumEdgeEntries() const { return edges_.size(); }
 
   /// Normalizes (sort, dedup) and produces the Graph. The builder is left
   /// empty afterwards.

@@ -91,9 +91,9 @@ class ChannelSink : public ComponentSink {
 
 }  // namespace
 
-KvccEngine::KvccEngine(unsigned num_threads)
-    : scratch_(exec::ResolveThreadCount(num_threads)),
-      scheduler_(exec::ResolveThreadCount(num_threads)) {
+KvccEngine::KvccEngine(unsigned workers)
+    : scratch_(exec::ResolveThreadCount(workers)),
+      scheduler_(exec::ResolveThreadCount(workers)) {
   cut_pool_.scheduler = &scheduler_;
   cut_pool_.worker_scratch.reserve(scratch_.size());
   for (internal::EnumScratch& worker : scratch_) {

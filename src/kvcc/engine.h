@@ -8,6 +8,10 @@
 // keeps its workers and their scratch hot instead of paying scheduler
 // spin-up and buffer allocation per call.
 //
+// The engine's worker count is the library's one parallel setting:
+// EnumerateKVccs runs on the calling thread, and a caller that wants
+// workers submits its job here.
+//
 // Determinism: each job's result is byte-identical to a serial
 // EnumerateKVccs call on the same (graph, k, options) regardless of the
 // engine's worker count, concurrent jobs, or submission order — subproblem
@@ -66,8 +70,7 @@ struct EngineJobSpec {
   const Graph* graph = nullptr;
   /// \brief Connectivity parameter (>= 1).
   std::uint32_t k = 0;
-  /// \brief Algorithm options for this job (num_threads is ignored; the
-  /// engine's worker count governs parallelism).
+  /// \brief Algorithm and job-control options for this job.
   KvccOptions options;
 };
 
@@ -80,10 +83,8 @@ class KvccEngine {
 
   /// \brief Creates the engine and starts the persistent worker pool
   /// immediately.
-  /// \param num_threads Worker count; 0 = one per hardware thread.
-  ///   KvccOptions::num_threads is ignored for jobs served by an engine;
-  ///   the engine's own worker count governs parallelism.
-  explicit KvccEngine(unsigned num_threads = 0);
+  /// \param workers Worker count; 0 = one per hardware thread.
+  explicit KvccEngine(unsigned workers = 0);
 
   /// \brief Drains any jobs still in flight, then joins the workers.
   /// Results of jobs never Wait()ed on are discarded.
@@ -105,7 +106,7 @@ class KvccEngine {
   /// \param g The graph to decompose; borrowed, must outlive the matching
   ///   Wait.
   /// \param k Connectivity parameter (>= 1).
-  /// \param options Algorithm options (num_threads ignored).
+  /// \param options Algorithm and job-control options.
   /// \return Ticket to pass to Wait() exactly once.
   /// \throws std::invalid_argument if k == 0.
   JobId Submit(const Graph& g, std::uint32_t k,
@@ -126,7 +127,7 @@ class KvccEngine {
   /// \param g The graph to decompose; borrowed, must outlive Wait.
   /// \param k Connectivity parameter (>= 1).
   /// \param sink Non-null consumer for components and completion.
-  /// \param options Algorithm options (num_threads ignored).
+  /// \param options Algorithm and job-control options.
   /// \return Ticket to pass to Wait() exactly once.
   /// \throws std::invalid_argument if k == 0 or sink is null.
   JobId SubmitStreaming(const Graph& g, std::uint32_t k,
@@ -151,9 +152,9 @@ class KvccEngine {
   ///   stream reports completion or is destroyed (abandonment joins the
   ///   job, so either event means no worker reads the graph anymore).
   /// \param k Connectivity parameter (>= 1).
-  /// \param options Algorithm options (num_threads ignored;
-  ///   stream_buffer_limit bounds the channel; deadline_ms arms a
-  ///   wall-clock budget; priority picks the latency class).
+  /// \param options Algorithm options (stream_buffer_limit bounds the
+  ///   channel; deadline_ms arms a wall-clock budget; priority picks the
+  ///   latency class).
   /// \return Stream handle delivering the job's components.
   /// \throws std::invalid_argument if k == 0.
   ResultStream SubmitStream(const Graph& g, std::uint32_t k,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "exec/task_scheduler.h"
 #include "graph/k_core.h"
 #include "kvcc/engine.h"
 #include "kvcc/kvcc_enum.h"
@@ -28,11 +27,6 @@ void BuildHierarchyInto(KvccEngine* engine, const Graph& g,
     max_level = Degeneracy(g) + 1;  // kappa <= delta <= degeneracy... + slack
   }
 
-  // Per-job options: an engine parallelizes across and within jobs itself,
-  // and the serial path must not recursively spin up one engine per call.
-  KvccOptions job_options = options;
-  job_options.num_threads = 1;
-
   // Level 1 over the whole graph; level k inside each level-(k-1) node.
   std::vector<std::size_t> frontier;
   for (std::uint32_t k = 1; k <= max_level; ++k) {
@@ -51,7 +45,7 @@ void BuildHierarchyInto(KvccEngine* engine, const Graph& g,
     std::vector<KvccResult> engine_results;
     if (engine != nullptr) {
       subgraphs.resize(parents.size());
-      std::vector<EngineJobSpec> specs(parents.size(), {&g, k, job_options});
+      std::vector<EngineJobSpec> specs(parents.size(), {&g, k, options});
       for (std::size_t p = 0; p < parents.size(); ++p) {
         if (parents[p] != HierarchyNode::kNoParent) {
           subgraphs[p] =
@@ -72,11 +66,11 @@ void BuildHierarchyInto(KvccEngine* engine, const Graph& g,
       if (engine != nullptr) {
         result = std::move(engine_results[p]);
       } else if (root) {
-        result = EnumerateKVccs(g, k, job_options);
+        result = EnumerateKVccs(g, k, options);
       } else {
         const Graph sub =
             g.InducedSubgraph(hierarchy.nodes[parent_index].vertices);
-        result = EnumerateKVccs(sub, k, job_options);
+        result = EnumerateKVccs(sub, k, options);
       }
       hierarchy.stats.Add(result.stats);
       for (const auto& component : result.components) {
@@ -178,15 +172,8 @@ std::uint64_t KvccHierarchy::MemoryBytes() const {
 KvccHierarchy BuildKvccHierarchy(const Graph& g, std::uint32_t max_level,
                                  const KvccOptions& options) {
   KvccHierarchy hierarchy;
-  const unsigned workers = exec::ResolveThreadCount(options.num_threads);
-  if (workers > 1) {
-    KvccEngine engine(workers);
-    BuildHierarchyInto(&engine, g, max_level, options, hierarchy,
-                       hierarchy.cohesion_);
-  } else {
-    BuildHierarchyInto(nullptr, g, max_level, options, hierarchy,
-                       hierarchy.cohesion_);
-  }
+  BuildHierarchyInto(nullptr, g, max_level, options, hierarchy,
+                     hierarchy.cohesion_);
   return hierarchy;
 }
 

@@ -108,12 +108,8 @@ struct KvccHierarchy {
   std::vector<std::uint32_t> cohesion_;  // per input vertex
 };
 
-/// \brief Builds the hierarchy up to `max_level`.
-///
-/// With KvccOptions::num_threads resolving to more than one worker, each
-/// level's parent components are decomposed as independent jobs on a
-/// KvccEngine and merged in parent order, so the output is identical for
-/// every thread count.
+/// \brief Builds the hierarchy up to `max_level` on the calling thread,
+/// level by level, decomposing one parent component at a time.
 /// \param g The input graph.
 /// \param max_level Deepest level to compute; 0 = until no components
 ///   remain (bounded by the degeneracy since a k-VCC needs minimum degree
@@ -123,11 +119,14 @@ struct KvccHierarchy {
 KvccHierarchy BuildKvccHierarchy(const Graph& g, std::uint32_t max_level = 0,
                                  const KvccOptions& options = {});
 
-/// \brief Same, but runs every level's jobs on a caller-provided engine —
-/// the way to build many hierarchies (or mix hierarchy and plain
-/// enumeration traffic) on one warm worker pool.
+/// \brief Same, but decomposes each level's parent components as
+/// independent jobs on a caller-provided engine and merges them in parent
+/// order, so the output is identical to the serial build's for every
+/// worker count. The way to build in parallel, or to build many
+/// hierarchies (or mix hierarchy and plain enumeration traffic) on one
+/// warm worker pool.
 /// \param engine The engine to run on; its worker count governs
-///   parallelism (KvccOptions::num_threads is ignored).
+///   parallelism.
 /// \param g The input graph.
 /// \param max_level Deepest level to compute; 0 = until no components
 ///   remain.

@@ -71,8 +71,7 @@ class IncrementalKvcc {
  public:
   /// \brief Creates an empty (uninitialized) state.
   /// \param options Enumeration options used for every rebuild and every
-  ///   dirty-region re-run (num_threads is ignored when an engine drives
-  ///   the update).
+  ///   dirty-region re-run.
   explicit IncrementalKvcc(KvccOptions options = {});
 
   /// \brief Whether a first Update() has run.
@@ -90,7 +89,8 @@ class IncrementalKvcc {
   /// patched hierarchy. Falls back to a full rebuild when uninitialized
   /// or when Compact() folded the needed history away. With a non-null
   /// engine all dirty-region jobs (across every level) run concurrently
-  /// on its pool; the result is byte-identical either way.
+  /// on its pool; without one they run on the calling thread. The result
+  /// is byte-identical either way.
   /// \param vg The versioned graph to catch up to.
   /// \param engine Optional warm engine for the region jobs.
   /// \return Counters describing the work done.

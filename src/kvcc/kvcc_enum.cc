@@ -6,8 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "exec/task_scheduler.h"
-#include "kvcc/engine.h"
 #include "kvcc/enum_internal.h"
 #include "kvcc/job_control.h"
 
@@ -120,15 +118,6 @@ KvccResult EnumerateKVccs(const Graph& g, std::uint32_t k,
   if (k == 0) {
     throw std::invalid_argument("EnumerateKVccs: k must be at least 1");
   }
-  const unsigned num_workers = exec::ResolveThreadCount(options.num_threads);
-  if (num_workers > 1) {
-    // One-job batch on a transient engine. Callers that decompose many
-    // graphs should hold a KvccEngine themselves and Submit jobs against
-    // its warm worker pool instead of paying this spin-up per call.
-    KvccEngine engine(num_workers);
-    return engine.Wait(engine.Submit(g, k, options));
-  }
-
   KvccResult result = RunSerial(g, k, options);
   std::sort(result.components.begin(), result.components.end());
   return result;

@@ -41,11 +41,10 @@ struct KvccResult {
 
 /// \brief Enumerates all k-VCCs of g (k >= 1; g need not be connected).
 ///
-/// Deterministic: identical inputs and options give identical output
-/// order, for every KvccOptions::num_threads setting. With num_threads > 1
-/// this is a thin one-job wrapper over KvccEngine (see kvcc/engine.h);
-/// callers with many (graph, k) requests should hold an engine and batch
-/// them instead.
+/// Runs on the calling thread. Deterministic: identical inputs and options
+/// give identical output order. For workers, hold a KvccEngine (see
+/// kvcc/engine.h) and Submit the job: its result is byte-identical to this
+/// call's at every worker count.
 /// \param g The input graph.
 /// \param k Connectivity parameter (>= 1).
 /// \param options Algorithm variant and execution knobs; deadline_ms > 0

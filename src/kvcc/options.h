@@ -13,6 +13,10 @@
 //             pairs that share k common neighbors (Lemma 13)
 // Every variant runs its flow tests on the sparse certificate.
 //
+// The options carry no worker count. EnumerateKVccs runs on the calling
+// thread; a parallel run holds a KvccEngine, whose worker count is the one
+// parallel setting (src/kvcc/engine.h).
+//
 // Intra-cut parallelism has no knob: whenever a multi-worker pool runs a
 // GLOBAL-CUT, its probes run as wavefronts on a working graph of 128 or
 // more vertices, and with neighbor sweep its set-up (the certificate
@@ -28,7 +32,7 @@
 
 /// \file
 /// \brief KvccOptions: algorithm-variant presets (VCCE / VCCE-N / VCCE-G
-/// / VCCE*) and execution knobs (threads, job control).
+/// / VCCE*) and job-control knobs.
 
 namespace kvcc {
 
@@ -72,15 +76,6 @@ struct KvccOptions {
   /// cap keeps detection cheap on hub-heavy graphs where the pair work
   /// would exceed the flow tests it saves.
   static constexpr std::uint32_t side_vertex_degree_cap = 128;
-
-  /// \brief Worker threads for the enumeration engine. 1 (default) runs
-  /// the exact serial code path; 0 uses one worker per hardware thread;
-  /// any other value runs that many workers over a work-stealing
-  /// scheduler. The enumerated components (and all stats totals) are
-  /// identical for every setting — partition subproblems are independent
-  /// and the output is canonically sorted — so this is purely a
-  /// wall-clock knob.
-  std::uint32_t num_threads = 1;
 
   // ---- job control (see docs/JOB_CONTROL.md) ----
 

@@ -279,12 +279,10 @@ std::optional<std::string> KvccdServer::HandleDecompose(
     return EmitDecompose(transport, request, *cached);
   }
 
-  KvccOptions options = request.options;
-  options.stream_buffer_limit = config_.stream_buffer_limit;
   auto components = std::make_shared<ComponentList>();
   std::uint64_t delivered = 0;
   try {
-    ResultStream stream = engine_.SubmitStream(g, request.k, options);
+    ResultStream stream = engine_.SubmitStream(g, request.k, request.options);
     for (;;) {
       std::optional<StreamedComponent> component = stream.Next();
       if (!component.has_value()) break;

@@ -9,8 +9,10 @@
 //                             membership);
 //   * client disconnect    -> stream abandonment, which fires the job's
 //                             CancelToken (Engine::Cancel semantics);
-//   * slow readers         -> Transport::WriteLine backpressure, chained
-//                             to the engine's bounded stream channel;
+//   * slow readers         -> Transport::WriteLine backpressure on the
+//                             connection thread alone: a decompose job
+//                             streams unbounded, so a reader that stops
+//                             never parks an engine worker;
 //   * admission caps       -> one "overloaded" error line, bulk shed
 //                             first (AdmissionController);
 //   * deadline expiry      -> one "cancelled" close line, connection
@@ -60,10 +62,6 @@ struct KvccdConfig {
   std::uint64_t cache_bytes = 64u << 20;
   /// \brief Admission caps; zeros mean unlimited.
   AdmissionLimits admission;
-  /// \brief KvccOptions::stream_buffer_limit applied to every decompose
-  /// job: bounds undelivered components, so a slow reader parks the
-  /// producing worker instead of growing server memory. 0 = unbounded.
-  std::uint32_t stream_buffer_limit = 64;
 };
 
 /// \brief The kvccd request loop. Thread-safe: one instance serves any

@@ -55,7 +55,6 @@ bool LoopbackEndpoint::WriteLine(const std::string& line) {
   }
   if (dir.closed) return false;
   dir.lines.push_back(line);
-  ++dir.lines_written;
   state_->cv.notify_all();
   return true;
 }
@@ -73,16 +72,6 @@ bool LoopbackEndpoint::WaitUntilPeerBlockedWriting() {
   state_->cv.wait(lock,
                   [&] { return dir.writers_blocked > 0 || dir.closed; });
   return dir.writers_blocked > 0;
-}
-
-std::size_t LoopbackEndpoint::PendingLines() const {
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  return inbound().lines.size();
-}
-
-std::uint64_t LoopbackEndpoint::PeerLinesWritten() const {
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  return inbound().lines_written;
 }
 
 LoopbackPair MakeLoopbackPair(std::size_t client_to_server_capacity,

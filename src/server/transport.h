@@ -13,7 +13,7 @@
 #define KVCC_SERVER_TRANSPORT_H_
 
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -73,7 +73,6 @@ struct LoopbackDirection {
   std::size_t capacity = 0;  // 0 = unbounded
   bool closed = false;       // either endpoint closed; latching
   std::size_t writers_blocked = 0;   // writers parked on a full queue now
-  std::uint64_t lines_written = 0;   // accepted WriteLine calls
 };
 
 /// State shared by the two endpoints of one loopback connection.
@@ -109,16 +108,6 @@ class LoopbackEndpoint : public Transport {
   /// \return True if a blocked peer writer was observed; false if the
   ///   connection closed first.
   bool WaitUntilPeerBlockedWriting();
-
-  /// \brief Lines the peer has written toward this endpoint that this
-  /// endpoint has not yet read.
-  /// \return The instantaneous receive-queue depth.
-  std::size_t PendingLines() const;
-
-  /// \brief Lines the peer has successfully written toward this endpoint
-  /// over the connection's lifetime (monotone).
-  /// \return The accepted-write count.
-  std::uint64_t PeerLinesWritten() const;
 
  private:
   friend LoopbackPair MakeLoopbackPair(std::size_t, std::size_t);

@@ -29,13 +29,6 @@ TEST(BfsTest, UnreachableMarked) {
   EXPECT_EQ(dist[2], kUnreachable);
 }
 
-TEST(BfsTest, OrderStartsAtSourceAndCoversComponent) {
-  const Graph g = CycleGraph(6);
-  const auto order = BfsOrder(g, 2);
-  ASSERT_EQ(order.size(), 6u);
-  EXPECT_EQ(order[0], 2u);
-}
-
 TEST(BfsTest, FarthestVertexAndEccentricity) {
   const Graph g = PathGraph(7);
   const auto [far, dist] = FarthestVertex(g, 0);

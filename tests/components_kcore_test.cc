@@ -33,15 +33,6 @@ TEST(ConnectedComponentsTest, EmptyGraphIsConnected) {
   EXPECT_TRUE(IsConnected(Graph()));
 }
 
-TEST(ConnectedComponentsTest, LabelingCountsMatch) {
-  const Graph g = Graph::FromEdges(
-      7, std::vector<std::pair<VertexId, VertexId>>{{0, 1}, {1, 2}, {4, 5}});
-  const ComponentLabeling labeling = LabelComponents(g);
-  EXPECT_EQ(labeling.count, 4u);
-  EXPECT_EQ(labeling.component_of[0], labeling.component_of[2]);
-  EXPECT_NE(labeling.component_of[0], labeling.component_of[4]);
-}
-
 TEST(KCoreTest, CompleteGraphSurvivesUpToDegree) {
   const Graph g = CompleteGraph(6);  // every degree = 5
   EXPECT_EQ(KCoreVertices(g, 5).size(), 6u);

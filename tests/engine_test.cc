@@ -80,9 +80,7 @@ std::vector<KvccResult> SerialReference(const std::vector<TestJob>& jobs) {
   std::vector<KvccResult> reference;
   reference.reserve(jobs.size());
   for (const TestJob& job : jobs) {
-    KvccOptions options = job.options;
-    options.num_threads = 1;
-    reference.push_back(EnumerateKVccs(job.graph, job.k, options));
+    reference.push_back(EnumerateKVccs(job.graph, job.k, job.options));
   }
   return reference;
 }
@@ -244,11 +242,9 @@ TEST(KvccEngineTest, MixedSizeJobsInterleaveWithoutCrosstalk) {
   const PlantedVccGraph planted = GeneratePlantedVcc(big);
   const Graph small = TwoCliquesSharing(5, 1);
 
-  KvccOptions serial;
-  serial.num_threads = 1;
   const KvccResult big_ref =
-      EnumerateKVccs(planted.graph, planted.max_connected_k, serial);
-  const KvccResult small_ref = EnumerateKVccs(small, 3, serial);
+      EnumerateKVccs(planted.graph, planted.max_connected_k);
+  const KvccResult small_ref = EnumerateKVccs(small, 3);
 
   KvccEngine engine(4);
   for (int round = 0; round < 3; ++round) {
@@ -282,9 +278,7 @@ TEST(KvccEngineTest, SmallJobCompletesWhileLargeJobInFlight) {
   const PlantedVccGraph planted = GeneratePlantedVcc(big);
   const Graph small = TwoCliquesSharing(5, 1);
 
-  KvccOptions serial;
-  serial.num_threads = 1;
-  const KvccResult small_ref = EnumerateKVccs(small, 3, serial);
+  const KvccResult small_ref = EnumerateKVccs(small, 3);
 
   KvccEngine engine(2);
   std::atomic<bool> big_done{false};
@@ -659,7 +653,6 @@ TEST(KvccEngineJobControlTest, DeadlineCancelsEngineJob) {
 TEST(KvccEngineJobControlTest, DeadlineCancelsSerialEnumeration) {
   const PlantedVccGraph planted = MakeCancellationWorkload(31, 64);
   KvccOptions options;
-  options.num_threads = 1;
   options.deadline_ms = 1;
   try {
     EnumerateKVccs(planted.graph, 9, options);

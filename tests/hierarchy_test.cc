@@ -76,13 +76,10 @@ TEST(HierarchyTest, ThreadedBuildMatchesSerialExactly) {
 
   for (std::size_t gi = 0; gi < inputs.size(); ++gi) {
     const Graph& g = inputs[gi];
-    KvccOptions serial_options;
-    serial_options.num_threads = 1;
-    const KvccHierarchy serial = BuildKvccHierarchy(g, 0, serial_options);
+    const KvccHierarchy serial = BuildKvccHierarchy(g);
     for (std::uint32_t threads : {2u, 8u}) {
-      KvccOptions options;
-      options.num_threads = threads;
-      const KvccHierarchy parallel = BuildKvccHierarchy(g, 0, options);
+      KvccEngine engine(threads);
+      const KvccHierarchy parallel = BuildKvccHierarchy(engine, g);
       ExpectSameHierarchy(serial, parallel, g.NumVertices(),
                           "graph=" + std::to_string(gi) +
                               " threads=" + std::to_string(threads));
@@ -93,10 +90,7 @@ TEST(HierarchyTest, ThreadedBuildMatchesSerialExactly) {
 TEST(HierarchyTest, SharedEngineBuildMatchesSerial) {
   // Several hierarchies built back to back on one warm engine.
   const Figure1Fixture f = MakeFigure1Graph();
-  KvccOptions serial_options;
-  serial_options.num_threads = 1;
-  const KvccHierarchy serial =
-      BuildKvccHierarchy(f.graph, 0, serial_options);
+  const KvccHierarchy serial = BuildKvccHierarchy(f.graph);
   KvccEngine engine(4);
   for (int round = 0; round < 3; ++round) {
     const KvccHierarchy shared = BuildKvccHierarchy(engine, f.graph);

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <utility>
@@ -415,6 +417,36 @@ TEST(KvccdProtocolTest, DisconnectMidStreamFiresCancel) {
   Connection conn2(daemon);
   EXPECT_EQ(conn2.Roundtrip("{\"op\":\"ping\"}"),
             std::vector<std::string>{"{\"type\":\"pong\"}"});
+}
+
+TEST(KvccdProtocolTest, ReaderThatStopsDoesNotStallOtherConnections) {
+  // One engine worker, the default. Connection A asks for 200 components
+  // with a progress line each over a one-line response queue and stops
+  // reading, so its connection thread parks in WriteLine. A decompose job
+  // streams unbounded, so the worker is not parked with it: it finishes
+  // A's job and serves connection B.
+  KvccdServer daemon;
+  Connection a(daemon, /*client_to_server_capacity=*/0,
+               /*server_to_client_capacity=*/1);
+  ASSERT_TRUE(a.Send(
+      "{\"op\":\"decompose\",\"k\":2,\"progress_every\":1,\"edges\":" +
+      EdgesJson(DisjointTriangles(200)) + "}"));
+  ASSERT_TRUE(a.client().WaitUntilPeerBlockedWriting());
+
+  const Graph g = DisjointTriangles(4);
+  Connection b(daemon);
+  std::future<std::vector<std::string>> answer =
+      std::async(std::launch::async, [&b, &g] {
+        return b.Roundtrip("{\"op\":\"decompose\",\"k\":2,\"edges\":" +
+                           EdgesJson(g) + "}");
+      });
+  // A stall fails here instead of hanging the test: A's disconnect below
+  // would release a parked worker, and B would then finish late.
+  EXPECT_EQ(answer.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "B's decompose waited on A's unread stream";
+  a.Disconnect();
+  EXPECT_EQ(answer.get(), ExpectedDecomposeLines(g, 2));
 }
 
 TEST(KvccdProtocolTest, DeadlineExpiryEmitsCancelledLine) {

@@ -13,7 +13,6 @@
 
 #include "gen/fixtures.h"
 #include "gen/harary.h"
-#include "graph/connected_components.h"
 #include "graph/delta_store.h"
 #include "graph/graph_io.h"
 #include "graph/k_core.h"
@@ -150,28 +149,10 @@ TEST(MemoryTrackerTest, WarmCutDisconnectsAllocatesNothing) {
       << "steady-state cut verification touched the allocator";
 }
 
-// Warm-path preprocessing kernels: once the pooled scratch has grown to a
+// Warm-path preprocessing kernel: once the pooled scratch has grown to a
 // graph's high-water mark, repeat calls on that graph must not touch the
 // allocator. The enumeration peels once per work item, so a single
 // decompose run calls KCoreVerticesInto thousands of times.
-TEST(MemoryTrackerTest, WarmLabelComponentsIntoAllocatesNothing) {
-  ASSERT_TRUE(MemoryTracker::Enabled());
-  const Graph g = TwoCliquesSharing(10, 2);
-  CcScratch scratch;
-  ComponentLabeling labeling;
-  for (int warm = 0; warm < 2; ++warm) {
-    LabelComponentsInto(g, scratch, labeling);
-  }
-  ASSERT_EQ(labeling.count, 1u);
-  MemoryTracker::ResetPeak();
-  const std::uint64_t baseline = MemoryTracker::CurrentBytes();
-  for (int round = 0; round < 10; ++round) {
-    LabelComponentsInto(g, scratch, labeling);
-  }
-  EXPECT_EQ(MemoryTracker::PeakBytes(), baseline)
-      << "steady-state component labeling touched the allocator";
-}
-
 TEST(MemoryTrackerTest, WarmKCoreVerticesIntoAllocatesNothing) {
   ASSERT_TRUE(MemoryTracker::Enabled());
   const Graph g = TwoCliquesSharing(10, 2);

@@ -10,6 +10,7 @@
 
 #include "kvcc/kvcc_enum.h"
 #include "support/brute_force.h"
+#include "support/workers.h"
 
 namespace kvcc {
 namespace {
@@ -62,9 +63,8 @@ TEST(ExecutionMatrixTest, ThreadCountsMatchBruteForce) {
     for (std::uint32_t k = 2; k <= 4; ++k) {
       const auto expected = kvcc::testing::BruteKVccs(g, k);
       for (std::uint32_t threads : {1u, 2u, 8u}) {
-        KvccOptions options = KvccOptions::VcceStar();
-        options.num_threads = threads;
-        const auto result = EnumerateKVccs(g, k, options);
+        const auto result = kvcc::testing::EnumerateOnWorkers(
+            g, k, KvccOptions::VcceStar(), threads);
         EXPECT_EQ(result.components, expected)
             << "seed=" << seed << " k=" << k << " threads=" << threads;
         EXPECT_EQ(result.stats.certificate_cut_fallbacks, 0u);

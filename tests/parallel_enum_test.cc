@@ -1,7 +1,7 @@
-// Determinism of the parallel enumeration engine: EnumerateKVccs must
-// produce identical components and identical stats totals for every thread
-// count, because each work item is a pure function of its input and the
-// merged output is canonically sorted.
+// Determinism of the parallel enumeration engine: a job on a KvccEngine
+// must produce the components and stats totals of the serial
+// EnumerateKVccs for every worker count, because each work item is a pure
+// function of its input and the merged output is canonically sorted.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "kvcc/kvcc_enum.h"
 #include "support/brute_force.h"
 #include "support/replay_stats.h"
+#include "support/workers.h"
 
 namespace kvcc {
 namespace {
@@ -41,12 +42,11 @@ void ExpectSameStats(const KvccStats& a, const KvccStats& b,
 /// Runs every configured thread count and asserts all runs agree with the
 /// serial one (components byte-identical, stats totals equal).
 KvccResult ExpectThreadInvariant(const Graph& g, std::uint32_t k,
-                                 KvccOptions options) {
-  options.num_threads = 1;
+                                 const KvccOptions& options) {
   const KvccResult serial = EnumerateKVccs(g, k, options);
   for (std::uint32_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    const KvccResult run = EnumerateKVccs(g, k, options);
+    const KvccResult run =
+        kvcc::testing::EnumerateOnWorkers(g, k, options, threads);
     const std::string context = "threads=" + std::to_string(threads) +
                                 " k=" + std::to_string(k);
     EXPECT_EQ(run.components, serial.components) << context;
@@ -70,14 +70,13 @@ TEST(ParallelEnumTest, LargeCoreComponentsGiveIdenticalResults) {
     ASSERT_GE(component.size(), 512u);
   }
 
-  KvccOptions options = KvccOptions::VcceStar();
-  options.num_threads = 1;
+  const KvccOptions options = KvccOptions::VcceStar();
   const KvccResult serial = EnumerateKVccs(g, k, options);
   EXPECT_GE(serial.components.size(), 3u);
   EXPECT_GT(serial.stats.overlap_partitions, 0u);
   for (const std::uint32_t threads : {2u, 4u}) {
-    options.num_threads = threads;
-    const KvccResult run = EnumerateKVccs(g, k, options);
+    const KvccResult run =
+        kvcc::testing::EnumerateOnWorkers(g, k, options, threads);
     const std::string context = "threads=" + std::to_string(threads);
     EXPECT_EQ(run.components, serial.components) << context;
     EXPECT_EQ(kvcc::testing::ReplayIdenticalStats(run.stats),
@@ -142,20 +141,16 @@ TEST(ParallelEnumTest, RandomGraphsMatchBruteForce) {
     const Graph g = kvcc::testing::RandomConnectedGraph(12, 26, seed);
     for (std::uint32_t k = 2; k <= 4; ++k) {
       const auto expected = kvcc::testing::BruteKVccs(g, k);
-      KvccOptions options;
-      options.num_threads = 4;
-      const KvccResult run = EnumerateKVccs(g, k, options);
+      const KvccResult run = kvcc::testing::EnumerateOnWorkers(g, k, {}, 4);
       EXPECT_EQ(run.components, expected) << "seed=" << seed << " k=" << k;
     }
   }
 }
 
 TEST(ParallelEnumTest, HardwareConcurrencyAutoDetect) {
-  // num_threads = 0 resolves to hardware concurrency; result unchanged.
+  // Zero workers resolves to hardware concurrency; result unchanged.
   const Figure1Fixture f = MakeFigure1Graph();
-  KvccOptions options;
-  options.num_threads = 0;
-  const KvccResult run = EnumerateKVccs(f.graph, 4, options);
+  const KvccResult run = kvcc::testing::EnumerateOnWorkers(f.graph, 4, {}, 0);
   EXPECT_EQ(run.components, f.expected_vccs);
 }
 
@@ -172,9 +167,8 @@ TEST(ParallelEnumTest, LabeledInputReportsLocalIds) {
   const Graph labeled = big.InducedSubgraph(keep);
   ASSERT_TRUE(labeled.HasLabels());
   for (std::uint32_t threads : kThreadCounts) {
-    KvccOptions options;
-    options.num_threads = threads;
-    const KvccResult run = EnumerateKVccs(labeled, 4, options);
+    const KvccResult run =
+        kvcc::testing::EnumerateOnWorkers(labeled, 4, {}, threads);
     // Big's clique {0..5} loses vertex 0 but stays a 4-VCC as a 5-clique
     // (local ids {0..4}); clique {4..9} survives whole (local ids {3..8}).
     ASSERT_EQ(run.components.size(), 2u) << "threads=" << threads;

@@ -147,10 +147,8 @@ TEST(SnapshotTest, PinnedStreamingJobIsIsolatedFromWriters) {
   const GraphSnapshot snap = vg.Snapshot();
 
   // The expected bytes, fixed before any mutation lands.
-  KvccOptions serial;
-  serial.num_threads = 1;
   const std::vector<std::vector<VertexId>> expected =
-      EnumerateKVccs(*snap.graph, 2, serial).components;
+      EnumerateKVccs(*snap.graph, 2).components;
   ASSERT_EQ(expected.size(), 32u);
 
   KvccEngine engine(2);
@@ -225,8 +223,6 @@ TEST(SnapshotTest, WriterStreamerStorm) {
     streamers.emplace_back([&vg, &engine] {
       KvccOptions gated;
       gated.stream_buffer_limit = 1;
-      KvccOptions serial;
-      serial.num_threads = 1;
       for (int round = 0; round < 10; ++round) {
         const GraphSnapshot snap = vg.Snapshot();
         ResultStream stream = engine.SubmitStream(*snap.graph, 2, gated);
@@ -237,7 +233,7 @@ TEST(SnapshotTest, WriterStreamerStorm) {
         // Delivery is in completion order; isolation is about content,
         // so compare canonically.
         std::sort(streamed.begin(), streamed.end());
-        EXPECT_EQ(streamed, EnumerateKVccs(*snap.graph, 2, serial).components)
+        EXPECT_EQ(streamed, EnumerateKVccs(*snap.graph, 2).components)
             << "round " << round;
       }
     });

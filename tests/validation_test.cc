@@ -12,6 +12,7 @@
 #include "kvcc/kvcc_enum.h"
 #include "kvcc/options.h"
 #include "support/brute_force.h"
+#include "support/workers.h"
 
 namespace kvcc {
 namespace {
@@ -112,7 +113,7 @@ TEST(ValidationTest, SplitCoreShapesValidateAtEveryThreadCount) {
        {TwoCliquesSharing(8, 2), RandomConnectedGraph(60, 120, 5),
         DisconnectedFixture(), BarabasiAlbert(300, 4, 7)}) {
     for (std::uint32_t k = 2; k <= 4; ++k) {
-      KvccOptions options = KvccOptions::VcceStar();
+      const KvccOptions options = KvccOptions::VcceStar();
       const KvccResult serial = EnumerateKVccs(g, k, options);
       const ValidationReport report =
           ValidateKvccResult(g, k, serial.components);
@@ -120,8 +121,8 @@ TEST(ValidationTest, SplitCoreShapesValidateAtEveryThreadCount) {
           << "n=" << g.NumVertices() << " k=" << k << ": "
           << (report.violations.empty() ? "" : report.violations.front());
       for (const unsigned threads : {2u, 8u}) {
-        options.num_threads = threads;
-        EXPECT_EQ(EnumerateKVccs(g, k, options).components,
+        EXPECT_EQ(kvcc::testing::EnumerateOnWorkers(g, k, options, threads)
+                      .components,
                   serial.components)
             << "n=" << g.NumVertices() << " k=" << k
             << " threads=" << threads;

@@ -30,6 +30,7 @@
 #include "support/brute_force.h"
 #include "support/referee.h"
 #include "support/replay_stats.h"
+#include "support/workers.h"
 
 namespace kvcc {
 namespace {
@@ -337,17 +338,14 @@ TEST(WavefrontTest, EnumerationByteIdenticalAcrossThreads) {
   const PlantedVccGraph planted = GeneratePlantedVcc(config);
   ASSERT_GE(planted.graph.NumVertices(), 128u);
 
-  KvccOptions serial = KvccOptions::VcceStar();
-  serial.num_threads = 1;
+  const KvccOptions options = KvccOptions::VcceStar();
   const KvccResult reference =
-      EnumerateKVccs(planted.graph, planted.max_connected_k, serial);
+      EnumerateKVccs(planted.graph, planted.max_connected_k, options);
   EXPECT_EQ(reference.components, planted.blocks);
 
   for (const std::uint32_t threads : kThreadCounts) {
-    KvccOptions options = KvccOptions::VcceStar();
-    options.num_threads = threads;
-    const KvccResult run =
-        EnumerateKVccs(planted.graph, planted.max_connected_k, options);
+    const KvccResult run = kvcc::testing::EnumerateOnWorkers(
+        planted.graph, planted.max_connected_k, options, threads);
     EXPECT_EQ(run.components, reference.components) << "threads=" << threads;
     EXPECT_EQ(run.stats.loc_cut_flow_calls,
               reference.stats.loc_cut_flow_calls)
@@ -395,9 +393,8 @@ TEST(WavefrontTest, SingleGiantComponentEngagesWavefronts) {
     EXPECT_EQ(serial_run.stats.probes_launched, 0u) << "k=" << k;
 
     for (const std::uint32_t threads : {2u, 4u}) {
-      KvccOptions options = serial;
-      options.num_threads = threads;
-      const KvccResult run = EnumerateKVccs(g, k, options);
+      const KvccResult run =
+          kvcc::testing::EnumerateOnWorkers(g, k, serial, threads);
       const std::string context =
           "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
       ASSERT_EQ(run.components.size(), 1u) << context;
@@ -414,12 +411,13 @@ TEST(WavefrontTest, SingleGiantComponentEngagesWavefronts) {
 
 TEST(WavefrontTest, MinVertexFloorKeepsSmallGraphsSerial) {
   // Wavefronts engage from 128 vertices up, even on a wide pool.
-  KvccOptions options = KvccOptions::VcceStar();
-  options.num_threads = 4;
-  const KvccResult below = EnumerateKVccs(HararyGraph(5, 127), 5, options);
+  const KvccOptions options = KvccOptions::VcceStar();
+  const KvccResult below =
+      kvcc::testing::EnumerateOnWorkers(HararyGraph(5, 127), 5, options, 4);
   EXPECT_EQ(below.stats.probes_launched, 0u);
   EXPECT_EQ(below.components.size(), 1u);
-  const KvccResult at = EnumerateKVccs(HararyGraph(5, 128), 5, options);
+  const KvccResult at =
+      kvcc::testing::EnumerateOnWorkers(HararyGraph(5, 128), 5, options, 4);
   EXPECT_GT(at.stats.probes_launched, 0u);
   EXPECT_EQ(at.components.size(), 1u);
 }
@@ -533,9 +531,8 @@ TEST(WavefrontTest, RefereeAgreementUnderWavefronts) {
     for (const std::uint32_t threads : {1u, 2u, 4u}) {
       std::uint64_t launched = 0;
       for (std::size_t i = 0; i < variants.size(); ++i) {
-        KvccOptions options = variants[i];
-        options.num_threads = threads;
-        const KvccResult run = EnumerateKVccs(c.g, c.k, options);
+        const KvccResult run = kvcc::testing::EnumerateOnWorkers(
+            c.g, c.k, variants[i], threads);
         EXPECT_EQ(run.components, expected)
             << c.name << " k=" << c.k << " variant=" << i
             << " threads=" << threads;

@@ -240,12 +240,16 @@ int CmdDecompose(const std::vector<std::string>& args) {
   }
   const bool stats = flags.stats;
   const Graph g = ReadEdgeListFile(args[0]);
-  KvccOptions options = flags.Options();
-  options.num_threads = flags.threads;
+  const KvccOptions options = flags.Options();
   Timer timer;
   KvccResult result;
   try {
-    result = EnumerateKVccs(g, k, options);
+    if (flags.threads == 1) {
+      result = EnumerateKVccs(g, k, options);
+    } else {
+      KvccEngine engine(flags.threads);
+      result = engine.Wait(engine.Submit(g, k, options));
+    }
   } catch (const JobCancelled& cancelled) {
     std::cerr << "cancelled: " << cancelled.what() << " after "
               << timer.ElapsedMillis() << "ms ("
@@ -470,9 +474,13 @@ int CmdHierarchy(const std::vector<std::string>& args) {
     }
   }
   const Graph g = ReadEdgeListFile(args[0]);
-  KvccOptions options;
-  options.num_threads = threads;
-  const KvccHierarchy hierarchy = BuildKvccHierarchy(g, max_k, options);
+  KvccHierarchy hierarchy;
+  if (threads == 1) {
+    hierarchy = BuildKvccHierarchy(g, max_k);
+  } else {
+    KvccEngine engine(threads);
+    hierarchy = BuildKvccHierarchy(engine, g, max_k);
+  }
   for (std::uint32_t k = 1; k <= hierarchy.MaxLevel(); ++k) {
     const auto& nodes = hierarchy.NodesAtLevel(k);
     std::cout << "level " << k << ": " << nodes.size() << " component(s)";

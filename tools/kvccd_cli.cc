@@ -36,8 +36,8 @@ int Usage() {
   std::cerr <<
       "usage: kvccd <command> [args]\n"
       "  serve [--port=P] [--threads=N] [--cache-bytes=B]\n"
-      "        [--stream-buffer=L] [--max-interactive=N] [--max-normal=N]\n"
-      "        [--max-bulk=N] [--max-total=N] [--bulk-reserve=N]\n"
+      "        [--max-interactive=N] [--max-normal=N] [--max-bulk=N]\n"
+      "        [--max-total=N] [--bulk-reserve=N]\n"
       "        (--port=0 picks a free port; the bound port is printed as\n"
       "         \"listening <port>\" once ready. --threads: engine\n"
       "         workers, 0 = all hardware threads. --cache-bytes: result\n"
@@ -89,8 +89,6 @@ int Serve(const std::vector<std::string>& args) {
       ok = ParseUint32(value, threads);
     } else if (OptionValue(arg, "--cache-bytes", value)) {
       ok = ParseUint64(value, config.cache_bytes);
-    } else if (OptionValue(arg, "--stream-buffer", value)) {
-      ok = ParseUint32(value, config.stream_buffer_limit);
     } else if (OptionValue(arg, "--max-interactive", value)) {
       ok = ParseUint32(value, config.admission.max_interactive);
     } else if (OptionValue(arg, "--max-normal", value)) {
