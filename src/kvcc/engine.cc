@@ -7,90 +7,6 @@
 
 namespace kvcc {
 
-namespace {
-
-/// Producer side of a SubmitStream channel: forwards deliveries into the
-/// shared StreamChannel, dropping them once the consumer abandoned it.
-/// With channel->limit > 0 the queue is bounded: a delivery that would
-/// overfill it blocks (backpressure) until the consumer pops, the stream
-/// is abandoned, or the job's cancel token fires.
-class ChannelSink : public ComponentSink {
- public:
-  explicit ChannelSink(std::shared_ptr<internal::StreamChannel> channel)
-      : channel_(std::move(channel)) {}
-
-  void OnComponent(StreamedComponent component) override {
-    std::unique_lock<std::mutex> lock(channel_->mutex);
-    if (channel_->limit != 0 &&
-        channel_->queue.size() >= channel_->limit) {
-      ++channel_->backpressure_blocks;
-      // The timed wait doubles as the deadline poll: an elapsed
-      // KvccOptions::deadline_ms latches the token but notifies no
-      // condition variable, so the producer must look for itself.
-      while (channel_->queue.size() >= channel_->limit &&
-             !channel_->abandoned && !channel_->cancel.Cancelled()) {
-        channel_->cv.wait_for(lock, std::chrono::milliseconds(10));
-      }
-    }
-    if (channel_->abandoned) return;
-    if (channel_->limit != 0 &&
-        channel_->queue.size() >= channel_->limit) {
-      // Cancelled while the channel is still full: this component cannot
-      // be delivered without violating the bound, and silently dropping
-      // it would let a job whose every other boundary check passed
-      // complete "cleanly" with a missing component. Poison the job
-      // instead (the standard throwing-sink path), so the stream reports
-      // JobCancelled rather than a silently incomplete success.
-      throw JobCancelled(
-          "stream delivery cancelled with the bounded channel full");
-    }
-    channel_->queue.push_back(std::move(component));
-    channel_->peak_queued = std::max<std::uint64_t>(
-        channel_->peak_queued, channel_->queue.size());
-    channel_->cv.notify_all();
-  }
-
-  void OnComplete(const KvccStats& stats) override {
-    std::lock_guard<std::mutex> lock(channel_->mutex);
-    channel_->stats = stats;
-    // Channel-side delivery diagnostics live here, not in the job's task
-    // accumulators; patch them into the final counters the consumer sees.
-    channel_->stats.stream_backpressure_blocks +=
-        channel_->backpressure_blocks;
-    channel_->stats.stream_peak_buffered = std::max(
-        channel_->stats.stream_peak_buffered, channel_->peak_queued);
-    channel_->complete = true;
-    channel_->cv.notify_all();
-  }
-
-  void OnError(std::exception_ptr error) override {
-    std::lock_guard<std::mutex> lock(channel_->mutex);
-    // A cancelled job is the outcome most likely to have backpressured;
-    // rewrap its partial stats with the channel-side diagnostics so the
-    // JobCancelled that Next() rethrows reports them. Other failures
-    // carry no final stats, so there is nothing to patch.
-    try {
-      std::rethrow_exception(error);
-    } catch (const JobCancelled& cancelled) {
-      KvccStats partial = cancelled.partial_stats();
-      partial.stream_backpressure_blocks += channel_->backpressure_blocks;
-      partial.stream_peak_buffered = std::max(
-          partial.stream_peak_buffered, channel_->peak_queued);
-      error = std::make_exception_ptr(
-          JobCancelled(cancelled.what(), std::move(partial)));
-    } catch (...) {
-    }
-    channel_->error = std::move(error);
-    channel_->complete = true;
-    channel_->cv.notify_all();
-  }
-
- private:
-  std::shared_ptr<internal::StreamChannel> channel_;
-};
-
-}  // namespace
-
 KvccEngine::KvccEngine(unsigned workers)
     : scratch_(exec::ResolveThreadCount(workers)),
       scheduler_(exec::ResolveThreadCount(workers)) {
@@ -106,39 +22,20 @@ KvccEngine::~KvccEngine() { scheduler_.Stop(); }
 
 KvccEngine::JobId KvccEngine::Submit(const Graph& g, std::uint32_t k,
                                      const KvccOptions& options) {
-  return SubmitJob(g, k, options, /*sink=*/nullptr, CancelToken{});
-}
-
-KvccEngine::JobId KvccEngine::SubmitStreaming(
-    const Graph& g, std::uint32_t k, std::shared_ptr<ComponentSink> sink,
-    const KvccOptions& options) {
-  if (!sink) {
-    throw std::invalid_argument(
-        "KvccEngine::SubmitStreaming: sink must be non-null");
-  }
-  return SubmitJob(g, k, options, std::move(sink), CancelToken{});
+  std::shared_ptr<JobState> job = Launch(g, k, options, /*channel=*/nullptr);
+  std::lock_guard<std::mutex> lock(jobs_mutex_);
+  const JobId id = next_job_id_++;
+  jobs_.emplace(id, std::move(job));
+  return id;
 }
 
 ResultStream KvccEngine::SubmitStream(const Graph& g, std::uint32_t k,
                                       const KvccOptions& options) {
+  // No ticket: the stream observes completion and errors through the
+  // channel, and abandoning it cancels the job. Tasks keep the JobState
+  // alive through their shared_ptr until the tree drains.
   auto channel = std::make_shared<internal::StreamChannel>();
-  channel->limit = options.stream_buffer_limit;
-  // The channel shares the job's cancel flag *before* the root task can
-  // run, so abandonment observed at any point of the job's life reaches
-  // every subsequent boundary check.
-  CancelToken cancel;
-  channel->cancel = cancel;
-  const JobId id = SubmitJob(g, k, options,
-                             std::make_shared<ChannelSink>(channel),
-                             std::move(cancel));
-  {
-    // Detach: the stream observes completion (and errors) through the
-    // channel, so the Wait table must not hold the job hostage — and an
-    // abandoned stream must not leak an unclaimable ticket. Tasks keep
-    // the JobState alive through their shared_ptr until the tree drains.
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    jobs_.erase(id);
-  }
+  Launch(g, k, options, channel);
   return ResultStream(std::move(channel));
 }
 
@@ -150,109 +47,62 @@ bool KvccEngine::Cancel(JobId id) {
   return true;
 }
 
-KvccEngine::JobId KvccEngine::SubmitJob(const Graph& g, std::uint32_t k,
-                                        const KvccOptions& options,
-                                        std::shared_ptr<ComponentSink> sink,
-                                        CancelToken cancel) {
+std::shared_ptr<KvccEngine::JobState> KvccEngine::Launch(
+    const Graph& g, std::uint32_t k, const KvccOptions& options,
+    std::shared_ptr<internal::StreamChannel> channel) {
   if (k == 0) {
     throw std::invalid_argument("KvccEngine::Submit: k must be at least 1");
   }
+  auto job = std::make_shared<JobState>();
+  job->graph = &g;
+  job->k = k;
+  job->options = options;
   if (options.deadline_ms > 0) {
     // Armed before any task exists, so no synchronization is needed and
     // the budget covers queueing delay too (a deadline is an end-to-end
     // promise, not a compute budget).
-    cancel.SetDeadline(std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(options.deadline_ms));
+    job->cancel.SetDeadline(std::chrono::steady_clock::now() +
+                            std::chrono::milliseconds(options.deadline_ms));
   }
-  auto state = std::make_shared<JobState>();
-  state->graph = &g;
-  state->k = k;
-  state->options = options;
-  state->cancel = std::move(cancel);
-  state->priority = ToTaskPriority(options.priority);
-  state->sink = std::move(sink);
-  state->pending.store(1, std::memory_order_relaxed);  // The root task.
-  std::shared_ptr<JobState> job = state;
-  JobId id;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    id = next_job_id_++;
-    jobs_.emplace(id, std::move(state));
+  job->priority = ToTaskPriority(options.priority);
+  if (channel) {
+    channel->limit = options.stream_buffer_limit;
+    // The channel shares the job's cancel flag *before* the root task can
+    // run, so abandonment observed at any point of the job's life reaches
+    // every subsequent boundary check.
+    channel->cancel = job->cancel;
+    job->channel = std::move(channel);
   }
+  job->pending.store(1, std::memory_order_relaxed);  // The root task.
   // Root tasks seed round-robin across the worker deques even when Submit
   // is called from inside a worker (e.g. a job spawned from a running
   // task): landing a new job behind the submitter's whole LIFO subtree
   // would let one huge job starve every small one.
-  const exec::TaskPriority priority = job->priority;
   scheduler_.SubmitShared(
-      [this, job = std::move(job)](unsigned worker_id) {
+      [this, job](unsigned worker_id) {
         RunTask(job, internal::WorkItem{}, /*is_root=*/true, worker_id);
       },
-      priority);
-  return id;
-}
-
-void KvccEngine::DeliverLocked(JobState* job, std::vector<VertexId> ids) {
-  if (job->delivery_suppressed) return;
-  StreamedComponent component;
-  component.sequence = job->next_sequence++;
-  component.vertices = std::move(ids);
-  try {
-    job->sink->OnComponent(std::move(component));
-  } catch (...) {
-    // A throwing sink poisons the job exactly like a failing subproblem:
-    // stop delivering, let the tree drain, surface the error at the end.
-    job->delivery_suppressed = true;
-    std::lock_guard<std::mutex> lock(job->mutex);
-    if (!job->error) job->error = std::current_exception();
-  }
-}
-
-void KvccEngine::FinishStreaming(JobState* job) {
-  std::lock_guard<std::mutex> lock(job->emit_mutex);
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> job_lock(job->mutex);
-    error = job->error;
-  }
-  if (error) {
-    try {
-      job->sink->OnError(error);
-    } catch (...) {
-      // The job already failed; a throwing OnError has nothing further
-      // to add. Wait() rethrows the original error.
-    }
-  } else {
-    try {
-      // Safe to read without job->mutex: every task merged its stats
-      // (under the mutex) before the final pending decrement that led
-      // here, and acq_rel on that counter orders the merges before us.
-      job->sink->OnComplete(job->stats);
-    } catch (...) {
-      std::lock_guard<std::mutex> job_lock(job->mutex);
-      if (!job->error) job->error = std::current_exception();
-    }
-  }
+      job->priority);
+  return job;
 }
 
 void KvccEngine::RunTask(const std::shared_ptr<JobState>& job,
                          internal::WorkItem&& item, bool is_root,
                          unsigned worker_id) {
-  const bool streaming = job->sink != nullptr;
-  // Buffered mode keeps task-local accumulators: one lock acquisition per
-  // task (below), not one per found component. Streaming mode delivers
-  // each component under the job's emit mutex the moment it commits.
+  // A buffered job keeps task-local accumulators: one lock acquisition per
+  // task (below), not one per found component. A streaming job pushes each
+  // component into its channel, under the channel's mutex alone, the
+  // moment it commits.
   std::vector<std::vector<VertexId>> found;
   KvccStats stats;
   std::exception_ptr error;
 
   auto emit = [&](std::vector<VertexId> ids) {
-    if (!streaming) {
+    if (job->channel) {
+      job->channel->Push(std::move(ids));
+    } else {
       found.push_back(std::move(ids));
-      return;
     }
-    std::lock_guard<std::mutex> lock(job->emit_mutex);
-    DeliverLocked(job.get(), std::move(ids));
   };
 
   auto spawn = [&](internal::WorkItem&& child) {
@@ -299,45 +149,42 @@ void KvccEngine::RunTask(const std::shared_ptr<JobState>& job,
     job->stats.Add(stats);
     if (error && !job->error) job->error = error;
   }
-  if (job->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task of the tree. A cancelled job (with no earlier real
-    // failure) reports the JobCancelled outcome, carrying the merged
-    // partial stats — every task's merge happened before its pending
-    // decrement, so the read below sees all of them. The counters also
-    // gate the report: a token that latched only after every task had
-    // already run to completion short-circuited nothing, and the
-    // documented contract is that such a job returns its full result.
-    if (job->cancel.Cancelled()) {
-      std::lock_guard<std::mutex> lock(job->mutex);
-      if (!job->error &&
-          job->stats.tasks_cancelled + job->stats.cuts_cancelled > 0) {
-        job->error = std::make_exception_ptr(JobCancelled(
-            "k-VCC job cancelled (explicit cancel, stream abandonment, "
-            "or deadline)",
-            job->stats));
-      } else if (job->error) {
-        // A JobCancelled recorded mid-flight (e.g. the bounded channel's
-        // cancelled-while-full delivery) carries no counters; rewrap it
-        // with the merged partials now that every task has reported.
-        try {
-          std::rethrow_exception(job->error);
-        } catch (const JobCancelled& cancelled) {
-          job->error = std::make_exception_ptr(
-              JobCancelled(cancelled.what(), job->stats));
-        } catch (...) {
-        }
-      }
-    }
-    // Streaming jobs close out the sink before the done flag is
-    // published, so a Wait()er observes delivery fully finished.
-    if (streaming) FinishStreaming(job.get());
-    // No other thread touches the accumulators anymore, but the mutex
-    // still orders the publication against a concurrent Wait().
-    std::lock_guard<std::mutex> lock(job->mutex);
-    std::sort(job->components.begin(), job->components.end());
-    job->done = true;
-    job->done_cv.notify_all();
+  if (job->pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  // Last task of the tree: every task merged into the job above before its
+  // pending decrement, so the reads below see all of them. The mutex
+  // still orders the publication against a concurrent Wait().
+  std::lock_guard<std::mutex> lock(job->mutex);
+  internal::StreamChannel* channel = job->channel.get();
+  bool delivery_dropped = false;
+  if (channel != nullptr) {
+    // Delivery diagnostics live in the channel, not in the task
+    // accumulators; patch them into the counters the consumer sees.
+    std::lock_guard<std::mutex> channel_lock(channel->mutex);
+    job->stats.stream_backpressure_blocks = channel->backpressure_blocks;
+    job->stats.stream_peak_buffered = channel->peak_queued;
+    delivery_dropped = channel->dropped;
   }
+  // A cancelled job (with no earlier real failure) reports JobCancelled,
+  // carrying the merged partial stats, if the cancel cost it anything: a
+  // task or cut cut short, or a component its full bounded channel could
+  // not take. A token that latched only after every task had already run
+  // to completion short-circuited nothing, and the documented contract is
+  // that such a job returns its full result.
+  if (!job->error && job->cancel.Cancelled() &&
+      (delivery_dropped ||
+       job->stats.tasks_cancelled + job->stats.cuts_cancelled > 0)) {
+    job->error = std::make_exception_ptr(JobCancelled(
+        "k-VCC job cancelled (explicit cancel, stream abandonment, "
+        "or deadline)",
+        job->stats));
+  }
+  if (channel != nullptr) {
+    channel->Finish(job->stats, job->error);
+    return;
+  }
+  std::sort(job->components.begin(), job->components.end());
+  job->done = true;
+  job->done_cv.notify_all();
 }
 
 KvccResult KvccEngine::Wait(JobId id) {

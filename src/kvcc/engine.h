@@ -18,11 +18,10 @@
 // tasks are pure functions of their input and each job's merged output is
 // canonically sorted.
 //
-// Streaming: SubmitStreaming / SubmitStream deliver each k-VCC the moment
-// its subproblem commits instead of buffering until Wait(). The multiset
-// of streamed components is byte-identical to the buffered result; the
-// delivery order is completion order (see stream.h and
-// docs/ARCHITECTURE.md).
+// Streaming: SubmitStream delivers each k-VCC the moment its subproblem
+// commits instead of buffering until Wait(). The multiset of streamed
+// components is byte-identical to the buffered result; the delivery order
+// is completion order (see stream.h and docs/ARCHITECTURE.md).
 //
 // Job control (docs/JOB_CONTROL.md): every job carries a CancelToken —
 // fired by Cancel(ticket), by abandoning the job's ResultStream, or by an
@@ -54,7 +53,7 @@
 /// \file
 /// \brief KvccEngine: a long-lived batch engine serving many concurrent
 /// (graph, k) jobs on one persistent work-stealing pool, with buffered
-/// (Wait) and streaming (SubmitStreaming / SubmitStream) result delivery.
+/// (Wait) and streaming (SubmitStream) result delivery.
 
 namespace kvcc {
 
@@ -112,33 +111,11 @@ class KvccEngine {
   JobId Submit(const Graph& g, std::uint32_t k,
                const KvccOptions& options = {});
 
-  /// \brief Enqueues one streaming job: `sink` receives every finished
-  /// k-VCC as soon as its subproblem commits, then the final stats.
-  ///
-  /// Sink calls are serialized per job but arrive on worker threads; see
-  /// ComponentSink for the full delivery contract. Components are
-  /// delivered the moment they commit, in a thread-count-dependent order
-  /// whose multiset is byte-identical to the buffered result. The
-  /// returned ticket must still be Wait()ed:
-  /// Wait blocks until delivery has finished, rethrows the first error
-  /// (from the algorithm or from the sink), and returns a KvccResult
-  /// whose `components` is empty (they were streamed) and whose `stats`
-  /// equals what OnComplete received.
-  /// \param g The graph to decompose; borrowed, must outlive Wait.
-  /// \param k Connectivity parameter (>= 1).
-  /// \param sink Non-null consumer for components and completion.
-  /// \param options Algorithm and job-control options.
-  /// \return Ticket to pass to Wait() exactly once.
-  /// \throws std::invalid_argument if k == 0 or sink is null.
-  JobId SubmitStreaming(const Graph& g, std::uint32_t k,
-                        std::shared_ptr<ComponentSink> sink,
-                        const KvccOptions& options = {});
-
   /// \brief Enqueues one streaming job and returns a pull-style handle.
   ///
-  /// Built on the same delivery channel as SubmitStreaming. The job is
-  /// detached from the Wait table: completion, stats, and errors are all
-  /// observed through the stream (Next() rethrows job errors), and
+  /// The job's tasks push each component into the stream's channel as it
+  /// commits. The job gets no ticket: completion, stats, and errors are
+  /// all observed through the stream (Next() rethrows job errors), and
   /// destroying the stream mid-flight abandons the remaining components,
   /// fires the job's cancel token — so the remaining recursion
   /// short-circuits at the next task / probe boundary instead of
@@ -167,12 +144,10 @@ class KvccEngine {
   /// remaining work, and the job completes with the JobCancelled outcome
   /// — Wait(id) (still required, and still the ticket's one consumer)
   /// throws JobCancelled carrying the partial stats of the work that ran.
-  /// Components already delivered by a streaming job stay delivered;
-  /// OnError receives the same JobCancelled instead of OnComplete. A job
-  /// that completes before observing the token returns its full result
-  /// normally — cancellation is best-effort by design.
-  /// \param id Ticket from Submit or SubmitStreaming (detached
-  ///   SubmitStream jobs are cancelled by abandoning their stream).
+  /// A job that completes before observing the token returns its full
+  /// result normally — cancellation is best-effort by design.
+  /// \param id Ticket from Submit (SubmitStream jobs have no ticket; they
+  ///   are cancelled by abandoning their stream).
   /// \return True if the ticket was live — job in flight, unclaimed, or
   ///   currently blocked in another thread's Wait(id) (the watchdog
   ///   pattern: Cancel unsticks the waiter); false once that Wait has
@@ -186,9 +161,8 @@ class KvccEngine {
   /// If the job failed, rethrows its first recorded exception. Waiting
   /// consumes the ticket and reclaims the job's bookkeeping — a
   /// long-lived engine holds state only for in-flight and not-yet-waited
-  /// jobs — so each id is valid for exactly one Wait. For streaming jobs
-  /// the returned components are empty (they were delivered to the sink).
-  /// \param id Ticket from Submit or SubmitStreaming.
+  /// jobs — so each id is valid for exactly one Wait.
+  /// \param id Ticket from Submit.
   /// \return The job's result.
   /// \throws std::out_of_range on an unknown or already-consumed id.
   /// \throws JobCancelled if the job was cancelled (Cancel, deadline_ms)
@@ -257,38 +231,34 @@ class KvccEngine {
     std::vector<std::vector<VertexId>> components;  // buffered mode only
     KvccStats stats;
     std::exception_ptr error;
-    bool done = false;
+    bool done = false;  // buffered mode only
 
-    // --- streaming delivery (sink != nullptr) ---
-    // emit_mutex serializes every sink call and the sequence counter.
-    // Lock order: emit_mutex before mutex, never the reverse.
-    std::shared_ptr<ComponentSink> sink;
-    std::mutex emit_mutex;
-    std::uint64_t next_sequence = 0;
-    bool delivery_suppressed = false;  // sink threw; drop the rest
+    // A SubmitStream job's delivery channel (null for a buffered job): its
+    // tasks push components here, and its last task publishes the outcome
+    // here. Lock order: mutex before channel->mutex, never the reverse.
+    std::shared_ptr<internal::StreamChannel> channel;
   };
 
-  JobId SubmitJob(const Graph& g, std::uint32_t k, const KvccOptions& options,
-                  std::shared_ptr<ComponentSink> sink, CancelToken cancel);
+  // Builds a job (channel may be null: buffered) and enqueues its root
+  // task. Throws std::invalid_argument if k == 0.
+  std::shared_ptr<JobState> Launch(
+      const Graph& g, std::uint32_t k, const KvccOptions& options,
+      std::shared_ptr<internal::StreamChannel> channel);
   void RunTask(const std::shared_ptr<JobState>& job,
                internal::WorkItem&& item, bool is_root, unsigned worker_id);
-  // Requires job->emit_mutex to be held by the caller.
-  void DeliverLocked(JobState* job, std::vector<VertexId> ids);
-  // Takes job->emit_mutex itself.
-  void FinishStreaming(JobState* job);
 
   // One per worker. A worker's tasks use its entry alone; between them,
   // GLOBAL-CUT fork-joins of other workers borrow its cut_scratch through
   // cut_pool_ (src/kvcc/global_cut.h says why that is safe).
   std::vector<internal::EnumScratch> scratch_;
   std::mutex jobs_mutex_;
-  // Live tickets only: a returning Wait() frees its entry (and detached
-  // stream jobs never hold one past submission), so the table holds
-  // in-flight / unclaimed / being-waited-on jobs, not the full submission
-  // history — keeping an entry until its Wait *returns* is what lets
-  // Cancel() reach a job another thread is blocked waiting on. Tasks
-  // share ownership of their JobState, so erasing an entry while the job
-  // runs is safe — the state dies with its last task.
+  // Live tickets only: a returning Wait() frees its entry (and stream jobs
+  // never enter the table), so it holds in-flight / unclaimed /
+  // being-waited-on jobs, not the full submission history — keeping an
+  // entry until its Wait *returns* is what lets Cancel() reach a job
+  // another thread is blocked waiting on. Tasks share ownership of their
+  // JobState, so erasing an entry while the job runs is safe — the state
+  // dies with its last task.
   std::unordered_map<JobId, std::shared_ptr<JobState>> jobs_;
   JobId next_job_id_ = 0;
   exec::TaskScheduler scheduler_;

@@ -24,8 +24,8 @@
 //
 // The emit callback is also the streaming-delivery tap (kvcc/stream.h):
 // the drivers either buffer emitted components for a sorted KvccResult
-// (EnumerateKVccs, KvccEngine::Wait) or forward them to a ComponentSink
-// the moment they fire (KvccEngine::SubmitStreaming), in completion
+// (EnumerateKVccs, KvccEngine::Wait) or push them into a ResultStream's
+// channel the moment they fire (KvccEngine::SubmitStream), in completion
 // order. docs/ARCHITECTURE.md has the full map.
 #ifndef KVCC_KVCC_ENUM_INTERNAL_H_
 #define KVCC_KVCC_ENUM_INTERNAL_H_

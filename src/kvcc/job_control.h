@@ -12,8 +12,8 @@
 // batch, whichever is in flight.
 //
 // A cancelled job finishes by reporting JobCancelled (thrown by Wait(),
-// delivered to ComponentSink::OnError, rethrown by ResultStream::Next)
-// carrying the stats of the work that *did* run. docs/JOB_CONTROL.md has
+// rethrown by ResultStream::Next) carrying the stats of the work that
+// *did* run. docs/JOB_CONTROL.md has
 // the full map of triggers and cancellation points.
 #ifndef KVCC_KVCC_JOB_CONTROL_H_
 #define KVCC_KVCC_JOB_CONTROL_H_
@@ -95,8 +95,7 @@ class CancelToken {
 };
 
 /// \brief The outcome of a cancelled job: thrown by KvccEngine::Wait and
-/// the serial EnumerateKVccs family, rethrown by ResultStream::Next, and
-/// the exception ComponentSink::OnError receives.
+/// the serial EnumerateKVccs family, and rethrown by ResultStream::Next.
 ///
 /// Distinct from algorithm failures: a cancelled job ran correctly as far
 /// as it got, so the exception carries the counters of the work that did

@@ -28,6 +28,7 @@
 #define KVCC_KVCC_OPTIONS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 /// \file
@@ -52,6 +53,17 @@ enum class JobPriority : std::uint8_t {
   /// \brief Throughput work that should yield to the other classes.
   kBulk = 2,
 };
+
+/// \brief The name of a latency class, as the CLI's --priority= and
+/// kvccd's "priority" field spell it.
+/// \param priority The class.
+/// \return "interactive", "normal" or "bulk".
+const char* JobPriorityName(JobPriority priority);
+
+/// \brief The latency class a JobPriorityName names.
+/// \param name "interactive", "normal" or "bulk".
+/// \return The class, or std::nullopt for any other name.
+std::optional<JobPriority> JobPriorityFromName(const std::string& name);
 
 /// \brief Algorithm-variant and execution knobs for the k-VCC
 /// enumeration family (EnumerateKVccs, KvccEngine, BuildKvccHierarchy).
@@ -101,10 +113,9 @@ struct KvccOptions {
   /// is abandoned, or the job is cancelled — capping the memory a slow
   /// consumer can pin, where an unbounded channel grows with the
   /// component count (worst-case exponential in dense graphs). Ignored
-  /// by SubmitStreaming (a push sink owns its own buffering) and by the
-  /// buffered APIs. Backpressure parks the producing worker inside the
-  /// job's delivery section — pair bounded streams with deadline_ms if
-  /// the consumer may stall forever (see docs/JOB_CONTROL.md).
+  /// by the buffered APIs. Backpressure parks the producing worker on the
+  /// channel — pair bounded streams with deadline_ms if the consumer may
+  /// stall forever (see docs/JOB_CONTROL.md).
   std::uint32_t stream_buffer_limit = 0;
 
   // ---- presets matching the paper's evaluated variants ----

@@ -1,13 +1,49 @@
 #include "kvcc/stream.h"
 
+#include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 namespace kvcc {
 
-ComponentSink::~ComponentSink() = default;
+namespace internal {
 
-void ComponentSink::OnError(std::exception_ptr /*error*/) {}
+void StreamChannel::Push(std::vector<VertexId> vertices) {
+  std::unique_lock<std::mutex> lock(mutex);
+  if (limit != 0 && queue.size() >= limit) {
+    ++backpressure_blocks;
+    // The timed wait doubles as the deadline poll: an elapsed
+    // KvccOptions::deadline_ms latches the token but notifies no
+    // condition variable, so the producer must look for itself.
+    while (queue.size() >= limit && !abandoned && !cancel.Cancelled()) {
+      cv.wait_for(lock, std::chrono::milliseconds(10));
+    }
+  }
+  if (abandoned) return;
+  if (limit != 0 && queue.size() >= limit) {
+    // Cancelled while the queue is still full: this component cannot be
+    // delivered without breaking the bound. Silently dropping it would
+    // let a job whose every boundary check passed complete "cleanly"
+    // with a component missing; `dropped` makes it end as JobCancelled.
+    dropped = true;
+    return;
+  }
+  queue.push_back(StreamedComponent{next_sequence++, std::move(vertices)});
+  peak_queued = std::max<std::uint64_t>(peak_queued, queue.size());
+  cv.notify_all();
+}
+
+void StreamChannel::Finish(const KvccStats& final_stats,
+                           std::exception_ptr failure) {
+  std::lock_guard<std::mutex> lock(mutex);
+  stats = final_stats;
+  error = std::move(failure);
+  complete = true;
+  cv.notify_all();
+}
+
+}  // namespace internal
 
 ResultStream::ResultStream(std::shared_ptr<internal::StreamChannel> channel)
     : channel_(std::move(channel)) {}

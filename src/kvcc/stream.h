@@ -2,13 +2,11 @@
 //
 // The VCCE recursion (paper Algorithm 1) emits each k-VCC the moment its
 // recursion branch bottoms out, but KvccEngine::Wait buffers the whole
-// component set until the last subtree finishes. The types here let a
+// component set until the last subtree finishes. A ResultStream lets a
 // consumer observe components as they commit instead:
-//
-//   * ComponentSink — push-style: KvccEngine::SubmitStreaming invokes the
-//     sink for every finished component and once more on completion;
-//   * ResultStream — pull-style: KvccEngine::SubmitStream returns an
-//     iterator-like handle whose Next() blocks for the next component.
+// KvccEngine::SubmitStream returns an iterator-like handle whose Next()
+// blocks for the next component. The job's tasks push each component
+// straight into the stream's channel; no caller code runs on a worker.
 //
 // Delivery contract (enforced by tests/engine_test.cc): the multiset of
 // streamed components is byte-identical to the KvccResult::components a
@@ -33,9 +31,9 @@
 #include "kvcc/stats.h"
 
 /// \file
-/// \brief Streaming result delivery: ComponentSink (push) and
-/// ResultStream (pull) observe each k-VCC the moment its subproblem
-/// commits, instead of buffering until KvccEngine::Wait.
+/// \brief Streaming result delivery: a ResultStream observes each k-VCC
+/// the moment its subproblem commits, instead of buffering until
+/// KvccEngine::Wait.
 
 namespace kvcc {
 
@@ -51,50 +49,16 @@ struct StreamedComponent {
   std::vector<VertexId> vertices;
 };
 
-/// \brief Consumer interface for push-style streaming
-/// (KvccEngine::SubmitStreaming).
-///
-/// Calls are *serialized per job* (never concurrent with each other) but
-/// may arrive on any worker thread, so implementations need no locking of
-/// their own state against the engine — only against the implementor's
-/// other threads. Exactly one of OnComplete / OnError is the last call a
-/// job makes. An exception thrown from OnComponent poisons the job:
-/// delivery stops, the job's remaining subproblems still drain, and the
-/// exception is rethrown by KvccEngine::Wait.
-class ComponentSink {
- public:
-  /// \brief Sinks are owned (or borrowed) by the caller; destroying one
-  /// while its job is in flight is the caller's bug.
-  virtual ~ComponentSink();
-
-  /// \brief Receives one finished k-VCC as soon as its subproblem
-  /// commits.
-  /// \param component The component and its per-job sequence number.
-  virtual void OnComponent(StreamedComponent component) = 0;
-
-  /// \brief Final call on success: every component has been delivered.
-  /// \param stats The job's merged execution counters (identical totals
-  ///   to the serial run's for every pre-existing field; probe-waste
-  ///   diagnostics may differ, see KvccStats).
-  virtual void OnComplete(const KvccStats& stats) = 0;
-
-  /// \brief Final call on failure: the job (or the sink itself) threw.
-  /// Default implementation does nothing; the error also reaches the
-  /// caller by throw from KvccEngine::Wait.
-  /// \param error The first exception the job recorded.
-  virtual void OnError(std::exception_ptr error);
-};
-
 namespace internal {
 
-/// Shared state between a streaming job's producer side (the engine's
-/// channel sink) and a ResultStream consumer. Unbounded by default:
-/// undelivered components occupy the same memory a buffered Wait() would
-/// have held. With `limit` > 0 (KvccOptions::stream_buffer_limit) the
-/// queue is bounded: the producer blocks while it is full, until the
-/// consumer pops, the stream is abandoned, or the job's cancel token
-/// fires — so a slow consumer pins at most `limit` undelivered
-/// components instead of the whole result set.
+/// Shared state between a SubmitStream job's tasks (the producer) and its
+/// ResultStream (the consumer). Unbounded by default: undelivered
+/// components occupy the same memory a buffered Wait() would have held.
+/// With `limit` > 0 (KvccOptions::stream_buffer_limit) the queue is
+/// bounded: a push blocks while it is full, until the consumer pops, the
+/// stream is abandoned, or the job's cancel token fires — so a slow
+/// consumer pins at most `limit` undelivered components instead of the
+/// whole result set.
 struct StreamChannel {
   std::mutex mutex;
   std::condition_variable cv;
@@ -107,9 +71,26 @@ struct StreamChannel {
   // --- job control (set by the engine before the job's root task runs) ---
   std::size_t limit = 0;  // 0 = unbounded
   CancelToken cancel;     // shares the job's flag; Abandon() requests it
-  // Delivery diagnostics, patched into `stats` at completion.
+
+  // --- producer side ---
+  std::uint64_t next_sequence = 0;
+  // A push found the job cancelled with the bounded queue still full and
+  // dropped its component, so the job must not complete cleanly.
+  bool dropped = false;
+  // Delivery diagnostics, patched into the job's final stats.
   std::uint64_t backpressure_blocks = 0;
   std::uint64_t peak_queued = 0;
+
+  /// Delivers one component with the next sequence number (called by the
+  /// job's tasks). On a full bounded queue it waits; if the job is
+  /// cancelled while the queue is still full, the component is dropped
+  /// and `dropped` set. Pushes after abandonment are dropped silently.
+  void Push(std::vector<VertexId> vertices);
+
+  /// Publishes the job's outcome — `failure`, or else `final_stats` — and
+  /// wakes the consumer and a joining Abandon(). Called once, by the job's
+  /// last task, after every Push.
+  void Finish(const KvccStats& final_stats, std::exception_ptr failure);
 };
 
 }  // namespace internal

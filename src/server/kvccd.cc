@@ -35,15 +35,6 @@ class AdmissionGuard {
   bool admitted_;
 };
 
-const char* PriorityName(JobPriority priority) {
-  switch (priority) {
-    case JobPriority::kInteractive: return "interactive";
-    case JobPriority::kBulk: return "bulk";
-    case JobPriority::kNormal: break;
-  }
-  return "normal";
-}
-
 }  // namespace
 
 KvccdServer::KvccdServer(const KvccdConfig& config)
@@ -113,7 +104,7 @@ std::optional<std::string> KvccdServer::Dispatch(Transport& transport,
     errors_.fetch_add(1, std::memory_order_relaxed);
     return ErrorLine("overloaded",
                      std::string("admission limit reached for class '") +
-                         PriorityName(request.options.priority) +
+                         JobPriorityName(request.options.priority) +
                          "'; retry later");
   }
   switch (request.op) {
@@ -224,13 +215,7 @@ std::optional<std::string> KvccdServer::HandleDynamicDecompose(
   }
   // Miss and hit render through the same path, so a post-mutation cold
   // render and its cached replay are byte-identical.
-  if (request.progress_every != 0) {
-    for (std::uint64_t d = request.progress_every; d <= components->size();
-         d += request.progress_every) {
-      if (!transport.WriteLine(ProgressLine(d))) return std::nullopt;
-    }
-  }
-  return EmitDecompose(transport, request, *components);
+  return ReplayDecompose(transport, request, *components);
 }
 
 bool KvccdServer::ResolveGraph(const Request& request, Graph& g,
@@ -263,20 +248,26 @@ std::optional<std::string> KvccdServer::EmitDecompose(
   return DecomposeCompleteLine(request.k, components.size());
 }
 
+std::optional<std::string> KvccdServer::ReplayDecompose(
+    Transport& transport, const Request& request,
+    const ComponentList& components) {
+  if (request.progress_every != 0) {
+    for (std::uint64_t d = request.progress_every; d <= components.size();
+         d += request.progress_every) {
+      if (!transport.WriteLine(ProgressLine(d))) return std::nullopt;
+    }
+  }
+  return EmitDecompose(transport, request, components);
+}
+
 std::optional<std::string> KvccdServer::HandleDecompose(
     Transport& transport, const Request& request, const Graph& g) {
   const std::shared_ptr<const ComponentList> cached =
       cache_.LookupComponents(g, request.k);
   if (cached != nullptr) {
-    // Replay: regenerate the cold run's progress cadence from the
+    // Replay: the cold run's progress cadence, regenerated from the
     // component count, then the identical component and complete lines.
-    if (request.progress_every != 0) {
-      for (std::uint64_t d = request.progress_every; d <= cached->size();
-           d += request.progress_every) {
-        if (!transport.WriteLine(ProgressLine(d))) return std::nullopt;
-      }
-    }
-    return EmitDecompose(transport, request, *cached);
+    return ReplayDecompose(transport, request, *cached);
   }
 
   auto components = std::make_shared<ComponentList>();

@@ -130,6 +130,11 @@ class KvccdServer {
   std::optional<std::string> EmitDecompose(Transport& transport,
                                            const Request& request,
                                            const ComponentList& components);
+  // Answers a decompose from a finished component list: the progress
+  // lines a cold run of it would have written, then EmitDecompose.
+  std::optional<std::string> ReplayDecompose(Transport& transport,
+                                             const Request& request,
+                                             const ComponentList& components);
   bool ResolveGraph(const Request& request, Graph& g, std::string& error);
   // Obtains the (cached or freshly built) hierarchy for a hierarchy /
   // membership request. On null, `failure` holds the response's terminal

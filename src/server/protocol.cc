@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace kvcc {
@@ -643,16 +644,12 @@ bool ParseRequest(const JsonValue& json, Request& out, std::string& error) {
   std::string priority;
   if (!ReadString(json, "priority", priority, present, error)) return false;
   if (present) {
-    if (priority == "interactive") {
-      out.options.priority = JobPriority::kInteractive;
-    } else if (priority == "normal") {
-      out.options.priority = JobPriority::kNormal;
-    } else if (priority == "bulk") {
-      out.options.priority = JobPriority::kBulk;
-    } else {
+    const std::optional<JobPriority> parsed = JobPriorityFromName(priority);
+    if (!parsed) {
       error = "unknown priority '" + priority + "'";
       return false;
     }
+    out.options.priority = *parsed;
   }
 
   if (!ReadUint(json, "deadline_ms",

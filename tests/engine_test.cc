@@ -11,10 +11,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <exception>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -331,26 +329,6 @@ TEST(KvccEngineTest, DestructorDrainsUnwaitedJobs) {
 // Streaming delivery.
 // ---------------------------------------------------------------------------
 
-/// Accumulates every delivery for later inspection. Sink calls are
-/// serialized by the engine and happen-before Wait() returns, so the
-/// post-Wait reads below need no synchronization of their own.
-class CollectingSink : public ComponentSink {
- public:
-  void OnComponent(StreamedComponent component) override {
-    components.push_back(std::move(component));
-  }
-  void OnComplete(const KvccStats& final_stats) override {
-    stats = final_stats;
-    complete = true;
-  }
-  void OnError(std::exception_ptr e) override { error = e; }
-
-  std::vector<StreamedComponent> components;
-  KvccStats stats;
-  bool complete = false;
-  std::exception_ptr error;
-};
-
 /// The streamed components' vertex lists, sorted canonically — the bytes
 /// that must equal the buffered KvccResult::components.
 std::vector<std::vector<VertexId>> SortedMultiset(
@@ -362,35 +340,47 @@ std::vector<std::vector<VertexId>> SortedMultiset(
   return multiset;
 }
 
+/// Parks the only worker of a KvccEngine(1): a bounded (limit 1) stream of
+/// a job with two or more components, which the caller does not read.
+/// Returns once the job's second push has blocked on the full channel, so
+/// every job submitted after this call waits in the queue until the caller
+/// drains the returned gate (or drops it, which cancels the gate job).
+ResultStream ParkOnlyWorker(KvccEngine& engine, const Graph& g,
+                            std::uint32_t k) {
+  KvccOptions options;
+  options.stream_buffer_limit = 1;
+  ResultStream gate = engine.SubmitStream(g, k, options);
+  while (gate.BackpressureBlocks() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return gate;
+}
+
 TEST(KvccEngineStreamingTest, MultisetMatchesWaitForEveryWorkerCount) {
   const std::vector<TestJob> jobs = MakeJobMix();
   const std::vector<KvccResult> reference = SerialReference(jobs);
 
   for (unsigned workers : kWorkerCounts) {
     KvccEngine engine(workers);
-    std::vector<std::shared_ptr<CollectingSink>> sinks;
-    std::vector<KvccEngine::JobId> ids;
+    // Every job is in flight before any stream is read, so the jobs
+    // interleave on the pool as a Submit batch would.
+    std::vector<ResultStream> streams;
     for (const TestJob& job : jobs) {
-      sinks.push_back(std::make_shared<CollectingSink>());
-      ids.push_back(
-          engine.SubmitStreaming(job.graph, job.k, sinks.back(), job.options));
+      streams.push_back(engine.SubmitStream(job.graph, job.k, job.options));
     }
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const KvccResult waited = engine.Wait(ids[i]);
       const std::string context =
           "workers=" + std::to_string(workers) + " job=" + std::to_string(i);
-      // Components were streamed, not buffered; stats still flow through
-      // Wait and through OnComplete identically.
-      EXPECT_TRUE(waited.components.empty()) << context;
-      EXPECT_TRUE(sinks[i]->complete) << context;
-      ExpectSameStats(waited.stats, reference[i].stats, context);
-      ExpectSameStats(sinks[i]->stats, reference[i].stats, context);
-      EXPECT_EQ(SortedMultiset(sinks[i]->components),
-                reference[i].components)
+      std::vector<StreamedComponent> streamed;
+      while (std::optional<StreamedComponent> c = streams[i].Next()) {
+        streamed.push_back(std::move(*c));
+      }
+      ExpectSameStats(streams[i].Stats(), reference[i].stats, context);
+      EXPECT_EQ(SortedMultiset(streamed), reference[i].components)
           << context;
       // Sequence numbers are a gap-free per-job 0..n-1 in delivery order.
-      for (std::size_t s = 0; s < sinks[i]->components.size(); ++s) {
-        EXPECT_EQ(sinks[i]->components[s].sequence, s) << context;
+      for (std::size_t s = 0; s < streamed.size(); ++s) {
+        EXPECT_EQ(streamed[s].sequence, s) << context;
       }
     }
   }
@@ -413,78 +403,21 @@ TEST(KvccEngineStreamingTest, ResultStreamDeliversEverythingThenStats) {
 }
 
 TEST(KvccEngineStreamingTest, ResultStreamStatsBeforeCompletionThrows) {
-  // Deterministic incompleteness: a 1-worker engine whose only worker is
-  // parked inside a gating sink call, so the stream job submitted behind
-  // it provably cannot have completed when Stats() is queried.
-  class GateSink : public ComponentSink {
-   public:
-    void OnComponent(StreamedComponent) override {
-      std::unique_lock<std::mutex> lock(mutex_);
-      reached_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [&] { return released_; });
-    }
-    void OnComplete(const KvccStats&) override {}
-    void WaitUntilBlocking() {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [&] { return reached_; });
-    }
-    void Release() {
-      std::lock_guard<std::mutex> lock(mutex_);
-      released_ = true;
-      cv_.notify_all();
-    }
-
-   private:
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool reached_ = false;
-    bool released_ = false;
-  };
-
+  // Deterministic incompleteness: the only worker is parked on the gate
+  // stream, so the stream job submitted behind it provably cannot have
+  // completed when Stats() is queried.
   const Figure1Fixture fig1 = MakeFigure1Graph();
   KvccEngine engine(1);
-  auto gate = std::make_shared<GateSink>();
-  const KvccEngine::JobId gated_id =
-      engine.SubmitStreaming(fig1.graph, 4, gate);
-  gate->WaitUntilBlocking();
+  ResultStream gate = ParkOnlyWorker(engine, fig1.graph, 4);
 
   ResultStream stream = engine.SubmitStream(fig1.graph, 4);
   EXPECT_THROW(stream.Stats(), std::logic_error);
 
-  gate->Release();
-  engine.Wait(gated_id);
+  while (gate.Next().has_value()) {
+  }
   while (stream.Next().has_value()) {
   }
   EXPECT_NO_THROW(stream.Stats());
-}
-
-TEST(KvccEngineStreamingTest, SinkThrowPropagatesToWaitAndJobDrains) {
-  class ThrowingSink : public ComponentSink {
-   public:
-    void OnComponent(StreamedComponent) override {
-      throw std::runtime_error("sink rejected component");
-    }
-    void OnComplete(const KvccStats&) override { completed = true; }
-    void OnError(std::exception_ptr e) override { error = e; }
-    bool completed = false;
-    std::exception_ptr error;
-  };
-
-  const Figure1Fixture fig1 = MakeFigure1Graph();
-  for (unsigned workers : kWorkerCounts) {
-    KvccEngine engine(workers);
-    auto sink = std::make_shared<ThrowingSink>();
-    const KvccEngine::JobId id = engine.SubmitStreaming(fig1.graph, 4, sink);
-    EXPECT_THROW(engine.Wait(id), std::runtime_error)
-        << "workers=" << workers;
-    EXPECT_FALSE(sink->completed) << "workers=" << workers;
-    EXPECT_TRUE(sink->error != nullptr) << "workers=" << workers;
-    // A poisoned streaming job must not poison the engine.
-    EXPECT_EQ(engine.Wait(engine.Submit(fig1.graph, 4)).components,
-              fig1.expected_vccs)
-        << "workers=" << workers;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -507,83 +440,32 @@ PlantedVccGraph MakeCancellationWorkload(std::uint64_t seed = 23,
   return GeneratePlantedVcc(config);
 }
 
-/// Collects like CollectingSink but parks the delivering worker inside the
-/// first OnComponent call until released — a deterministic window in which
-/// the job is provably mid-flight.
-class GatedCollectingSink : public ComponentSink {
- public:
-  void OnComponent(StreamedComponent component) override {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      components.push_back(std::move(component));
-      if (components.size() == 1) {
-        reached_ = true;
-        cv_.notify_all();
-        cv_.wait(lock, [&] { return released_; });
-      }
-    }
-  }
-  void OnComplete(const KvccStats& final_stats) override {
-    stats = final_stats;
-    complete = true;
-  }
-  void OnError(std::exception_ptr e) override { error = e; }
-
-  void WaitUntilBlocking() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return reached_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
-  std::vector<StreamedComponent> components;
-  KvccStats stats;
-  bool complete = false;
-  std::exception_ptr error;
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool reached_ = false;
-  bool released_ = false;
-};
-
 TEST(KvccEngineJobControlTest, CancelReportsJobCancelledWithPartialStats) {
-  // Deterministic mid-flight cancel: the only worker is parked inside the
-  // gated sink when Cancel fires, so the remaining recursion provably
-  // exists and must be short-circuited, not drained.
+  // Deterministic cancel: the job is queued behind the gate when Cancel
+  // lands, so its root task provably observes the token and nothing of it
+  // runs. (Partial stats of work that did run: the deadline case of a
+  // bounded stream below.)
+  const Figure1Fixture fig1 = MakeFigure1Graph();
   const PlantedVccGraph planted = MakeCancellationWorkload();
   const KvccResult reference = EnumerateKVccs(planted.graph, 9);
-  ASSERT_GT(reference.components.size(), 1u);
 
   KvccEngine engine(1);
-  auto sink = std::make_shared<GatedCollectingSink>();
-  const KvccEngine::JobId id =
-      engine.SubmitStreaming(planted.graph, 9, sink);
-  sink->WaitUntilBlocking();
+  ResultStream gate = ParkOnlyWorker(engine, fig1.graph, 4);
+  const KvccEngine::JobId id = engine.Submit(planted.graph, 9);
   EXPECT_TRUE(engine.Cancel(id));
-  sink->Release();
+  while (gate.Next().has_value()) {
+  }
 
   try {
     engine.Wait(id);
     FAIL() << "Wait on a cancelled job must throw JobCancelled";
   } catch (const JobCancelled& cancelled) {
     const KvccStats& partial = cancelled.partial_stats();
-    // Work that ran is reported; work that did not run is not.
-    EXPECT_GE(partial.kvccs_found, 1u);
-    EXPECT_LT(partial.kcore_rounds, reference.stats.kcore_rounds);
-    // Something was actually short-circuited, at a task or cut boundary.
-    EXPECT_GT(partial.tasks_cancelled + partial.cuts_cancelled, 0u);
+    // The root task was short-circuited whole; no work is reported.
+    EXPECT_EQ(partial.tasks_cancelled, 1u);
+    EXPECT_EQ(partial.kvccs_found, 0u);
+    EXPECT_EQ(partial.kcore_rounds, 0u);
   }
-  // OnError received the same distinct outcome; OnComplete never fired.
-  EXPECT_FALSE(sink->complete);
-  ASSERT_TRUE(sink->error != nullptr);
-  EXPECT_THROW(std::rethrow_exception(sink->error), JobCancelled);
-  // Components delivered before the cancel stay delivered.
-  EXPECT_GE(sink->components.size(), 1u);
 
   // A cancelled job must not poison the engine.
   EXPECT_EQ(engine.Wait(engine.Submit(planted.graph, 9)).components,
@@ -595,12 +477,11 @@ TEST(KvccEngineJobControlTest, CancelUnsticksABlockedWait) {
   // Cancel(id) to unstick it. The ticket stays reachable until that Wait
   // *returns*, so the Cancel lands and the waiter comes back with
   // JobCancelled instead of sleeping out the whole job.
+  const Figure1Fixture fig1 = MakeFigure1Graph();
   const PlantedVccGraph planted = MakeCancellationWorkload(59);
   KvccEngine engine(1);
-  auto sink = std::make_shared<GatedCollectingSink>();
-  const KvccEngine::JobId id =
-      engine.SubmitStreaming(planted.graph, 9, sink);
-  sink->WaitUntilBlocking();  // Job provably mid-flight.
+  ResultStream gate = ParkOnlyWorker(engine, fig1.graph, 4);
+  const KvccEngine::JobId id = engine.Submit(planted.graph, 9);
 
   std::exception_ptr wait_error;
   std::thread waiter([&] {
@@ -614,7 +495,8 @@ TEST(KvccEngineJobControlTest, CancelUnsticksABlockedWait) {
   // depend on winning this race — the entry is reachable either way).
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_TRUE(engine.Cancel(id));
-  sink->Release();
+  while (gate.Next().has_value()) {
+  }
   waiter.join();
   ASSERT_TRUE(wait_error != nullptr);
   EXPECT_THROW(std::rethrow_exception(wait_error), JobCancelled);
@@ -755,18 +637,21 @@ TEST(KvccEngineJobControlTest, DeadlineDuringBackpressureReportsCancelled) {
   // clean completion silently missing the undeliverable component. The
   // delivered prefix stays valid.
   const PlantedVccGraph planted = MakeCancellationWorkload(61);
+  const KvccResult reference = EnumerateKVccs(planted.graph, 9);
   KvccEngine engine(2);
   KvccOptions options;
   options.stream_buffer_limit = 1;
   options.deadline_ms = 300;
   ResultStream stream = engine.SubmitStream(planted.graph, 9, options);
-  // Hold off consuming until the producer has (almost certainly) filled
-  // the channel and parked; if the deadline instead fires at an earlier
-  // task/probe boundary, the outcome below is the same JobCancelled.
+  // Hold off consuming until the producer has filled the channel and
+  // parked: the whole job takes about a millisecond serially on a 4-vCPU
+  // x86 box, far inside the deadline.
   Timer timer;
   while (stream.BackpressureBlocks() == 0 && timer.ElapsedSeconds() < 10) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  ASSERT_GT(stream.BackpressureBlocks(), 0u)
+      << "the deadline fired before the producer filled the channel";
   // Keep the channel full until the deadline has provably fired (plus
   // the producer's 10ms cancellation poll): the parked producer must
   // observe the cancel, not get rescued by an early drain.
@@ -776,14 +661,55 @@ TEST(KvccEngineJobControlTest, DeadlineDuringBackpressureReportsCancelled) {
     while (stream.Next().has_value()) ++delivered;
     FAIL() << "bounded job outlived a 300ms deadline without reporting "
               "JobCancelled (delivered " << delivered << ")";
-  } catch (const JobCancelled&) {
-    // Expected: the prefix (possibly empty) was delivered, then the
-    // cancelled outcome.
+  } catch (const JobCancelled& cancelled) {
+    // Expected: the prefix was delivered, then the cancelled outcome.
+    const KvccStats& partial = cancelled.partial_stats();
+    // Work that ran is reported (the parked push followed at least one
+    // found component); work that did not run is not.
+    EXPECT_GE(partial.kvccs_found, 1u);
+    EXPECT_LT(partial.kcore_rounds, reference.stats.kcore_rounds);
+    // The channel's diagnostics reach the partial stats too.
+    EXPECT_GE(partial.stream_backpressure_blocks, 1u);
   }
   // The engine stays healthy for the next job.
   const Figure1Fixture fig1 = MakeFigure1Graph();
   EXPECT_EQ(engine.Wait(engine.Submit(fig1.graph, 4)).components,
             fig1.expected_vccs);
+}
+
+TEST(KvccEngineJobControlTest, CancelledWhileFullWithNothingCutShort) {
+  // The last push of a two-component job parks on the full channel and
+  // is then dropped by the deadline. No task or cut is left to cut short,
+  // so only the dropped push can tell the job apart from a clean
+  // completion; it must still end as JobCancelled, not as a success with
+  // a component missing.
+  KvccEngine engine(1);
+  const Graph g = TwoCliquesSharing(6, 2);
+  KvccOptions options;
+  options.stream_buffer_limit = 1;
+  options.deadline_ms = 200;
+  ResultStream stream = engine.SubmitStream(g, 4, options);
+  Timer timer;
+  while (stream.BackpressureBlocks() == 0 && timer.ElapsedSeconds() < 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(stream.BackpressureBlocks(), 0u)
+      << "the deadline fired before the last push parked";
+  // Past the deadline and the producer's 10 ms poll.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const std::optional<StreamedComponent> first = stream.Next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->sequence, 0u);
+  try {
+    stream.Next();
+    FAIL() << "a dropped delivery must end the job as JobCancelled";
+  } catch (const JobCancelled& cancelled) {
+    const KvccStats& partial = cancelled.partial_stats();
+    EXPECT_EQ(partial.tasks_cancelled + partial.cuts_cancelled, 0u);
+    EXPECT_EQ(partial.kvccs_found, 2u);
+    EXPECT_EQ(partial.stream_backpressure_blocks, 1u);
+    EXPECT_EQ(partial.stream_peak_buffered, 1u);
+  }
 }
 
 TEST(KvccEngineJobControlTest, AbandoningBlockedBoundedStreamUnblocks) {

@@ -1,15 +1,17 @@
 // The benchmark's six dataset stand-ins, held to the independent referee.
 //
-// perfbench's reference sweep decomposes these graphs at scale 0.5, and its
-// expected digests were recorded from the engine's own output. Here the
-// k = 40 row of each stand-in is checked against RefereeKVccs
-// (tests/support/referee.h), which shares no code with the engine. CMake
-// registers one ctest per stand-in, so under `ctest -j` the slowest one
-// (cit) sets the wall time rather than their sum.
+// perfbench's reference sweep decomposes these graphs at scale 0.5 for
+// k = 20, 25, 30, 35 and 40, and its expected digests were recorded from
+// the engine's own output. Here every row of that sweep is checked against
+// RefereeKVccs (tests/support/referee.h), which shares no code with the
+// engine. CMake registers the k = 40 row of each stand-in as its own
+// ctest, so under `ctest -j` the slowest one (cit) sets the wall time
+// rather than their sum; run the binary without a filter for all 30 rows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "gen/dataset_suite.h"
 #include "kvcc/kvcc_enum.h"
@@ -18,11 +20,13 @@
 namespace kvcc {
 namespace {
 
-class StandInRefereeTest : public ::testing::TestWithParam<std::string> {};
+class StandInRefereeTest
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint32_t>> {
+};
 
 TEST_P(StandInRefereeTest, EnumerationMatchesReferee) {
-  const std::uint32_t k = 40;
-  const Graph g = GenerateDataset(GetParam(), 0.5);
+  const auto& [name, k] = GetParam();
+  const Graph g = GenerateDataset(name, 0.5);
   const KvccResult result = EnumerateKVccs(g, k);
   EXPECT_FALSE(result.components.empty());
   EXPECT_EQ(result.components, kvcc::testing::RefereeKVccs(g, k));
@@ -30,9 +34,12 @@ TEST_P(StandInRefereeTest, EnumerationMatchesReferee) {
 
 INSTANTIATE_TEST_SUITE_P(
     StandIns, StandInRefereeTest,
-    ::testing::Values("stanford", "dblp", "cnr", "nd", "google", "cit"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      return info.param;
+    ::testing::Combine(::testing::Values("stanford", "dblp", "cnr", "nd",
+                                         "google", "cit"),
+                       ::testing::Values(20u, 25u, 30u, 35u, 40u)),
+    [](const ::testing::TestParamInfo<StandInRefereeTest::ParamType>& info) {
+      return std::get<0>(info.param) + "_k" +
+             std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

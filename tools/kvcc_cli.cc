@@ -140,16 +140,12 @@ bool ParseDeadlineMs(const std::string& value, std::uint32_t& deadline_ms) {
 /// Parses a --priority= class name; prints an error and returns false on
 /// junk.
 bool ParsePriority(const std::string& value, JobPriority& priority) {
-  if (value == "interactive") {
-    priority = JobPriority::kInteractive;
-  } else if (value == "normal") {
-    priority = JobPriority::kNormal;
-  } else if (value == "bulk") {
-    priority = JobPriority::kBulk;
-  } else {
+  const std::optional<JobPriority> parsed = JobPriorityFromName(value);
+  if (!parsed) {
     std::cerr << "error: --priority expects interactive, normal, or bulk\n";
     return false;
   }
+  priority = *parsed;
   return true;
 }
 

@@ -18,6 +18,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -32,6 +33,9 @@ namespace {
 
 using namespace kvcc;
 
+// The most engine workers `serve --threads` starts, as for `kvcc`.
+constexpr std::uint32_t kMaxThreads = 1024;
+
 int Usage() {
   std::cerr <<
       "usage: kvccd <command> [args]\n"
@@ -40,10 +44,10 @@ int Usage() {
       "        [--max-total=N] [--bulk-reserve=N]\n"
       "        (--port=0 picks a free port; the bound port is printed as\n"
       "         \"listening <port>\" once ready. --threads: engine\n"
-      "         workers, 0 = all hardware threads. --cache-bytes: result\n"
-      "         cache budget, 0 disables. Admission caps are 0 =\n"
-      "         unlimited; --bulk-reserve keeps the last N total slots\n"
-      "         away from bulk jobs, shedding bulk first.)\n"
+      "         workers, at most 1024, 0 = all hardware threads.\n"
+      "         --cache-bytes: result cache budget, 0 disables. Admission\n"
+      "         caps are 0 = unlimited; --bulk-reserve keeps the last N\n"
+      "         total slots away from bulk jobs, shedding bulk first.)\n"
       "  client --port=P\n"
       "        (sends each stdin line as one request; prints response\n"
       "         lines through the request's terminal line, then reads\n"
@@ -53,8 +57,11 @@ int Usage() {
 
 bool ParseUint64(const std::string& value, std::uint64_t& out) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0' || value[0] == '-') return false;
+  if (value.empty() || *end != '\0' || value[0] == '-' || errno == ERANGE) {
+    return false;
+  }
   out = parsed;
   return true;
 }
@@ -86,7 +93,7 @@ int Serve(const std::vector<std::string>& args) {
     if (OptionValue(arg, "--port", value)) {
       ok = ParseUint32(value, port) && port <= 65535;
     } else if (OptionValue(arg, "--threads", value)) {
-      ok = ParseUint32(value, threads);
+      ok = ParseUint32(value, threads) && threads <= kMaxThreads;
     } else if (OptionValue(arg, "--cache-bytes", value)) {
       ok = ParseUint64(value, config.cache_bytes);
     } else if (OptionValue(arg, "--max-interactive", value)) {
