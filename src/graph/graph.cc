@@ -1,6 +1,8 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 
 #include "graph/graph_builder.h"
 
@@ -71,6 +73,55 @@ Graph Graph::InduceImpl(std::span<const VertexId> vertices,
     sub.labels_[i] = as_root ? sorted[i] : LabelOf(sorted[i]);
   }
   return sub;
+}
+
+void Graph::InduceInPlace(std::span<const VertexId> vertices,
+                          std::vector<VertexId>& local) {
+  assert(std::adjacent_find(vertices.begin(), vertices.end(),
+                            std::greater_equal<VertexId>()) ==
+         vertices.end());
+  if (local.size() < num_vertices_) local.resize(num_vertices_);
+  const bool identity_labels = labels_.empty();
+  const std::uint64_t kept = CompactRows(vertices, local.data());
+  num_vertices_ = static_cast<VertexId>(vertices.size());
+  num_edges_ = kept / 2;
+  // Shrinking resizes keep the capacity, so they never allocate.
+  offsets_.resize(static_cast<std::size_t>(num_vertices_) + 1, 0);
+  adjacency_.resize(kept);
+  if (identity_labels) {
+    labels_.assign(vertices.begin(), vertices.end());
+  } else {
+    labels_.resize(num_vertices_);
+  }
+}
+
+// Every write lands at or before the entry it replaces: vertices[i] >= i,
+// and the kept entries of rows vertices[0..i) fit in the old rows before
+// vertices[i]'s.
+// kvcc-lint: no-alloc
+std::uint64_t Graph::CompactRows(std::span<const VertexId> vertices,
+                                 VertexId* local) {
+  std::fill(local, local + num_vertices_, kInvalidVertex);
+  for (VertexId i = 0; i < vertices.size(); ++i) local[vertices[i]] = i;
+  std::uint64_t write = 0;
+  // offsets_[1..i] hold new values by row i, so the old offsets_[i] (the
+  // start of row vertices[i] when vertices[i] == i) is saved before it is
+  // overwritten.
+  std::uint64_t old_start = 0;
+  for (VertexId i = 0; i < vertices.size(); ++i) {
+    const VertexId v = vertices[i];
+    const std::uint64_t begin = v == i ? old_start : offsets_[v];
+    const std::uint64_t end = offsets_[static_cast<std::size_t>(v) + 1];
+    for (std::uint64_t p = begin; p < end; ++p) {
+      // Local ids rise with parent ids, so the kept row stays sorted.
+      const VertexId w = local[adjacency_[p]];
+      if (w != kInvalidVertex) adjacency_[write++] = w;
+    }
+    old_start = offsets_[static_cast<std::size_t>(i) + 1];
+    offsets_[static_cast<std::size_t>(i) + 1] = write;
+    if (!labels_.empty()) labels_[i] = labels_[v];
+  }
+  return write;
 }
 
 std::vector<std::pair<VertexId, VertexId>> Graph::Edges() const {

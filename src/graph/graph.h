@@ -20,10 +20,11 @@ using VertexId = std::uint32_t;
 /// Sentinel for "no vertex".
 inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
 
-/// Immutable undirected simple graph in CSR (compressed sparse row) form.
-/// Neighbor lists are sorted, enabling O(log d) adjacency queries and linear
-/// merges for common-neighbor counting. Construction goes through
-/// GraphBuilder (or the static factory below).
+/// Undirected simple graph in CSR (compressed sparse row) form. Neighbor
+/// lists are sorted, enabling O(log d) adjacency queries and linear merges
+/// for common-neighbor counting. Construction goes through GraphBuilder (or
+/// the static factory below); the only mutation is InduceInPlace, which
+/// shrinks a graph its owner no longer needs whole.
 class Graph {
  public:
   Graph() = default;
@@ -71,6 +72,16 @@ class Graph {
   /// ignored). The result has contiguous ids and composed labels.
   Graph InducedSubgraph(std::span<const VertexId> vertices) const;
 
+  /// Shrinks this graph in place to the subgraph induced by `vertices`
+  /// (local ids, ascending and distinct). The result equals
+  /// InducedSubgraph(vertices), labels included, but keeps this graph's
+  /// storage: rows are compacted front to back, so no second CSR exists at
+  /// any point. `local` is the caller's id-map buffer and only grows. Once
+  /// it holds NumVertices() entries, shrinking a labeled graph allocates
+  /// nothing.
+  void InduceInPlace(std::span<const VertexId> vertices,
+                     std::vector<VertexId>& local);
+
   /// Like InducedSubgraph, but labels the result with *this graph's local
   /// ids*, ignoring any labels this graph carries. Seeds a subgraph chain
   /// that bottoms out here — equivalent to WithIdentityLabels()
@@ -117,6 +128,8 @@ class Graph {
   friend class CertificateRowWriter;
 
   Graph InduceImpl(std::span<const VertexId> vertices, bool as_root) const;
+  std::uint64_t CompactRows(std::span<const VertexId> vertices,
+                            VertexId* local);
 
   VertexId num_vertices_ = 0;
   std::uint64_t num_edges_ = 0;

@@ -5,40 +5,34 @@
 namespace kvcc {
 namespace {
 
-// Serial peel rounds over pooled scratch. frontier/next were reserved to n
-// by the driver and the peel removes each vertex at most once, so every
-// growth call below stays within capacity.
+// Serial peel rounds over pooled scratch. KCoreVerticesInto reserved the
+// queue to n and the peel queues each vertex at most once, so every growth
+// call below stays within capacity.
 // kvcc-lint: no-alloc
 std::uint64_t PeelSerial(const Graph& g, std::uint32_t k, KCoreScratch& s) {
   const VertexId n = g.NumVertices();
-  const std::uint64_t epoch = s.epoch;
-  s.frontier.clear();
+  s.queue.clear();
   for (VertexId v = 0; v < n; ++v) {
     const std::uint32_t d = g.Degree(v);
     s.degree[v] = d;
-    if (d < k) {
-      s.removed_stamp[v] = epoch;
-      s.frontier.push_back(v);  // kvcc-lint: reserved
-    }
+    if (d < k) s.queue.push_back(v);  // kvcc-lint: reserved
   }
   std::uint64_t rounds = 0;
-  while (!s.frontier.empty()) {
+  std::size_t head = 0;
+  while (head < s.queue.size()) {
+    // One round drains the vertices the previous round queued.
     ++rounds;
-    s.next.clear();
-    for (const VertexId u : s.frontier) {
-      for (const VertexId w : g.Neighbors(u)) {
-        // Unconditional decrement, claim exactly at the k crossing: a
-        // vertex that started below k (claimed at init) never sees old
+    const std::size_t round_end = s.queue.size();
+    for (; head < round_end; ++head) {
+      for (const VertexId w : g.Neighbors(s.queue[head])) {
+        // Unconditional decrement, queue exactly at the k crossing: a
+        // vertex that started below k (queued at init) never sees old
         // == k again, and total decrements on w never exceed deg(w), so
         // the counter cannot wrap.
         const std::uint32_t old = s.degree[w]--;
-        if (old == k) {
-          s.removed_stamp[w] = epoch;
-          s.next.push_back(w);  // kvcc-lint: reserved
-        }
+        if (old == k) s.queue.push_back(w);  // kvcc-lint: reserved
       }
     }
-    s.frontier.swap(s.next);
   }
   return rounds;
 }
@@ -49,17 +43,15 @@ std::uint64_t KCoreVerticesInto(const Graph& g, std::uint32_t k,
                                 KCoreScratch& scratch,
                                 std::vector<VertexId>& survivors) {
   const VertexId n = g.NumVertices();
-  if (scratch.removed_stamp.size() < n) scratch.removed_stamp.resize(n, 0);
   if (scratch.degree.size() < n) scratch.degree.resize(n);
-  if (scratch.frontier.capacity() < n) scratch.frontier.reserve(n);
-  if (scratch.next.capacity() < n) scratch.next.reserve(n);
+  if (scratch.queue.capacity() < n) scratch.queue.reserve(n);
   if (survivors.capacity() < n) survivors.reserve(n);
-  ++scratch.epoch;
+  scratch.k = k;
   const std::uint64_t rounds = PeelSerial(g, k, scratch);
   survivors.clear();
-  const std::uint64_t epoch = scratch.epoch;
+  const PeelMask mask = scratch.Mask();
   for (VertexId v = 0; v < n; ++v) {
-    if (scratch.removed_stamp[v] != epoch) survivors.push_back(v);
+    if (mask.Alive(v)) survivors.push_back(v);
   }
   return rounds;
 }

@@ -5,11 +5,13 @@
 // the k-core, so peeling is the first size-reduction step of KVCC-ENUM
 // (Alg. 1 line 2).
 //
-// The peel is a level-synchronous bucket kernel: each round removes every
-// vertex whose degree fell below k in the previous round, decrementing
-// neighbor degrees unconditionally and claiming a vertex exactly when its
-// degree counter crosses k (old value == k). The round count is the peel
-// depth of the graph.
+// The peel is a level-synchronous bucket kernel over one FIFO removal
+// queue: each round removes every vertex whose degree fell below k in the
+// previous round, decrementing neighbor degrees unconditionally and
+// queueing a vertex exactly when its degree counter crosses k (old value
+// == k). The round count is the peel depth of the graph. The residual
+// degrees double as the removal marks (a vertex was removed iff its degree
+// ends below k), and the queue doubles as the removal list.
 #ifndef KVCC_GRAPH_K_CORE_H_
 #define KVCC_GRAPH_K_CORE_H_
 
@@ -20,37 +22,36 @@
 
 namespace kvcc {
 
-/// Read-only view of a finished peel's removal marks (valid until the
-/// owning KCoreScratch is rebound to another peel).
+/// Read-only view of a finished peel's removal marks: a vertex was removed
+/// iff its residual degree ended below k (valid until the owning
+/// KCoreScratch runs another peel).
 struct PeelMask {
-  const std::uint64_t* stamp = nullptr;  ///< removed_stamp of the scratch
-  std::uint64_t epoch = 0;               ///< epoch of the peel
+  const std::uint32_t* degree = nullptr;  ///< residual degrees of the peel
+  std::uint32_t k = 0;                    ///< k of the peel
 
   /// True iff the peel removed v.
-  bool Removed(VertexId v) const { return stamp[v] == epoch; }
+  bool Removed(VertexId v) const { return degree[v] < k; }
   /// True iff v survived the peel.
-  bool Alive(VertexId v) const { return stamp[v] != epoch; }
+  bool Alive(VertexId v) const { return degree[v] >= k; }
 };
 
-/// Reusable scratch for KCoreVerticesInto (epoch-stamped removal marks,
-/// SweepContext shape: stamps start at 0, epochs at 1, payload arrays only
-/// ever grow). One instance serves every peel without per-call clearing or
-/// allocation once warm.
+/// Reusable scratch for KCoreVerticesInto: two arrays of n entries that
+/// only ever grow. One instance serves every peel without per-call clearing
+/// or allocation once warm.
 struct KCoreScratch {
-  std::uint64_t epoch = 0;
-  std::vector<std::uint64_t> removed_stamp;  // == epoch ? removed : alive
-  std::vector<std::uint32_t> degree;         // live residual degrees
-  std::vector<VertexId> frontier;            // current peel round
-  std::vector<VertexId> next;                // next peel round
+  std::vector<std::uint32_t> degree;  // residual degrees of the last peel
+  std::vector<VertexId> queue;        // FIFO removal queue = removal list
+  std::uint32_t k = 0;                // k of the last peel
 
   /// Removal marks of the most recent peel.
-  PeelMask Mask() const { return {removed_stamp.data(), epoch}; }
+  PeelMask Mask() const { return {degree.data(), k}; }
 };
 
 /// Bucket k-core peel into caller-owned storage: `survivors` receives the
-/// sorted vertices of the k-core and `scratch` keeps the removal marks
-/// (query via scratch.Mask()). Allocation-free once scratch and survivors
-/// have grown to the largest graph seen.
+/// sorted vertices of the k-core, and `scratch.queue` the removed vertices,
+/// each once, in removal order (query the marks via scratch.Mask()).
+/// Allocation-free once scratch and survivors have grown to the largest
+/// graph seen.
 /// \return Number of level-synchronous peel rounds (the peel depth).
 std::uint64_t KCoreVerticesInto(const Graph& g, std::uint32_t k,
                                 KCoreScratch& scratch,

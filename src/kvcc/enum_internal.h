@@ -14,13 +14,15 @@
 // run's.
 //
 // Preprocessing inside the step (Alg. 1 lines 2-3) is one staged path: a
-// serial bucket peel into pooled scratch (graph/k_core.h), the k-core as
-// an induced subgraph, BFS component labelling (graph/
-// connected_components.h), and one induced subgraph per component. When
-// the core is the whole working graph, or a single component spans the
-// core, the step reuses that graph instead of copying it. The peel and the
-// split take < 1% of enumeration time, and a fused single-pass variant
-// measured no faster, so this is the only path.
+// serial bucket peel into pooled scratch (graph/k_core.h), the item's
+// graph shrunk in place to its k-core (Graph::InduceInPlace), and BFS
+// component labelling (graph/connected_components.h). Then either each
+// component that can hold a k-VCC is copied out as an item of its own
+// (when two or more can), or the graph is shrunk in place again to the
+// one that can. The caller's graph is never written: a step on it copies
+// its core or component out, unless the peel and the split leave it whole.
+// The peel and the split take < 1% of enumeration time, and a fused
+// single-pass variant measured no faster, so this is the only path.
 //
 // The emit callback is also the streaming-delivery tap (kvcc/stream.h):
 // the drivers either buffer emitted components for a sorted KvccResult
@@ -65,9 +67,9 @@ struct EnumScratch {
   // NeighborsOfSet working set.
   std::vector<bool> nbr_in_set;
   std::vector<bool> nbr_touched;
-  KCoreScratch kcore;               // peel marks, degrees, frontiers
+  KCoreScratch kcore;               // residual degrees + removal queue
   std::vector<VertexId> survivors;  // sorted k-core of the working graph
-  std::vector<VertexId> removed;    // peel casualties (hint invalidation)
+  std::vector<VertexId> local_id;   // Graph::InduceInPlace's id map
 };
 
 /// Vertices of g with at least one neighbor in `sources` (the 1-hop
@@ -131,38 +133,13 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
   const bool full_core = survivors.size() == cur->NumVertices();
 
   // Peeling invalidates side-vertex verdicts within 2 hops of a removed
-  // vertex (common-neighbor counts may have dropped).
+  // vertex (common-neighbor counts may have dropped). The peel's removal
+  // queue lists each removed vertex once.
   std::vector<bool> peel_touched;
   const bool have_hints = options.neighbor_sweep && !item.hints.empty();
   if (have_hints && !full_core) {
-    const PeelMask mask = scratch.kcore.Mask();
-    std::vector<VertexId>& removed = scratch.removed;
-    if (removed.capacity() < cur->NumVertices()) {
-      removed.reserve(cur->NumVertices());
-    }
-    removed.clear();
-    for (VertexId v = 0; v < cur->NumVertices(); ++v) {
-      if (mask.Removed(v)) removed.push_back(v);
-    }
-    peel_touched = TwoHopBall(*cur, removed);
+    peel_touched = TwoHopBall(*cur, scratch.kcore.queue);
   }
-
-  // Maps a component subgraph's vertex i (= cur vertex cur_of(i)) to its
-  // carried hint, degrading peel-touched strong verdicts to recheck.
-  const auto build_hints = [&](auto&& cur_of, VertexId sub_n,
-                               std::vector<SideVertexHint>& out_hints) {
-    if (!have_hints) return;
-    out_hints.resize(sub_n);
-    for (VertexId i = 0; i < sub_n; ++i) {
-      const VertexId cur_v = cur_of(i);
-      SideVertexHint h = item.hints[cur_v];
-      if (h == SideVertexHint::kStrong && !peel_touched.empty() &&
-          peel_touched[cur_v]) {
-        h = SideVertexHint::kRecheck;
-      }
-      out_hints[i] = h;
-    }
-  };
 
   // Recursion tail (Alg. 1 lines 5-9): GLOBAL-CUT on one component
   // subgraph, then emit it as a k-VCC or partition along the cut.
@@ -215,66 +192,71 @@ void ProcessItem(WorkItem&& item, const Graph* root, std::uint32_t k,
   };
 
   // --- component split (Alg. 1 line 3) ---
-  // Materialize the k-core, BFS-label its components, then induce each
-  // component from the core.
-  Graph core_owned;
-  const Graph* core = nullptr;
-  bool core_as_root = false;
-  if (full_core && as_root) {
-    core = root;
-    core_as_root = true;
-  } else if (full_core) {
-    core_owned = std::move(item.graph);  // `cur` is dead from here on.
-    core = &core_owned;
-  } else {
-    core_owned = as_root ? cur->InducedSubgraphAsRoot(survivors)
-                         : cur->InducedSubgraph(survivors);
-    core = &core_owned;
+  // The step shrinks the graph its item owns in place, to the k-core and
+  // then to a single surviving component. Only a subgraph of the caller's
+  // graph (read in place, never written) and the components of a fan-out
+  // are copies.
+  const Graph* core = cur;
+  bool core_as_root = as_root;
+  if (!full_core && as_root) {
+    item.graph = root->InducedSubgraphAsRoot(survivors);
+    core = &item.graph;
+    core_as_root = false;
+  } else if (!full_core) {
+    item.graph.InduceInPlace(survivors, scratch.local_id);
   }
 
   const std::vector<std::vector<VertexId>> components =
       ConnectedComponents(*core);
-  const bool single_component = components.size() == 1;
-  // Two or more components that can hold a k-VCC become items of their
-  // own; their steps repeat only the peel and the split, which find
-  // nothing to remove (each component of a k-core is a k-core).
-  const bool fan_out =
-      std::count_if(components.begin(), components.end(),
-                    [k](const std::vector<VertexId>& comp) {
-                      return comp.size() > k;
-                    }) >= 2;
-  for (const std::vector<VertexId>& comp : components) {
-    if (comp.size() <= k) continue;  // Cannot contain a k-VCC (Def. 2).
-
-    // Materialize this component; a single component spanning everything
-    // reuses `core` the same way `core` reused the item graph.
-    Graph sub_owned;
-    const Graph* sub = nullptr;
-    bool sub_as_root = false;
-    if (single_component && core_as_root) {
-      sub = core;
-      sub_as_root = true;
-    } else if (single_component) {
-      sub_owned = std::move(core_owned);
-      sub = &sub_owned;
-    } else if (core_as_root) {
-      sub_owned = core->InducedSubgraphAsRoot(comp);
-      sub = &sub_owned;
-    } else {
-      sub_owned = core->InducedSubgraph(comp);
-      sub = &sub_owned;
-    }
-
-    // core vertex comp[i] corresponds to cur vertex survivors[comp[i]].
+  // Components of at most k vertices cannot contain a k-VCC (Def. 2).
+  const auto holds_kvcc = [k](const std::vector<VertexId>& comp) {
+    return comp.size() > k;
+  };
+  // The carried hints of a component's subgraph, whose vertex i is core
+  // vertex comp[i], which is cur vertex survivors[comp[i]]. Peel-touched
+  // strong verdicts degrade to recheck.
+  const auto component_hints = [&](const std::vector<VertexId>& comp) {
     std::vector<SideVertexHint> sub_hints;
-    build_hints([&](VertexId i) { return survivors[comp[i]]; },
-                sub->NumVertices(), sub_hints);
-    if (fan_out) {
-      spawn(WorkItem{std::move(sub_owned), std::move(sub_hints)});
-    } else {
-      run_cut(*sub, sub_as_root, sub_hints);
+    if (!have_hints) return sub_hints;
+    sub_hints.resize(comp.size());
+    for (std::size_t i = 0; i < comp.size(); ++i) {
+      const VertexId cur_v = survivors[comp[i]];
+      SideVertexHint h = item.hints[cur_v];
+      if (h == SideVertexHint::kStrong && !peel_touched.empty() &&
+          peel_touched[cur_v]) {
+        h = SideVertexHint::kRecheck;
+      }
+      sub_hints[i] = h;
     }
+    return sub_hints;
+  };
+  if (std::count_if(components.begin(), components.end(), holds_kvcc) >=
+      2) {
+    // Each component becomes an item of its own, so a pool cuts them side
+    // by side; their steps repeat only the peel and the split, which find
+    // nothing to remove (each component of a k-core is a k-core).
+    for (const std::vector<VertexId>& comp : components) {
+      if (!holds_kvcc(comp)) continue;
+      spawn(WorkItem{core_as_root ? core->InducedSubgraphAsRoot(comp)
+                                  : core->InducedSubgraph(comp),
+                     component_hints(comp)});
+    }
+    return;
   }
+  const auto comp =
+      std::find_if(components.begin(), components.end(), holds_kvcc);
+  if (comp == components.end()) return;
+  std::vector<SideVertexHint> sub_hints = component_hints(*comp);
+  if (comp->size() < core->NumVertices()) {
+    if (core_as_root) {
+      item.graph = root->InducedSubgraphAsRoot(*comp);
+      core_as_root = false;
+    } else {
+      item.graph.InduceInPlace(*comp, scratch.local_id);
+    }
+    core = &item.graph;
+  }
+  run_cut(*core, core_as_root, sub_hints);
 }
 
 }  // namespace kvcc::internal

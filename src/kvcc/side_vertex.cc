@@ -10,6 +10,9 @@ namespace {
 /// scratch's pair_pass of 0 matches no pass.
 std::atomic<std::uint64_t> next_side_vertex_pass{1};
 
+static_assert(sizeof(SideVertexScratch::PairSlot) == 16,
+              "a pair slot packs into 16 bytes");
+
 /// SplitMix64 finalizer: spreads packed (min, max) vertex pairs across the
 /// table (consecutive ids would otherwise cluster in one probe run).
 std::uint64_t MixPairKey(std::uint64_t key) {
@@ -53,8 +56,7 @@ class PairVerdictCache {
                    SideVertexScratch& scratch)
       : graph_(g), k_(k), scratch_(scratch) {
     if (scratch_.pair_pass != pass) {
-      ++scratch_.pair_epoch;  // O(1) invalidation of all cached verdicts.
-      scratch_.pair_live = 0;
+      NextEpoch();  // O(1) invalidation of all cached verdicts.
       scratch_.pair_pass = pass;
     }
     if (scratch_.pair_slots.empty()) scratch_.pair_slots.resize(kMinSlots);
@@ -92,7 +94,18 @@ class PairVerdictCache {
     auto& slots = scratch_.pair_slots;
     const std::size_t next = slots.size() * 2;
     slots.assign(next, SideVertexScratch::PairSlot{});
-    ++scratch_.pair_epoch;
+    NextEpoch();
+  }
+
+  /// Starts a new epoch, so every slot reads as empty. A wrapped epoch
+  /// could meet slots stamped 2^32 epochs ago, so the wrap clears every
+  /// slot and restarts at 1, which no cleared slot carries.
+  void NextEpoch() {
+    if (++scratch_.pair_epoch == 0) {
+      std::fill(scratch_.pair_slots.begin(), scratch_.pair_slots.end(),
+                SideVertexScratch::PairSlot{});
+      scratch_.pair_epoch = 1;
+    }
     scratch_.pair_live = 0;
   }
 

@@ -65,14 +65,16 @@ struct SideVertexScratch {
   // re-deriving them cannot change any result). `pair_pass` is the
   // detection pass whose verdicts the live slots hold: a range of another
   // pass bumps the epoch first, so a table lent to the ranges of several
-  // passes never serves one pass's verdict to another.
+  // passes never serves one pass's verdict to another. The epoch is 32
+  // bits, so a slot is 16 bytes; when the epoch wraps, every slot is
+  // cleared and the count restarts at 1 (0 marks a cleared slot).
   struct PairSlot {
     std::uint64_t key = 0;
-    std::uint64_t epoch = 0;
+    std::uint32_t epoch = 0;
     bool good = false;
   };
   std::vector<PairSlot> pair_slots;
-  std::uint64_t pair_epoch = 0;
+  std::uint32_t pair_epoch = 0;
   std::uint64_t pair_pass = 0;
   std::size_t pair_live = 0;
 };

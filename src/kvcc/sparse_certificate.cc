@@ -1,6 +1,7 @@
 #include "kvcc/sparse_certificate.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 namespace kvcc {
@@ -32,9 +33,11 @@ void PushFront(CertificateScratch& s, VertexId v, std::uint32_t r) {
 }
 
 // The maximum-adjacency scan (sparse_certificate.h): fills order, position
-// and limit.
-void ScanMaximumAdjacency(const Graph& g, std::uint32_t k,
-                          CertificateScratch& s) {
+// and limit, and returns the number of edges SC keeps. A vertex keeps one
+// edge to each of its first k scanned neighbours, so that number is the sum
+// of the ranks the vertices have when they are scanned.
+std::uint64_t ScanMaximumAdjacency(const Graph& g, std::uint32_t k,
+                                   CertificateScratch& s) {
   const VertexId n = g.NumVertices();
   // A rank never exceeds n - 1, so capping at min(k, n) changes nothing
   // and bounds the bucket array.
@@ -52,11 +55,13 @@ void ScanMaximumAdjacency(const Graph& g, std::uint32_t k,
   }
   if (n > 0) s.bucket_head[0] = 0;
 
+  std::uint64_t kept = 0;
   std::uint32_t top = 0;
   for (std::uint32_t p = 0; p < n; ++p) {
     while (s.bucket_head[top] == kInvalidVertex) --top;
     const VertexId x = s.bucket_head[top];
     Unlink(s, x, top);
+    kept += top;
     s.rank[x] = kScanned;
     s.order[p] = x;
     s.position[x] = p;
@@ -70,6 +75,7 @@ void ScanMaximumAdjacency(const Graph& g, std::uint32_t k,
       top = std::max(top, r + 1);
     }
   }
+  return kept;
 }
 
 // Trees of F_k, numbered by smallest member with ascending member lists.
@@ -118,14 +124,19 @@ void CollectSideGroups(VertexId n, std::uint32_t k, CertificateScratch& s,
 // this file, as it grants DeltaApplier (graph/delta_store.h).
 class CertificateRowWriter {
  public:
-  static void Write(const Graph& g, const CertificateScratch& s, Graph& out) {
+  /// Writes SC, whose `kept_edges` the scan counted, into `out`.
+  static void Write(const Graph& g, const CertificateScratch& s,
+                    std::uint64_t kept_edges, Graph& out) {
     const VertexId n = g.NumVertices();
     out.num_vertices_ = n;
     out.offsets_.resize(static_cast<std::size_t>(n) + 1);
-    out.adjacency_.resize(g.adjacency_.size());  // an upper bound
-    const std::uint64_t kept = FilterRows(g, s, out);
-    out.adjacency_.resize(kept);
-    out.num_edges_ = kept / 2;
+    // FilterRows stores every candidate before it decides whether to keep
+    // it, so the slot after the last kept entry is written too.
+    out.adjacency_.resize(2 * kept_edges + 1);
+    const std::uint64_t entries = FilterRows(g, s, out);
+    assert(entries == 2 * kept_edges);
+    out.adjacency_.resize(entries);
+    out.num_edges_ = entries / 2;
     out.labels_ = g.labels_;  // same vertex ids, so the same labels
   }
 
@@ -165,8 +176,8 @@ SparseCertificate BuildSparseCertificate(const Graph& g, std::uint32_t k) {
 void BuildSparseCertificate(const Graph& g, std::uint32_t k,
                             SparseCertificate& out,
                             CertificateScratch& scratch) {
-  ScanMaximumAdjacency(g, k, scratch);
-  CertificateRowWriter::Write(g, scratch, out.certificate);
+  const std::uint64_t kept_edges = ScanMaximumAdjacency(g, k, scratch);
+  CertificateRowWriter::Write(g, scratch, kept_edges, out.certificate);
   CollectSideGroups(g.NumVertices(), k, scratch, out);
 }
 

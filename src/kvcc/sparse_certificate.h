@@ -24,7 +24,11 @@
 // An edge (x, y) with x scanned first lies in SC iff x is among y's first
 // k scanned neighbours. The pass records each vertex's scan position and
 // the position of the scan that raised its rank to k, so SC's rows are g's
-// sorted rows filtered by an O(1) test, written in place.
+// sorted rows filtered by an O(1) test, written in place. The scan also
+// counts SC's edges before any row is written: a vertex keeps one edge to
+// each of its first k scanned neighbours, as many as its rank when it is
+// scanned. So SC's row buffer holds twice the sum of those ranks, plus the
+// one slot the filter writes past its last kept entry, not g's 2m entries.
 //
 // Side-groups (paper Thm 10, which holds for any scan-first F_k): the
 // connected components of F_k, in which every vertex pair is locally

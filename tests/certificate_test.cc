@@ -101,6 +101,33 @@ TEST(SparseCertificateTest, EdgeBoundKTimesNMinusOne) {
 
 // The certificate is a spanning subgraph of g with g's labels, and its rows,
 // written in place, are sorted and symmetric.
+// SC's row buffer is sized by the edges SC keeps, which the scan counts,
+// not by the input's 2m entries: a fresh certificate holds 2 * kept entries
+// plus the one slot the row filter writes past its last kept entry.
+TEST(SparseCertificateTest, FreshRowBufferHoldsKeptEdgesPlusSlack) {
+  std::vector<Graph> graphs = EdgelessGraphs();
+  graphs.push_back(CompleteGraph(12));
+  graphs.push_back(CycleGraph(9));
+  graphs.push_back(BarabasiAlbert(300, 6, 5));
+  graphs.push_back(ErdosRenyiGnp(120, 0.2, 6));
+  std::uint64_t trimmed = 0;
+  for (const Graph& g : graphs) {
+    ASSERT_FALSE(g.HasLabels());  // an unlabeled certificate copies none
+    for (const std::uint32_t k : {1u, 2u, 4u, 7u}) {
+      const SparseCertificate sc = BuildSparseCertificate(g, k);
+      const Graph& cert = sc.certificate;
+      const std::uint64_t offsets =
+          (static_cast<std::uint64_t>(g.NumVertices()) + 1) *
+          sizeof(std::uint64_t);
+      const std::uint64_t rows = (2 * cert.NumEdges() + 1) * sizeof(VertexId);
+      EXPECT_EQ(cert.MemoryBytes(), offsets + rows + sizeof(Graph))
+          << "n=" << g.NumVertices() << " k=" << k;
+      if (cert.NumEdges() < g.NumEdges()) ++trimmed;
+    }
+  }
+  EXPECT_GT(trimmed, 0u);  // some certificates kept fewer edges than g
+}
+
 TEST(SparseCertificateTest, CertificateIsSubgraph) {
   std::vector<Graph> inputs = SmallGraphs();
   for (const Graph& g : EdgelessGraphs()) inputs.push_back(g);

@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "gen/erdos_renyi.h"
 #include "graph/graph_builder.h"
+#include "util/random.h"
 
 namespace kvcc {
 namespace {
 
 using Edge = std::pair<VertexId, VertexId>;
+
+const std::vector<VertexId> kNone;
 
 TEST(GraphTest, EmptyGraph) {
   const Graph g;
@@ -121,6 +127,54 @@ TEST(GraphTest, InducedSubgraphIgnoresDuplicateInput) {
   const Graph sub = g.InducedSubgraph(keep);
   EXPECT_EQ(sub.NumVertices(), 2u);
   EXPECT_EQ(sub.NumEdges(), 1u);
+}
+
+// The in-place induce gives InducedSubgraph's graph, structure and labels,
+// on random graphs with and without labels, for empty, single-vertex, half
+// and full sorted subsets. One id map serves every call, so it often
+// arrives sized by an earlier, larger graph.
+TEST(GraphTest, InduceInPlaceMatchesInducedSubgraph) {
+  std::vector<VertexId> local;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const auto n = static_cast<VertexId>(10 + 13 * seed % 47);
+    const Graph plain = ErdosRenyiGnm(n, 3 * n, seed);
+    // The odd vertices of a graph twice the size carry labels 1, 3, 5, ...
+    const Graph wide = ErdosRenyiGnm(2 * n, 12 * n, seed + 100);
+    std::vector<VertexId> odd;
+    for (VertexId v = 1; v < 2 * n; v += 2) odd.push_back(v);
+    const Graph labeled = wide.InducedSubgraph(odd);
+    ASSERT_FALSE(plain.HasLabels());
+    ASSERT_TRUE(labeled.HasLabels());
+
+    Rng rng(seed);
+    std::vector<VertexId> half;
+    std::vector<VertexId> full;
+    for (VertexId v = 0; v < n; ++v) {
+      if (rng.NextBounded(2) == 0) half.push_back(v);
+      full.push_back(v);
+    }
+    const std::vector<std::vector<VertexId>> subsets = {
+        kNone, {static_cast<VertexId>(seed % n)}, half, full};
+    for (const Graph* g : {&plain, &labeled}) {
+      for (const std::vector<VertexId>& subset : subsets) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " labeled=" + std::to_string(g->HasLabels()) +
+                     " size=" + std::to_string(subset.size()));
+        const Graph expected = g->InducedSubgraph(subset);
+        Graph shrunk = *g;
+        shrunk.InduceInPlace(subset, local);
+        EXPECT_TRUE(shrunk.SameStructure(expected));
+        EXPECT_EQ(shrunk.NumEdges(), expected.NumEdges());
+        for (VertexId v = 0; v < expected.NumVertices(); ++v) {
+          EXPECT_EQ(shrunk.LabelOf(v), expected.LabelOf(v)) << "v=" << v;
+        }
+      }
+    }
+  }
+  // The empty graph shrinks to itself.
+  Graph empty;
+  empty.InduceInPlace(kNone, local);
+  EXPECT_TRUE(empty.SameStructure(Graph().InducedSubgraph(kNone)));
 }
 
 TEST(GraphTest, WithIdentityLabelsResetsLabeling) {

@@ -171,6 +171,32 @@ TEST(MemoryTrackerTest, WarmKCoreVerticesIntoAllocatesNothing) {
       << "steady-state k-core peel touched the allocator";
 }
 
+// A recursion step shrinks the graph its item owns in place, to the k-core
+// and then to its one surviving component. Once the id map has grown,
+// shrinking a labeled graph (every item's graph is one) must not touch the
+// allocator: the rows are compacted inside the graph's own storage.
+TEST(MemoryTrackerTest, WarmInduceInPlaceAllocatesNothing) {
+  ASSERT_TRUE(MemoryTracker::Enabled());
+  const Graph base = TwoCliquesSharing(10, 2);
+  std::vector<VertexId> all(base.NumVertices());
+  for (VertexId v = 0; v < base.NumVertices(); ++v) all[v] = v;
+  const Graph labeled = base.InducedSubgraph(all);
+  std::vector<VertexId> keep;
+  for (VertexId v = 0; v < base.NumVertices(); v += 3) keep.push_back(v);
+  std::vector<VertexId> local;
+  Graph warm = labeled;
+  warm.InduceInPlace(keep, local);
+  for (int round = 0; round < 10; ++round) {
+    Graph g = labeled;  // the copy allocates; only the shrink is measured
+    MemoryTracker::ResetPeak();
+    const std::uint64_t baseline = MemoryTracker::CurrentBytes();
+    g.InduceInPlace(keep, local);
+    EXPECT_EQ(MemoryTracker::PeakBytes(), baseline)
+        << "a warm in-place induce touched the allocator";
+    EXPECT_TRUE(g.SameStructure(warm));
+  }
+}
+
 // The dynamic-graph merge kernel (docs/DYNAMIC.md): once DeltaApplier's
 // counting-sort scratch and the output graph's CSR arrays have grown to a
 // batch shape's high-water mark, re-applying a batch of that shape must

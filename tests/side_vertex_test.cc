@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <exception>
 #include <future>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "gen/erdos_renyi.h"
 #include "gen/fixtures.h"
 #include "graph/graph.h"
+#include "graph/graph_builder.h"
 #include "kvcc/global_cut.h"
 #include "kvcc/options.h"
 #include "kvcc/stats.h"
@@ -295,6 +297,43 @@ TEST(ComputeStrongSideVerticesTest, PoolRangesMatchSerialPass) {
   }
   scheduler.Stop();
   EXPECT_GT(strong_total, 0u);
+}
+
+// The pair table's 32-bit epoch wraps. Were the table not cleared then, a
+// slot stamped in the epoch the count reaches again would serve a verdict
+// from an older pass. Here a dense graph's pairs are stamped good in epoch
+// 1 (k = 2), passes over a path that asks one other pair carry the count
+// across the wrap, and the next pass asks the dense graph's pairs again at
+// a k where every one is bad. Each pass's verdicts must equal a fresh
+// table's.
+TEST(ComputeStrongSideVerticesTest, PairEpochWrapClearsTable) {
+  const Graph dense = ErdosRenyiGnp(40, 0.6, 1);
+  GraphBuilder path_builder(53);
+  path_builder.AddEdge(50, 51);
+  path_builder.AddEdge(51, 52);
+  const Graph path = path_builder.Build();
+  SideVertexScratch scratch;
+  const auto check = [&](const Graph& g, std::uint32_t k) {
+    const SideVertexCounts counts =
+        ComputeStrongSideVerticesInto(g, k, {}, 0, scratch);
+    SideVertexScratch fresh;
+    ComputeStrongSideVerticesInto(g, k, {}, 0, fresh);
+    EXPECT_EQ(scratch.strong, fresh.strong);
+    return counts.strong_count;
+  };
+  // Grow the table to its final size first: a growth clears it too.
+  check(dense, 2);
+  check(path, 2);
+  const std::size_t slots = scratch.pair_slots.size();
+  scratch.pair_epoch = 0;
+  EXPECT_EQ(check(dense, 2), dense.NumVertices());  // every pair is good
+  ASSERT_EQ(scratch.pair_epoch, 1u);
+  scratch.pair_epoch = std::numeric_limits<std::uint32_t>::max() - 2;
+  for (int pass = 0; pass < 3; ++pass) check(path, 2);
+  EXPECT_EQ(scratch.pair_epoch, 1u);  // wrapped, cleared and restarted
+  EXPECT_EQ(check(dense, 40), 0u);    // every pair is bad
+  EXPECT_EQ(scratch.pair_epoch, 2u);
+  EXPECT_EQ(scratch.pair_slots.size(), slots);  // no growth hid the wrap
 }
 
 TEST(TwoHopBallTest, CoversExactlyTwoHops) {

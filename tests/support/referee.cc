@@ -9,72 +9,80 @@ namespace {
 
 using Adjacency = std::vector<std::vector<std::uint32_t>>;
 
-/// Explicit vertex-split network: node 2x is x's in-side, node 2x + 1 its
-/// out-side. Arcs come in pairs, and arc i's reverse is arc i ^ 1.
-struct SplitNetwork {
-  std::vector<std::uint32_t> head;             // arc -> target node
-  std::vector<int> residual;                   // arc -> residual capacity
-  std::vector<std::vector<std::uint32_t>> out;  // node -> arcs leaving it
-
-  void AddArc(std::uint32_t from, std::uint32_t to, int capacity) {
-    out[from].push_back(static_cast<std::uint32_t>(head.size()));
-    head.push_back(to);
-    residual.push_back(capacity);
-    out[to].push_back(static_cast<std::uint32_t>(head.size()));
-    head.push_back(from);
-    residual.push_back(0);
-  }
-};
-
-/// Edmonds–Karp on the split network of `adjacency`, from u's out-side to
-/// v's in-side, stopping once the flow reaches `limit`. Each vertex arc
-/// x_in -> x_out has capacity 1 and each edge arc is uncapacitated, so a
-/// minimum cut crosses vertex arcs only. Returns the flow. When it is below
-/// `limit`, the last BFS failed to reach the sink and `reach` holds exactly
-/// the nodes that BFS reached: the residual-reachable set.
-std::uint32_t MaxFlow(const Adjacency& adjacency, std::uint32_t u,
-                      std::uint32_t v, std::uint32_t limit,
-                      std::vector<bool>& reach) {
-  const auto n = static_cast<std::uint32_t>(adjacency.size());
-  const int uncapacitated = std::numeric_limits<int>::max() / 2;
-  SplitNetwork net;
-  net.out.resize(2 * n);
-  for (std::uint32_t x = 0; x < n; ++x) net.AddArc(2 * x, 2 * x + 1, 1);
-  for (std::uint32_t x = 0; x < n; ++x) {
-    for (std::uint32_t y : adjacency[x]) {
-      net.AddArc(2 * x + 1, 2 * y, uncapacitated);
-    }
-  }
-
-  // Each BFS finds one shortest augmenting path, which carries one unit.
-  const std::uint32_t source = 2 * u + 1;
-  const std::uint32_t sink = 2 * v;
-  std::uint32_t flow = 0;
-  while (flow < limit) {
-    reach.assign(2 * n, false);
-    std::vector<std::uint32_t> via(2 * n, 0);  // arc that reached the node
-    std::vector<std::uint32_t> queue = {source};
-    reach[source] = true;
-    for (std::size_t i = 0; i < queue.size() && !reach[sink]; ++i) {
-      for (std::uint32_t arc : net.out[queue[i]]) {
-        const std::uint32_t to = net.head[arc];
-        if (net.residual[arc] > 0 && !reach[to]) {
-          reach[to] = true;
-          via[to] = arc;
-          queue.push_back(to);
-        }
+/// Explicit vertex-split network of an adjacency: node 2x is x's in-side,
+/// node 2x + 1 its out-side. Arcs come in pairs, and arc i's reverse is arc
+/// i ^ 1. Each vertex arc x_in -> x_out has capacity 1 and each edge arc is
+/// uncapacitated, so a minimum cut crosses vertex arcs only. One network
+/// serves many queries: each starts from a copy of the unused capacities.
+class SplitNetwork {
+ public:
+  explicit SplitNetwork(const Adjacency& adjacency)
+      : out_(2 * adjacency.size()) {
+    const auto n = static_cast<std::uint32_t>(adjacency.size());
+    const int uncapacitated = std::numeric_limits<int>::max() / 2;
+    for (std::uint32_t x = 0; x < n; ++x) AddArc(2 * x, 2 * x + 1, 1);
+    for (std::uint32_t x = 0; x < n; ++x) {
+      for (std::uint32_t y : adjacency[x]) {
+        AddArc(2 * x + 1, 2 * y, uncapacitated);
       }
     }
-    if (!reach[sink]) break;
-    for (std::uint32_t node = sink; node != source;
-         node = net.head[via[node] ^ 1]) {
-      --net.residual[via[node]];
-      ++net.residual[via[node] ^ 1];
-    }
-    ++flow;
   }
-  return flow;
-}
+
+  /// Edmonds–Karp from u's out-side to v's in-side, stopping once the flow
+  /// reaches `limit`. Returns the flow. When it is below `limit`, the last
+  /// BFS failed to reach the sink and `reach` holds exactly the nodes that
+  /// BFS reached: the residual-reachable set.
+  std::uint32_t MaxFlow(std::uint32_t u, std::uint32_t v, std::uint32_t limit,
+                        std::vector<bool>& reach) {
+    residual_ = capacity_;
+    via_.resize(out_.size());
+    const std::uint32_t source = 2 * u + 1;
+    const std::uint32_t sink = 2 * v;
+    // Each BFS finds one shortest augmenting path, which carries one unit.
+    std::uint32_t flow = 0;
+    while (flow < limit) {
+      reach.assign(out_.size(), false);
+      queue_.assign(1, source);
+      reach[source] = true;
+      for (std::size_t i = 0; i < queue_.size() && !reach[sink]; ++i) {
+        for (std::uint32_t arc : out_[queue_[i]]) {
+          const std::uint32_t to = head_[arc];
+          if (residual_[arc] > 0 && !reach[to]) {
+            reach[to] = true;
+            via_[to] = arc;
+            queue_.push_back(to);
+          }
+        }
+      }
+      if (!reach[sink]) break;
+      for (std::uint32_t node = sink; node != source;
+           node = head_[via_[node] ^ 1]) {
+        --residual_[via_[node]];
+        ++residual_[via_[node] ^ 1];
+      }
+      ++flow;
+    }
+    return flow;
+  }
+
+ private:
+  void AddArc(std::uint32_t from, std::uint32_t to, int capacity) {
+    out_[from].push_back(static_cast<std::uint32_t>(head_.size()));
+    head_.push_back(to);
+    capacity_.push_back(capacity);
+    out_[to].push_back(static_cast<std::uint32_t>(head_.size()));
+    head_.push_back(from);
+    capacity_.push_back(0);
+  }
+
+  std::vector<std::uint32_t> head_;             // arc -> target node
+  std::vector<int> capacity_;                   // arc -> unused capacity
+  std::vector<std::vector<std::uint32_t>> out_;  // node -> arcs leaving it
+  // One query's state.
+  std::vector<int> residual_;         // arc -> residual capacity
+  std::vector<std::uint32_t> via_;    // node -> arc that reached it
+  std::vector<std::uint32_t> queue_;  // BFS queue
+};
 
 bool Contains(const std::vector<std::uint32_t>& row, std::uint32_t x) {
   return std::find(row.begin(), row.end(), x) != row.end();
@@ -157,12 +165,13 @@ std::vector<std::uint32_t> FindSmallCut(const Adjacency& adjacency,
   for (std::uint32_t x = 1; x < n; ++x) {
     if (adjacency[x].size() < adjacency[u].size()) u = x;
   }
+  SplitNetwork network(adjacency);
   std::vector<bool> reach;
   // The flow between a and b is at least 1 in a connected graph, so a cut
   // read off the residual graph is never empty.
   auto cut_between = [&](std::uint32_t a, std::uint32_t b) {
     std::vector<std::uint32_t> cut;
-    if (MaxFlow(adjacency, a, b, k, reach) < k) {
+    if (network.MaxFlow(a, b, k, reach) < k) {
       for (std::uint32_t x = 0; x < n; ++x) {
         if (reach[2 * x] && !reach[2 * x + 1]) cut.push_back(x);
       }
@@ -237,8 +246,8 @@ std::uint32_t Referee::LocalConnectivity(std::uint32_t u,
                                          std::uint32_t v) const {
   assert(u != v && !Adjacent(u, v));
   std::vector<bool> reach;
-  return MaxFlow(adjacency_, u, v, std::numeric_limits<std::uint32_t>::max(),
-                 reach);
+  return SplitNetwork(adjacency_).MaxFlow(
+      u, v, std::numeric_limits<std::uint32_t>::max(), reach);
 }
 
 bool Referee::Separates(const std::vector<std::uint32_t>& cut,

@@ -4,8 +4,9 @@
 // The referee shares no code with the engine past reading the input's edge
 // list: it keeps its own adjacency lists, builds its own explicit
 // vertex-split network (paper Section 4.1, Fig. 3) and computes kappa(u, v)
-// by Edmonds–Karp, one unit of flow per BFS augmenting path, with no reuse
-// between queries. Its enumeration follows the definition with its own
+// by Edmonds–Karp, one unit of flow per BFS augmenting path. A cut search
+// builds its network once and restores the network's capacities before
+// each query; no flow state outlives the search. Its enumeration follows the definition with its own
 // k-core peel, BFS components and cut search, and uses no certificate and
 // no sweeps. It is slow and plain on purpose, so a bug in the engine cannot
 // also hide in its oracle.
